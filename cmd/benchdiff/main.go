@@ -5,11 +5,13 @@
 // when a cell's speedup value drifted (the cells are deterministic, so
 // a drift is a correctness change, not noise).
 //
-// Cells are matched by (loop, fus, technique). Cache-hit cells and
-// cells faster than -min-ms in the old report are skipped for the
+// Cells are matched by (loop, fus, technique, config). Cache-hit cells
+// and cells faster than -min-ms in the old report are skipped for the
 // wall-time check — they measure the cache, not the scheduler. Cells
 // present in only one report are listed but never fatal: new kernels
-// and new techniques are growth, not regressions.
+// and new techniques are growth, not regressions. A comparison that
+// matched no cell at all against a non-empty baseline is fatal, though:
+// it checked nothing, so it must not pass.
 //
 // With -gobench the two arguments are `go test -bench` output files
 // instead: benchmarks are matched by name (the -cpus suffix stripped),
@@ -175,6 +177,10 @@ func compare(oldRep, newRep *batch.BenchReport, threshold, minMS float64, checkS
 		}
 	}
 	sort.Strings(rep.OnlyNew)
+	if len(oldCells) > 0 && rep.Compared == 0 {
+		rep.Regressions = append(rep.Regressions,
+			fmt.Sprintf("no cells compared: none of the baseline's %d cells is in the new report", len(oldCells)))
+	}
 	return rep
 }
 
@@ -239,6 +245,20 @@ func runSelfcheck(w *os.File) int {
 	dirty := compare(base, bad, 1.5, 5, true)
 	if len(dirty.Regressions) != 2 {
 		fmt.Fprintf(w, "selfcheck FAILED: want 2 regressions (wall + speedup), got %v\n", dirty.Regressions)
+		return 1
+	}
+	// A report whose cells all carry a config the baseline lacks
+	// matches nothing: that must fail, not print "no regressions".
+	disjoint := &batch.BenchReport{Cells: []batch.BenchCell{
+		{Loop: "LL1", FUs: 2, Technique: "grip", Config: "cfg|u=48", Speedup: 1.833, WallMS: 120},
+	}}
+	if empty := compare(base, disjoint, 1.5, 5, true); empty.Compared != 0 || len(empty.Regressions) != 1 {
+		fmt.Fprintf(w, "selfcheck FAILED: disjoint diff compared %d cells with regressions %v, want 0 and 1\n",
+			empty.Compared, empty.Regressions)
+		return 1
+	}
+	if fresh := compare(&batch.BenchReport{}, same, 1.5, 5, true); len(fresh.Regressions) != 0 {
+		fmt.Fprintf(w, "selfcheck FAILED: an empty baseline reported regressions: %v\n", fresh.Regressions)
 		return 1
 	}
 	if code := gobenchSelfcheck(w); code != 0 {

@@ -62,7 +62,7 @@ func TestMigrationStepAllocs(t *testing.T) {
 // TestGaplessProbeAllocs pins the tentpole guarantee of the walk-free
 // gapless search: a steady-state Gapless-move probe — per-iteration
 // count gates, the max-Pos frontier, condition-4 filler scan with
-// canFill dependence probes, and both memo layers — performs zero heap
+// canFill dependence probes, and the gapless memo — performs zero heap
 // allocations. Each round bumps the graph version with a same-vertex
 // MoveOp so the full evaluation (not just the memo hit) is measured.
 func TestGaplessProbeAllocs(t *testing.T) {

@@ -150,35 +150,10 @@ type scheduler struct {
 	// Gapless-move machinery (section 3.3), all stamped by the graph
 	// mutation counter so one committed move invalidates everything at
 	// once: per-iteration max-Pos frontiers (condition 3 in O(1)
-	// amortized), memoized gapless verdicts by op index (from is always
-	// the op's home node), and memoized canFill probe results by
-	// (x, leaving) pair.
-	// fillMemo rows are allocated lazily per x (most ops are never the
-	// filler candidate of a canFill probe); a row spans the dense index
-	// space. Slice-backed rather than map-backed: the condition-4
-	// recursion hits this memo hard enough that map hashing showed up in
-	// the table1 profile. Rows are carved from memoChunk (bump-pointer,
-	// geometric refill) so a commit-heavy schedule pays a handful of
-	// allocations for them, not one per probed op.
+	// amortized) and memoized gapless verdicts by op index (from is
+	// always the op's home node).
 	frontiers []iterFrontier
 	gapMemo   []memoEntry
-	fillMemo  [][]memoEntry
-	memoChunk []memoEntry
-}
-
-// allocMemoRow carves a zeroed n-entry fillMemo row from the memo
-// chunk arena.
-func (s *scheduler) allocMemoRow(n int) []memoEntry {
-	if len(s.memoChunk) < n {
-		c := 8 * n
-		if c < 4096 {
-			c = 4096
-		}
-		s.memoChunk = make([]memoEntry, c)
-	}
-	row := s.memoChunk[:n:n]
-	s.memoChunk = s.memoChunk[n:]
-	return row
 }
 
 // Schedule runs GRiP over pctx.G. ops must contain every schedulable
@@ -274,7 +249,6 @@ func newScheduler(ctx context.Context, pctx *ps.Ctx, ops []*ir.Op, pri *deps.Pri
 	}
 	s.frontiers = make([]iterFrontier, maxIter+2)
 	s.gapMemo = make([]memoEntry, n)
-	s.fillMemo = make([][]memoEntry, n)
 	pri.Rank(s.pool)
 	s.initCandidates(n)
 	if opts.CrossCheck {

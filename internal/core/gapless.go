@@ -11,14 +11,13 @@ import (
 // and exceeding it conservatively reports "might gap" (suspension).
 const maxGaplessDepth = 64
 
-// memoEntry is one generation-stamped cache slot for a probe verdict.
-// The stamp is the graph mutation counter (graph.Version): probes never
-// mutate the graph, so every verdict computed at one version stays
-// exact until the next committed transformation bumps it. See DESIGN.md
-// for the invalidation contract. Packed ver<<2 | verdict into one word
-// — a struct with a separate int8 verdict pads to 16 bytes, doubling
-// the footprint of the full-width fillMemo rows. The zero value means
-// "unknown"; stored entries always carry a nonzero verdict.
+// memoEntry is one generation-stamped gapMemo slot for a Gapless-move
+// verdict. The stamp is the graph mutation counter (graph.Version):
+// probes never mutate the graph, so every verdict computed at one
+// version stays exact until the next committed transformation bumps it.
+// See DESIGN.md §2.2 for the invalidation contract. Packed ver<<2 |
+// verdict into one word; the zero value means "unknown", and stored
+// entries always carry a nonzero verdict.
 type memoEntry uint64
 
 func makeMemoEntry(ver uint64, holds bool) memoEntry {
@@ -139,34 +138,14 @@ func (s *scheduler) findFiller(succ *graph.Node, op *ir.Op, depth int) (bool, bo
 }
 
 // canFill reports whether x could move one node up, assuming `leaving`
-// has already vacated the target. Verdicts are memoized per (x,
-// leaving) pair under the current graph version: one migration step
-// probes the same pairs many times through the condition-4 recursion.
+// has already vacated the target. It is not memoized: findFiller only
+// probes (x, leaving) from inside gaplessEval(from, leaving), which
+// gapMemo caches per leaving op and graph version, so a pair recurs
+// within one version only after an uncacheable depth-limited verdict
+// (DESIGN.md §2.2). An x buried under a branch inside its node is
+// treated as fillable when it can hoist (it will surface and then
+// move); this slight optimism is documented in DESIGN.md §2.1.
 func (s *scheduler) canFill(x, leaving *ir.Op) bool {
-	g := s.ctx.G
-	memoable := uint(x.Index) < uint(len(s.fillMemo)) &&
-		uint(leaving.Index) < uint(len(s.fillMemo))
-	var row []memoEntry
-	if memoable {
-		if row = s.fillMemo[x.Index]; row == nil {
-			row = s.allocMemoRow(len(s.fillMemo))
-			s.fillMemo[x.Index] = row
-		}
-		if e := row[leaving.Index]; e != 0 && e.ver() == g.Version() {
-			return e.holds()
-		}
-	}
-	ok := s.canFillEval(x, leaving)
-	if memoable {
-		row[leaving.Index] = makeMemoEntry(g.Version(), ok)
-	}
-	return ok
-}
-
-// canFillEval is the uncached probe. An x buried under a branch inside
-// its node is treated as fillable when it can hoist (it will surface
-// and then move); this slight optimism is documented in DESIGN.md.
-func (s *scheduler) canFillEval(x, leaving *ir.Op) bool {
 	if x.IsBranch() {
 		return s.ctx.TryMoveCJUp(x, false).Kind == ps.BlockNone
 	}

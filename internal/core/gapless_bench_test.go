@@ -42,7 +42,7 @@ func buildIterChain(nNodes, iters, fus int) (*ps.Ctx, *scheduler, []*ir.Op) {
 // BenchmarkGaplessMove measures one full Gapless-move verdict on a
 // mid-chain operation with a cold cache: each round bumps the graph
 // mutation counter (a same-vertex MoveOp, the cheapest committed
-// mutation), so the frontier and both memo layers recompute — the
+// mutation), so the frontier and the gapless memo recompute — the
 // steady-state cost the migration loop pays after every committed move.
 func BenchmarkGaplessMove(b *testing.B) {
 	pctx, s, ops := buildIterChain(48, 8, 4)

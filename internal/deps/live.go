@@ -13,9 +13,9 @@ import (
 // fetch), so any use of r anywhere in a node's tree makes r live at that
 // node's entry. A definition kills r only when it commits on every path
 // through the node, i.e. when the defining operation sits at the root
-// vertex. Both tests are O(1) reads of the node's def/use summary — the
-// chain walk over successors remains, but no node's tree is ever
-// re-walked op by op.
+// vertex. Each chain node's facts come from a walk of its tree;
+// instruction trees are small (a few ops per node on the scheduled
+// loops), so the walk is cheaper to keep than a summary tier.
 func LiveAtEntry(g *graph.Graph, n *graph.Node, r ir.Reg, exitLive map[ir.Reg]bool) bool {
 	if r == ir.NoReg {
 		return false
@@ -33,12 +33,14 @@ func liveAtEntry(g *graph.Graph, m *graph.Node, r ir.Reg, exitLive map[ir.Reg]bo
 	if m.Visited(epoch) {
 		return false
 	}
-	if m.Root.SubtreeReads(r) {
+	if readsInTree(m.Root, r) {
 		return true
 	}
-	if m.Root.DefinesHere(r) {
-		// Root-vertex commit: kills r on every path through m.
-		return false
+	for _, op := range m.Root.Ops {
+		if op.Def() == r {
+			// Root-vertex commit: kills r on every path through m.
+			return false
+		}
 	}
 	live := false
 	m.VisitLeaves(func(l *graph.Vertex) bool {
@@ -51,55 +53,18 @@ func liveAtEntry(g *graph.Graph, m *graph.Node, r ir.Reg, exitLive map[ir.Reg]bo
 	return live
 }
 
-// LiveAtEntryReference is the retained op-by-op implementation of
-// LiveAtEntry: it recomputes each node's used/killed facts by walking the
-// instruction tree instead of reading the maintained summary. Kept as
-// the cross-check oracle (ps runs it next to the summary version under
-// CrossCheck) and as the executable definition of the liveness rule.
-func LiveAtEntryReference(g *graph.Graph, n *graph.Node, r ir.Reg, exitLive map[ir.Reg]bool) bool {
-	if r == ir.NoReg {
+// readsInTree reports whether any operation in the subtree rooted at v,
+// conditional jumps included, reads r.
+func readsInTree(v *graph.Vertex, r ir.Reg) bool {
+	for _, op := range v.Ops {
+		if op.ReadsReg(r) {
+			return true
+		}
+	}
+	if v.IsLeaf() {
 		return false
 	}
-	return liveAtEntryReference(g, n, r, exitLive, g.BeginVisit())
-}
-
-func liveAtEntryReference(g *graph.Graph, m *graph.Node, r ir.Reg, exitLive map[ir.Reg]bool, epoch uint64) bool {
-	if m == nil {
-		return exitLive[r]
-	}
-	if m.Visited(epoch) {
-		return false
-	}
-	used := false
-	killed := false
-	m.Walk(func(v *graph.Vertex) {
-		for _, op := range v.Ops {
-			if op.ReadsReg(r) {
-				used = true
-			}
-			if op.Def() == r && v == m.Root {
-				killed = true
-			}
-		}
-		if v.CJ != nil && v.CJ.ReadsReg(r) {
-			used = true
-		}
-	})
-	if used {
-		return true
-	}
-	if killed {
-		return false
-	}
-	live := false
-	m.VisitLeaves(func(l *graph.Vertex) bool {
-		if liveAtEntryReference(g, l.Succ, r, exitLive, epoch) {
-			live = true
-			return false
-		}
-		return true
-	})
-	return live
+	return v.CJ.ReadsReg(r) || readsInTree(v.True, r) || readsInTree(v.False, r)
 }
 
 // LiveOnSubtree reports whether register r is observable when control
@@ -113,33 +78,15 @@ func LiveOnSubtree(g *graph.Graph, v *graph.Vertex, r ir.Reg, exitLive map[ir.Re
 	if r == ir.NoReg {
 		return false
 	}
-	return liveOnSubtree(g, v, r, exitLive, LiveAtEntry)
+	return liveOnSubtree(g, v, r, exitLive)
 }
 
-// LiveOnSubtreeReference is LiveOnSubtree over the reference (walking)
-// per-node liveness; the cross-check oracle for the write-live test.
-func LiveOnSubtreeReference(g *graph.Graph, v *graph.Vertex, r ir.Reg, exitLive map[ir.Reg]bool) bool {
-	if r == ir.NoReg {
-		return false
-	}
-	return liveOnSubtree(g, v, r, exitLive, LiveAtEntryReference)
-}
-
-func liveOnSubtree(g *graph.Graph, w *graph.Vertex, r ir.Reg, exitLive map[ir.Reg]bool,
-	atEntry func(*graph.Graph, *graph.Node, ir.Reg, map[ir.Reg]bool) bool) bool {
+func liveOnSubtree(g *graph.Graph, w *graph.Vertex, r ir.Reg, exitLive map[ir.Reg]bool) bool {
 	if w.IsLeaf() {
 		if w.Succ == nil {
 			return exitLive[r]
 		}
-		return atEntry(g, w.Succ, r, exitLive)
+		return LiveAtEntry(g, w.Succ, r, exitLive)
 	}
-	return liveOnSubtree(g, w.True, r, exitLive, atEntry) ||
-		liveOnSubtree(g, w.False, r, exitLive, atEntry)
-}
-
-// SubtreeDefines reports whether any operation in the subtree rooted at v
-// (branches excluded — they define nothing) writes register r. Answered
-// from the subtree's maintained def summary.
-func SubtreeDefines(v *graph.Vertex, r ir.Reg) bool {
-	return v.SubtreeDefines(r)
+	return liveOnSubtree(g, w.True, r, exitLive) || liveOnSubtree(g, w.False, r, exitLive)
 }

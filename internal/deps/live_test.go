@@ -81,7 +81,9 @@ func TestLiveOnSubtreeAndDefines(t *testing.T) {
 		t.Error("r9 is killed at n2's root before any read")
 	}
 
-	if SubtreeDefines(root.True, r9) || SubtreeDefines(root.False, r2) {
-		t.Error("SubtreeDefines must only see defs inside the subtree")
+	// The kill that makes r9 dead sits at n2's root vertex; the branch
+	// vertex's continue side defines nothing itself.
+	if !ns[2].Root.DefinesHere(r9) || root.True.DefinesHere(r9) {
+		t.Error("DefinesHere must see exactly the vertex's own definitions")
 	}
 }

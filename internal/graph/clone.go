@@ -7,7 +7,7 @@ import (
 // Clone deep-copies the graph: every node, vertex, and operation is
 // duplicated (operations keep their IDs, origins, iteration tags, and
 // dense indices; nodes keep their IDs and order-maintenance keys), and
-// the clone's bookkeeping (predecessor sets, op locations, ID counters)
+// the clone's bookkeeping (predecessor sets, op placements, ID counters)
 // is rebuilt to match. The clone uses alloc for future allocations; pass
 // an independent allocator (ir.Alloc.Clone) so transformations on the
 // clone allocate exactly the IDs the same transformations on the
@@ -20,8 +20,9 @@ import (
 // copies cheap.
 //
 // The returned slice maps original op IDs to their clones (nil for IDs
-// not placed in this graph), so callers holding external op lists
-// (e.g. pipeline.Unwound.Ops) can re-point them at the copies.
+// not placed in this graph); it is sized by the largest placed ID, so
+// callers holding external op lists (e.g. pipeline.Unwound.Ops)
+// bounds-check before re-pointing them at the copies.
 func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 	if alloc == nil {
 		alloc = g.Alloc
@@ -30,7 +31,6 @@ func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 		Alloc:      alloc,
 		Label:      g.Label,
 		nodes:      make(map[*Node]bool, len(g.nodes)),
-		locs:       make([]opLoc, len(g.locs)),
 		version:    g.version,
 		nextNodeID: g.nextNodeID,
 		maxPos:     g.maxPos,
@@ -38,14 +38,22 @@ func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 
 	// Count vertices (and per-iteration count slots, and def/use summary
 	// words) so every arena is sized exactly: growing an arena mid-build
-	// would move objects already pointed at.
+	// would move objects already pointed at. The same walk finds the
+	// largest placed op ID, which sizes the ID map.
 	nVertices, nIterSlots, nSumWords, nDefSites, nStorePos := 0, 0, 0, 0, 0
+	maxID := -1
 	for n := range g.nodes {
 		n.Walk(func(v *Vertex) {
 			nVertices++
 			nSumWords += v.sum.words()
 			nDefSites += len(v.sum.defSites)
 			nStorePos += len(v.sum.storePos)
+			for _, op := range v.Ops {
+				maxID = max(maxID, op.ID)
+			}
+			if v.CJ != nil {
+				maxID = max(maxID, v.CJ.ID)
+			}
 		})
 		nIterSlots += len(n.iterCounts)
 	}
@@ -58,7 +66,7 @@ func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 	dsArena := make([]defSite, nDefSites)
 	spArena := make([]int32, nStorePos)
 
-	byID := make([]*ir.Op, len(g.locs))
+	byID := make([]*ir.Op, maxID+1)
 	cloneOp := func(op *ir.Op) *ir.Op {
 		if op == nil {
 			return nil

@@ -14,7 +14,7 @@ import (
 // style node splits, and in-place operand rewrites — and after every
 // step lets Validate cross-check the incremental caches (compact
 // adjacency sets, per-iteration schedulable counts, op/branch counts,
-// op locations, def/use summaries) against full recounts. This is the
+// op placements, def/use summaries) against full recounts. This is the
 // consistency property the walk-free schedulers rely on: no sequence of
 // mutator calls may drift a cache from the structure it summarizes.
 //
@@ -113,7 +113,11 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 				if d == ir.NoReg {
 					return false
 				}
-				if v.SubtreeDefines(d) {
+				below := false
+				v.walk(func(w *Vertex) {
+					below = below || w.DefinesHere(d)
+				})
+				if below {
 					return true
 				}
 				for a := v.Parent(); a != nil; a = a.Parent() {
@@ -276,58 +280,45 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 				}
 			}
 
-			// Spot-check the summary query API against op-by-op walks of
-			// every subtree, for every pool register (Validate checks the
-			// internal tiers; this checks the exported answers).
+			// Spot-check the summary query API against op-by-op walks,
+			// for every pool register (Validate checks the internal
+			// tiers; this checks the exported answers): the own tier
+			// against the vertex's op list, the pre tier against the
+			// root→v path.
 			for _, n := range liveNodes() {
 				n.Walk(func(v *Vertex) {
-					stores, loads := false, false
 					defsHere := map[ir.Reg]bool{}
-					defs := map[ir.Reg]bool{}
-					uses := map[ir.Reg]bool{}
-					var walk func(w *Vertex)
-					walk = func(w *Vertex) {
-						var buf [3]ir.Reg
-						for _, op := range w.Ops {
-							if d := op.Def(); d != ir.NoReg {
-								defs[d] = true
-								if w == v {
-									defsHere[d] = true
-								}
-							}
-							for _, u := range op.Uses(buf[:0]) {
-								uses[u] = true
-							}
-							stores = stores || op.IsStore()
-							loads = loads || op.IsLoad()
+					usesHere := map[ir.Reg]bool{}
+					storesHere, loadsHere := false, false
+					var buf [3]ir.Reg
+					for _, op := range v.Ops {
+						if d := op.Def(); d != ir.NoReg {
+							defsHere[d] = true
 						}
-						if w.CJ != nil {
-							for _, u := range w.CJ.Uses(buf[:0]) {
-								uses[u] = true
-							}
+						for _, u := range op.Uses(buf[:0]) {
+							usesHere[u] = true
 						}
-						if !w.IsLeaf() {
-							walk(w.True)
-							walk(w.False)
+						storesHere = storesHere || op.IsStore()
+						loadsHere = loadsHere || op.IsLoad()
+					}
+					if v.CJ != nil {
+						for _, u := range v.CJ.Uses(buf[:0]) {
+							usesHere[u] = true
 						}
 					}
-					walk(v)
 					for _, r := range regs {
-						if got, want := v.SubtreeDefines(r), defs[r]; got != want {
-							t.Fatalf("n%d: SubtreeDefines(r%d) = %v, walk says %v", n.ID, r, got, want)
-						}
-						if got, want := v.SubtreeReads(r), uses[r]; got != want {
-							t.Fatalf("n%d: SubtreeReads(r%d) = %v, walk says %v", n.ID, r, got, want)
-						}
 						if got, want := v.DefinesHere(r), defsHere[r]; got != want {
 							t.Fatalf("n%d: DefinesHere(r%d) = %v, walk says %v", n.ID, r, got, want)
 						}
+						if got, want := v.ReadsHere(r), usesHere[r]; got != want {
+							t.Fatalf("n%d: ReadsHere(r%d) = %v, walk says %v", n.ID, r, got, want)
+						}
 					}
-					if got := v.SubtreeStores(); got != stores {
-						t.Fatalf("n%d: SubtreeStores() = %v, walk says %v", n.ID, got, stores)
+					if got := v.StoresHere(); got != storesHere {
+						t.Fatalf("n%d: StoresHere() = %v, walk says %v", n.ID, got, storesHere)
 					}
-					if got := v.SubtreeLoads(); got != loads {
-						t.Fatalf("n%d: SubtreeLoads() = %v, walk says %v", n.ID, got, loads)
+					if got := v.LoadsHere(); got != loadsHere {
+						t.Fatalf("n%d: LoadsHere() = %v, walk says %v", n.ID, got, loadsHere)
 					}
 
 					// Path-prefix answers against the ancestor chain: the
@@ -335,14 +326,13 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 					// op lists (plus CJs, which define nothing and touch no
 					// memory) contribute.
 					pathDefs := map[ir.Reg]bool{}
-					pathStores, pathLoads := false, false
+					pathStores := false
 					for a := v; a != nil; a = a.Parent() {
 						for _, op := range a.Ops {
 							if d := op.Def(); d != ir.NoReg {
 								pathDefs[d] = true
 							}
 							pathStores = pathStores || op.IsStore()
-							pathLoads = pathLoads || op.IsLoad()
 						}
 					}
 					for _, r := range regs {
@@ -352,9 +342,6 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 					}
 					if got := v.PathStores(); got != pathStores {
 						t.Fatalf("n%d: PathStores() = %v, ancestor walk says %v", n.ID, got, pathStores)
-					}
-					if got := v.PathLoads(); got != pathLoads {
-						t.Fatalf("n%d: PathLoads() = %v, ancestor walk says %v", n.ID, got, pathLoads)
 					}
 				})
 			}

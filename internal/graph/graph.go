@@ -6,17 +6,8 @@ import (
 	"repro/internal/ir"
 )
 
-// opLoc is one entry of the dense op-location table: the vertex holding
-// the op, plus the op pointer itself so lookups can verify identity (op
-// IDs are only unique within one allocator; an op from a cloned program
-// must not resolve against this graph's table).
-type opLoc struct {
-	op *ir.Op
-	v  *Vertex
-}
-
 // Graph is a VLIW program graph. All structural mutation must go through
-// Graph methods so that adjacency sets, operation locations, cached
+// Graph methods so that adjacency sets, operation placements, cached
 // node op counts, and the cached traversal order stay consistent;
 // Validate cross-checks every invariant and is run liberally in tests.
 // Adjacency lives on the nodes themselves (Node.preds/Node.succs compact
@@ -34,10 +25,9 @@ type Graph struct {
 
 	nodes map[*Node]bool
 
-	// locs maps op.ID -> location. Op IDs are dense (ir.Alloc hands
-	// them out sequentially), so this is a slice lookup on the
-	// scheduler's hottest query (Where/NodeOf), not a pointer-keyed map.
-	locs      []opLoc
+	// numPlaced counts the ops (branches included) whose placement slot
+	// points into this graph; Validate compares it with the ops its walk
+	// reaches.
 	numPlaced int
 
 	version    uint64
@@ -84,16 +74,13 @@ func New(alloc *ir.Alloc) *Graph {
 	return &Graph{
 		Alloc: alloc,
 		nodes: make(map[*Node]bool),
-		locs:  make([]opLoc, alloc.NumOps()+1),
 	}
 }
 
-// loc returns op's registered location, or nil. It reads the
-// op-resident placement slot — a line the caller has usually just
-// touched — rather than the location table, which stays authoritative
-// for the census and Validate's reverse check. The owning-graph test
-// rejects placements held over from another graph (clone sources,
-// stale pointers into a discarded graph).
+// loc returns op's placement in this graph, or nil. Placement lives
+// only in the op-resident slot, a line the caller has usually just
+// touched. The owning-graph test rejects placements held over from
+// another graph (clone sources, stale pointers into a discarded graph).
 func (g *Graph) loc(op *ir.Op) *Vertex {
 	if v, ok := op.Placement().(*Vertex); ok && v.node.g == g {
 		return v
@@ -101,23 +88,8 @@ func (g *Graph) loc(op *ir.Op) *Vertex {
 	return nil
 }
 
-// setLoc registers op at v, growing the table for ops allocated after
-// the graph was created (frozen drain clones).
+// setLoc places op at v.
 func (g *Graph) setLoc(op *ir.Op, v *Vertex) {
-	id := op.ID
-	if id < 0 {
-		panic("graph: op with negative ID")
-	}
-	if id >= len(g.locs) {
-		need := id + 1
-		if n := 2 * len(g.locs); n > need {
-			need = n
-		}
-		grown := make([]opLoc, need)
-		copy(grown, g.locs)
-		g.locs = grown
-	}
-	g.locs[id] = opLoc{op: op, v: v}
 	op.SetPlacement(v)
 	g.numPlaced++
 	if g.onOpHome != nil {
@@ -125,22 +97,21 @@ func (g *Graph) setLoc(op *ir.Op, v *Vertex) {
 	}
 }
 
-// clearLoc unregisters op.
+// clearLoc unplaces op; an op not placed in this graph is left alone.
 func (g *Graph) clearLoc(op *ir.Op) {
-	id := op.ID
-	if uint(id) < uint(len(g.locs)) && g.locs[id].op == op {
-		g.locs[id] = opLoc{}
-		op.SetPlacement(nil)
-		g.numPlaced--
-		if g.onOpHome != nil {
-			g.onOpHome(op)
-		}
+	if g.loc(op) == nil {
+		return
+	}
+	op.SetPlacement(nil)
+	g.numPlaced--
+	if g.onOpHome != nil {
+		g.onOpHome(op)
 	}
 }
 
 // SetOpHomeHook registers f to be called after every mutation that
-// changes an operation's home: AddOp/RemoveOp/MoveOp (via the location
-// table), branch placement and detachment, AdoptSubtree re-homing a
+// changes an operation's home: AddOp/RemoveOp/MoveOp (via setLoc and
+// clearLoc), branch placement and detachment, AdoptSubtree re-homing a
 // whole tree, and FreezeOp flipping a placed op out of the schedulable
 // set. It returns the previously registered hook so callers can save
 // and restore around a scheduling run. The hook must not mutate the
@@ -392,7 +363,7 @@ func (g *Graph) AddOp(op *ir.Op, v *Vertex) {
 	g.noteIterSlot(op)
 	v.sum.addOp(op)
 	v.sum.indexOp(op, int32(len(v.Ops)-1))
-	resummarize(v)
+	repropagatePre(v)
 	if n := v.node; n != nil {
 		n.opCount++
 		n.noteOpAdded(op)
@@ -414,7 +385,7 @@ func (g *Graph) RemoveOp(op *ir.Op) {
 	}
 	g.clearLoc(op)
 	v.recomputeOwn()
-	resummarize(v)
+	repropagatePre(v)
 	if n := v.node; n != nil {
 		n.opCount--
 		n.noteOpRemoved(op)
@@ -482,7 +453,7 @@ func (g *Graph) InsertBranchAtLeaf(leaf *Vertex, cj *ir.Op, tSucc, fSucc *Node) 
 	leaf.False = f
 	g.setLoc(cj, leaf)
 	leaf.sum.addOp(cj)
-	resummarize(leaf)
+	repropagatePre(leaf)
 	if n := leaf.node; n != nil {
 		n.branchCount++
 		n.noteOpAdded(cj)

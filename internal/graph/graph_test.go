@@ -177,6 +177,62 @@ func TestValidateCatchesDoubleDef(t *testing.T) {
 	}
 }
 
+// TestValidateCensusCatchesOrphanedPlacement detaches a branch root
+// whose subtree still holds a placed op and never adopts the subtree.
+// The op's placement slot still points into the graph, but no node
+// reaches it, so only the numPlaced census can notice; adopting the
+// subtree makes the graph valid again.
+func TestValidateCensusCatchesOrphanedPlacement(t *testing.T) {
+	g, ns, _ := buildChain(t)
+	n3 := ns[2]
+	orphan := &ir.Op{ID: g.Alloc.OpID(), Kind: ir.Const, Dst: g.Alloc.Reg("x"), Imm: 5}
+	g.AddOp(orphan, n3.Root.True)
+	g.RetargetLeaf(ns[1].Root, nil) // DetachBranchRoot needs n3 predecessor-free
+	_, _, trueSub, _ := g.DetachBranchRoot(n3)
+	if g.Where(orphan) == nil {
+		t.Fatal("scenario: the detached subtree's op should still be placed")
+	}
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "numPlaced") {
+		t.Fatalf("Validate must reject an op placed in an unadopted subtree, got %v", err)
+	}
+	g.AdoptSubtree(g.NewNode(), trueSub)
+	if err := g.Validate(); err != nil {
+		t.Fatalf("Validate after adoption: %v", err)
+	}
+}
+
+// TestPlacementIsPerGraph: a clone's ops keep their source's IDs, so
+// only the owning-graph check on the op's placement slot keeps one
+// graph from resolving the other's ops. Each graph must see its own
+// ops and neither sees the other's, even after the clone mutates.
+func TestPlacementIsPerGraph(t *testing.T) {
+	g, _, ops := buildChain(t)
+	ng, byID := g.Clone(g.Alloc.Clone())
+	for _, op := range ops {
+		c := byID[op.ID]
+		if c == nil || c.ID != op.ID {
+			t.Fatalf("op %v: no same-ID clone", op)
+		}
+		if g.Where(op) == nil || ng.Where(c) == nil {
+			t.Fatalf("op %v: a graph lost its own op", op)
+		}
+		if ng.Where(op) != nil || ng.NodeOf(op) != nil {
+			t.Errorf("op %v: the clone resolves the source's op", op)
+		}
+		if g.Where(c) != nil || g.NodeOf(c) != nil {
+			t.Errorf("op %v: the source resolves the clone's op", op)
+		}
+	}
+	moved := byID[ops[1].ID]
+	ng.RemoveOp(moved)
+	if g.Where(ops[1]) == nil {
+		t.Error("unplacing a clone op unplaced its source")
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestIterCountAndSchedCount(t *testing.T) {
 	g, ns, ops := buildChain(t)
 	if ns[0].IterCount(0) != 1 || ns[0].IterCount(1) != 0 {

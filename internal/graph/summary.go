@@ -6,43 +6,34 @@ import (
 )
 
 // summary is the incrementally maintained def/use digest of one vertex,
-// in three tiers: the "own" tier covers exactly the vertex's operation
-// list plus its conditional jump's reads, the "sub" tier covers the
-// whole subtree rooted at the vertex (own ∪ both children's sub tiers),
-// and the "pre" tier covers the root→vertex path of the instruction
-// tree (parent's pre ∪ own; the root's pre is its own tier). Register
-// sets are exact — a bit is set iff some operation in the covered scope
-// defines/reads that register — and the store/load counters count
-// memory operations in the covered scope. Frozen operations are
-// included: the ps dependence scans the summaries filter do not skip
-// them either.
+// in two tiers: the "own" tier covers exactly the vertex's operation
+// list plus its conditional jump's reads, and the "pre" tier covers the
+// root→vertex path of the instruction tree (parent's pre ∪ own; the
+// root's pre is its own tier). Register sets are exact — a bit is set
+// iff some operation in the covered scope defines/reads that register —
+// and the store/load counters count memory operations in the covered
+// scope. Frozen operations are included: the ps dependence scans the
+// summaries filter do not skip them either.
 //
-// The sub tier answers "could anything below here conflict" (a
-// superset of any single path); the pre tier answers "does anything on
-// this exact path conflict", which is what the committed-path scan
-// needs — a leaf's pre tier makes that filter exact instead of
-// conservative (DESIGN.md §10).
+// The pre tier answers "does anything on this exact path conflict",
+// which is what the committed-path scan needs — a leaf's pre tier makes
+// that filter exact (DESIGN.md §10).
 //
 // Maintenance discipline (see DESIGN.md §7, §10): adding an operation
 // ORs its registers in (exact, because a bit is "some op contributes");
 // removing one recomputes the own tier from the surviving op list
 // (bits cannot be cleared blindly — another op may contribute the same
-// register), then the sub tiers along the path to the root are rebuilt
-// as own ∪ children and the pre tiers of the vertex's subtree are
+// register), then the pre tiers of the vertex's subtree are
 // re-propagated top-down (a changed own tier changes exactly the
 // prefixes at and below the vertex). Operand rewrites (copy
 // propagation, renaming) must reach the vertex through
 // Graph.ReplaceUse / Graph.RetargetDef, which recompute the same way.
 type summary struct {
 	ownDefs, ownUses bitset.Grow
-	subDefs, subUses bitset.Grow
 	preDefs          bitset.Grow
 	ownStores        int32
 	ownLoads         int32
-	subStores        int32
-	subLoads         int32
 	preStores        int32
-	preLoads         int32
 
 	// defSites is the own-tier def-site index: one entry per operation
 	// in the vertex's op list that defines a register, sorted by (reg,
@@ -66,21 +57,18 @@ type defSite struct {
 	pos int32
 }
 
-// presizeSummary points v's five register sets at zeroed storage carved
-// from the graph's word arena, sized for the current register space, so
-// steady-state maintenance (addOp OR-ins, recomputes, sub-tier unions,
-// pre-tier propagation) never grows them. Registers allocated after v's
-// creation (renaming mid-schedule) still grow the affected set on
-// demand.
+// presizeSummary points v's three register sets at zeroed storage
+// carved from the graph's word arena, sized for the current register
+// space, so steady-state maintenance (addOp OR-ins, recomputes, pre-tier
+// propagation) never grows them. Registers allocated after v's creation
+// (renaming mid-schedule) still grow the affected set on demand.
 func (g *Graph) presizeSummary(v *Vertex) {
 	w := g.Alloc.NumRegs()>>6 + 1
-	backing := g.allocWords(5 * w)
+	backing := g.allocWords(3 * w)
 	s := &v.sum
 	s.ownDefs.SetBacking(backing[0*w : 1*w : 1*w])
 	s.ownUses.SetBacking(backing[1*w : 2*w : 2*w])
-	s.subDefs.SetBacking(backing[2*w : 3*w : 3*w])
-	s.subUses.SetBacking(backing[3*w : 4*w : 4*w])
-	s.preDefs.SetBacking(backing[4*w : 5*w : 5*w])
+	s.preDefs.SetBacking(backing[2*w : 3*w : 3*w])
 	// Seed the def/store site indexes with a few slots from the graph
 	// arenas: most vertices hold a handful of ops, so this makes the
 	// common indexOp path append-without-allocating. A vertex that
@@ -98,11 +86,10 @@ func (g *Graph) presizeSummary(v *Vertex) {
 	g.spChunk = g.spChunk[seed:]
 }
 
-// words returns the total backing-word count across the five register
+// words returns the total backing-word count across the three register
 // sets (arena sizing for Clone).
 func (s *summary) words() int {
-	return s.ownDefs.Words() + s.ownUses.Words() +
-		s.subDefs.Words() + s.subUses.Words() + s.preDefs.Words()
+	return s.ownDefs.Words() + s.ownUses.Words() + s.preDefs.Words()
 }
 
 // cloneInto copies s into dst, carving the register sets' storage out
@@ -111,13 +98,9 @@ func (s *summary) words() int {
 // instead of clobbering a neighbour); it returns the unused arena
 // tails. Graph-wide arenas keep Clone at a constant allocation count.
 func (s *summary) cloneInto(dst *summary, arena []uint64, dsArena []defSite, spArena []int32) ([]uint64, []defSite, []int32) {
-	dst.ownStores, dst.ownLoads = s.ownStores, s.ownLoads
-	dst.subStores, dst.subLoads = s.subStores, s.subLoads
-	dst.preStores, dst.preLoads = s.preStores, s.preLoads
-	for _, p := range [5]struct{ d, s *bitset.Grow }{
-		{&dst.ownDefs, &s.ownDefs}, {&dst.ownUses, &s.ownUses},
-		{&dst.subDefs, &s.subDefs}, {&dst.subUses, &s.subUses},
-		{&dst.preDefs, &s.preDefs},
+	dst.ownStores, dst.ownLoads, dst.preStores = s.ownStores, s.ownLoads, s.preStores
+	for _, p := range [3]struct{ d, s *bitset.Grow }{
+		{&dst.ownDefs, &s.ownDefs}, {&dst.ownUses, &s.ownUses}, {&dst.preDefs, &s.preDefs},
 	} {
 		n := p.s.Words()
 		p.d.SetWords(arena[:n], p.s)
@@ -197,24 +180,6 @@ func (v *Vertex) recomputeOwn() {
 	}
 }
 
-// recomputeSub rebuilds v's sub tier as own ∪ children (children's sub
-// tiers are trusted; callers recompute bottom-up).
-func (v *Vertex) recomputeSub() {
-	s := &v.sum
-	s.subDefs.CopyFrom(&s.ownDefs)
-	s.subUses.CopyFrom(&s.ownUses)
-	s.subStores, s.subLoads = s.ownStores, s.ownLoads
-	if v.IsLeaf() {
-		return
-	}
-	for _, c := range [2]*Vertex{v.True, v.False} {
-		s.subDefs.Or(&c.sum.subDefs)
-		s.subUses.Or(&c.sum.subUses)
-		s.subStores += c.sum.subStores
-		s.subLoads += c.sum.subLoads
-	}
-}
-
 // recomputePre rebuilds v's pre tier as parent's pre ∪ own (own alone
 // at the root). The parent's pre tier is trusted; callers propagate
 // top-down.
@@ -224,11 +189,10 @@ func (v *Vertex) recomputePre() {
 		s.preDefs.CopyFrom(&p.sum.preDefs)
 		s.preDefs.Or(&s.ownDefs)
 		s.preStores = p.sum.preStores + s.ownStores
-		s.preLoads = p.sum.preLoads + s.ownLoads
 		return
 	}
 	s.preDefs.CopyFrom(&s.ownDefs)
-	s.preStores, s.preLoads = s.ownStores, s.ownLoads
+	s.preStores = s.ownStores
 }
 
 // repropagatePre rebuilds the pre tiers of the subtree rooted at v,
@@ -244,71 +208,27 @@ func repropagatePre(v *Vertex) {
 	}
 }
 
-// resummarize rebuilds the sub tiers on the path from v to its root and
-// the pre tiers of v's subtree after v's own tier changed. O(tree
-// depth + subtree size) word operations; instruction trees are bounded
-// by the machine's branch budget, so both terms are small constants.
-func resummarize(v *Vertex) {
-	for x := v; x != nil; x = x.parent {
-		x.recomputeSub()
-	}
-	repropagatePre(v)
-}
-
 // recomputeSummaries rebuilds every summary in the subtree rooted at v
-// from scratch: own and sub tiers bottom-up, then pre tiers top-down
-// (subtree adoption, freshly built clones). The caller guarantees v's
+// from scratch, top-down: each vertex's own tier, then its pre tier from
+// the parent's fresh one (subtree adoption). The caller guarantees v's
 // parent pointer is current (AdoptSubtree clears it before calling).
 func recomputeSummaries(v *Vertex) {
-	recomputeOwnSub(v)
-	repropagatePre(v)
-}
-
-func recomputeOwnSub(v *Vertex) {
-	if !v.IsLeaf() {
-		recomputeOwnSub(v.True)
-		recomputeOwnSub(v.False)
-	}
 	v.recomputeOwn()
-	v.recomputeSub()
-}
-
-// SubtreeDefines reports whether any operation in the subtree rooted at
-// v writes register r. O(1) from the maintained summary; branches
-// define nothing.
-func (v *Vertex) SubtreeDefines(r ir.Reg) bool {
-	if r == ir.NoReg {
-		return false
+	v.recomputePre()
+	if !v.IsLeaf() {
+		recomputeSummaries(v.True)
+		recomputeSummaries(v.False)
 	}
-	return v.sum.subDefs.Has(int(r))
-}
-
-// SubtreeReads reports whether any operation (conditional jumps
-// included) in the subtree rooted at v reads register r. O(1).
-func (v *Vertex) SubtreeReads(r ir.Reg) bool {
-	if r == ir.NoReg {
-		return false
-	}
-	return v.sum.subUses.Has(int(r))
 }
 
 // DefinesHere reports whether an operation attached to v itself writes
-// register r (the liveness kill test: only root-vertex definitions
-// commit on every path). O(1).
+// register r. O(1).
 func (v *Vertex) DefinesHere(r ir.Reg) bool {
 	if r == ir.NoReg {
 		return false
 	}
 	return v.sum.ownDefs.Has(int(r))
 }
-
-// SubtreeStores reports whether the subtree rooted at v contains a
-// store. O(1).
-func (v *Vertex) SubtreeStores() bool { return v.sum.subStores > 0 }
-
-// SubtreeLoads reports whether the subtree rooted at v contains a
-// load. O(1).
-func (v *Vertex) SubtreeLoads() bool { return v.sum.subLoads > 0 }
 
 // ReadsHere reports whether an operation attached to v itself (its
 // conditional jump included) reads register r. O(1).
@@ -329,8 +249,7 @@ func (v *Vertex) LoadsHere() bool { return v.sum.ownLoads > 0 }
 
 // PathDefines reports whether any operation on the root→v path of v's
 // instruction tree (v's own operations included) writes register r.
-// Unlike SubtreeDefines — a superset over all paths below a vertex —
-// this is exact for the one path ending at v: a false answer proves no
+// Exact for the one path ending at v: a false answer proves no
 // committed-path operation defines r. O(1) from the pre tier.
 func (v *Vertex) PathDefines(r ir.Reg) bool {
 	if r == ir.NoReg {
@@ -368,9 +287,6 @@ func (v *Vertex) StoreSites() []int32 { return v.sum.storePos }
 // PathStores reports whether the root→v path contains a store. O(1).
 func (v *Vertex) PathStores() bool { return v.sum.preStores > 0 }
 
-// PathLoads reports whether the root→v path contains a load. O(1).
-func (v *Vertex) PathLoads() bool { return v.sum.preLoads > 0 }
-
 // ReplaceUse substitutes register to for every read of from in op,
 // keeping the def/use summaries exact. All operand rewrites of placed
 // operations (copy propagation, renaming retries) must route through
@@ -399,7 +315,7 @@ func (g *Graph) RetargetDef(op *ir.Op, r ir.Reg) {
 func (g *Graph) noteOperandsChanged(op *ir.Op) {
 	if v := g.loc(op); v != nil {
 		v.recomputeOwn()
-		resummarize(v)
+		repropagatePre(v)
 		g.bump()
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Validate checks every structural invariant of the graph: tree shape,
-// ownership pointers, operation locations, predecessor edge counts, and
+// ownership pointers, operation placements, predecessor edge counts, and
 // the single-definition-per-path rule of VLIW instructions. It returns
 // the first violation found. Tests call Validate after every
 // transformation.
@@ -143,23 +143,11 @@ func (g *Graph) Validate() error {
 		}
 	}
 
-	// Every registered location must be placed in a live node, and the
-	// placed-op total must match the table's census.
-	registered := 0
-	for _, e := range g.locs {
-		if e.op == nil {
-			continue
-		}
-		registered++
-		if seenOps[e.op] != e.v {
-			return fmt.Errorf("loc for op %v points at stale vertex", e.op)
-		}
-		if pv, _ := e.op.Placement().(*Vertex); pv != e.v {
-			return fmt.Errorf("op %v resident placement disagrees with location table", e.op)
-		}
-	}
-	if registered != g.numPlaced {
-		return fmt.Errorf("graph: numPlaced %d, table holds %d", g.numPlaced, registered)
+	// Every op the walk reached resolves to its vertex (checked above);
+	// the census catches ops still placed where the walk cannot reach
+	// them — in a detached subtree never adopted, or a deleted node.
+	if len(seenOps) != g.numPlaced {
+		return fmt.Errorf("graph: numPlaced %d, walk reaches %d placed ops", g.numPlaced, len(seenOps))
 	}
 
 	// The incremental adjacency sets must match a full edge recount, in
@@ -214,15 +202,15 @@ func checkEdgeSet(g *Graph, n *Node, s *edgeSet, want map[*Node]int, dir string)
 
 // checkSummaries cross-checks every vertex's incremental def/use
 // summary against a from-scratch recomputation: the own tier against
-// the vertex's op list, the sub tier against own ∪ children, and the
-// pre tier against parent's pre ∪ own (own alone at the root). Any
-// mutation path that forgets to resummarize — including operand
-// rewrites bypassing Graph.ReplaceUse/RetargetDef — surfaces here,
-// so every randomized test calling Validate inherits the invariant
-// the ps fast-path filters depend on.
+// the vertex's op list, and the pre tier against parent's pre ∪ own
+// (own alone at the root). Any mutation path that forgets to refresh
+// a summary — including operand rewrites bypassing
+// Graph.ReplaceUse/RetargetDef — surfaces here, so every randomized
+// test calling Validate inherits the invariant the ps fast-path filters
+// depend on.
 func checkSummaries(n *Node) error {
-	var check func(v *Vertex, pre *summary) (*summary, error)
-	check = func(v *Vertex, pre *summary) (*summary, error) {
+	var check func(v *Vertex, pre *summary) error
+	check = func(v *Vertex, pre *summary) error {
 		want := &summary{}
 		for _, op := range v.Ops {
 			want.addOp(op)
@@ -232,58 +220,42 @@ func checkSummaries(n *Node) error {
 		}
 		if !want.ownDefs.Equal(&v.sum.ownDefs) || !want.ownUses.Equal(&v.sum.ownUses) ||
 			want.ownStores != v.sum.ownStores || want.ownLoads != v.sum.ownLoads {
-			return nil, fmt.Errorf("n%d: vertex own def/use summary out of sync", n.ID)
+			return fmt.Errorf("n%d: vertex own def/use summary out of sync", n.ID)
 		}
 		for i, op := range v.Ops {
 			want.indexOp(op, int32(i))
 		}
 		if len(want.defSites) != len(v.sum.defSites) || len(want.storePos) != len(v.sum.storePos) {
-			return nil, fmt.Errorf("n%d: vertex def/store site index out of sync", n.ID)
+			return fmt.Errorf("n%d: vertex def/store site index out of sync", n.ID)
 		}
 		for i, e := range want.defSites {
 			if v.sum.defSites[i] != e {
-				return nil, fmt.Errorf("n%d: vertex def-site index out of sync at r%d", n.ID, e.reg)
+				return fmt.Errorf("n%d: vertex def-site index out of sync at r%d", n.ID, e.reg)
 			}
 		}
 		for i, k := range want.storePos {
 			if v.sum.storePos[i] != k {
-				return nil, fmt.Errorf("n%d: vertex store-site index out of sync", n.ID)
+				return fmt.Errorf("n%d: vertex store-site index out of sync", n.ID)
 			}
 		}
 		if pre != nil {
 			want.preDefs.CopyFrom(&pre.preDefs)
-			want.preStores, want.preLoads = pre.preStores, pre.preLoads
+			want.preStores = pre.preStores
 		}
 		want.preDefs.Or(&want.ownDefs)
 		want.preStores += want.ownStores
-		want.preLoads += want.ownLoads
-		if !want.preDefs.Equal(&v.sum.preDefs) ||
-			want.preStores != v.sum.preStores || want.preLoads != v.sum.preLoads {
-			return nil, fmt.Errorf("n%d: vertex path-prefix summary out of sync", n.ID)
+		if !want.preDefs.Equal(&v.sum.preDefs) || want.preStores != v.sum.preStores {
+			return fmt.Errorf("n%d: vertex path-prefix summary out of sync", n.ID)
 		}
-		want.subDefs.CopyFrom(&want.ownDefs)
-		want.subUses.CopyFrom(&want.ownUses)
-		want.subStores, want.subLoads = want.ownStores, want.ownLoads
-		if !v.IsLeaf() {
-			for _, c := range [2]*Vertex{v.True, v.False} {
-				cw, err := check(c, want)
-				if err != nil {
-					return nil, err
-				}
-				want.subDefs.Or(&cw.subDefs)
-				want.subUses.Or(&cw.subUses)
-				want.subStores += cw.subStores
-				want.subLoads += cw.subLoads
-			}
+		if v.IsLeaf() {
+			return nil
 		}
-		if !want.subDefs.Equal(&v.sum.subDefs) || !want.subUses.Equal(&v.sum.subUses) ||
-			want.subStores != v.sum.subStores || want.subLoads != v.sum.subLoads {
-			return nil, fmt.Errorf("n%d: vertex subtree def/use summary out of sync", n.ID)
+		if err := check(v.True, want); err != nil {
+			return err
 		}
-		return want, nil
+		return check(v.False, want)
 	}
-	_, err := check(n.Root, nil)
-	return err
+	return check(n.Root, nil)
 }
 
 // checkSingleDefPerPath enforces that no root-to-leaf path of the

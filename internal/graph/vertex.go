@@ -29,10 +29,9 @@ type Vertex struct {
 
 	// sum is the vertex's incrementally maintained def/use summary (see
 	// summary.go): exact register def/use sets and memory-op counts for
-	// the vertex's own op list and for its whole subtree, kept current
-	// by every Graph mutator and operand-rewrite method. The root
-	// vertex's sub tier is therefore the whole instruction's digest —
-	// what the ps legality fast paths filter on.
+	// the vertex's own op list and for the root→vertex path, kept
+	// current by every Graph mutator and operand-rewrite method — what
+	// the ps legality fast paths filter on.
 	sum summary
 }
 

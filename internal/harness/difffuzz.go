@@ -99,7 +99,8 @@ func (v *LoopVerdict) Failed() bool { return len(v.Failures) > 0 }
 // FuzzOptions configure the differential oracle. The zero value means:
 // all registered techniques, 2/4/8 FUs, paper-default configuration
 // with the unwind ladder capped at FuzzMaxUnwind, a 30s per-job
-// timeout, no cache, nothing explained.
+// timeout, nothing explained. There is no cache option: every fuzz job
+// carries CrossCheck, which the batch engine never serves from a cache.
 type FuzzOptions struct {
 	// Machines are the FU counts to sweep; nil means 2, 4, 8.
 	Machines []int
@@ -121,11 +122,6 @@ type FuzzOptions struct {
 	// marks the failure expected (counted, not reported). Chaos mode
 	// passes ExplainInjected so injected faults don't read as findings.
 	Explain func(error) bool
-	// Cache, when set, is consulted by the batch engine. Leave it nil
-	// for fuzzing: CrossCheck is excluded from result fingerprints, so
-	// a cache shared with non-checking traffic could serve results whose
-	// cross-check never ran.
-	Cache *batch.Cache
 }
 
 // FuzzMaxUnwind is the fuzzer's default cap on the automatic unwind
@@ -177,7 +173,7 @@ func CheckLoop(ctx context.Context, spec *ir.LoopSpec, opts FuzzOptions) (*LoopV
 		}
 	}
 	outs, err := batch.Run(ctx, jobs, batch.Options{
-		Parallelism: opts.Parallelism, Timeout: opts.Timeout, Cache: opts.Cache,
+		Parallelism: opts.Parallelism, Timeout: opts.Timeout,
 	})
 	if err != nil {
 		return nil, err

@@ -71,11 +71,10 @@ type Op struct {
 	cNU   int8
 
 	// loc is the op's current placement, owned and interpreted solely
-	// by package graph (held as any to avoid an import cycle). Keeping
-	// it on the op turns the scheduler's hottest query — "which vertex
-	// holds this op" — into a read of a cache line the caller already
-	// touched, instead of a random probe into a side table. Graph
-	// mutators keep it in sync with their location table; no other
+	// by package graph (held as any to avoid an import cycle). It is the
+	// only record of where the op sits: the scheduler's hottest query —
+	// "which vertex holds this op" — reads a cache line the caller
+	// already touched. Graph mutators set and clear it; no other
 	// package may touch it.
 	loc any
 }

@@ -41,9 +41,9 @@ func moveBenchFixture() (f *fixture, n2 *graph.Node, mover, hitter *ir.Op) {
 // scan: the root holds the op being moved plus a conditional jump, and
 // both leaves hold a handful of ops. A reader in the true leaf reads
 // hitT's destination, a reader in the false leaf reads hitF's
-// destination, and nothing reads miss's destination — so the guided
-// descent prunes the false subtree for hitT, the true subtree for hitF,
-// and everything for miss.
+// destination, and nothing reads miss's destination — so the own-tier
+// gate skips the false leaf's op list for hitT, the true leaf's for
+// hitF, and every op list for miss.
 func scanBenchFixture() (f *fixture, n *graph.Node, miss, hitT, hitF *ir.Op) {
 	f = newFixture(8)
 	r1, r2, r3, rc := f.al.Reg("r1"), f.al.Reg("r2"), f.al.Reg("r3"), f.al.Reg("rc")
@@ -145,9 +145,9 @@ func BenchmarkTryMoveOpUp(b *testing.B) {
 }
 
 // BenchmarkScanMovePastRead measures the left-behind-reader check over
-// a branched source node: miss is answered at the root by the subtree
-// read summary without entering the tree; hitTrue and hitFalse descend
-// only the one subtree whose summary holds the reader.
+// a branched source node: miss visits all three vertices but scans no
+// op list, since no own tier holds a reader; hitTrue and hitFalse scan
+// only the one leaf whose own tier holds the reader.
 func BenchmarkScanMovePastRead(b *testing.B) {
 	bench := func(op func(f *fixture, miss, hitT, hitF *ir.Op) *ir.Op, want BlockKind) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -171,7 +171,8 @@ func BenchmarkScanMovePastRead(b *testing.B) {
 // scan in its three shapes: miss is the O(uses) prefix-filter proof
 // that no scan is needed, hit resolves a filter hit to its blocking
 // producer, and copyChain propagates the moving op's use through a
-// two-hop copy chain on the path.
+// two-hop copy chain on the path. hit and copyChain run the movers'
+// shared entry point, checkCommittedPath.
 func BenchmarkScanCommittedPath(b *testing.B) {
 	b.Run("miss", func(b *testing.B) {
 		f, leaf, miss, _, _ := pathBenchFixture()
@@ -188,17 +189,15 @@ func BenchmarkScanCommittedPath(b *testing.B) {
 	})
 	b.Run("hit", func(b *testing.B) {
 		f, leaf, _, hit, _ := pathBenchFixture()
+		var useBuf [3]ir.Reg
+		if pathScanNeeded(leaf, hit, hit.Uses(useBuf[:0])) == 0 {
+			b.Fatal("prefix filter missed the hit shape")
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			var useBuf [3]ir.Reg
-			uses := hit.Uses(useBuf[:0])
 			var rwBuf [8]rewrite
-			mask := pathScanNeeded(leaf, hit, uses)
-			if mask == 0 {
-				b.Fatal("prefix filter missed the hit shape")
-			}
-			blk, _, _ := f.c.resolvePath(leaf, hit, nil, uses, useBuf[:0], rwBuf[:0], mask)
+			blk, _ := f.c.checkCommittedPath(leaf, hit, nil, rwBuf[:0])
 			if blk.Kind != BlockDep {
 				b.Fatalf("hit not blocked: %v", blk.Kind)
 			}
@@ -206,17 +205,15 @@ func BenchmarkScanCommittedPath(b *testing.B) {
 	})
 	b.Run("copyChain", func(b *testing.B) {
 		f, leaf, _, _, chain := pathBenchFixture()
+		var useBuf [3]ir.Reg
+		if pathScanNeeded(leaf, chain, chain.Uses(useBuf[:0])) == 0 {
+			b.Fatal("prefix filter missed the chain shape")
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			var useBuf [3]ir.Reg
-			uses := chain.Uses(useBuf[:0])
 			var rwBuf [8]rewrite
-			mask := pathScanNeeded(leaf, chain, uses)
-			if mask == 0 {
-				b.Fatal("prefix filter missed the chain shape")
-			}
-			blk, _, rw := f.c.resolvePath(leaf, chain, nil, uses, useBuf[:0], rwBuf[:0], mask)
+			blk, rw := f.c.checkCommittedPath(leaf, chain, nil, rwBuf[:0])
 			if blk.Kind != BlockNone || len(rw) != 2 {
 				b.Fatalf("chain verdict %v with %d rewrites, want none/2", blk.Kind, len(rw))
 			}
@@ -254,7 +251,7 @@ func TestScanMovePastReadZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		op   *ir.Op
-	}{{"summary miss", miss}, {"guided descent true", hitT}, {"guided descent false", hitF}} {
+	}{{"summary miss", miss}, {"reader in true leaf", hitT}, {"reader in false leaf", hitF}} {
 		if a := testing.AllocsPerRun(100, func() {
 			f.c.scanMovePastRead(n, tc.op, nil)
 		}); a != 0 {
@@ -264,9 +261,9 @@ func TestScanMovePastReadZeroAlloc(t *testing.T) {
 }
 
 // TestScanCommittedPathZeroAlloc pins the prefix filter and the
-// walk-free resolver at zero allocations for every scan shape —
-// including the copy-chain rewrite case, whose rewrite list must stay
-// inside the caller's stack buffer.
+// movers' shared committed-path check at zero allocations for every
+// scan shape — including the copy-chain rewrite case, whose rewrite
+// list must stay inside the caller's stack buffer.
 func TestScanCommittedPathZeroAlloc(t *testing.T) {
 	f, leaf, miss, hit, chain := pathBenchFixture()
 	if err := f.g.Validate(); err != nil {
@@ -285,12 +282,10 @@ func TestScanCommittedPathZeroAlloc(t *testing.T) {
 		op   *ir.Op
 	}{{"blocking hit", hit}, {"copy chain", chain}} {
 		if a := testing.AllocsPerRun(100, func() {
-			var useBuf [3]ir.Reg
 			var rwBuf [8]rewrite
-			uses := tc.op.UsesView(useBuf[:0])
-			resolveCommittedPath(leaf, tc.op, nil, uses, useBuf[:0], rwBuf[:0], pathScanNeeded(leaf, tc.op, uses))
+			f.c.checkCommittedPath(leaf, tc.op, nil, rwBuf[:0])
 		}); a != 0 {
-			t.Errorf("resolver (%s) allocates %v/op, want 0", tc.name, a)
+			t.Errorf("committed-path check (%s) allocates %v/op, want 0", tc.name, a)
 		}
 	}
 }

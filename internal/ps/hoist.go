@@ -45,18 +45,10 @@ func (c *Ctx) TryHoist(op *ir.Op, commit bool) Block {
 	sib := v.Sibling()
 
 	// Double definition on a newly shared path: the sibling subtree or
-	// the root path above the parent already commits d. The sibling walk
-	// is filtered by its subtree def summary — exact here, since op
-	// itself never sits under the sibling: a miss proves no definition,
-	// a hit guarantees findDef identifies the blocker.
-	if d != ir.NoReg && sib.SubtreeDefines(d) {
-		if blk := findDef(sib, d, op); blk.Kind != BlockNone {
-			return blk
-		}
-	} else if c.CrossCheck {
-		if blk := findDef(sib, d, op); blk.Kind != BlockNone {
-			panic(fmt.Sprintf("ps: summary filter missed a sibling definition of r%d hoisting %v", d, op))
-		}
+	// the root path above the parent already commits d. The sibling is
+	// walked op by op: hoist siblings are almost always op-less leaves.
+	if blk := findDef(sib, d, op); blk.Kind != BlockNone {
+		return blk
 	}
 	// The root path above the parent: one O(1) path-prefix probe replaces
 	// the whole ancestor walk. Exact here — op sits at v, below parent,
@@ -84,13 +76,7 @@ func (c *Ctx) TryHoist(op *ir.Op, commit bool) Block {
 
 	// Write-live on the sibling side.
 	if deps.LiveOnSubtree(c.G, sib, d, c.ExitLive) {
-		if c.CrossCheck && !deps.LiveOnSubtreeReference(c.G, sib, d, c.ExitLive) {
-			panic(fmt.Sprintf("ps: summary liveness diverged (live) for r%d hoisting %v", d, op))
-		}
 		return Block{Kind: BlockDep}
-	}
-	if c.CrossCheck && deps.LiveOnSubtreeReference(c.G, sib, d, c.ExitLive) {
-		panic(fmt.Sprintf("ps: summary liveness diverged (dead) for r%d hoisting %v", d, op))
 	}
 
 	if !commit {

@@ -44,24 +44,11 @@ func (c *Ctx) TryMoveCJUp(cj *ir.Op, commit bool) Block {
 	// Dependence scan: the jump's condition registers must not be
 	// produced on the target path (modulo copy propagation). A branch
 	// has no destination and no memory reference, so the shared
-	// committed-path scan reduces to exactly this check, and the same
-	// summary filter applies: when the target tree defines none of the
-	// condition registers the walk is skipped. Stack-buffer bounds as in
-	// TryMoveOpUp: ≤2 condition registers (TestOpUsesBufferBound), 8
-	// copy-propagation hops before the rewrite list falls back to heap
-	// growth (TestRewriteBufferOverflowsCorrectly).
-	var useBuf [3]ir.Reg
-	uses := cj.UsesView(useBuf[:0])
+	// committed-path check reduces to exactly this test.
 	var rwBuf [8]rewrite
-	rewrites := rwBuf[:0]
-	if mask := pathScanNeeded(leaf, cj, uses); mask != 0 {
-		var block Block
-		block, uses, rewrites = c.resolvePath(leaf, cj, nil, uses, useBuf[:0], rewrites, mask)
-		if block.Kind != BlockNone {
-			return block
-		}
-	} else if c.CrossCheck {
-		c.crossCheckPathMiss(leaf, cj, nil)
+	block, rewrites := c.checkCommittedPath(leaf, cj, nil, rwBuf[:0])
+	if block.Kind != BlockNone {
+		return block
 	}
 
 	if !commit {

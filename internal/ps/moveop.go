@@ -46,39 +46,13 @@ func (c *Ctx) TryMoveOpUp(op *ir.Op, commit bool, excluding *ir.Op) Block {
 		return blk
 	}
 
-	// Dependence scan along the committed path of the target node,
-	// filtered by the target leaf's path-prefix summary: when none of
-	// op's reads or its def appear in the path's def set and (for memory
-	// ops) the path holds no store, no path op can conflict and no copy
-	// can rewrite an operand, so the register-by-register walk is
-	// skipped outright. The prefix set covers exactly the root→leaf
-	// path, so — unlike the PR 7 tree-superset filter — a hit means some
-	// committed op really does touch one of the probed registers
-	// (DESIGN.md §10 argues soundness), and the resolver then visits
-	// only the vertices whose own tier hits instead of every path op.
-	// Both scratch lists live in stack buffers: probe calls
-	// (commit=false, the Gapless-move test's canFill) must not
-	// allocate. Bounds: no op kind reads more than 2 registers
-	// (TestOpUsesBufferBound), and each rewrite is one copy-propagation
-	// hop, so 8 covers any chain the schedulers build; a longer chain
-	// overflows into a correct heap append, it is just no longer free
-	// (TestRewriteBufferOverflowsCorrectly).
-	var useBuf [3]ir.Reg
-	uses := op.UsesView(useBuf[:0])
+	// Dependence scan along the committed path of the target node. The
+	// rewrite list lives in a stack buffer: probe calls (commit=false,
+	// the Gapless-move test's canFill) must not allocate.
 	var rwBuf [8]rewrite
-	rewrites := rwBuf[:0]
-	if mask := pathScanNeeded(leaf, op, uses); mask != 0 {
-		var block Block
-		if c.CrossCheck {
-			block, uses, rewrites = c.resolvePath(leaf, op, excluding, uses, useBuf[:0], rewrites, mask)
-		} else {
-			block, uses, rewrites = resolveCommittedPath(leaf, op, excluding, uses, useBuf[:0], rewrites, mask)
-		}
-		if block.Kind != BlockNone {
-			return block
-		}
-	} else if c.CrossCheck {
-		c.crossCheckPathMiss(leaf, op, excluding)
+	block, rewrites := c.checkCommittedPath(leaf, op, excluding, rwBuf[:0])
+	if block.Kind != BlockNone {
+		return block
 	}
 
 	// Move-past-read: a reader of op's target remaining in the source
@@ -153,19 +127,48 @@ func pathScanNeeded(leaf *graph.Vertex, op *ir.Op, uses []ir.Reg) uint8 {
 	return mask
 }
 
-// resolvePath runs the walk-free committed-path resolver on a filter
-// hit and, under Ctx.CrossCheck, the retained reference scan next to
-// it, panicking on any divergence in verdict, blocker, rewritten use
-// list, or rewrite list.
-func (c *Ctx) resolvePath(leaf *graph.Vertex, op, excluding *ir.Op, uses, scratch []ir.Reg, rewrites []rewrite, mask uint8) (Block, []ir.Reg, []rewrite) {
-	if !c.CrossCheck {
-		return resolveCommittedPath(leaf, op, excluding, uses, scratch, rewrites, mask)
+// checkCommittedPath is the committed-path dependence test both movers
+// share: may op enter leaf's node without conflicting with an operation
+// committed on the root→leaf path? It returns the verdict and appends
+// the copy-propagation rewrites the move needs to rewrites.
+//
+// The target leaf's path-prefix summary filters first: when none of
+// op's reads or its def appear in the path's def set and (for memory
+// ops) the path holds no store, no path op can conflict and no copy can
+// rewrite an operand, so nothing is resolved. The prefix set covers
+// exactly the root→leaf path, so a hit means some committed op really
+// does touch a probed register (DESIGN.md §10 argues soundness), and
+// the walk-free resolver names it. Under Ctx.CrossCheck the retained
+// reference scan runs next to every answer, hit or miss, and any
+// divergence in verdict, blocker, rewritten use list, or rewrite list
+// panics.
+//
+// Scratch lists live in stack buffers. Bounds: no op kind reads more
+// than 2 registers (TestOpUsesBufferBound), and each rewrite is one
+// copy-propagation hop, so the callers' 8-entry rewrite buffers cover
+// any chain the schedulers build; a longer chain overflows into a
+// correct heap append, it is just no longer free
+// (TestRewriteBufferOverflowsCorrectly).
+func (c *Ctx) checkCommittedPath(leaf *graph.Vertex, op, excluding *ir.Op, rewrites []rewrite) (Block, []rewrite) {
+	var useBuf [3]ir.Reg
+	uses := op.UsesView(useBuf[:0])
+	block := blockNone
+	if mask := pathScanNeeded(leaf, op, uses); mask != 0 {
+		block, uses, rewrites = resolveCommittedPath(leaf, op, excluding, uses, useBuf[:0], rewrites, mask)
 	}
+	if c.CrossCheck {
+		crossCheckPath(leaf, op, excluding, block, uses, rewrites)
+	}
+	return block, rewrites
+}
+
+// crossCheckPath compares a committed-path answer against the reference
+// scan and panics on any divergence — a summary-maintenance or resolver
+// bug, reported exactly like a failed graph invariant.
+func crossCheckPath(leaf *graph.Vertex, op, excluding *ir.Op, block Block, uses []ir.Reg, rewrites []rewrite) {
 	var refUseBuf [3]ir.Reg
-	refUses := op.Uses(refUseBuf[:0])
 	var refRwBuf [8]rewrite
-	refBlock, refUses, refRewrites := scanCommittedPath(leaf, op, excluding, refUses, refRwBuf[:0])
-	block, uses, rewrites := resolveCommittedPath(leaf, op, excluding, uses, scratch, rewrites, mask)
+	refBlock, refUses, refRewrites := scanCommittedPath(leaf, op, excluding, op.Uses(refUseBuf[:0]), refRwBuf[:0])
 	diverged := block != refBlock || len(uses) != len(refUses) || len(rewrites) != len(refRewrites)
 	if !diverged {
 		for i := range uses {
@@ -176,10 +179,9 @@ func (c *Ctx) resolvePath(leaf *graph.Vertex, op, excluding *ir.Op, uses, scratc
 		}
 	}
 	if diverged {
-		panic(fmt.Sprintf("ps: committed-path resolver diverged from reference moving %v into n%d (got %v/%d rewrites, reference %v/%d rewrites)",
+		panic(fmt.Sprintf("ps: committed-path check diverged from reference moving %v into n%d (got %v/%d rewrites, reference %v/%d rewrites)",
 			op, leaf.Node().ID, block.Kind, len(rewrites), refBlock.Kind, len(refRewrites)))
 	}
-	return block, uses, rewrites
 }
 
 // noEvt is the "no candidate" sentinel for the event-loop resolver:
@@ -404,30 +406,13 @@ func scanCommittedPath(leaf *graph.Vertex, op, excluding *ir.Op, uses []ir.Reg, 
 	return block, uses, rewrites
 }
 
-// crossCheckPathMiss verifies a prefix-filter miss against the
-// reference scan: it must find neither a block nor a rewrite. Runs only
-// under Ctx.CrossCheck; a divergence is a summary-maintenance bug,
-// reported by panic exactly like a failed graph invariant.
-func (c *Ctx) crossCheckPathMiss(leaf *graph.Vertex, op, excluding *ir.Op) {
-	var useBuf [3]ir.Reg
-	uses := op.Uses(useBuf[:0])
-	var rwBuf [8]rewrite
-	block, _, rw := scanCommittedPath(leaf, op, excluding, uses, rwBuf[:0])
-	if block.Kind != BlockNone || len(rw) != 0 {
-		panic(fmt.Sprintf("ps: summary filter missed a path conflict moving %v into n%d (block %v, %d rewrites)",
-			op, leaf.Node().ID, block.Kind, len(rw)))
-	}
-}
-
 // scanMovePastRead checks for readers of op's target register (or, for
 // a store, aliasing loads) left behind in the source node. The fast
-// path descends the instruction tree guided by the subtree read/load
-// summaries — a subtree whose summary proves no reader is never
-// entered, and a vertex's op list is scanned only when its own tier
-// holds a read of d (or a load, for a store mover) — visiting vertices
-// in the same preorder as the reference walk so the reported blocker is
-// identical. Under Ctx.CrossCheck the retained full walk runs next to
-// it and any divergence panics.
+// path visits every vertex of the instruction tree in the same preorder
+// as the reference walk, so the reported blocker is identical, but
+// scans a vertex's op list only when its own tier holds a read of d
+// (or a load, for a store mover). Under Ctx.CrossCheck the retained
+// full walk runs next to it and any divergence panics.
 func (c *Ctx) scanMovePastRead(n *graph.Node, op *ir.Op, excluding *ir.Op) Block {
 	blk := scanMovePastReadFast(n.Root, op, excluding, op.Def(), op.IsStore())
 	if c.CrossCheck {
@@ -439,14 +424,13 @@ func (c *Ctx) scanMovePastRead(n *graph.Node, op *ir.Op, excluding *ir.Op) Block
 	return blk
 }
 
-// scanMovePastReadFast is the summary-guided descent. Soundness of the
-// two gates: a blocking op p satisfies either p.ReadsReg(d) — then d is
-// in the own-use tier of p's vertex and in the sub-use tier of every
-// ancestor — or p.IsLoad()∧aliasing — then the own/sub load counters of
-// those vertices are positive. So a pruned subtree or skipped op list
-// can hold no blocker. The gates may pass without a blocker (op or
-// excluding contribute their own reads; MayAlias is per-op), which
-// costs a scan that finds nothing, never a wrong verdict.
+// scanMovePastReadFast is the own-tier-gated walk. Soundness of the
+// gate: a blocking op p satisfies either p.ReadsReg(d) — then d is in
+// the own-use tier of p's vertex — or p.IsLoad()∧aliasing — then that
+// vertex's own load counter is positive. So a skipped op list holds no
+// blocker. The gate may pass without a blocker (op or excluding
+// contribute their own reads; MayAlias is per-op), which costs a scan
+// that finds nothing, never a wrong verdict.
 func scanMovePastReadFast(v *graph.Vertex, op, excluding *ir.Op, d ir.Reg, isStore bool) Block {
 	if d != ir.NoReg && v.ReadsHere(d) || isStore && v.LoadsHere() {
 		for _, p := range v.Ops {
@@ -467,14 +451,10 @@ func scanMovePastReadFast(v *graph.Vertex, op, excluding *ir.Op, d ir.Reg, isSto
 	if v.IsLeaf() {
 		return blockNone
 	}
-	for _, ch := range [2]*graph.Vertex{v.True, v.False} {
-		if d != ir.NoReg && ch.SubtreeReads(d) || isStore && ch.SubtreeLoads() {
-			if blk := scanMovePastReadFast(ch, op, excluding, d, isStore); blk.Kind != BlockNone {
-				return blk
-			}
-		}
+	if blk := scanMovePastReadFast(v.True, op, excluding, d, isStore); blk.Kind != BlockNone {
+		return blk
 	}
-	return blockNone
+	return scanMovePastReadFast(v.False, op, excluding, d, isStore)
 }
 
 // scanMovePastReadReference is the retained full scan over every vertex

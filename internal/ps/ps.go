@@ -83,9 +83,9 @@ type Ctx struct {
 	D *deps.DDG
 
 	// CrossCheck runs the retained reference dependence scans next to
-	// every summary-filtered fast path — the committed-path scan, the
-	// move-past-read scan, the hoist double-definition scan, and the
-	// write-live test — and panics on the first divergence (a
+	// every summary-filtered fast path — the committed-path check, the
+	// move-past-read scan, and the hoist's ancestor double-definition
+	// probe — and panics on the first divergence (a
 	// summary-maintenance bug, on par with a corrupted graph
 	// invariant). A testing hook: it cannot change any verdict, only
 	// verify it. core.Options.CrossCheck switches it on for the

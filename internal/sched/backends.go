@@ -77,7 +77,9 @@ func (gripScheduler) Schedule(ctx context.Context, req Request) (*Result, error)
 // post-pass on a copy is bit-identical to a from-scratch run
 // (batch_test proves it). The memo key carries the full phase-1 config
 // fingerprint: requests differing in, say, unwind factor must not share
-// phase-1 schedules.
+// phase-1 schedules. It also carries CrossCheck, which the fingerprint
+// omits, so a checked request never reuses a phase 1 computed without
+// the reference checks.
 type postScheduler struct {
 	memo *phase1Memo
 }
@@ -88,6 +90,9 @@ func (s postScheduler) Schedule(ctx context.Context, req Request) (*Result, erro
 	cfg := req.Config.Pipeline(req.Machine)
 	p1cfg := post.Phase1Config(cfg)
 	key := req.Spec.Fingerprint() + "|" + p1cfg.Fingerprint()
+	if p1cfg.CrossCheck {
+		key += "|crosscheck"
+	}
 	phase1, err := s.memo.get(key, func() (*pipeline.Result, error) {
 		return pipeline.PerfectPipeline(ctx, req.Spec, p1cfg)
 	})

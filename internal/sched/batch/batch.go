@@ -102,7 +102,9 @@ type Options struct {
 	// after a success. Callers can share one cache across batches.
 	// Identical in-flight jobs (same fingerprint key) share one
 	// computation — single-flight dedup — so submitting duplicates is
-	// merely redundant, not wasteful.
+	// merely redundant, not wasteful. Jobs with Config.CrossCheck set
+	// bypass it entirely: their point is to run the reference checks,
+	// which a hit would skip, and CrossCheck is not part of the key.
 	Cache *Cache
 }
 
@@ -205,7 +207,7 @@ func runOne(ctx context.Context, j Job, opts Options, cut *atomic.Bool) Outcome 
 		return s.Schedule(runCtx, j.Request())
 	}
 	start := time.Now()
-	if opts.Cache != nil {
+	if opts.Cache != nil && !j.Config.CrossCheck {
 		out.Result, out.Tier, out.Err = opts.Cache.GetOrCompute(runCtx, j.Key(), j.Want, compute)
 		out.CacheHit = out.Tier != TierCompute
 		if !out.CacheHit {

@@ -151,6 +151,43 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 }
 
+// TestCrossCheckNeverServedFromCache warms a cache with a plain job and
+// then runs the same job with CrossCheck: CrossCheck is not part of the
+// key, so a lookup would hit and skip the reference checks the job
+// exists to run. The checked job must compute, and must leave the cache
+// as it found it.
+func TestCrossCheckNeverServedFromCache(t *testing.T) {
+	stubs()
+	countStub.calls.Store(0)
+	cache := batch.NewCache(8)
+	plain := batch.Job{Technique: "test-count", Spec: tinyLoop("checked"), Machine: machine.New(2)}
+	checked := plain
+	checked.Config.CrossCheck = true
+	if plain.Key() != checked.Key() {
+		t.Fatal("scenario: CrossCheck is expected to share the plain job's key")
+	}
+
+	if outs, err := batch.Run(context.Background(), []batch.Job{plain}, batch.Options{Cache: cache}); err != nil || outs[0].Err != nil {
+		t.Fatalf("warming run: %v %v", err, outs[0].Err)
+	}
+	outs, err := batch.Run(context.Background(), []batch.Job{checked, checked}, batch.Options{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range outs {
+		if o.Err != nil || o.CacheHit || o.Tier != batch.TierCompute {
+			t.Errorf("checked job %d: err %v, hit %v, tier %v; want a computed result", i, o.Err, o.CacheHit, o.Tier)
+		}
+	}
+	if got := countStub.calls.Load(); got != 3 {
+		t.Errorf("scheduler ran %d times, want 3 (one plain, two checked)", got)
+	}
+	if st := cache.Stats(); st.MemoryHits != 0 || st.Misses != 1 || cache.Len() != 1 {
+		t.Errorf("cache stats hits=%d misses=%d len=%d, want 0/1/1: checked jobs must not touch the cache",
+			st.MemoryHits, st.Misses, cache.Len())
+	}
+}
+
 func TestCacheLRUEviction(t *testing.T) {
 	c := batch.NewCache(2)
 	r := sched.NewResult(sched.Metrics{}, nil)
@@ -692,21 +729,35 @@ func TestWantRawServedOnlyWithAttachment(t *testing.T) {
 	}
 }
 
+// TestBenchReport pins the cell layout, including the config label:
+// empty whenever the job's fingerprint equals the paper default's —
+// CrossCheck, which the fingerprint omits, included — so such cells
+// still match the paper-default baseline, and the fingerprint
+// otherwise.
 func TestBenchReport(t *testing.T) {
+	spec := tinyLoop("r0")
+	m := machine.New(2)
 	jobs := []batch.Job{
-		{Technique: "list", Spec: tinyLoop("r0"), Machine: machine.New(2), Label: "LL0"},
+		{Technique: "list", Spec: spec, Machine: m, Label: "LL0"},
+		{Technique: "list", Spec: spec, Machine: m, Config: sched.Config{CrossCheck: true}},
+		{Technique: "list", Spec: spec, Machine: m, Config: sched.Config{Unwind: 24}},
 	}
 	outs, err := batch.Run(context.Background(), jobs, batch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := batch.NewBenchReport(outs, 3, 10*time.Millisecond)
-	if rep.Parallelism != 3 || len(rep.Cells) != 1 {
+	if rep.Parallelism != 3 || len(rep.Cells) != len(jobs) {
 		t.Fatalf("bad report %+v", rep)
 	}
 	c := rep.Cells[0]
 	if c.Loop != "LL0" || c.FUs != 2 || c.Technique != "list" || c.Speedup <= 0 {
 		t.Errorf("bad cell %+v", c)
+	}
+	for i, want := range []string{"", "", sched.Config{Unwind: 24}.Fingerprint()} {
+		if got := rep.Cells[i].Config; got != want {
+			t.Errorf("cell %d config label %q, want %q", i, got, want)
+		}
 	}
 	var sb strings.Builder
 	if err := rep.WriteJSON(&sb); err != nil {

@@ -16,10 +16,12 @@ type BenchCell struct {
 	Loop      string `json:"loop"`
 	FUs       int    `json:"fus"`
 	Technique string `json:"technique"`
-	// Config is the job's configuration fingerprint, empty for the
-	// paper default — so reports written before configurations existed
-	// compare cleanly against today's default cells, while sweep cells
-	// carry their identity and never collide across factors.
+	// Config is the job's configuration fingerprint, empty when it
+	// equals the paper default's — so reports written before
+	// configurations existed, and cells whose config differs only in
+	// knobs the fingerprint omits (CrossCheck), compare cleanly against
+	// today's default cells, while sweep cells carry their identity and
+	// never collide across factors.
 	Config    string  `json:"config,omitempty"`
 	Speedup   float64 `json:"speedup"`
 	Converged bool    `json:"converged"`
@@ -47,6 +49,7 @@ func NewBenchReport(outcomes []Outcome, parallelism int, totalWall time.Duration
 		Parallelism: parallelism,
 		TotalWallMS: float64(totalWall.Microseconds()) / 1000,
 	}
+	paperDefault := sched.Config{}.Fingerprint()
 	for _, o := range outcomes {
 		cell := BenchCell{
 			Loop:      o.Job.DisplayName(),
@@ -57,8 +60,8 @@ func NewBenchReport(outcomes []Outcome, parallelism int, totalWall time.Duration
 		if o.CacheHit {
 			cell.Tier = o.Tier.String()
 		}
-		if o.Job.Config != (sched.Config{}) {
-			cell.Config = o.Job.Config.Fingerprint()
+		if fp := o.Job.Config.Fingerprint(); fp != paperDefault {
+			cell.Config = fp
 		}
 		if o.Job.Machine.OpSlots != machine.Unlimited {
 			cell.FUs = o.Job.Machine.OpSlots

@@ -52,10 +52,9 @@ type Config struct {
 	// reference implementations alongside every incremental fast path
 	// and panic on divergence (see pipeline.Config.CrossCheck). Like
 	// there, it cannot change the schedule, so it is excluded from
-	// Fingerprint — which also means a cached result may be served
-	// without the cross-check having run; fuzzing and verification
-	// harnesses that rely on it must run against fresh fingerprints or
-	// no cache.
+	// Fingerprint. No cache may answer a checked request instead of
+	// running it: the batch engine computes CrossCheck jobs without its
+	// cache, and POST's phase-1 memo keys on the flag.
 	CrossCheck bool
 }
 
