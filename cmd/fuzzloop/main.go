@@ -77,6 +77,11 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "fuzzloop: -machines: %v\n", err)
 		return 2
 	}
+	cfg := sched.Config{MaxUnwind: *maxUnwind}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "fuzzloop: %v\n", err)
+		return 2
+	}
 	var techniques []string
 	if *technique != "" {
 		for _, t := range strings.Split(*technique, ",") {
@@ -93,7 +98,7 @@ func run() int {
 		FuzzOptions: harness.FuzzOptions{
 			Machines:    fus,
 			Techniques:  techniques,
-			Config:      sched.Config{MaxUnwind: *maxUnwind},
+			Config:      cfg,
 			Parallelism: *parallel,
 			Timeout:     *timeout,
 		},

@@ -74,6 +74,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	cfg := sched.Config{Unwind: *unwind}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	spec, err := textir.Parse(os.Stdin)
 	if err != nil {
@@ -96,7 +101,6 @@ func main() {
 		return
 	}
 
-	cfg := sched.Config{Unwind: *unwind}
 	var jobs []batch.Job
 	for _, f := range fus {
 		jobs = append(jobs, batch.Job{Technique: tech, Spec: spec, Machine: machine.New(f), Config: cfg})

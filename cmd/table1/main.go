@@ -466,7 +466,7 @@ func parseConfig(s string) (sched.Config, error) {
 			return cfg, fmt.Errorf("bad -config value %q for %q: %v", val, key, err)
 		}
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 // sweepVariant is one configuration of a sweep, with its display

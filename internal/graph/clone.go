@@ -40,14 +40,13 @@ func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 	// words) so every arena is sized exactly: growing an arena mid-build
 	// would move objects already pointed at. The same walk finds the
 	// largest placed op ID, which sizes the ID map.
-	nVertices, nIterSlots, nSumWords, nDefSites, nStorePos := 0, 0, 0, 0, 0
+	nVertices, nIterSlots, nSumWords, nDefSites := 0, 0, 0, 0
 	maxID := -1
 	for n := range g.nodes {
 		n.Walk(func(v *Vertex) {
 			nVertices++
 			nSumWords += v.sum.words()
 			nDefSites += len(v.sum.defSites)
-			nStorePos += len(v.sum.storePos)
 			for _, op := range v.Ops {
 				maxID = max(maxID, op.ID)
 			}
@@ -64,7 +63,6 @@ func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 	iterArena := make([]int32, 0, nIterSlots)
 	sumArena := make([]uint64, nSumWords)
 	dsArena := make([]defSite, nDefSites)
-	spArena := make([]int32, nStorePos)
 
 	byID := make([]*ir.Op, maxID+1)
 	cloneOp := func(op *ir.Op) *ir.Op {
@@ -109,7 +107,7 @@ func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 	cloneVertex = func(v *Vertex, n *Node, parent *Vertex) *Vertex {
 		vertexArena = append(vertexArena, Vertex{node: n, parent: parent})
 		nv := &vertexArena[len(vertexArena)-1]
-		sumArena, dsArena, spArena = v.sum.cloneInto(&nv.sum, sumArena, dsArena, spArena)
+		sumArena, dsArena = v.sum.cloneInto(&nv.sum, sumArena, dsArena)
 		if len(v.Ops) > 0 {
 			// Each vertex's op-pointer list is a capped sub-slice of one
 			// shared arena; a later append on the vertex re-allocates

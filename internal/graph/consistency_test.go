@@ -282,9 +282,8 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 
 			// Spot-check the summary query API against op-by-op walks,
 			// for every pool register (Validate checks the internal
-			// tiers; this checks the exported answers): the own tier
-			// against the vertex's op list, the pre tier against the
-			// root→v path.
+			// summary; this checks the exported answers against the
+			// vertex's op list).
 			for _, n := range liveNodes() {
 				n.Walk(func(v *Vertex) {
 					defsHere := map[ir.Reg]bool{}
@@ -319,29 +318,6 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 					}
 					if got := v.LoadsHere(); got != loadsHere {
 						t.Fatalf("n%d: LoadsHere() = %v, walk says %v", n.ID, got, loadsHere)
-					}
-
-					// Path-prefix answers against the ancestor chain: the
-					// root→v path is v plus its parents, and only their own
-					// op lists (plus CJs, which define nothing and touch no
-					// memory) contribute.
-					pathDefs := map[ir.Reg]bool{}
-					pathStores := false
-					for a := v; a != nil; a = a.Parent() {
-						for _, op := range a.Ops {
-							if d := op.Def(); d != ir.NoReg {
-								pathDefs[d] = true
-							}
-							pathStores = pathStores || op.IsStore()
-						}
-					}
-					for _, r := range regs {
-						if got, want := v.PathDefines(r), pathDefs[r]; got != want {
-							t.Fatalf("n%d: PathDefines(r%d) = %v, ancestor walk says %v", n.ID, r, got, want)
-						}
-					}
-					if got := v.PathStores(); got != pathStores {
-						t.Fatalf("n%d: PathStores() = %v, ancestor walk says %v", n.ID, got, pathStores)
 					}
 				})
 			}

@@ -58,7 +58,6 @@ type Graph struct {
 	iterChunk   []int32
 	opChunk     []*ir.Op
 	dsChunk     []defSite
-	spChunk     []int32
 
 	// iterSlots tracks 2 + the largest iteration index seen by AddOp /
 	// InsertBranchAtLeaf, so fresh nodes can pre-size their iterCounts
@@ -363,7 +362,6 @@ func (g *Graph) AddOp(op *ir.Op, v *Vertex) {
 	g.noteIterSlot(op)
 	v.sum.addOp(op)
 	v.sum.indexOp(op, int32(len(v.Ops)-1))
-	repropagatePre(v)
 	if n := v.node; n != nil {
 		n.opCount++
 		n.noteOpAdded(op)
@@ -385,7 +383,6 @@ func (g *Graph) RemoveOp(op *ir.Op) {
 	}
 	g.clearLoc(op)
 	v.recomputeOwn()
-	repropagatePre(v)
 	if n := v.node; n != nil {
 		n.opCount--
 		n.noteOpRemoved(op)
@@ -453,7 +450,6 @@ func (g *Graph) InsertBranchAtLeaf(leaf *Vertex, cj *ir.Op, tSucc, fSucc *Node) 
 	leaf.False = f
 	g.setLoc(cj, leaf)
 	leaf.sum.addOp(cj)
-	repropagatePre(leaf)
 	if n := leaf.node; n != nil {
 		n.branchCount++
 		n.noteOpAdded(cj)
@@ -533,9 +529,8 @@ func (g *Graph) AdoptSubtree(n *Node, sub *Vertex) {
 	adopt(sub)
 	n.opCount = ops
 	n.branchCount = branches
-	// Freshly built subtrees (frozen drain clones) carry no summaries
-	// and detached ones have stale parent pointers above them; rebuild
-	// the whole adopted tree bottom-up.
+	// Freshly built subtrees (frozen drain clones) carry no summaries;
+	// rebuild the whole adopted tree.
 	recomputeSummaries(sub)
 	g.bump()
 }

@@ -201,61 +201,42 @@ func checkEdgeSet(g *Graph, n *Node, s *edgeSet, want map[*Node]int, dir string)
 }
 
 // checkSummaries cross-checks every vertex's incremental def/use
-// summary against a from-scratch recomputation: the own tier against
-// the vertex's op list, and the pre tier against parent's pre ∪ own
-// (own alone at the root). Any mutation path that forgets to refresh
-// a summary — including operand rewrites bypassing
+// summary and def-site index against a from-scratch recomputation from
+// the vertex's op list. Any mutation path that forgets to refresh a
+// summary — including operand rewrites bypassing
 // Graph.ReplaceUse/RetargetDef — surfaces here, so every randomized
 // test calling Validate inherits the invariant the ps fast-path filters
 // depend on.
-func checkSummaries(n *Node) error {
-	var check func(v *Vertex, pre *summary) error
-	check = func(v *Vertex, pre *summary) error {
+func checkSummaries(n *Node) (err error) {
+	n.Walk(func(v *Vertex) {
+		if err != nil {
+			return
+		}
 		want := &summary{}
-		for _, op := range v.Ops {
+		for i, op := range v.Ops {
 			want.addOp(op)
+			want.indexOp(op, int32(i))
 		}
 		if v.CJ != nil {
 			want.addOp(v.CJ)
 		}
 		if !want.ownDefs.Equal(&v.sum.ownDefs) || !want.ownUses.Equal(&v.sum.ownUses) ||
 			want.ownStores != v.sum.ownStores || want.ownLoads != v.sum.ownLoads {
-			return fmt.Errorf("n%d: vertex own def/use summary out of sync", n.ID)
+			err = fmt.Errorf("n%d: vertex def/use summary out of sync", n.ID)
+			return
 		}
-		for i, op := range v.Ops {
-			want.indexOp(op, int32(i))
-		}
-		if len(want.defSites) != len(v.sum.defSites) || len(want.storePos) != len(v.sum.storePos) {
-			return fmt.Errorf("n%d: vertex def/store site index out of sync", n.ID)
+		if len(want.defSites) != len(v.sum.defSites) {
+			err = fmt.Errorf("n%d: vertex def-site index out of sync", n.ID)
+			return
 		}
 		for i, e := range want.defSites {
 			if v.sum.defSites[i] != e {
-				return fmt.Errorf("n%d: vertex def-site index out of sync at r%d", n.ID, e.reg)
+				err = fmt.Errorf("n%d: vertex def-site index out of sync at r%d", n.ID, e.reg)
+				return
 			}
 		}
-		for i, k := range want.storePos {
-			if v.sum.storePos[i] != k {
-				return fmt.Errorf("n%d: vertex store-site index out of sync", n.ID)
-			}
-		}
-		if pre != nil {
-			want.preDefs.CopyFrom(&pre.preDefs)
-			want.preStores = pre.preStores
-		}
-		want.preDefs.Or(&want.ownDefs)
-		want.preStores += want.ownStores
-		if !want.preDefs.Equal(&v.sum.preDefs) || want.preStores != v.sum.preStores {
-			return fmt.Errorf("n%d: vertex path-prefix summary out of sync", n.ID)
-		}
-		if v.IsLeaf() {
-			return nil
-		}
-		if err := check(v.True, want); err != nil {
-			return err
-		}
-		return check(v.False, want)
-	}
-	return check(n.Root, nil)
+	})
+	return err
 }
 
 // checkSingleDefPerPath enforces that no root-to-leaf path of the

@@ -128,19 +128,6 @@ func (o *Op) Uses(dst []Reg) []Reg {
 	return o.deriveUses(dst)
 }
 
-// UsesView returns the registers the op reads without copying when the
-// operand cache is filled: the returned slice aliases the cache and
-// MUST be treated as read-only — callers that rewrite operands in
-// place (the committed-path resolver's copy propagation) must detach
-// into their own buffer first. Falls back to deriving into scratch for
-// an uncached op.
-func (o *Op) UsesView(scratch []Reg) []Reg {
-	if n := o.cNU; n > 0 {
-		return o.cUses[:n-1]
-	}
-	return o.deriveUses(scratch)
-}
-
 func (o *Op) deriveUses(dst []Reg) []Reg {
 	switch o.Kind {
 	case Nop, Const:

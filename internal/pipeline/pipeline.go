@@ -153,10 +153,8 @@ func pipelineOnce(ctx context.Context, spec *ir.LoopSpec, cfg Config, u int) (*R
 		uw.Optimize()
 	}
 	g := uw.BuildGraph()
-	ddg := deps.Build(uw.Ops)
 	pctx := ps.NewCtx(g, cfg.Machine, uw.ExitLive)
-	pctx.D = ddg
-	stats, err := core.Schedule(ctx, pctx, uw.Ops, deps.NewPriority(ddg), core.Options{
+	stats, err := core.Schedule(ctx, pctx, uw.Ops, deps.NewPriority(deps.Build(uw.Ops)), core.Options{
 		GapPrevention: cfg.GapPrevention,
 		EmptyPrelude:  cfg.EmptyPrelude,
 		Renaming:      cfg.Renaming,
@@ -166,24 +164,33 @@ func pipelineOnce(ctx context.Context, spec *ir.LoopSpec, cfg Config, u int) (*R
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Spec: spec, U: u, Stats: stats, Unwound: uw, Rows: len(g.MainChain())}
-	periods := cfg.Periods
+	res := &Result{Spec: spec, U: u, Stats: stats, Unwound: uw}
+	res.Measure(g, cfg.Periods)
+	return res, nil
+}
+
+// Measure rates the scheduled graph g as r's schedule: Rows is its main
+// chain length, CyclesPerIter comes from the kernel when the pattern
+// converges over periods (0 means DefaultPeriods), else from the
+// mid-schedule rate over iterations U/4..3U/4, else from rows per
+// iteration, and Speedup follows from it. r.Spec and r.U must be set.
+func (r *Result) Measure(g *graph.Graph, periods int) {
 	if periods == 0 {
 		periods = DefaultPeriods
 	}
+	r.Rows = len(g.MainChain())
 	if k, ok := DetectPattern(g, periods); ok {
-		res.Converged = true
-		res.Kernel = k
-		res.CyclesPerIter = k.CyclesPerIter()
-	} else if rate, ok := MeasuredRate(g, u/4, 3*u/4); ok {
-		res.CyclesPerIter = rate
+		r.Converged = true
+		r.Kernel = k
+		r.CyclesPerIter = k.CyclesPerIter()
+	} else if rate, ok := MeasuredRate(g, r.U/4, 3*r.U/4); ok {
+		r.CyclesPerIter = rate
 	} else {
-		res.CyclesPerIter = float64(res.Rows) / float64(u)
+		r.CyclesPerIter = float64(r.Rows) / float64(r.U)
 	}
-	if res.CyclesPerIter > 0 {
-		res.Speedup = float64(spec.SeqOpsPerIter()) / res.CyclesPerIter
+	if r.CyclesPerIter > 0 {
+		r.Speedup = float64(r.Spec.SeqOpsPerIter()) / r.CyclesPerIter
 	}
-	return res, nil
 }
 
 // SimplePipeline implements the paper's "simple software pipelining"
@@ -199,10 +206,8 @@ func SimplePipeline(ctx context.Context, spec *ir.LoopSpec, cfg Config, n int) (
 		uw.Optimize()
 	}
 	g := uw.BuildGraph()
-	ddg := deps.Build(uw.Ops)
 	pctx := ps.NewCtx(g, cfg.Machine, uw.ExitLive)
-	pctx.D = ddg
-	stats, err := core.Schedule(ctx, pctx, uw.Ops, deps.NewPriority(ddg), core.Options{
+	stats, err := core.Schedule(ctx, pctx, uw.Ops, deps.NewPriority(deps.Build(uw.Ops)), core.Options{
 		Renaming:   cfg.Renaming,
 		CrossCheck: cfg.CrossCheck,
 	})

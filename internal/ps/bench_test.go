@@ -72,10 +72,10 @@ func scanBenchFixture() (f *fixture, n *graph.Node, miss, hitT, hitF *ir.Op) {
 //
 //	n0 [r8,r9 consts] -> n1 [consts, c1 = c0, c0 = r9, rh = r8+1] -> n2
 //
-// where miss (in n2) reads r9 — defined two nodes up, so n1's
-// path-prefix filter proves the scan unnecessary — hit reads rh, whose
-// non-copy producer on the path blocks the move, and chain reads c1,
-// which copy-propagates through two hops (c1→c0→r9) without blocking.
+// where miss (in n2) reads r9 — defined two nodes up, so n1's summary
+// proves no path op conflicts — hit reads rh, whose non-copy producer
+// on the path blocks the move, and chain reads c1, which
+// copy-propagates through two hops (c1→c0→r9) without blocking.
 func pathBenchFixture() (f *fixture, leaf *graph.Vertex, miss, hit, chain *ir.Op) {
 	f = newFixture(16)
 	r8, r9 := f.al.Reg("r8"), f.al.Reg("r9")
@@ -167,58 +167,31 @@ func BenchmarkScanMovePastRead(b *testing.B) {
 	b.Run("hitFalse", bench(func(f *fixture, miss, hitT, hitF *ir.Op) *ir.Op { return hitF }, BlockDep))
 }
 
-// BenchmarkScanCommittedPath measures the committed-path dependence
-// scan in its three shapes: miss is the O(uses) prefix-filter proof
-// that no scan is needed, hit resolves a filter hit to its blocking
-// producer, and copyChain propagates the moving op's use through a
-// two-hop copy chain on the path. hit and copyChain run the movers'
-// shared entry point, checkCommittedPath.
+// BenchmarkScanCommittedPath measures the movers' shared
+// committed-path check, checkCommittedPath, in its three shapes: miss
+// finds no event on the path, hit resolves the blocking producer
+// through the def-site index, and copyChain meets a copy first and
+// hands over to the reference scan, which propagates the moving op's
+// use through a two-hop copy chain.
 func BenchmarkScanCommittedPath(b *testing.B) {
-	b.Run("miss", func(b *testing.B) {
-		f, leaf, miss, _, _ := pathBenchFixture()
-		_ = f
-		var useBuf [3]ir.Reg
-		uses := miss.Uses(useBuf[:0])
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if pathScanNeeded(leaf, miss, uses) != 0 {
-				b.Fatal("prefix filter hit on the miss shape")
+	bench := func(op func(miss, hit, chain *ir.Op) *ir.Op, want BlockKind, wantRewrites int) func(b *testing.B) {
+		return func(b *testing.B) {
+			f, leaf, miss, hit, chain := pathBenchFixture()
+			target := op(miss, hit, chain)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var rwBuf [8]rewrite
+				blk, rw := f.c.checkCommittedPath(leaf, target, nil, rwBuf[:0])
+				if blk.Kind != want || len(rw) != wantRewrites {
+					b.Fatalf("verdict %v with %d rewrites, want %v/%d", blk.Kind, len(rw), want, wantRewrites)
+				}
 			}
 		}
-	})
-	b.Run("hit", func(b *testing.B) {
-		f, leaf, _, hit, _ := pathBenchFixture()
-		var useBuf [3]ir.Reg
-		if pathScanNeeded(leaf, hit, hit.Uses(useBuf[:0])) == 0 {
-			b.Fatal("prefix filter missed the hit shape")
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var rwBuf [8]rewrite
-			blk, _ := f.c.checkCommittedPath(leaf, hit, nil, rwBuf[:0])
-			if blk.Kind != BlockDep {
-				b.Fatalf("hit not blocked: %v", blk.Kind)
-			}
-		}
-	})
-	b.Run("copyChain", func(b *testing.B) {
-		f, leaf, _, _, chain := pathBenchFixture()
-		var useBuf [3]ir.Reg
-		if pathScanNeeded(leaf, chain, chain.Uses(useBuf[:0])) == 0 {
-			b.Fatal("prefix filter missed the chain shape")
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var rwBuf [8]rewrite
-			blk, rw := f.c.checkCommittedPath(leaf, chain, nil, rwBuf[:0])
-			if blk.Kind != BlockNone || len(rw) != 2 {
-				b.Fatalf("chain verdict %v with %d rewrites, want none/2", blk.Kind, len(rw))
-			}
-		}
-	})
+	}
+	b.Run("miss", bench(func(miss, hit, chain *ir.Op) *ir.Op { return miss }, BlockNone, 0))
+	b.Run("hit", bench(func(miss, hit, chain *ir.Op) *ir.Op { return hit }, BlockDep, 0))
+	b.Run("copyChain", bench(func(miss, hit, chain *ir.Op) *ir.Op { return chain }, BlockNone, 2))
 }
 
 // The move-op probe and the move-past-read scan run inside the Gapless-
@@ -260,27 +233,19 @@ func TestScanMovePastReadZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestScanCommittedPathZeroAlloc pins the prefix filter and the
-// movers' shared committed-path check at zero allocations for every
-// scan shape — including the copy-chain rewrite case, whose rewrite
-// list must stay inside the caller's stack buffer.
+// TestScanCommittedPathZeroAlloc pins the movers' shared
+// committed-path check at zero allocations for every scan shape —
+// including the copy-chain rewrite case, whose rewrite list must stay
+// inside the caller's stack buffer.
 func TestScanCommittedPathZeroAlloc(t *testing.T) {
 	f, leaf, miss, hit, chain := pathBenchFixture()
 	if err := f.g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if a := testing.AllocsPerRun(100, func() {
-		var useBuf [3]ir.Reg
-		if pathScanNeeded(leaf, miss, miss.Uses(useBuf[:0])) != 0 {
-			t.Fatal("prefix filter hit on the miss shape")
-		}
-	}); a != 0 {
-		t.Errorf("filter miss allocates %v/op, want 0", a)
-	}
 	for _, tc := range []struct {
 		name string
 		op   *ir.Op
-	}{{"blocking hit", hit}, {"copy chain", chain}} {
+	}{{"no event", miss}, {"blocking hit", hit}, {"copy chain", chain}} {
 		if a := testing.AllocsPerRun(100, func() {
 			var rwBuf [8]rewrite
 			f.c.checkCommittedPath(leaf, tc.op, nil, rwBuf[:0])
@@ -290,36 +255,64 @@ func TestScanCommittedPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestResolveCommittedPathMatchesReference drives the walk-free
-// resolver and the retained reference scan over every scan shape of the
-// bench fixture — including the order-sensitive copy-chain rewrites —
-// and requires identical verdicts, use lists, and rewrite lists. The
-// randomized equivalence sweep lives in
+// TestResolveCommittedPathMatchesReference drives the movers' shared
+// committed-path check and the retained reference scan over every scan
+// shape of the bench fixture — including the order-sensitive copy-chain
+// rewrites — and requires identical verdicts, blockers, and rewrite
+// lists. Three shapes are added on top:
+//   - outDep, a mover c1 = c1 + 1 whose one use and destination the
+//     path copy c1 = c0 both define: the reference rewrites the use,
+//     then blocks on the output dependence, so the rewrite must be
+//     reported alongside the block;
+//   - ld, a load past an aliasing path store, which the memory probe
+//     must name;
+//   - each blocker again passed as excluding (the Gapless-move probe's
+//     leaving op), which both scans treat as absent.
+//
+// The randomized equivalence sweep lives in
 // TestCrossCheckedRandomMutationSequences; this is the deterministic
 // unit-level check.
 func TestResolveCommittedPathMatchesReference(t *testing.T) {
 	f, leaf, miss, hit, chain := pathBenchFixture()
+	n2 := f.g.NodeOf(chain)
+	c1 := chain.Src[0]
+	outDep := f.addI(c1, c1, 1)
+	f.g.AddOp(outDep, n2.Root)
+	arr := f.al.Array("X")
+	st := &ir.Op{ID: f.al.OpID(), Kind: ir.Store, Src: [2]ir.Reg{miss.Src[0]}, Mem: ir.MemRef{Array: arr}}
+	f.g.AddOp(st, leaf)
+	ld := &ir.Op{ID: f.al.OpID(), Kind: ir.Load, Dst: f.al.Reg("l"), Mem: ir.MemRef{Array: arr}}
+	f.g.AddOp(ld, n2.Root)
 	if err := f.g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range []*ir.Op{miss, hit, chain} {
-		var ub1, ub2 [3]ir.Reg
+	producer, _ := leaf.DefSiteHere(hit.Src[0])
+	copyC1, _ := leaf.DefSiteHere(c1)
+	// by and rewrites pin the reference's own answer, so a fixture
+	// change cannot quietly turn a shape into a trivial case.
+	for _, tc := range []struct {
+		op, excluding, by *ir.Op
+		rewrites          int
+	}{
+		{miss, nil, nil, 0}, {hit, nil, producer, 0}, {chain, nil, nil, 2},
+		{outDep, nil, copyC1, 1}, {ld, nil, st, 0},
+		{hit, producer, nil, 0}, {ld, st, nil, 0},
+	} {
+		var ub [3]ir.Reg
 		var rb1, rb2 [8]rewrite
-		uses := op.UsesView(ub1[:0])
-		gotB, gotU, gotR := resolveCommittedPath(leaf, op, nil, uses, ub1[:0], rb1[:0], pathScanNeeded(leaf, op, uses))
-		refB, refU, refR := scanCommittedPath(leaf, op, nil, op.Uses(ub2[:0]), rb2[:0])
-		if gotB != refB || len(gotU) != len(refU) || len(gotR) != len(refR) {
-			t.Fatalf("%v: resolver (%v,%d uses,%d rewrites) != reference (%v,%d uses,%d rewrites)",
-				op, gotB.Kind, len(gotU), len(gotR), refB.Kind, len(refU), len(refR))
+		gotB, gotR := f.c.checkCommittedPath(leaf, tc.op, tc.excluding, rb1[:0])
+		refB, _, refR := scanCommittedPath(leaf, tc.op, tc.excluding, tc.op.Uses(ub[:0]), rb2[:0])
+		if refB.By != tc.by || len(refR) != tc.rewrites {
+			t.Fatalf("reference on %v excluding %v: blocked by %v with %d rewrites, want %v/%d",
+				tc.op, tc.excluding, refB.By, len(refR), tc.by, tc.rewrites)
 		}
-		for i := range gotU {
-			if gotU[i] != refU[i] {
-				t.Fatalf("%v: use %d: resolver r%d, reference r%d", op, i, gotU[i], refU[i])
-			}
+		if gotB != refB || len(gotR) != len(refR) {
+			t.Fatalf("%v excluding %v: check (%v by %v, %d rewrites) != reference (%v by %v, %d rewrites)",
+				tc.op, tc.excluding, gotB.Kind, gotB.By, len(gotR), refB.Kind, refB.By, len(refR))
 		}
 		for i := range gotR {
 			if gotR[i] != refR[i] {
-				t.Fatalf("%v: rewrite %d diverged", op, i)
+				t.Fatalf("%v excluding %v: rewrite %d diverged", tc.op, tc.excluding, i)
 			}
 		}
 	}

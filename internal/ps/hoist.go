@@ -1,8 +1,6 @@
 package ps
 
 import (
-	"fmt"
-
 	"repro/internal/deps"
 	"repro/internal/graph"
 	"repro/internal/ir"
@@ -45,30 +43,20 @@ func (c *Ctx) TryHoist(op *ir.Op, commit bool) Block {
 	sib := v.Sibling()
 
 	// Double definition on a newly shared path: the sibling subtree or
-	// the root path above the parent already commits d. The sibling is
-	// walked op by op: hoist siblings are almost always op-less leaves.
+	// the root path above the parent already commits d. Both are walked
+	// op by op: hoist siblings are almost always op-less leaves.
 	if blk := findDef(sib, d, op); blk.Kind != BlockNone {
 		return blk
 	}
-	// The root path above the parent: one O(1) path-prefix probe replaces
-	// the whole ancestor walk. Exact here — op sits at v, below parent,
-	// so it contributes nothing to parent's prefix: a miss proves no
-	// ancestor op defines d; a hit resolves the blocker directly through
-	// the def-site index of the one ancestor whose own tier holds d.
-	if d != ir.NoReg && parent.PathDefines(d) {
-		for a := parent; a != nil; a = a.Parent() {
-			if !a.DefinesHere(d) {
-				continue
-			}
-			if p, _ := a.DefSiteHere(d); p != nil && p != op {
-				return Block{Kind: BlockDep, By: p}
-			}
-		}
-	} else if c.CrossCheck && d != ir.NoReg {
+	// The root path above the parent: a plain walk of the ancestors'
+	// op lists, a handful of ops. op already shares the root→v path with
+	// them, so on a graph that keeps the single-definition-per-path
+	// rule this finds nothing; it is a guard, not a filter.
+	if d != ir.NoReg {
 		for a := parent; a != nil; a = a.Parent() {
 			for _, p := range a.Ops {
-				if p != op && p.Def() == d {
-					panic(fmt.Sprintf("ps: path-prefix filter missed an ancestor definition of r%d hoisting %v", d, op))
+				if p.Def() == d {
+					return Block{Kind: BlockDep, By: p}
 				}
 			}
 		}

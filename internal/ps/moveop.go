@@ -91,57 +91,20 @@ func (c *Ctx) TryMoveOpUp(op *ir.Op, commit bool, excluding *ir.Op) Block {
 	return blockNone
 }
 
-// Bits of the pathScanNeeded hit mask beyond the per-use bits 1<<j.
-const (
-	hitOpDef  = 1 << 3 // op's destination is defined on the path
-	hitStores = 1 << 4 // op touches memory and the path holds stores
-)
-
-// pathScanNeeded is the summary filter for the committed-path dependence
-// scan: it reports which of op's registers the root→leaf path the mover
-// enters could conflict with — bit j for uses[j], hitOpDef for the
-// destination, hitStores for the memory probe — so the resolver only
-// resolves registers that actually hit. A zero mask is a proof of
-// absence — the leaf's path-prefix def set covers exactly the
-// operations committed on this path, and its prefix store count every
-// store on it — so the caller may skip the scan and keep the empty
-// rewrite list. The filter is exact up to `excluding` (an op the caller
-// treats as absent still contributes its summary bits): a hit caused
-// only by excluding resolves to no block and no rewrites, never a wrong
-// verdict.
-func pathScanNeeded(leaf *graph.Vertex, op *ir.Op, uses []ir.Reg) uint8 {
-	mask := uint8(0)
-	for j, u := range uses {
-		if leaf.PathDefines(u) {
-			mask |= 1 << j
-		}
-	}
-	if d := op.Def(); d != ir.NoReg && leaf.PathDefines(d) {
-		mask |= hitOpDef
-	}
-	// op.Mem non-zero ⇒ op is the load or store of the scan's memory
-	// ordering test; any store on the path forces the scan.
-	if !op.Mem.IsZero() && leaf.PathStores() {
-		mask |= hitStores
-	}
-	return mask
-}
-
 // checkCommittedPath is the committed-path dependence test both movers
 // share: may op enter leaf's node without conflicting with an operation
 // committed on the root→leaf path? It returns the verdict and appends
 // the copy-propagation rewrites the move needs to rewrites.
 //
-// The target leaf's path-prefix summary filters first: when none of
-// op's reads or its def appear in the path's def set and (for memory
-// ops) the path holds no store, no path op can conflict and no copy can
-// rewrite an operand, so nothing is resolved. The prefix set covers
-// exactly the root→leaf path, so a hit means some committed op really
-// does touch a probed register (DESIGN.md §10 argues soundness), and
-// the walk-free resolver names it. Under Ctx.CrossCheck the retained
-// reference scan runs next to every answer, hit or miss, and any
-// divergence in verdict, blocker, rewritten use list, or rewrite list
-// panics.
+// firstPathEvent names the earliest path op the reference scan would
+// act on, from the per-vertex summaries and def-site index alone. A
+// non-copy event is the blocker, and no event means the move is free
+// with no rewrites: before its first event the reference scan neither
+// blocks nor rewrites. A copy event hands the whole question to the
+// reference scan, which performs the propagation — copies are that
+// rare on the table's profile (DESIGN.md §10). Under Ctx.CrossCheck the
+// reference scan runs next to every answer, and any divergence in
+// verdict, blocker or rewrite list panics.
 //
 // Scratch lists live in stack buffers. Bounds: no op kind reads more
 // than 2 registers (TestOpUsesBufferBound), and each rewrite is one
@@ -150,14 +113,17 @@ func pathScanNeeded(leaf *graph.Vertex, op *ir.Op, uses []ir.Reg) uint8 {
 // correct heap append, it is just no longer free
 // (TestRewriteBufferOverflowsCorrectly).
 func (c *Ctx) checkCommittedPath(leaf *graph.Vertex, op, excluding *ir.Op, rewrites []rewrite) (Block, []rewrite) {
-	var useBuf [3]ir.Reg
-	uses := op.UsesView(useBuf[:0])
 	block := blockNone
-	if mask := pathScanNeeded(leaf, op, uses); mask != 0 {
-		block, uses, rewrites = resolveCommittedPath(leaf, op, excluding, uses, useBuf[:0], rewrites, mask)
+	if p := firstPathEvent(leaf, op, excluding); p != nil {
+		if p.IsCopy() {
+			var useBuf [3]ir.Reg
+			block, _, rewrites = scanCommittedPath(leaf, op, excluding, op.Uses(useBuf[:0]), rewrites)
+		} else {
+			block = Block{Kind: BlockDep, By: p}
+		}
 	}
 	if c.CrossCheck {
-		crossCheckPath(leaf, op, excluding, block, uses, rewrites)
+		crossCheckPath(leaf, op, excluding, block, rewrites)
 	}
 	return block, rewrites
 }
@@ -165,18 +131,13 @@ func (c *Ctx) checkCommittedPath(leaf *graph.Vertex, op, excluding *ir.Op, rewri
 // crossCheckPath compares a committed-path answer against the reference
 // scan and panics on any divergence — a summary-maintenance or resolver
 // bug, reported exactly like a failed graph invariant.
-func crossCheckPath(leaf *graph.Vertex, op, excluding *ir.Op, block Block, uses []ir.Reg, rewrites []rewrite) {
+func crossCheckPath(leaf *graph.Vertex, op, excluding *ir.Op, block Block, rewrites []rewrite) {
 	var refUseBuf [3]ir.Reg
 	var refRwBuf [8]rewrite
-	refBlock, refUses, refRewrites := scanCommittedPath(leaf, op, excluding, op.Uses(refUseBuf[:0]), refRwBuf[:0])
-	diverged := block != refBlock || len(uses) != len(refUses) || len(rewrites) != len(refRewrites)
-	if !diverged {
-		for i := range uses {
-			diverged = diverged || uses[i] != refUses[i]
-		}
-		for i := range rewrites {
-			diverged = diverged || rewrites[i] != refRewrites[i]
-		}
+	refBlock, _, refRewrites := scanCommittedPath(leaf, op, excluding, op.Uses(refUseBuf[:0]), refRwBuf[:0])
+	diverged := block != refBlock || len(rewrites) != len(refRewrites)
+	for i := 0; !diverged && i < len(rewrites); i++ {
+		diverged = rewrites[i] != refRewrites[i]
 	}
 	if diverged {
 		panic(fmt.Sprintf("ps: committed-path check diverged from reference moving %v into n%d (got %v/%d rewrites, reference %v/%d rewrites)",
@@ -184,69 +145,24 @@ func crossCheckPath(leaf *graph.Vertex, op, excluding *ir.Op, block Block, uses 
 	}
 }
 
-// noEvt is the "no candidate" sentinel for the event-loop resolver:
-// larger than any packed path coordinate.
-const noEvt = int64(1<<63 - 1)
-
-// pathDefSite resolves register u — already known to be in the leaf's
-// prefix def set — straight to its unique definition site on the
-// root→leaf path (chain[0] is the leaf, chain[len-1] the root) and
-// returns the defining op with its packed path coordinate — (depth
-// below root)<<32 | (op position) — so coordinates order exactly like
-// the reference scan visits ops. Resolution is two lookups, never an
-// op enumeration: the path-prefix def set is monotone along the path
-// (pre(v) = pre(parent) ∪ own(v)) and the single-definition-per-path
-// invariant (Validate's checkSingleDefPerPath) makes the membership
-// flip exactly at the defining vertex, so a binary search over the
-// chain lands on it and the vertex's sorted def-site index yields the
-// op. A site occupied by op or excluding — which the scan treats as
-// absent — resolves to no event: with defs unique per path there is no
-// other site to fall back to.
-func pathDefSite(chain []*graph.Vertex, u ir.Reg, op, excluding *ir.Op) (*ir.Op, int64) {
-	lo, hi := 0, len(chain)-1
-	for lo < hi {
-		mid := int(uint(lo+hi+1) >> 1)
-		if chain[mid].PathDefines(u) {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	p, k := chain[lo].DefSiteHere(u)
-	if p == nil || p == op || p == excluding {
-		return nil, noEvt
-	}
-	return p, int64(len(chain)-1-lo)<<32 | int64(k)
-}
-
-// resolveCommittedPath is the walk-free committed-path dependence scan.
-// It never enumerates path operations: each probed register resolves
-// straight to its unique definition site (pathDefSite), memory movers
-// to the first aliasing store through the store-position index, and
-// the earliest such event decides — a copy event rewrites the matching
-// uses and re-resolves just those, any other event is the blocker.
+// firstPathEvent returns the first operation, in the reference scan's
+// root→leaf visit order, that defines one of op's reads or its
+// destination or (for a load or store mover) is an aliasing store — or
+// nil when the path holds none. op and excluding count as absent, as
+// in the reference scan.
 //
-// The event order reproduces the reference scan bit-for-bit:
-//   - Packed coordinates order by (vertex depth, op position), which
-//     is the reference's scan order; the evolving use list at each
-//     event therefore matches the reference's, so the verdict —
-//     order-sensitive because a def of a rewritten use after the copy
-//     blocks while one before it does not — is identical, as is the
-//     rewrite list (DESIGN.md §10).
-//   - Per rewritten use, entry[j] records the rewrite coordinate, so a
-//     definition of the new register at or before it (already passed
-//     by the reference) never fires.
-//   - Event coordinates are distinct except when one op both defines a
-//     current use and op's own destination (u == opDef): there the use
-//     event runs first, exactly as the reference checks uses before
-//     the output dependence — a copy rewrites and then blocks as the
-//     output dependence, a non-copy blocks outright; either way the
-//     blocker is that op. Stores define no register, so a memory event
-//     never ties with a def event.
-//
-// Conditional jumps on the path are irrelevant here exactly as in the
-// reference: they define no register and touch no memory.
-func resolveCommittedPath(leaf *graph.Vertex, op, excluding *ir.Op, uses, scratch []ir.Reg, rewrites []rewrite, mask uint8) (Block, []ir.Reg, []rewrite) {
+// It is one pass over the chain's summaries, root first, stopping at
+// the first vertex with an event. A register resolves through the
+// vertex's def-site index only when its def set holds it; by the
+// single-definition-per-path invariant (Validate's
+// checkSingleDefPerPath) that site is the register's only one on the
+// path, so a site occupied by op or excluding leaves no other to fall
+// back to. The memory probe scans only vertices holding a store, and
+// only ahead of the vertex's earliest register event. Stores define no
+// register, so the two kinds of event never share an op. Conditional
+// jumps on the path define nothing and touch no memory, exactly as the
+// reference ignores them.
+func firstPathEvent(leaf *graph.Vertex, op, excluding *ir.Op) *ir.Op {
 	// Same stack-buffered chain collection as pathOps (and the same
 	// overflow behavior past depth 8: a correct heap append).
 	var buf [8]*graph.Vertex
@@ -254,110 +170,37 @@ func resolveCommittedPath(leaf *graph.Vertex, op, excluding *ir.Op, uses, scratc
 	for v := leaf; v != nil; v = v.Parent() {
 		chain = append(chain, v)
 	}
-
-	// Fixed candidates: the output-dependence site, and for a memory
-	// mover the first aliasing store in scan order — the only walk
-	// left, over per-vertex store counters with the op list untouched.
-	// The filter's hit mask says which registers are on the path at
-	// all, so a non-hit probe costs nothing here.
-	po, ko := (*ir.Op)(nil), noEvt
-	if mask&hitOpDef != 0 {
-		po, ko = pathDefSite(chain, op.Def(), op, excluding)
-	}
-	pmem, kmem := (*ir.Op)(nil), noEvt
-	if mask&hitStores != 0 && (op.IsLoad() || op.IsStore()) {
-		// Memory ordering: a load may not pass an aliasing store; two
-		// aliasing stores may not share a path (ambiguous commit).
-	memScan:
-		for i := len(chain) - 1; i >= 0; i-- {
-			if !chain[i].StoresHere() {
+	// The probed registers: op's reads, then its destination (NoReg,
+	// which no vertex defines, for stores and branches).
+	var regBuf [3]ir.Reg
+	regs := append(op.Uses(regBuf[:0]), op.Def())
+	mem := !op.Mem.IsZero() && (op.IsLoad() || op.IsStore())
+	for i := len(chain) - 1; i >= 0; i-- {
+		v := chain[i]
+		first, at := (*ir.Op)(nil), int32(len(v.Ops))
+		for _, r := range regs {
+			if !v.DefinesHere(r) {
 				continue
 			}
-			for _, k := range chain[i].StoreSites() {
-				if p := chain[i].Ops[k]; p != op && p != excluding && op.Mem.MayAlias(p.Mem) {
-					pmem, kmem = p, int64(len(chain)-1-i)<<32|int64(k)
-					break memScan
+			if p, k := v.DefSiteHere(r); p != nil && p != op && p != excluding && k < at {
+				first, at = p, k
+			}
+		}
+		if mem && v.StoresHere() {
+			for _, p := range v.Ops[:at] {
+				// Memory ordering: a load may not pass an aliasing
+				// store; two aliasing stores may not share a path
+				// (ambiguous commit).
+				if p.IsStore() && p != op && p != excluding && !p.Mem.IsZero() && op.Mem.MayAlias(p.Mem) {
+					return p
 				}
 			}
 		}
-	}
-
-	// Earliest use-def event among the filter's hit registers. The
-	// rewrite-coordinate guards (entry) are set up lazily on the first
-	// copy event: the overwhelmingly common call resolves in this one
-	// pass and never touches them.
-	best, bestJ := noEvt, -1
-	var bestP *ir.Op
-	for j, u := range uses {
-		if mask&(1<<j) == 0 {
-			continue
-		}
-		if p, c := pathDefSite(chain, u, op, excluding); p != nil && c < best {
-			best, bestJ, bestP = c, j, p
+		if first != nil {
+			return first
 		}
 	}
-	var entryBuf [3]int64
-	var entry []int64
-	for {
-		if kmem < best && kmem < ko {
-			return Block{Kind: BlockDep, By: pmem}, uses, rewrites
-		}
-		if ko < best {
-			// Output dependence: two commits of the same register
-			// on one path. Renaming can remove this.
-			return Block{Kind: BlockDep, By: po}, uses, rewrites
-		}
-		if bestJ < 0 {
-			return blockNone, uses, rewrites
-		}
-		if !bestP.IsCopy() {
-			return Block{Kind: BlockDep, By: bestP}, uses, rewrites
-		}
-		if entry == nil {
-			entry = entryBuf[:len(uses)]
-			for j := range entry {
-				entry[j] = -1
-			}
-			// The use list may alias the op's operand cache (UsesView);
-			// detach into the caller's scratch before rewriting it.
-			uses = append(scratch[:0], uses...)
-		}
-		// Propagate through the copy: every current use of its target
-		// is rewritten, ascending j, matching the reference inner loop,
-		// and its filter bit refreshed for the replacement register.
-		d, src := bestP.Def(), bestP.Src[0]
-		for j, u := range uses {
-			if u == d && entry[j] < best {
-				uses[j] = src
-				entry[j] = best
-				rewrites = append(rewrites, rewrite{from: d, to: src})
-				if chain[0].PathDefines(src) {
-					mask |= 1 << j
-				} else {
-					mask &^= 1 << j
-				}
-			}
-		}
-		if best == ko {
-			return Block{Kind: BlockDep, By: po}, uses, rewrites
-		}
-		// Next event: re-resolve every live register past its rewrite
-		// coordinate. Only copy-event iterations pay this — zero on the
-		// table's profile.
-		best, bestJ, bestP = noEvt, -1, nil
-		for j, u := range uses {
-			if mask&(1<<j) == 0 {
-				continue
-			}
-			p, c := pathDefSite(chain, u, op, excluding)
-			if p == nil || c <= entry[j] {
-				continue
-			}
-			if c < best {
-				best, bestJ, bestP = c, j, p
-			}
-		}
-	}
+	return nil
 }
 
 // scanCommittedPath is the reference dependence scan: register-by-

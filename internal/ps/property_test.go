@@ -164,10 +164,9 @@ func TestRandomStepUpPreservesSemantics(t *testing.T) {
 }
 
 // TestCrossCheckedRandomMutationSequences drives random mutation
-// sequences with Ctx.CrossCheck enabled, so every prefix-filter
-// verdict, walk-free path resolution, own-tier-gated move-past-read
-// scan, and hoist ancestor pre-gate runs next to its retained reference scan
-// and panics on any divergence in verdict, blocker, use list, or
+// sequences with Ctx.CrossCheck enabled, so every committed-path answer
+// and own-tier-gated move-past-read scan runs next to its retained
+// reference scan and panics on any divergence in verdict, blocker, or
 // rewrite list. Renamed moves are mixed in: renaming's RetargetDef and
 // copy compensations mutate the summaries mid-sequence, which is
 // exactly the state the filters must stay exact under.

@@ -79,14 +79,15 @@ type Ctx struct {
 	// transformed. The transformations do not consult it — their
 	// legality scans read the live registers — but they report every
 	// committed operand rewrite (copy propagation, renaming) to it so
-	// its precomputed bit-matrices know which ops went stale.
+	// its precomputed bit-matrices know which ops went stale. Set it
+	// only when something queries those matrices after the rewrites
+	// (POST, unifiable); GRiP's priority reads build-time counts only.
 	D *deps.DDG
 
 	// CrossCheck runs the retained reference dependence scans next to
-	// every summary-filtered fast path — the committed-path check, the
-	// move-past-read scan, and the hoist's ancestor double-definition
-	// probe — and panics on the first divergence (a
-	// summary-maintenance bug, on par with a corrupted graph
+	// the two summary-filtered fast paths — the committed-path check
+	// and the move-past-read scan — and panics on the first divergence
+	// (a summary-maintenance bug, on par with a corrupted graph
 	// invariant). A testing hook: it cannot change any verdict, only
 	// verify it. core.Options.CrossCheck switches it on for the
 	// duration of a scheduling run.

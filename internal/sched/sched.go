@@ -77,6 +77,23 @@ func (c Config) Pipeline(m machine.Machine) pipeline.Config {
 	return cfg
 }
 
+// Validate rejects negative integer knobs. Each counts something
+// (iterations, instructions, periods), so a negative value has no
+// meaning; left in, it would run the default under a distinct
+// fingerprint or fail every pipelined cell only at run time. Commands
+// call it on parsed flags and report a usage error.
+func (c Config) Validate() error {
+	for _, k := range [...]struct {
+		name string
+		v    int
+	}{{"unwind", c.Unwind}, {"maxunwind", c.MaxUnwind}, {"prelude", c.EmptyPrelude}, {"periods", c.Periods}} {
+		if k.v < 0 {
+			return fmt.Errorf("config %s=%d: must not be negative", k.name, k.v)
+		}
+	}
+	return nil
+}
+
 // Fingerprint returns the canonical machine-independent key of the
 // configuration (the machine fingerprints separately in Request
 // fingerprints). Defaulted zero values normalize, so the zero Config

@@ -284,6 +284,34 @@ func TestConfigFingerprint(t *testing.T) {
 	}
 }
 
+// TestConfigValidate pins which configs the commands accept: zero and
+// positive knobs pass, a negative value in any integer knob is
+// rejected with the knob's name in the error.
+func TestConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  sched.Config
+		knob string // "" = valid
+	}{
+		{sched.Config{}, ""},
+		{sched.Config{Unwind: 24, MaxUnwind: 48, EmptyPrelude: 2, Periods: 5}, ""},
+		{sched.Config{Unwind: -1}, "unwind"},
+		{sched.Config{MaxUnwind: -1}, "maxunwind"},
+		{sched.Config{EmptyPrelude: -1}, "prelude"},
+		{sched.Config{Periods: -3}, "periods"},
+	} {
+		err := tc.cfg.Validate()
+		if tc.knob == "" {
+			if err != nil {
+				t.Errorf("%+v: unexpected error %v", tc.cfg, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.knob+"=") {
+			t.Errorf("%+v: error %v, want one naming %s", tc.cfg, err, tc.knob)
+		}
+	}
+}
+
 // TestBackendsHonorCancelledContext proves every backend returns its
 // context's error instead of scheduling when cancelled up front.
 func TestBackendsHonorCancelledContext(t *testing.T) {
