@@ -15,7 +15,15 @@ type gobenchResult struct {
 	NsPerOp     float64
 	AllocsPerOp float64
 	HasAllocs   bool
+	BytesPerOp  float64
+	HasBytes    bool
 }
+
+// bytesTolerance is the B/op growth -gobench forgives: the same 2%
+// bound the benchmark applies to its alloc_mb metric. B/op is nearly
+// deterministic (amortized setup can move it by a byte between runs),
+// so anything past the bound is a code change.
+const bytesTolerance = 0.02
 
 // parseGobench reads `go test -bench -benchmem` output, keyed by
 // benchmark name with the GOMAXPROCS suffix stripped (Benchmark​X-8 and
@@ -57,6 +65,9 @@ func parseGobenchFrom(f io.Reader) (map[string]gobenchResult, error) {
 			case "allocs/op":
 				r.AllocsPerOp = val
 				r.HasAllocs = true
+			case "B/op":
+				r.BytesPerOp = val
+				r.HasBytes = true
 			}
 		}
 		if !ok {
@@ -71,9 +82,10 @@ func parseGobenchFrom(f io.Reader) (map[string]gobenchResult, error) {
 }
 
 // compareGobench matches benchmarks by name and collects regressions:
-// ns/op beyond old*threshold, or any allocs/op increase (allocation
+// ns/op beyond old*threshold, any allocs/op increase (allocation
 // counts are deterministic, so an increase is a code change, not
-// noise). Benchmarks present in only one file are listed, never fatal.
+// noise), or B/op growth beyond bytesTolerance. Benchmarks present in
+// only one file are listed, never fatal.
 func compareGobench(oldB, newB map[string]gobenchResult, threshold float64) *diffReport {
 	rep := &diffReport{}
 	var names []string
@@ -97,6 +109,11 @@ func compareGobench(oldB, newB map[string]gobenchResult, threshold float64) *dif
 		if oc.HasAllocs && nc.HasAllocs && nc.AllocsPerOp > oc.AllocsPerOp {
 			rep.Regressions = append(rep.Regressions,
 				fmt.Sprintf("%s: allocs/op grew %.0f -> %.0f", name, oc.AllocsPerOp, nc.AllocsPerOp))
+		}
+		if oc.HasBytes && nc.HasBytes && nc.BytesPerOp > oc.BytesPerOp*(1+bytesTolerance) {
+			rep.Regressions = append(rep.Regressions,
+				fmt.Sprintf("%s: B/op grew %.0f -> %.0f (more than %.0f%%)",
+					name, oc.BytesPerOp, nc.BytesPerOp, 100*bytesTolerance))
 		}
 	}
 	for name := range newB {

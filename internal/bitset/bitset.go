@@ -1,8 +1,8 @@
-// Package bitset provides the dense bit-set and bit-matrix primitives
-// the scheduler hot loops are built on: membership sets over the dense
-// operation index space (ir.Op.Index) and precomputed pairwise relations
-// (deps.DDG's Serializes/Blocks matrices). All queries are O(1) loads
-// with no allocation; construction is one slice allocation.
+// Package bitset provides the dense bit-set primitives the scheduler
+// hot loops are built on: membership sets over the dense operation index
+// space (ir.Op.Index), growable register sets, and hierarchical sets with
+// ordered search. All queries are O(1) loads with no allocation;
+// construction is one slice allocation.
 package bitset
 
 // Set is a fixed-capacity bit set. The zero value is an empty set of
@@ -42,44 +42,4 @@ func (s Set) Remove(i int) {
 		return
 	}
 	s.words[i>>6] &^= 1 << (uint(i) & 63)
-}
-
-// Matrix is a packed n×n boolean relation: O(n²/64) words, one load per
-// query. Rows and columns are dense indices (ir.Op.Index).
-type Matrix struct {
-	words  []uint64
-	stride int // words per row
-	n      int
-}
-
-// NewMatrix returns an all-false n×n relation.
-func NewMatrix(n int) Matrix {
-	if n < 0 {
-		n = 0
-	}
-	stride := (n + 63) / 64
-	return Matrix{words: make([]uint64, n*stride), stride: stride, n: n}
-}
-
-// Has reports whether (i,j) is in the relation. Out-of-range pairs are
-// never in it.
-func (m Matrix) Has(i, j int) bool {
-	if uint(i) >= uint(m.n) || uint(j) >= uint(m.n) {
-		return false
-	}
-	return m.words[i*m.stride+j>>6]&(1<<(uint(j)&63)) != 0
-}
-
-// Set inserts (i,j). Out-of-range pairs panic.
-func (m Matrix) Set(i, j int) {
-	if uint(i) >= uint(m.n) || uint(j) >= uint(m.n) {
-		panic("bitset: Matrix.Set out of range")
-	}
-	m.words[i*m.stride+j>>6] |= 1 << (uint(j) & 63)
-}
-
-// Row returns the packed words of row i, for word-parallel scans over
-// the relation. The slice aliases the matrix.
-func (m Matrix) Row(i int) []uint64 {
-	return m.words[i*m.stride : (i+1)*m.stride]
 }

@@ -31,29 +31,3 @@ func TestSetWordBoundaries(t *testing.T) {
 	}()
 	s.Add(130)
 }
-
-func TestMatrixWordBoundaries(t *testing.T) {
-	m := NewMatrix(70)
-	pairs := [][2]int{{0, 0}, {0, 63}, {0, 64}, {63, 64}, {69, 0}, {69, 69}}
-	for _, p := range pairs {
-		if m.Has(p[0], p[1]) {
-			t.Fatalf("fresh matrix has (%d,%d)", p[0], p[1])
-		}
-		m.Set(p[0], p[1])
-		if !m.Has(p[0], p[1]) {
-			t.Fatalf("Set(%d,%d) not visible", p[0], p[1])
-		}
-	}
-	// Direction matters.
-	if m.Has(64, 0) || m.Has(63, 0) {
-		t.Fatal("matrix is not directed")
-	}
-	if m.Has(-1, 0) || m.Has(0, 70) {
-		t.Fatal("out-of-range membership")
-	}
-	// Row exposes the packed words of one row only.
-	row := m.Row(0)
-	if len(row) != 2 || row[0]&1 == 0 || row[1]&1 == 0 {
-		t.Fatalf("row 0 words wrong: %x", row)
-	}
-}

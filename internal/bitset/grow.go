@@ -37,57 +37,11 @@ func (s *Grow) Add(i int) {
 	s.words[w] |= 1 << (uint(i) & 63)
 }
 
-// Remove deletes i if present.
-func (s *Grow) Remove(i int) {
-	if i < 0 {
-		return
-	}
-	w := i >> 6
-	if w < len(s.words) {
-		s.words[w] &^= 1 << (uint(i) & 63)
-	}
-}
-
 // Reset clears every bit, keeping the storage for reuse.
 func (s *Grow) Reset() {
 	for i := range s.words {
 		s.words[i] = 0
 	}
-}
-
-// CopyFrom makes s an exact copy of t, growing s as needed. Storage is
-// reused when it suffices, so steady-state copies do not allocate.
-func (s *Grow) CopyFrom(t *Grow) {
-	if len(t.words) > len(s.words) {
-		grown := make([]uint64, len(t.words))
-		s.words = grown
-	}
-	n := copy(s.words, t.words)
-	for i := n; i < len(s.words); i++ {
-		s.words[i] = 0
-	}
-}
-
-// Or unions t into s, growing s as needed.
-func (s *Grow) Or(t *Grow) {
-	if len(t.words) > len(s.words) {
-		grown := make([]uint64, len(t.words))
-		copy(grown, s.words)
-		s.words = grown
-	}
-	for i, w := range t.words {
-		s.words[i] |= w
-	}
-}
-
-// Empty reports whether the set has no members.
-func (s *Grow) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Equal reports whether s and t hold exactly the same members
@@ -120,11 +74,4 @@ func (s *Grow) Words() int { return len(s.words) }
 func (s *Grow) SetWords(backing []uint64, t *Grow) {
 	copy(backing, t.words)
 	s.words = backing[:len(t.words):len(t.words)]
-}
-
-// SetBacking points the (empty) set at pre-zeroed backing storage, so
-// inserts within its index range never allocate. Any previous content
-// is discarded.
-func (s *Grow) SetBacking(backing []uint64) {
-	s.words = backing
 }

@@ -1,268 +1,109 @@
 package deps
 
 import (
-	"math/bits"
+	"slices"
 	"sort"
 
-	"repro/internal/bitset"
 	"repro/internal/ir"
 )
 
-// DDG is the data-dependence graph of an operation sequence (usually the
-// unwound loop, in original sequential order). Edges run from producers
-// to the later operations that must not be reordered above them.
-//
-// Build assigns every op its dense Index (ops[i].Index = i) and
-// precomputes the full directed Serializes and Blocks relations as
-// packed bit-matrices (O(n²/64) words), so the scheduler hot loops
-// answer pairwise dependence questions with one load instead of
-// re-deriving them from the operand encodings. The matrices are
-// read-only after Build and safe to share across goroutines; the only
-// mutable word is the dirty set, which belongs to the single scheduling
-// session that owns the graph (see MarkRewritten).
+// DDG is the dependence digest of an operation sequence (usually the
+// unwound loop, in original sequential order): for every op, the two
+// numbers the section 3.4 priority ranks by — the longest chain of
+// serializing dependences rooted at it and its count of direct
+// dependents. Pairwise questions go to the package-level Serializes and
+// Blocks tests, which read the live operands. Read-only after Build and
+// safe to share across goroutines.
 type DDG struct {
 	Ops []*ir.Op
-	n   int
-
-	// ser and blk hold the build-time Serializes/Blocks answers for
-	// every ordered pair (by dense index).
-	ser bitset.Matrix
-	blk bitset.Matrix
-
-	// dirty marks ops whose operands were rewritten (copy propagation,
-	// renaming) after the matrices were built; queries involving a dirty
-	// op fall back to the live pairwise test so answers never go stale.
-	dirty bitset.Set
-
-	// CSR adjacency over the i<j edges of ser, in (i asc, j asc) /
-	// (j asc, i asc) order — the same lists, in the same order, the
-	// map-based pairwise build used to produce.
-	succAll, predAll []*ir.Op
-	succOff, predOff []int32
 
 	chain      []int32
 	dependents []int32
 }
 
-// Build constructs the DDG for ops, which must be in original sequential
+// Build computes the DDG for ops, which must be in original sequential
 // order, assigning ops[i].Index = i. Only serializing dependences
-// (register true deps and memory conflicts) form edges: the unwinder
-// emits SSA-renamed code, so anti/output register dependences cannot
-// occur, and they are exactly the dependences renaming would remove
-// anyway.
+// (register true deps and memory conflicts) count: the unwinder emits
+// SSA-renamed code, so anti/output register dependences cannot occur,
+// and they are exactly the dependences renaming would remove anyway.
 //
-// The build is one pass over per-register def/use tables plus a scan of
-// the memory-op pairs — O(n + edges + mem²) — instead of the all-pairs
-// O(n²) dependence tests it replaces; the result is bit-identical.
+// The successors of op i are the later ops j with Serializes(i, j). One
+// backward pass finds them without enumerating them: per register, it
+// keeps the reader count and the longest chain among the ops already
+// visited (all later than i), and it tests op i against the later
+// memory ops directly. A memory successor that also reads i's
+// destination is a register successor already, and is counted once.
+// O(n + mem²), with the result equal to the pairwise definition
+// (TestCSRMatchesNaiveEdges).
 func Build(ops []*ir.Op) *DDG {
 	n := len(ops)
-	d := &DDG{
-		Ops:   ops,
-		n:     n,
-		ser:   bitset.NewMatrix(n),
-		blk:   bitset.NewMatrix(n),
-		dirty: bitset.New(n),
-	}
 	maxReg := ir.NoReg
 	var useBuf [3]ir.Reg
-	for i, op := range ops {
-		op.Index = i
-		// Fill the op's cached Def/Uses view: from here on the operand
-		// fields only change through ReplaceUse/SetDst (the graph's
-		// rewrite entry points), which keep the cache exact, so every
-		// downstream legality probe reads cached fields instead of
-		// re-running the kind switch.
-		op.CacheOperands()
-		if r := op.Def(); r > maxReg {
-			maxReg = r
-		}
-		for _, r := range op.Uses(useBuf[:0]) {
-			if r > maxReg {
-				maxReg = r
-			}
-		}
-	}
-
-	// Per-register def and reader index lists (SSA programs have one def
-	// per register; the tables stay exact for non-SSA inputs too).
-	defs := make([][]int32, maxReg+1)
-	readers := make([][]int32, maxReg+1)
 	var memIdx []int32
 	for i, op := range ops {
-		if r := op.Def(); r != ir.NoReg {
-			defs[r] = append(defs[r], int32(i))
-		}
+		op.Index = i
+		maxReg = max(maxReg, op.Def())
 		for _, r := range op.Uses(useBuf[:0]) {
-			if r != ir.NoReg {
-				readers[r] = append(readers[r], int32(i))
-			}
+			maxReg = max(maxReg, r)
 		}
 		if !op.Mem.IsZero() {
 			memIdx = append(memIdx, int32(i))
 		}
 	}
 
-	// Register true dependences: def i feeds reader j (any direction —
-	// the matrices answer arbitrary ordered pairs, not just program
-	// order). A true dep (i,j) serializes, and blocks both ways (the
-	// reverse direction is the anti dependence).
-	for r := ir.Reg(1); r <= maxReg; r++ {
-		for _, i := range defs[r] {
-			for _, j := range readers[r] {
-				d.ser.Set(int(i), int(j))
-				d.blk.Set(int(i), int(j))
-				d.blk.Set(int(j), int(i))
-			}
-		}
-		// Output dependences: two defs of the same register block in
-		// both directions (including the i==j diagonal, matching the
-		// pairwise OutputDep(a,a) answer).
-		for _, i := range defs[r] {
-			for _, j := range defs[r] {
-				d.blk.Set(int(i), int(j))
-			}
-		}
-	}
-
-	// Memory conflicts (symmetric): both serialize and block.
-	for _, i := range memIdx {
-		for _, j := range memIdx {
-			if j < i {
-				continue
-			}
-			if MemDep(ops[i], ops[j]) {
-				d.ser.Set(int(i), int(j))
-				d.ser.Set(int(j), int(i))
-				d.blk.Set(int(i), int(j))
-				d.blk.Set(int(j), int(i))
-			}
-		}
-	}
-
-	d.buildCSR()
-
-	// Longest dependence chain rooted at each op, computed backwards
-	// over the sequential order (the DDG is a DAG because edges always
-	// point later in the sequence).
-	d.chain = make([]int32, n)
-	d.dependents = make([]int32, n)
+	d := &DDG{Ops: ops, chain: make([]int32, n), dependents: make([]int32, n)}
+	// readers[r] counts the visited ops that read r; readChain[r] is the
+	// longest chain among them.
+	readers := make([]int32, maxReg+1)
+	readChain := make([]int32, maxReg+1)
+	mem := len(memIdx)
 	for i := n - 1; i >= 0; i-- {
-		best := int32(0)
-		succs := d.succAll[d.succOff[i]:d.succOff[i+1]]
-		for _, s := range succs {
-			if c := d.chain[s.Index]; c > best {
-				best = c
+		op := ops[i]
+		def := op.Def()
+		var best, count int32
+		if def != ir.NoReg {
+			best, count = readChain[def], readers[def]
+		}
+		if mem > 0 && memIdx[mem-1] == int32(i) {
+			mem--
+			for _, j := range memIdx[mem+1:] {
+				b := ops[j]
+				if !MemDep(op, b) || b.ReadsReg(def) {
+					continue
+				}
+				count++
+				best = max(best, d.chain[j])
 			}
 		}
 		d.chain[i] = best + 1
-		d.dependents[i] = int32(len(succs))
+		d.dependents[i] = count
+		uses := op.Uses(useBuf[:0])
+		for k, r := range uses {
+			if r == ir.NoReg || slices.Contains(uses[:k], r) {
+				continue
+			}
+			readers[r]++
+			readChain[r] = max(readChain[r], d.chain[i])
+		}
 	}
 	return d
 }
 
-// forEachSucc calls f(j) for every j > i with ser(i, j) set, in
-// ascending j order — the program-order edges of row i.
-func (d *DDG) forEachSucc(i int, f func(j int)) {
-	for w, word := range d.ser.Row(i) {
-		// Mask off j <= i within this word.
-		lo := w * 64
-		if lo+63 <= i {
-			continue
-		}
-		if i >= lo {
-			word &= ^uint64(0) << (uint(i-lo) + 1)
-		}
-		for word != 0 {
-			f(lo + bits.TrailingZeros64(word))
-			word &= word - 1
-		}
-	}
-}
-
-// buildCSR extracts the program-order (i<j) edges of the Serializes
-// matrix into compressed adjacency, successors in ascending j per i and
-// predecessors in ascending i per j.
-func (d *DDG) buildCSR() {
-	n := d.n
-	d.succOff = make([]int32, n+1)
-	d.predOff = make([]int32, n+1)
-	edges := 0
-	for i := 0; i < n; i++ {
-		d.forEachSucc(i, func(j int) {
-			d.succOff[i+1]++
-			d.predOff[j+1]++
-			edges++
-		})
-	}
-	for i := 0; i < n; i++ {
-		d.succOff[i+1] += d.succOff[i]
-		d.predOff[i+1] += d.predOff[i]
-	}
-	d.succAll = make([]*ir.Op, edges)
-	d.predAll = make([]*ir.Op, edges)
-	succCur := make([]int32, n)
-	predCur := make([]int32, n)
-	copy(succCur, d.succOff[:n])
-	copy(predCur, d.predOff[:n])
-	for i := 0; i < n; i++ {
-		d.forEachSucc(i, func(j int) {
-			d.succAll[succCur[i]] = d.Ops[j]
-			succCur[i]++
-			d.predAll[predCur[j]] = d.Ops[i]
-			predCur[j]++
-		})
-	}
-}
-
-// indexed reports whether op is addressable in the matrices: a valid
-// dense index that still identifies this very op (frozen clones and ops
-// from other programs fail the identity check) and no operand rewrite
-// since Build.
+// indexed reports whether op is one of the analyzed ops: a valid dense
+// index that still identifies this very op (frozen clones and ops from
+// other programs fail the identity check).
 func (d *DDG) indexed(op *ir.Op) (int, bool) {
 	i := op.Index
-	if uint(i) >= uint(d.n) || d.Ops[i] != op {
+	if uint(i) >= uint(len(d.Ops)) || d.Ops[i] != op {
 		return 0, false
 	}
 	return i, true
 }
 
-// Serializes answers the package-level Serializes test for (a, b): one
-// matrix load when both ops are indexed and unrewritten, the live
-// pairwise test otherwise. Zero allocations either way.
-func (d *DDG) Serializes(a, b *ir.Op) bool {
-	if i, ok := d.indexed(a); ok && !d.dirty.Has(i) {
-		if j, ok := d.indexed(b); ok && !d.dirty.Has(j) {
-			return d.ser.Has(i, j)
-		}
-	}
-	return Serializes(a, b)
-}
-
-// Blocks answers the package-level Blocks test for (a, b) from the
-// matrix, with the same staleness fallback as Serializes.
-func (d *DDG) Blocks(a, b *ir.Op) bool {
-	if i, ok := d.indexed(a); ok && !d.dirty.Has(i) {
-		if j, ok := d.indexed(b); ok && !d.dirty.Has(j) {
-			return d.blk.Has(i, j)
-		}
-	}
-	return Blocks(a, b)
-}
-
-// MarkRewritten records that op's operands changed after Build (copy
-// propagation or renaming): matrix queries involving op fall back to
-// the live pairwise tests from now on. Priority data (chain lengths,
-// dependent counts) deliberately stays at its build-time snapshot,
-// exactly as the map-based implementation behaved.
-func (d *DDG) MarkRewritten(op *ir.Op) {
-	if i, ok := d.indexed(op); ok {
-		d.dirty.Add(i)
-	}
-}
-
 // ChainLen returns the length (in operations, including op itself) of
 // the longest dependence chain rooted at op, or 0 for ops outside the
-// analyzed program.
+// analyzed program. Build-time snapshot: operand rewrites after Build
+// do not change it.
 func (d *DDG) ChainLen(op *ir.Op) int {
 	if i, ok := d.indexed(op); ok {
 		return int(d.chain[i])
@@ -270,28 +111,13 @@ func (d *DDG) ChainLen(op *ir.Op) int {
 	return 0
 }
 
-// Dependents returns the number of direct dependents of op.
+// Dependents returns the number of direct dependents of op, or 0 for
+// ops outside the analyzed program.
 func (d *DDG) Dependents(op *ir.Op) int {
 	if i, ok := d.indexed(op); ok {
 		return int(d.dependents[i])
 	}
 	return 0
-}
-
-// Succs returns the dependence successors of op in program order.
-func (d *DDG) Succs(op *ir.Op) []*ir.Op {
-	if i, ok := d.indexed(op); ok {
-		return d.succAll[d.succOff[i]:d.succOff[i+1]]
-	}
-	return nil
-}
-
-// Preds returns the dependence predecessors of op in program order.
-func (d *DDG) Preds(op *ir.Op) []*ir.Op {
-	if i, ok := d.indexed(op); ok {
-		return d.predAll[d.predOff[i]:d.predOff[i+1]]
-	}
-	return nil
 }
 
 // Priority is the section 3.4 operation ordering: operation A precedes
@@ -305,10 +131,6 @@ type Priority struct {
 
 // NewPriority returns the ranking over the DDG's operations.
 func NewPriority(d *DDG) *Priority { return &Priority{d: d} }
-
-// DDG returns the dependence graph the priority ranks over, so
-// schedulers handed a Priority can also query the dependence matrices.
-func (p *Priority) DDG() *DDG { return p.d }
 
 // Before reports whether a has strictly higher priority than b. The
 // ID tiebreak makes it a strict total order, so Rank is a function of

@@ -9,7 +9,7 @@ import (
 	"repro/internal/pipeline"
 )
 
-// BenchmarkDDGBuild measures the one-pass dependence-matrix build on a
+// BenchmarkDDGBuild measures the one-pass priority-table build on a
 // real unwound kernel (LL5's memory recurrence makes it the
 // dependence-densest of the paper's loops).
 func BenchmarkDDGBuild(b *testing.B) {

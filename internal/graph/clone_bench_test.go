@@ -35,8 +35,8 @@ func BenchmarkGraphClone(b *testing.B) {
 }
 
 // TestClonePreservesIndices: graph.Clone must carry every op's dense
-// index across, so the clone answers the same dependence-matrix and
-// priority queries as the original.
+// index across, so the clone answers the same priority queries as the
+// original.
 func TestClonePreservesIndices(t *testing.T) {
 	res := scheduledGraph(t)
 	uw := res.Unwound

@@ -44,25 +44,6 @@ type Graph struct {
 	// structures hear about ops whose home changed underneath them
 	// (see SetOpHomeHook).
 	onOpHome func(op *ir.Op)
-
-	// Chunk arenas for the graph's own small allocations: nodes,
-	// vertices, summary bitset backing, and per-iteration count slices
-	// are carved from bump-pointer chunks so the scheduling hot loop
-	// (node splits, branch insertion) costs amortized fractions of an
-	// allocation per mutation. Memory of deleted nodes is retained
-	// until the graph itself is dropped — graphs live for one schedule
-	// run, so the retention is bounded and deliberate.
-	nodeChunk   []Node
-	vertexChunk []Vertex
-	wordChunk   []uint64
-	iterChunk   []int32
-	opChunk     []*ir.Op
-	dsChunk     []defSite
-
-	// iterSlots tracks 2 + the largest iteration index seen by AddOp /
-	// InsertBranchAtLeaf, so fresh nodes can pre-size their iterCounts
-	// and never regrow them inside bumpIter.
-	iterSlots int
 }
 
 // New returns an empty graph sharing the given allocator.
@@ -140,95 +121,14 @@ func (g *Graph) BeginVisit() uint64 {
 	return g.epoch
 }
 
-// allocNode carves a zeroed Node from the node chunk arena.
-func (g *Graph) allocNode() *Node {
-	if len(g.nodeChunk) == 0 {
-		g.nodeChunk = make([]Node, 64)
-	}
-	n := &g.nodeChunk[0]
-	g.nodeChunk = g.nodeChunk[1:]
-	return n
-}
-
-// allocVertex carves a zeroed Vertex from the vertex chunk arena and
-// pre-sizes its def/use summary for the current register space.
-func (g *Graph) allocVertex() *Vertex {
-	if len(g.vertexChunk) == 0 {
-		g.vertexChunk = make([]Vertex, 64)
-	}
-	v := &g.vertexChunk[0]
-	g.vertexChunk = g.vertexChunk[1:]
-	g.presizeSummary(v)
-	return v
-}
-
-// allocWords carves n zeroed uint64s from the word chunk arena.
-func (g *Graph) allocWords(n int) []uint64 {
-	if len(g.wordChunk) < n {
-		c := 1024
-		if c < n {
-			c = n
-		}
-		g.wordChunk = make([]uint64, c)
-	}
-	w := g.wordChunk[:n:n]
-	g.wordChunk = g.wordChunk[n:]
-	return w
-}
-
-// allocIterCounts carves a zeroed per-iteration count slice sized by the
-// iterSlots hint, so bumpIter rarely regrows it.
-func (g *Graph) allocIterCounts() []int32 {
-	n := g.iterSlots
-	if n == 0 {
-		return nil
-	}
-	if len(g.iterChunk) < n {
-		c := 1024
-		if c < n {
-			c = n
-		}
-		g.iterChunk = make([]int32, c)
-	}
-	s := g.iterChunk[:n:n]
-	g.iterChunk = g.iterChunk[n:]
-	return s
-}
-
-// allocOpSlice carves an empty op list with room for a typical
-// instruction's worth of operations. Appends past the carved capacity
-// fall back to ordinary heap growth.
-func (g *Graph) allocOpSlice() []*ir.Op {
-	const opCap = 8
-	if len(g.opChunk) < opCap {
-		g.opChunk = make([]*ir.Op, 512)
-	}
-	s := g.opChunk[:0:opCap]
-	g.opChunk = g.opChunk[opCap:]
-	return s
-}
-
-// noteIterSlot widens the iterSlots pre-size hint to cover op's
-// iteration.
-func (g *Graph) noteIterSlot(op *ir.Op) {
-	if s := op.Iter + 2; s > g.iterSlots {
-		g.iterSlots = s
-	}
-}
-
 // NewNode creates a node whose tree is a single leaf with no successor.
 // Its position key places it after every existing node; use SetPos or
 // PlaceBetween when inserting mid-chain.
 func (g *Graph) NewNode() *Node {
 	g.nextNodeID++
 	g.maxPos++
-	n := g.allocNode()
-	n.ID = g.nextNodeID
-	n.g = g
-	n.pos = g.maxPos
-	n.iterCounts = g.allocIterCounts()
-	n.Root = g.allocVertex()
-	n.Root.node = n
+	n := &Node{ID: g.nextNodeID, g: g, pos: g.maxPos}
+	n.Root = &Vertex{node: n}
 	g.nodes[n] = true
 	g.bump()
 	return n
@@ -354,12 +254,8 @@ func (g *Graph) AddOp(op *ir.Op, v *Vertex) {
 	if g.loc(op) != nil {
 		panic("graph: op already placed")
 	}
-	if v.Ops == nil {
-		v.Ops = g.allocOpSlice()
-	}
 	v.Ops = append(v.Ops, op)
 	g.setLoc(op, v)
-	g.noteIterSlot(op)
 	v.sum.addOp(op)
 	v.sum.indexOp(op, int32(len(v.Ops)-1))
 	if n := v.node; n != nil {
@@ -437,14 +333,11 @@ func (g *Graph) InsertBranchAtLeaf(leaf *Vertex, cj *ir.Op, tSucc, fSucc *Node) 
 	}
 	g.unlinkIfSet(leaf)
 
-	t := g.allocVertex()
-	t.node, t.parent, t.Succ = leaf.node, leaf, tSucc
-	f := g.allocVertex()
-	f.node, f.parent, f.Succ = leaf.node, leaf, fSucc
+	t := &Vertex{node: leaf.node, parent: leaf, Succ: tSucc}
+	f := &Vertex{node: leaf.node, parent: leaf, Succ: fSucc}
 	g.link(leaf.node, t.Succ)
 	g.link(leaf.node, f.Succ)
 
-	g.noteIterSlot(cj)
 	leaf.CJ = cj
 	leaf.True = t
 	leaf.False = f
@@ -541,10 +434,9 @@ func (g *Graph) AdoptSubtree(n *Node, sub *Vertex) {
 // unattached (no node owner, no registered locations, no linked edges);
 // adopt it with AdoptSubtree.
 func (g *Graph) CloneSubtreeFrozen(sub *Vertex) *Vertex {
-	c := g.allocVertex()
-	c.Succ = sub.Succ
+	c := &Vertex{Succ: sub.Succ}
 	if len(sub.Ops) > 0 {
-		c.Ops = g.allocOpSlice()
+		c.Ops = make([]*ir.Op, 0, len(sub.Ops))
 	}
 	for _, op := range sub.Ops {
 		c.Ops = append(c.Ops, op.Clone(g.Alloc.OpID(), true))

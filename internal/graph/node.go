@@ -127,9 +127,7 @@ func (n *Node) bumpIter(iter int, d int32) {
 	}
 	if i >= len(n.iterCounts) {
 		// Geometric growth with a zeroed tail (Validate tolerates
-		// trailing zero slots); nodes born after the graph has seen
-		// this iteration are pre-sized past it (Graph.iterSlots), so
-		// this is the cold path.
+		// trailing zero slots).
 		c := 2 * len(n.iterCounts)
 		if c < i+1 {
 			c = i + 1

@@ -43,29 +43,6 @@ type defSite struct {
 	pos int32
 }
 
-// presizeSummary points v's two register sets at zeroed storage carved
-// from the graph's word arena, sized for the current register space, so
-// steady-state maintenance (addOp OR-ins, recomputes) never grows them.
-// Registers allocated after v's creation (renaming mid-schedule) still
-// grow the affected set on demand.
-func (g *Graph) presizeSummary(v *Vertex) {
-	w := g.Alloc.NumRegs()>>6 + 1
-	backing := g.allocWords(2 * w)
-	s := &v.sum
-	s.ownDefs.SetBacking(backing[0*w : 1*w : 1*w])
-	s.ownUses.SetBacking(backing[1*w : 2*w : 2*w])
-	// Seed the def-site index with a few slots from the graph arena:
-	// most vertices hold a handful of ops, so this makes the common
-	// indexOp path append-without-allocating. A vertex that outgrows
-	// its seed falls back to ordinary append growth.
-	const seed = 4
-	if len(g.dsChunk) < seed {
-		g.dsChunk = make([]defSite, 256)
-	}
-	s.defSites = g.dsChunk[:0:seed]
-	g.dsChunk = g.dsChunk[seed:]
-}
-
 // words returns the total backing-word count across the two register
 // sets (arena sizing for Clone).
 func (s *summary) words() int {
@@ -226,7 +203,7 @@ func (g *Graph) RetargetDef(op *ir.Op, r ir.Reg) {
 	if op.IsBranch() || op.IsStore() {
 		panic("graph: RetargetDef on op without a register destination")
 	}
-	op.SetDst(r)
+	op.Dst = r
 	g.noteOperandsChanged(op)
 }
 

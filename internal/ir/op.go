@@ -10,7 +10,7 @@ import (
 const NoIter = -1
 
 // NoIndex marks operations outside the dense index space: frozen drain
-// clones and epilogue copies, which dependence matrices and scheduler
+// clones and epilogue copies, which priority tables and scheduler
 // bitsets never address.
 const NoIndex = -1
 
@@ -34,12 +34,12 @@ type Op struct {
 
 	// Index is the op's position in the dense index space of its
 	// analyzed program: deps.Build assigns Index = i over its op slice,
-	// and every index-addressed structure (dependence bit-matrices,
-	// scheduler bitsets, priority tables) is keyed by it. Stable under
-	// graph.Clone (the clone answers the same dependence queries as the
-	// original); NoIndex on frozen clones, which are new operations
-	// outside any analyzed program. A zero Index is only meaningful for
-	// ops that went through deps.Build — index-addressed lookups verify
+	// and every index-addressed structure (the DDG's chain and
+	// dependent tables, the scheduler's bitsets) is keyed by it. Stable
+	// under graph.Clone (the clone keeps its original's priority);
+	// NoIndex on frozen clones, which are new operations outside any
+	// analyzed program. A zero Index is only meaningful for ops that
+	// went through deps.Build — index-addressed lookups verify
 	// identity before trusting it.
 	Index int
 
@@ -55,20 +55,6 @@ type Op struct {
 	// move-cj node splitting and live-out epilogue copies. They are
 	// still executed by the simulator.
 	Frozen bool
-
-	// Cached operand view (see CacheOperands): cDef is the Def()
-	// result and cUses[:cNU-1] the Uses() result, valid while cNU > 0.
-	// deps.Build fills the cache once analysis starts; until then Def
-	// and Uses derive from the operand fields on every call, so
-	// builders (the unwinder, the pre-graph Optimize pass, test and
-	// fuzz constructors) may assign fields freely. After the cache is
-	// filled, operand mutation must go through ReplaceUse/SetDst —
-	// the same routing rule the graph's def/use summaries already
-	// impose — which re-derive it. Clone's struct copy keeps the cache
-	// valid (identical fields ⇒ identical derivation).
-	cDef  Reg
-	cUses [3]Reg
-	cNU   int8
 
 	// loc is the op's current placement, owned and interpreted solely
 	// by package graph (held as any to avoid an import cycle). It is the
@@ -99,17 +85,8 @@ func (o *Op) IsLoad() bool { return o.Kind == Load }
 // IsCopy reports whether the op is a register copy.
 func (o *Op) IsCopy() bool { return o.Kind == Copy }
 
-// Def returns the register the op writes, or NoReg. One load from the
-// operand cache when it is filled (deps.Build fills it; the legality
-// scans probe Def constantly).
+// Def returns the register the op writes, or NoReg.
 func (o *Op) Def() Reg {
-	if o.cNU > 0 {
-		return o.cDef
-	}
-	return o.deriveDef()
-}
-
-func (o *Op) deriveDef() Reg {
 	switch o.Kind {
 	case Store, CJ, Nop:
 		return NoReg
@@ -120,15 +97,7 @@ func (o *Op) deriveDef() Reg {
 // Uses appends the registers the op reads to dst and returns it.
 // Operands are fetched in parallel at instruction entry, so the order is
 // irrelevant; Uses exists to avoid allocating in hot dependence tests.
-// Served from the operand cache when it is filled.
 func (o *Op) Uses(dst []Reg) []Reg {
-	if n := o.cNU; n > 0 {
-		return append(dst, o.cUses[:n-1]...)
-	}
-	return o.deriveUses(dst)
-}
-
-func (o *Op) deriveUses(dst []Reg) []Reg {
 	switch o.Kind {
 	case Nop, Const:
 	case Copy:
@@ -156,31 +125,13 @@ func (o *Op) deriveUses(dst []Reg) []Reg {
 	return dst
 }
 
-// CacheOperands fills the op's cached Def/Uses view from the current
-// operand fields. deps.Build calls it for every analyzed op; from then
-// on the hot legality probes read two fields instead of re-running the
-// kind switch. Idempotent; safe to call at any time.
-func (o *Op) CacheOperands() {
-	o.cDef = o.deriveDef()
-	us := o.deriveUses(o.cUses[:0])
-	o.cNU = int8(len(us) + 1)
-}
-
 // ReadsReg reports whether the op reads register r.
 func (o *Op) ReadsReg(r Reg) bool {
 	if r == NoReg {
 		return false
 	}
-	if n := o.cNU; n > 0 {
-		for _, u := range o.cUses[:n-1] {
-			if u == r {
-				return true
-			}
-		}
-		return false
-	}
 	var buf [3]Reg
-	for _, u := range o.deriveUses(buf[:0]) {
+	for _, u := range o.Uses(buf[:0]) {
 		if u == r {
 			return true
 		}
@@ -188,9 +139,9 @@ func (o *Op) ReadsReg(r Reg) bool {
 	return false
 }
 
-// ReplaceUse substitutes register to for every read of from, keeping
-// the cached operand view exact. Used by copy propagation ("change the
-// use of B into a use of X", paper section 2).
+// ReplaceUse substitutes register to for every read of from. Used by
+// copy propagation ("change the use of B into a use of X", paper
+// section 2).
 func (o *Op) ReplaceUse(from, to Reg) {
 	if from == NoReg {
 		return
@@ -218,20 +169,6 @@ func (o *Op) ReplaceUse(from, to Reg) {
 		if o.Mem.IndexReg == from {
 			o.Mem.IndexReg = to
 		}
-	}
-	if o.cNU > 0 {
-		o.CacheOperands()
-	}
-}
-
-// SetDst rewrites the op's destination register, keeping the cached
-// operand view exact. The renaming transformation's mutation; a placed
-// op's Dst must never be assigned directly (graph.RetargetDef routes
-// through here).
-func (o *Op) SetDst(r Reg) {
-	o.Dst = r
-	if o.cNU > 0 {
-		o.cDef = o.deriveDef()
 	}
 }
 

@@ -34,10 +34,13 @@ type Config struct {
 	Periods int
 	// TraceNode is passed to the scheduler for Figure 11-style traces.
 	TraceNode func(n *graph.Node, moveable []*ir.Op)
-	// CrossCheck runs the scheduler with its retained reference pick
-	// scan cross-checking the incremental candidate structure on every
-	// pick (testing only; like TraceNode it cannot change the schedule
-	// and is excluded from Knobs).
+	// CrossCheck runs every fast path next to its retained reference
+	// and panics on the first divergence: core's candidate structure
+	// against the ranked pick scan, and the ps summary fast paths (the
+	// committed-path check and the move-past-read scan) in core's moves
+	// and in POST's break and refill moves. Testing only; like
+	// TraceNode it cannot change the schedule and is excluded from
+	// Knobs.
 	CrossCheck bool
 }
 

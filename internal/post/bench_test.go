@@ -11,8 +11,8 @@ import (
 
 // BenchmarkPOSTSweep measures POST's resource post-pass (clone the
 // phase-1 memo, break over-wide nodes, refill locally) — the path the
-// dependence bit-matrix and arena clone make cheap. Phase 1 runs once,
-// outside the loop, exactly as the memoized production path does.
+// arena clone makes cheap. Phase 1 runs once, outside the loop, exactly
+// as the memoized production path does.
 func BenchmarkPOSTSweep(b *testing.B) {
 	cfg := pipeline.DefaultConfig(machine.New(4))
 	phase1, err := pipeline.PerfectPipeline(context.Background(), livermore.ByName("LL3").Spec, Phase1Config(cfg))

@@ -61,21 +61,22 @@ func Phase1Config(cfg pipeline.Config) pipeline.Config {
 // sweeps; on cancellation the (half-processed) unwound graph is
 // abandoned and ctx's error returned.
 func From(ctx context.Context, res *pipeline.Result, cfg pipeline.Config) (*pipeline.Result, error) {
-	target := cfg.Machine
 	uw := res.Unwound
 	g := uw.G
-	// The DDG (and its dependence bit-matrices) is rebuilt over the
-	// phase-1 schedule's current operand state, so the break and refill
-	// sweeps answer their pairwise dependence questions with matrix
-	// loads instead of re-deriving them per query.
-	ddg := deps.Build(uw.Ops)
-	pri := deps.NewPriority(ddg)
+	// The DDG is rebuilt over the phase-1 schedule's current operand
+	// state, so the break and refill passes rank by priority over the
+	// registers phase 1's copy propagation and renaming left behind.
+	pri := deps.NewPriority(deps.Build(uw.Ops))
+	// One transformation context serves both passes, so CrossCheck
+	// verifies their summary fast paths as it does core's.
+	pctx := ps.NewCtx(g, cfg.Machine, uw.ExitLive)
+	pctx.CrossCheck = cfg.CrossCheck
 
-	breaks, err := breakNodes(ctx, g, target, pri, ddg, uw.ExitLive)
+	breaks, err := breakNodes(ctx, pctx, pri)
 	if err != nil {
 		return nil, err
 	}
-	if err := refill(ctx, g, target, pri, ddg, uw.ExitLive, breaks); err != nil {
+	if err := refill(ctx, pctx, pri, breaks); err != nil {
 		return nil, err
 	}
 	for _, n := range g.MainChain() {
@@ -94,7 +95,8 @@ func From(ctx context.Context, res *pipeline.Result, cfg pipeline.Config) (*pipe
 // lowest-priority demotable operations out of every over-wide node into
 // freshly inserted break nodes below it, cascading so that no demoted
 // operation lands beside a dependence partner.
-func breakNodes(ctx context.Context, g *graph.Graph, m machine.Machine, pri *deps.Priority, ddg *deps.DDG, exitLive map[ir.Reg]bool) ([]*graph.Node, error) {
+func breakNodes(ctx context.Context, pctx *ps.Ctx, pri *deps.Priority) ([]*graph.Node, error) {
+	g, m := pctx.G, pctx.M
 	var all []*graph.Node
 	if m.InfiniteOps() {
 		return all, nil
@@ -109,17 +111,17 @@ func breakNodes(ctx context.Context, g *graph.Graph, m machine.Machine, pri *dep
 		}
 		var breaks []*graph.Node
 		for !m.FitsOps(n.OpCount()) {
-			op := pickDemotable(g, n, pri, exitLive)
+			op := pickDemotable(g, n, pri, pctx.ExitLive)
 			if op == nil {
 				break
 			}
-			demote(g, n, op, &breaks, m, ddg)
+			demote(g, n, op, &breaks, m)
 		}
 		// Ops that cannot safely move below (stores guarded by the
 		// node's own branch, values live on its exit paths) are instead
 		// promoted into fresh rows above — an exact percolation move.
 		if !m.FitsOps(n.OpCount()) {
-			breaks = append(breaks, promoteExcess(g, n, pri, ddg, exitLive, m)...)
+			breaks = append(breaks, promoteExcess(pctx, n, pri)...)
 		}
 		all = append(all, breaks...)
 	}
@@ -178,9 +180,8 @@ func defLiveOffPath(g *graph.Graph, v *graph.Vertex, cont *graph.Vertex, reg ir.
 // over-wide node into fresh rows inserted above it, using the ordinary
 // move-op transformation (which is exact for root ops). Returns the new
 // rows so the refill pass can also consider them.
-func promoteExcess(g *graph.Graph, n *graph.Node, pri *deps.Priority, ddg *deps.DDG, exitLive map[ir.Reg]bool, m machine.Machine) []*graph.Node {
-	ctx := ps.NewCtx(g, m, exitLive)
-	ctx.D = ddg
+func promoteExcess(ctx *ps.Ctx, n *graph.Node, pri *deps.Priority) []*graph.Node {
+	g, m := ctx.G, ctx.M
 	var made []*graph.Node
 	for !m.FitsOps(n.OpCount()) {
 		pre := g.InsertBefore(n)
@@ -216,13 +217,13 @@ func promoteExcess(g *graph.Graph, n *graph.Node, pri *deps.Priority, ddg *deps.
 // demote moves op out of n into the first break node below n where it
 // fits and conflicts with nothing already demoted, extending the break
 // chain as needed.
-func demote(g *graph.Graph, n *graph.Node, op *ir.Op, breaks *[]*graph.Node, m machine.Machine, ddg *deps.DDG) {
+func demote(g *graph.Graph, n *graph.Node, op *ir.Op, breaks *[]*graph.Node, m machine.Machine) {
 	g.RemoveOp(op)
 	for _, b := range *breaks {
 		if !m.FitsOps(b.OpCount() + 1) {
 			continue
 		}
-		if conflicts(b, op, ddg) {
+		if conflicts(b, op) {
 			continue
 		}
 		g.AddOp(op, b.Root)
@@ -245,11 +246,11 @@ func demote(g *graph.Graph, n *graph.Node, op *ir.Op, breaks *[]*graph.Node, m m
 	*breaks = append(*breaks, nb)
 }
 
-func conflicts(b *graph.Node, op *ir.Op, ddg *deps.DDG) bool {
+func conflicts(b *graph.Node, op *ir.Op) bool {
 	bad := false
 	b.Walk(func(v *graph.Vertex) {
 		for _, p := range v.Ops {
-			if ddg.Blocks(p, op) || ddg.Blocks(op, p) {
+			if deps.Blocks(p, op) || deps.Blocks(op, p) {
 				bad = true
 			}
 		}
@@ -264,9 +265,8 @@ func conflicts(b *graph.Node, op *ir.Op, ddg *deps.DDG) bool {
 // machinery and no global re-ranking. The locality of this pass (it
 // revisits neither the rest of the schedule nor its own decisions) is
 // what the paper identifies as POST's weakness.
-func refill(ctx context.Context, g *graph.Graph, m machine.Machine, pri *deps.Priority, ddg *deps.DDG, exitLive map[ir.Reg]bool, targets []*graph.Node) error {
-	pctx := ps.NewCtx(g, m, exitLive)
-	pctx.D = ddg
+func refill(ctx context.Context, pctx *ps.Ctx, pri *deps.Priority, targets []*graph.Node) error {
+	g, m := pctx.G, pctx.M
 	for _, n := range targets {
 		if err := ctx.Err(); err != nil {
 			return err

@@ -2,8 +2,11 @@ package post
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/livermore"
 	"repro/internal/machine"
 	"repro/internal/pipeline"
@@ -63,4 +66,56 @@ func TestPostNeverBeatsBoundlessGrip(t *testing.T) {
 	if res.CyclesPerIter < 0.999 {
 		t.Fatalf("POST rate %.3f cycles/iter beats the branch-slot floor", res.CyclesPerIter)
 	}
+}
+
+// TestFromCrossChecksRefillProbes: under CrossCheck, POST's own moves
+// verify their summary fast paths as core's moves do. The phase-1
+// clone is desynchronized with bare operand rewrites — in every row the
+// post-pass will not break, one root op now reads another's
+// destination behind the summaries' back — so the refill probes'
+// move-past-read fast path misses a reader the reference scan sees,
+// and From must panic.
+func TestFromCrossChecksRefillProbes(t *testing.T) {
+	k := livermore.ByName("LL1")
+	cfg := pipeline.DefaultConfig(machine.New(2))
+	phase1, err := pipeline.PerfectPipeline(context.Background(), k.Spec, Phase1Config(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	desynced := func() *pipeline.Result {
+		res := phase1.Clone()
+		var useBuf [3]ir.Reg
+		for _, n := range res.Unwound.G.MainChain() {
+			if n.Drain || !cfg.Machine.FitsOps(n.OpCount()) {
+				continue
+			}
+			ops := n.Root.Ops
+			for i, a := range ops {
+				b := ops[(i+1)%len(ops)]
+				if b == a || a.Def() == ir.NoReg || a.Frozen || b.Frozen {
+					continue
+				}
+				if uses := b.Uses(useBuf[:0]); len(uses) > 0 {
+					b.ReplaceUse(uses[0], a.Def()) // bare: the summary misses it
+					break
+				}
+			}
+		}
+		return res
+	}
+
+	if _, err := From(context.Background(), desynced(), cfg); err != nil {
+		t.Fatal(err) // unchecked, the desync goes unnoticed
+	}
+	cfg.CrossCheck = true
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("From under CrossCheck ran a desynchronized summary unchecked")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "move-past-read") {
+			t.Fatalf("panic %q, want the move-past-read cross-check", msg)
+		}
+	}()
+	From(context.Background(), desynced(), cfg)
 }

@@ -54,11 +54,8 @@ func (c *Ctx) TryMoveCJUp(cj *ir.Op, commit bool) Block {
 	if !commit {
 		return blockNone
 	}
-	if len(rewrites) > 0 {
-		for _, rw := range rewrites {
-			c.G.ReplaceUse(cj, rw.from, rw.to)
-		}
-		c.noteRewrite(cj)
+	for _, rw := range rewrites {
+		c.G.ReplaceUse(cj, rw.from, rw.to)
 	}
 
 	// Detach the incoming edge, dissolve the node, and rebuild the two

@@ -75,11 +75,8 @@ func (c *Ctx) TryMoveOpUp(op *ir.Op, commit bool, excluding *ir.Op) Block {
 	if !commit {
 		return blockNone
 	}
-	if len(rewrites) > 0 {
-		for _, rw := range rewrites {
-			c.G.ReplaceUse(op, rw.from, rw.to)
-		}
-		c.noteRewrite(op)
+	for _, rw := range rewrites {
+		c.G.ReplaceUse(op, rw.from, rw.to)
 	}
 	c.G.MoveOp(op, leaf)
 	c.Moves++

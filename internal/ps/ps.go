@@ -75,13 +75,10 @@ type Ctx struct {
 	// write-live test for speculative hoisting.
 	ExitLive map[ir.Reg]bool
 
-	// D, when set, is the dependence graph of the program being
-	// transformed. The transformations do not consult it — their
-	// legality scans read the live registers — but they report every
-	// committed operand rewrite (copy propagation, renaming) to it so
-	// its precomputed bit-matrices know which ops went stale. Set it
-	// only when something queries those matrices after the rewrites
-	// (POST, unifiable); GRiP's priority reads build-time counts only.
+	// D is unread: the transformations' legality scans read the live
+	// registers, and nothing in this package consults a dependence
+	// graph. It stays only because gripbench/replica.go assigns it;
+	// delete it once that assignment goes.
 	D *deps.DDG
 
 	// CrossCheck runs the retained reference dependence scans next to
@@ -99,22 +96,6 @@ type Ctx struct {
 	CJMoves int // successful move-cj steps
 	Splices int // empty nodes removed
 	Renames int // renaming transformations applied
-
-	// plCache memoizes predLeaf per target node within one graph
-	// version: legality probes burst against the same few frontier
-	// nodes between mutations (the Gapless-move search alone asks
-	// about one node once per candidate), and each miss re-walks
-	// SinglePred + LeafTo. Version stamps make entries self-
-	// invalidating; collisions just recompute.
-	plCache [64]predLeafEntry
-}
-
-type predLeafEntry struct {
-	n       *graph.Node
-	version uint64
-	t       *graph.Node
-	leaf    *graph.Vertex
-	blk     Block
 }
 
 // NewCtx returns a transformation context.
@@ -125,14 +106,6 @@ func NewCtx(g *graph.Graph, m machine.Machine, exitLive map[ir.Reg]bool) *Ctx {
 	return &Ctx{G: g, M: m, ExitLive: exitLive}
 }
 
-// noteRewrite records that op's operands were just rewritten, keeping
-// the dependence matrices honest.
-func (c *Ctx) noteRewrite(op *ir.Op) {
-	if c.D != nil {
-		c.D.MarkRewritten(op)
-	}
-}
-
 // predLeaf returns the unique predecessor node of n and the leaf in it
 // that points at n, or a structural block. Percolation moves operations
 // up one edge at a time; a node reached by several edges would need the
@@ -140,22 +113,7 @@ func (c *Ctx) noteRewrite(op *ir.Op) {
 // schedules never require (every node has one predecessor until the loop
 // is re-formed).
 func (c *Ctx) predLeaf(n *graph.Node) (*graph.Node, *graph.Vertex, Block) {
-	e := &c.plCache[uint(n.ID)&63]
-	if e.n != n || e.version != c.G.Version() {
-		c.predLeafFill(n, e)
-	}
-	return e.t, e.leaf, e.blk
-}
-
-// predLeafFill recomputes a missed cache entry. Kept out of predLeaf so
-// the hit path stays within the inlining budget.
-func (c *Ctx) predLeafFill(n *graph.Node, e *predLeafEntry) {
-	t, leaf, blk := predLeafEval(c.G, n)
-	*e = predLeafEntry{n: n, version: c.G.Version(), t: t, leaf: leaf, blk: blk}
-}
-
-func predLeafEval(g *graph.Graph, n *graph.Node) (*graph.Node, *graph.Vertex, Block) {
-	t := g.SinglePred(n)
+	t := c.G.SinglePred(n)
 	if t == nil || t == n {
 		return nil, nil, Block{Kind: BlockStructure}
 	}

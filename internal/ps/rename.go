@@ -52,10 +52,6 @@ func (c *Ctx) TryMoveOpUpRenamed(op *ir.Op) Block {
 	// destination (a bare op.Dst assignment on a placed op is now a
 	// summary-desync bug that Validate catches).
 	c.G.RetargetDef(op, r)
-	// The retarget invalidates op's rows in any precomputed dependence
-	// matrix; the mark stays even if the move below is reverted
-	// (conservative, never stale).
-	c.noteRewrite(op)
 	c.G.AddOp(compensation, v)
 	c.Renames++
 

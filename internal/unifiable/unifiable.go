@@ -51,7 +51,6 @@ type sched struct {
 	ctx   *ps.Ctx
 	inner *ps.Ctx // same graph, infinite intermediate resources
 	pri   *deps.Priority
-	ddg   *deps.DDG
 	opts  Options
 	stats Stats
 	steps int
@@ -63,13 +62,9 @@ func Schedule(ctx *ps.Ctx, ops []*ir.Op, pri *deps.Priority, opts Options) (Stat
 	if opts.MaxSteps <= 0 {
 		opts.MaxSteps = defaultMaxSteps
 	}
-	// Set-recomputation probes go through the DDG's dependence matrix;
-	// registering it with the transformation contexts keeps it honest
-	// across copy-propagation rewrites.
-	ctx.D = pri.DDG()
 	inner := *ctx
 	inner.M = machine.Infinite().WithBranchSlots(ctx.M.BranchSlots)
-	s := &sched{ctx: ctx, inner: &inner, pri: pri, ddg: pri.DDG(), opts: opts}
+	s := &sched{ctx: ctx, inner: &inner, pri: pri, opts: opts}
 
 	g := ctx.G
 	for n := g.Entry; n != nil; {
@@ -168,13 +163,13 @@ func (s *sched) clearPathTo(n *graph.Node, op *ir.Op, home *graph.Node) bool {
 					continue
 				}
 				s.stats.SetWork++
-				if s.ddg.Serializes(p, op) {
+				if deps.Serializes(p, op) {
 					ok = false
 				}
 			}
 			if v.CJ != nil && v.CJ != op {
 				s.stats.SetWork++
-				if s.ddg.Serializes(v.CJ, op) {
+				if deps.Serializes(v.CJ, op) {
 					ok = false
 				}
 				if op.IsBranch() && m != home {
