@@ -121,7 +121,8 @@ func ListSchedule(loop *Loop, m MachineModel) *listsched.Result {
 
 // SchedResult is the result every registered scheduling backend
 // reports: normalized metrics plus an optional raw attachment
-// (requested via SchedRequest.Want, accessed via Raw/CloneRaw).
+// (requested via SchedRequest.Want, accessed via Raw). No cache holds
+// the attachment, so it belongs to the caller that asked for it.
 type SchedResult = sched.Result
 
 // SchedMetrics is the normalized, serializable metrics tier of a
@@ -164,11 +165,12 @@ type BatchOutcome = batch.Outcome
 // and an optional shared result cache with single-flight dedup.
 type BatchOptions = batch.Options
 
-// BatchCache is the thread-safe tiered result store keyed by
-// (technique, loop fingerprint, machine fingerprint, config
-// fingerprint): an in-memory metrics tier plus a capped raw tier,
-// optionally backed by a persistent on-disk tier (AttachDisk),
-// deduplicating identical in-flight computations.
+// BatchCache is the thread-safe metrics cache keyed by (technique,
+// loop fingerprint, machine fingerprint, config fingerprint): an
+// in-memory LRU, optionally backed by a persistent on-disk tier
+// (AttachDisk), deduplicating identical in-flight computations. It
+// answers only metrics-only jobs without CrossCheck; every other job
+// computes.
 type BatchCache = batch.Cache
 
 // Schedulers lists the registered scheduling techniques ("grip",

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/deps"
@@ -211,6 +212,35 @@ func TestScheduleCrossCheck(t *testing.T) {
 	}
 	if err := pctx.G.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCrossCheckPickDivergencePanics clears one eligible op's selector
+// bit behind the structure's back. Under CrossCheck the next pick then
+// diverges from the reference scan, and scheduleNode must panic with
+// the divergence, the failure format of the ps reference checks.
+func TestCrossCheckPickDivergencePanics(t *testing.T) {
+	pctx, ops, pri := buildStraightLine(8, 2)
+	s := newScheduler(context.Background(), pctx, ops, pri,
+		Options{MaxSteps: DefaultMaxSteps, CrossCheck: true})
+	defer pctx.G.SetOpHomeHook(s.prevHook)
+	entry := pctx.G.Entry
+	s.bumpGen()
+	op := s.chooseOp(entry, true, true)
+	if op == nil || op.IsBranch() {
+		t.Fatalf("scenario: want an eligible plain op below the entry, got %v", op)
+	}
+	s.opSel.Remove(int(s.rankOf[op.Index]))
+
+	var returned error
+	recovered := func() (v any) {
+		defer func() { v = recover() }()
+		returned = s.scheduleNode(entry)
+		return nil
+	}()
+	err, ok := recovered.(error)
+	if !ok || !strings.Contains(err.Error(), "candidate structure diverged") {
+		t.Fatalf("scheduleNode panicked with %v and returned %v; want a panic with the pick divergence", recovered, returned)
 	}
 }
 

@@ -54,8 +54,8 @@ type Options struct {
 
 	// CrossCheck runs the retained reference implementation of the
 	// Moveable-ops scan (a full rescan of the ranked list) next to the
-	// incremental candidate structure and fails the schedule on the
-	// first divergence — picks, the rule-3 suspension bound, and the
+	// incremental candidate structure and panics on the first
+	// divergence — picks, the rule-3 suspension bound, and the
 	// structure's internal invariants are all compared per pick. A
 	// testing hook: it turns every pick into an O(n) recheck.
 	CrossCheck bool
@@ -324,8 +324,11 @@ func (s *scheduler) scheduleNode(n *graph.Node) error {
 		}
 		op := s.chooseOp(n, opRoom, brRoom)
 		if s.refRanked != nil {
+			// A divergence panics, as the ps reference checks do, so the
+			// batch engine reports every CrossCheck failure alike: a
+			// *sched.PanicError with its stack.
 			if err := s.crossCheckPick(n, opRoom, brRoom, op); err != nil {
-				return err
+				panic(err)
 			}
 		}
 		if op == nil {
@@ -410,10 +413,11 @@ func (s *scheduler) lowestSuspendedPosRescan() (float64, bool) {
 	return low, have
 }
 
-// crossCheckPick asserts, under Options.CrossCheck, that the candidate
+// crossCheckPick checks, under Options.CrossCheck, that the candidate
 // structure and the reference scan agree on the pick, that the
 // incremental rule-3 bound matches a rescan, and that the structure's
-// invariants hold.
+// invariants hold. It returns the first disagreement; scheduleNode
+// panics with it.
 func (s *scheduler) crossCheckPick(n *graph.Node, opRoom, brRoom bool, got *ir.Op) error {
 	want := s.chooseOpReference(n, opRoom, brRoom)
 	if got != want {

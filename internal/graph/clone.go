@@ -85,8 +85,7 @@ func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 	for n := range g.nodes {
 		nodeArena = append(nodeArena, Node{
 			ID: n.ID, Drain: n.Drain, pos: n.pos,
-			opCount: n.opCount, branchCount: n.branchCount,
-			schedCount: n.schedCount, g: ng,
+			opCount: n.opCount, branchCount: n.branchCount, g: ng,
 		})
 		nc := &nodeArena[len(nodeArena)-1]
 		if len(n.iterCounts) > 0 {

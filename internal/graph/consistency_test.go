@@ -269,10 +269,7 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 
 			// Spot-check the O(1) reads against explicit recounts.
 			for _, n := range liveNodes() {
-				wantSched, wantIters := n.recountSched()
-				if n.SchedCount() != wantSched {
-					t.Fatalf("SchedCount() = %d, recount %d", n.SchedCount(), wantSched)
-				}
+				wantIters := n.recountIters()
 				for iter := -1; iter < 6; iter++ {
 					if got, want := n.IterCount(iter), int(wantIters[iter+1]); got != want {
 						t.Fatalf("IterCount(%d) = %d, recount %d", iter, got, want)

@@ -287,10 +287,10 @@ func (g *Graph) RemoveOp(op *ir.Op) {
 }
 
 // FreezeOp marks a placed operation Frozen, maintaining the per-node
-// schedulable counts. The Frozen flag of a placed op must never be
-// flipped directly: the incremental caches depend on the graph seeing
-// the transition. (Ops frozen before placement — drain clones, epilogue
-// copies — just go through AddOp as usual.)
+// per-iteration counts (IterCount). The Frozen flag of a placed op must
+// never be flipped directly: the incremental caches depend on the graph
+// seeing the transition. (Ops frozen before placement — drain clones,
+// epilogue copies — just go through AddOp as usual.)
 func (g *Graph) FreezeOp(op *ir.Op) {
 	v := g.loc(op)
 	if v == nil {
@@ -395,7 +395,7 @@ func (g *Graph) AdoptSubtree(n *Node, sub *Vertex) {
 	}
 	sub.parent = nil
 	n.Root = sub
-	n.resetSchedCounts()
+	n.resetIterCounts()
 	ops, branches := 0, 0
 	var adopt func(v *Vertex)
 	adopt = func(v *Vertex) {

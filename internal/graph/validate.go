@@ -118,10 +118,7 @@ func (g *Graph) Validate() error {
 		if got := n.recountBranches(); got != n.BranchCount() {
 			return fmt.Errorf("n%d: cached branch count %d, recount %d", n.ID, n.BranchCount(), got)
 		}
-		gotSched, gotIters := n.recountSched()
-		if gotSched != n.SchedCount() {
-			return fmt.Errorf("n%d: cached sched count %d, recount %d", n.ID, n.SchedCount(), gotSched)
-		}
+		gotIters := n.recountIters()
 		for i, c := range n.iterCounts {
 			if c < 0 {
 				return fmt.Errorf("n%d: negative count %d for iteration %d", n.ID, c, i-1)

@@ -51,11 +51,12 @@ type FailureClass string
 
 const (
 	// FailPanic: the backend panicked (recovered into *sched.PanicError).
+	// A CrossCheck divergence between a fast path and its reference
+	// panics, so it lands here.
 	FailPanic FailureClass = "panic"
 	// FailTimeout: the job exceeded its per-job wall budget.
 	FailTimeout FailureClass = "timeout"
-	// FailError: the backend returned an error (includes cross-check
-	// divergences surfaced as errors rather than panics).
+	// FailError: the backend returned an error.
 	FailError FailureClass = "error"
 	// FailMismatch: the scheduled program computed different observable
 	// state than the original loop.
@@ -214,7 +215,7 @@ func CheckLoop(ctx context.Context, spec *ir.LoopSpec, opts FuzzOptions) (*LoopV
 				o.Result.CyclesPerIter, o.Result.Speedup))
 			continue
 		}
-		if res, ok := o.Result.CloneRaw().(*pipeline.Result); ok {
+		if res, ok := o.Result.Raw().(*pipeline.Result); ok {
 			// Semantic oracle for the pipelining techniques.
 			if err := validateFuzzResult(res, vars, arrays); err != nil {
 				class := FailMismatch

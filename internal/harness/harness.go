@@ -7,8 +7,8 @@
 //
 // All cells run through the sched registry and the sched/batch engine:
 // the table is a job matrix executed by a worker pool, and a
-// process-wide result cache makes revisited cells (summary reruns,
-// validation passes, bench sweeps, config sweeps) free. Cell values are
+// process-wide metrics cache makes revisited cells (bench reruns,
+// config sweeps, figure passes) free. Cell values are
 // independent of worker count and execution order — every technique is
 // a pure function of (loop, machine, configuration) — so parallel runs
 // are bit-identical to sequential ones.
@@ -29,13 +29,11 @@ import (
 )
 
 // defaultCache is shared by every harness entry point in the process,
-// so a cell scheduled for the table is not re-scheduled for a summary
-// pass or a bench rerun. The store is two-tier: metrics are tiny
-// comparable values, so the metrics tier is sized to retain every
-// fingerprint a process plausibly touches (full tables, sweeps over
-// many configurations); raw scheduled graphs — megabytes each, wanted
-// only by validation and figure paths — live in the store's capped
-// raw tier and are recomputed when evicted.
+// so a cell scheduled for the table is not re-scheduled for a figure
+// pass or a bench rerun. It holds metrics only — tiny comparable
+// values — and is sized to retain every fingerprint a process
+// plausibly touches (full tables, sweeps over many configurations).
+// Jobs that want a scheduled graph (validation) compute it afresh.
 var defaultCache = batch.NewCache(8192)
 
 // SharedCache returns the process-wide result cache the harness runs
@@ -140,42 +138,24 @@ func cellOf(k *livermore.Kernel, fus int, outs []batch.Outcome) (Cell, error) {
 	return c, nil
 }
 
-// RunCell measures one loop at one FU count with the given techniques
-// under the paper-default configuration.
-func RunCell(k *livermore.Kernel, fus int, techniques []string) (Cell, error) {
-	outs, err := batch.Run(context.Background(), cellJobs(k, fus, techniques, sched.Config{}),
-		batch.Options{Cache: defaultCache})
-	if err != nil {
-		return Cell{}, err
-	}
-	return cellOf(k, fus, outs)
-}
-
-// ValidateCell runs the GRiP pipeline for a cell under cfg (through
-// the shared cache, so a cell already scheduled for the table costs
-// nothing — the config joins the cache key, so the validated schedule
-// is exactly the one the table displayed) and proves the scheduled
-// code semantically equivalent to the original loop on the kernel's
-// workload, for full and early-exit trip counts.
+// ValidateCell schedules a cell with GRiP under cfg and proves the
+// scheduled code semantically equivalent to the original loop on the
+// kernel's workload, for full and early-exit trip counts. The config
+// is the table's, so the validated schedule is the one the table
+// displayed. Validation needs the scheduled graph, which no cache
+// holds, so every call schedules the cell afresh.
 func ValidateCell(k *livermore.Kernel, fus int, cfg sched.Config) error {
-	// Validation needs the raw scheduled graph, so the job asks for the
-	// attachment; the cache serves it only when the raw tier still
-	// holds it, and recomputes the cell otherwise — metrics tiers
-	// (memory or disk) never satisfy a WantRaw request.
 	outs, err := batch.Run(context.Background(),
 		[]batch.Job{{Technique: "grip", Spec: k.Spec, Machine: machine.New(fus), Config: cfg,
 			Label: k.Name, Want: sched.WantRaw}},
-		batch.Options{Cache: defaultCache})
+		batch.Options{})
 	if err != nil {
 		return err
 	}
 	if outs[0].Err != nil {
 		return outs[0].Err
 	}
-	// CloneRaw, not Raw: cached attachments are shared read-only, and
-	// simulation setup (InitState) allocates array IDs on the result's
-	// allocator.
-	res := outs[0].Result.CloneRaw().(*pipeline.Result)
+	res := outs[0].Result.Raw().(*pipeline.Result)
 	u := int64(res.U)
 	trips := []int64{k.Spec.Start + 1, k.Spec.Start + u/3, k.Spec.Start + u}
 	return pipeline.ValidateSemantics(res, k.Vars, k.Arrays(res.U+16), trips)

@@ -9,7 +9,6 @@ type Alloc struct {
 	nextArray Array
 	nextOp    int
 	regNames  map[Reg]string
-	arrNames  map[Array]string
 	arrByName map[string]Array
 }
 
@@ -20,7 +19,6 @@ func NewAlloc() *Alloc {
 		nextArray: 1,
 		nextOp:    1,
 		regNames:  make(map[Reg]string),
-		arrNames:  make(map[Array]string),
 		arrByName: make(map[string]Array),
 	}
 }
@@ -42,7 +40,6 @@ func (a *Alloc) Array(name string) Array {
 	}
 	id := a.nextArray
 	a.nextArray++
-	a.arrNames[id] = name
 	a.arrByName[name] = id
 	return id
 }
@@ -60,14 +57,6 @@ func (a *Alloc) RegName(r Reg) string {
 		return n
 	}
 	return fmt.Sprintf("r%d", r)
-}
-
-// ArrayName returns the debug name of arr, or "A<n>".
-func (a *Alloc) ArrayName(arr Array) string {
-	if n, ok := a.arrNames[arr]; ok {
-		return n
-	}
-	return fmt.Sprintf("A%d", arr)
 }
 
 // NumRegs reports how many registers have been allocated.

@@ -77,14 +77,10 @@ func (a *Alloc) Clone() *Alloc {
 		nextArray: a.nextArray,
 		nextOp:    a.nextOp,
 		regNames:  make(map[Reg]string, len(a.regNames)),
-		arrNames:  make(map[Array]string, len(a.arrNames)),
 		arrByName: make(map[string]Array, len(a.arrByName)),
 	}
 	for k, v := range a.regNames {
 		c.regNames[k] = v
-	}
-	for k, v := range a.arrNames {
-		c.arrNames[k] = v
 	}
 	for k, v := range a.arrByName {
 		c.arrByName[k] = v

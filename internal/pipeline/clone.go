@@ -69,9 +69,3 @@ func (r *Result) Clone() *Result {
 	}
 	return &c
 }
-
-// CloneRaw implements sched.RawCloner: results shared through result
-// caches are read-only, and consumers that need a mutable copy (the
-// validation path allocates array IDs on the result's allocator) take
-// one through this.
-func (r *Result) CloneRaw() any { return r.Clone() }

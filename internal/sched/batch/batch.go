@@ -1,11 +1,11 @@
 // Package batch executes scheduling jobs against the sched registry
 // concurrently: a worker pool with configurable parallelism, context
-// cancellation, per-job timeouts, and a tiered result store (memory →
-// optional disk → compute; see internal/sched/store) with single-flight
-// dedup keyed by a canonical fingerprint of (technique, loop spec,
-// machine, configuration), so repeated cells — bench reruns, Table 1
-// summary recomputations, validation passes, config sweeps — cost
-// nothing, across processes once a disk tier is attached.
+// cancellation, per-job timeouts, and a metrics cache (memory →
+// optional disk → compute; see Cache) with single-flight dedup keyed
+// by a canonical fingerprint of (technique, loop spec, machine,
+// configuration), so repeated table cells — bench reruns, config
+// sweeps — cost nothing, across processes once a disk tier is
+// attached.
 package batch
 
 import (
@@ -41,9 +41,9 @@ type Job struct {
 	Label string
 	// Want hints whether this job needs the raw attachment (validation
 	// paths do; table cells do not). It is retention advice, not
-	// experiment identity, so it does not participate in Key — but the
-	// cache serves a WantRaw job from a tier only when the raw
-	// attachment is actually resident there.
+	// experiment identity, so it does not participate in Key. The cache
+	// holds metrics only, so a WantRaw job always computes and neither
+	// reads nor writes it.
 	Want sched.Want
 }
 
@@ -98,13 +98,12 @@ type Options struct {
 	// context effectively has no timeout; all registered techniques
 	// check.)
 	Timeout time.Duration
-	// Cache, when set, is consulted before running a job and updated
-	// after a success. Callers can share one cache across batches.
-	// Identical in-flight jobs (same fingerprint key) share one
+	// Cache, when set, is consulted before running a metrics-only job
+	// and updated after a success. Callers can share one cache across
+	// batches. Identical in-flight jobs (same fingerprint key) share one
 	// computation — single-flight dedup — so submitting duplicates is
-	// merely redundant, not wasteful. Jobs with Config.CrossCheck set
-	// bypass it entirely: their point is to run the reference checks,
-	// which a hit would skip, and CrossCheck is not part of the key.
+	// merely redundant, not wasteful. WantRaw and CrossCheck jobs bypass
+	// it entirely (see runOne).
 	Cache *Cache
 }
 
@@ -207,8 +206,13 @@ func runOne(ctx context.Context, j Job, opts Options, cut *atomic.Bool) Outcome 
 		return s.Schedule(runCtx, j.Request())
 	}
 	start := time.Now()
-	if opts.Cache != nil && !j.Config.CrossCheck {
-		out.Result, out.Tier, out.Err = opts.Cache.GetOrCompute(runCtx, j.Key(), j.Want, compute)
+	// The cache answers only metrics-only, unchecked jobs. It holds no
+	// graphs, so a WantRaw job computes and its attachment belongs to
+	// this caller alone. A CrossCheck job exists to run the reference
+	// checks, which a hit would skip, and CrossCheck is not part of the
+	// key. Neither reads nor writes the cache.
+	if opts.Cache != nil && j.Want == sched.WantMetrics && !j.Config.CrossCheck {
+		out.Result, out.Tier, out.Err = opts.Cache.GetOrCompute(runCtx, j.Key(), compute)
 		out.CacheHit = out.Tier != TierCompute
 		if !out.CacheHit {
 			out.Wall = time.Since(start)

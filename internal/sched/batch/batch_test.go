@@ -188,23 +188,39 @@ func TestCrossCheckNeverServedFromCache(t *testing.T) {
 	}
 }
 
+// TestCacheLRUEviction fills a two-entry cache through the engine:
+// the least recently used key is evicted and recomputes on its next
+// run, while a key refreshed by a hit stays resident.
 func TestCacheLRUEviction(t *testing.T) {
+	stubs()
+	countStub.calls.Store(0)
 	c := batch.NewCache(2)
-	r := sched.NewResult(sched.Metrics{}, nil)
-	c.Put("a", r)
-	c.Put("b", r)
-	if _, ok := c.Get("a"); !ok { // refresh a
-		t.Fatal("a missing")
+	run := func(name string) batch.Tier {
+		t.Helper()
+		job := batch.Job{Technique: "test-count", Spec: tinyLoop(name), Machine: machine.New(2)}
+		outs, err := batch.Run(context.Background(), []batch.Job{job}, batch.Options{Cache: c})
+		if err != nil || outs[0].Err != nil {
+			t.Fatalf("%s: %v %v", name, err, outs[0].Err)
+		}
+		return outs[0].Tier
 	}
-	c.Put("c", r) // evicts b
-	if _, ok := c.Get("b"); ok {
-		t.Error("b survived eviction")
+	run("a")
+	run("b")
+	if tier := run("a"); tier != batch.TierMemory { // refresh a
+		t.Fatalf("a served by %v, want memory", tier)
 	}
-	if _, ok := c.Get("a"); !ok {
-		t.Error("a was evicted despite recent use")
+	run("c") // evicts b
+	if tier := run("a"); tier != batch.TierMemory {
+		t.Errorf("a served by %v: evicted despite recent use", tier)
 	}
-	if _, ok := c.Get("c"); !ok {
-		t.Error("c missing")
+	if tier := run("c"); tier != batch.TierMemory {
+		t.Errorf("c served by %v, want memory", tier)
+	}
+	if tier := run("b"); tier != batch.TierCompute {
+		t.Errorf("b served by %v: survived eviction", tier)
+	}
+	if got := countStub.calls.Load(); got != 4 {
+		t.Errorf("scheduler ran %d times, want 4 (a, b, c, and b again)", got)
 	}
 	if c.Len() != 2 {
 		t.Errorf("Len = %d, want 2", c.Len())
@@ -523,6 +539,13 @@ func TestParallelBitIdentical(t *testing.T) {
 	}
 }
 
+// diskCache returns a cache whose memory tier sits over disk.
+func diskCache(disk store.Store) *batch.Cache {
+	c := batch.NewCache(64)
+	c.AttachDisk(disk)
+	return c
+}
+
 // TestDiskTierServesSecondCache simulates the cross-process warm run:
 // a fresh cache sharing the first cache's disk directory must serve
 // every cell from the disk tier without calling the scheduler, with
@@ -535,7 +558,7 @@ func TestDiskTierServesSecondCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := batch.NewTieredCache(64, 0, disk1)
+	cold := diskCache(disk1)
 	countStub.calls.Store(0)
 	var jobs []batch.Job
 	for i := 0; i < 4; i++ {
@@ -555,7 +578,7 @@ func TestDiskTierServesSecondCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := batch.NewTieredCache(64, 0, disk2)
+	warm := diskCache(disk2)
 	second, err := batch.Run(context.Background(), jobs, batch.Options{Cache: warm})
 	if err != nil {
 		t.Fatal(err)
@@ -604,7 +627,7 @@ func TestCorruptDiskEntryRecomputesWithoutPoisoning(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := batch.Job{Technique: "test-count", Spec: tinyLoop("corrupt"), Machine: machine.New(2)}
-	cold := batch.NewTieredCache(64, 0, disk)
+	cold := diskCache(disk)
 	first, err := batch.Run(context.Background(), []batch.Job{job}, batch.Options{Cache: cold})
 	if err != nil || first[0].Err != nil {
 		t.Fatalf("cold run: %v %v", err, first[0].Err)
@@ -626,7 +649,7 @@ func TestCorruptDiskEntryRecomputesWithoutPoisoning(t *testing.T) {
 	}
 
 	before := countStub.calls.Load()
-	fresh := batch.NewTieredCache(64, 0, disk)
+	fresh := diskCache(disk)
 	warm, err := batch.Run(context.Background(), []batch.Job{job}, batch.Options{Cache: fresh})
 	if err != nil || warm[0].Err != nil {
 		t.Fatalf("recompute run: %v %v", err, warm[0].Err)
@@ -642,7 +665,7 @@ func TestCorruptDiskEntryRecomputesWithoutPoisoning(t *testing.T) {
 	}
 	// The rewrite healed the disk slot: a third cache now disk-hits.
 	again, err := batch.Run(context.Background(), []batch.Job{job},
-		batch.Options{Cache: batch.NewTieredCache(64, 0, disk)})
+		batch.Options{Cache: diskCache(disk)})
 	if err != nil || again[0].Err != nil {
 		t.Fatal(err, again[0].Err)
 	}
@@ -650,82 +673,75 @@ func TestCorruptDiskEntryRecomputesWithoutPoisoning(t *testing.T) {
 		t.Errorf("healed entry served from %v, want disk", again[0].Tier)
 	}
 	// The memory tier of the recomputing cache holds the good value.
-	if res, ok := fresh.Get(job.Key()); !ok || res.Metrics != first[0].Result.Metrics {
-		t.Error("memory tier poisoned or empty after corrupt-entry recompute")
+	mem, err := batch.Run(context.Background(), []batch.Job{job}, batch.Options{Cache: fresh})
+	if err != nil || mem[0].Err != nil {
+		t.Fatal(err, mem[0].Err)
+	}
+	if mem[0].Tier != batch.TierMemory || mem[0].Result.Metrics != first[0].Result.Metrics {
+		t.Errorf("memory tier poisoned or empty after corrupt-entry recompute: tier %v, %+v", mem[0].Tier, mem[0].Result.Metrics)
 	}
 	if disk.Stats().Rejected == 0 {
 		t.Error("corrupt entry not counted as rejected")
 	}
 }
 
-// TestWantRawServedOnlyWithAttachment pins the raw-tier contract: a
-// metrics-only cache entry (memory or disk) cannot satisfy a WantRaw
-// job — the cell recomputes, attaches, and only then do raw requests
-// hit; and the raw tier stays within its cap while the metrics tier
-// retains every fingerprint.
-func TestWantRawServedOnlyWithAttachment(t *testing.T) {
-	dir := t.TempDir()
-	disk, err := store.OpenDisk(dir)
+// TestWantRawBypassesCache pins the cache rule for WantRaw jobs: the
+// cache holds metrics only, so a job that wants the scheduled graph
+// computes every time, even when its metrics are cached in memory and
+// on disk, returns a graph of its own, and neither reads nor writes
+// any tier.
+func TestWantRawBypassesCache(t *testing.T) {
+	disk, err := store.OpenDisk(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := batch.NewTieredCache(64, 2, disk)
+	cache := diskCache(disk)
 	mk := func(name string, want sched.Want) batch.Job {
 		return batch.Job{Technique: "grip", Spec: tinyLoop(name), Machine: machine.New(2), Want: want}
 	}
-
-	// Metrics-only first: cached in both tiers, no raw anywhere.
-	outs, err := batch.Run(context.Background(), []batch.Job{mk("rawc", sched.WantMetrics)}, batch.Options{Cache: cache})
-	if err != nil || outs[0].Err != nil {
-		t.Fatal(err, outs[0].Err)
+	run := func(j batch.Job) batch.Outcome {
+		t.Helper()
+		outs, err := batch.Run(context.Background(), []batch.Job{j}, batch.Options{Cache: cache})
+		if err != nil || outs[0].Err != nil {
+			t.Fatal(err, outs[0].Err)
+		}
+		return outs[0]
 	}
-	if outs[0].Result.Raw() != nil {
+
+	// Against a cold cache: computed, and nothing stored.
+	empty := cache.Stats()
+	if o := run(mk("rawcold", sched.WantRaw)); o.Tier != batch.TierCompute || o.CacheHit || o.Result.Raw() == nil {
+		t.Errorf("cold WantRaw job: tier %v, hit %v, graph %v; want a computed graph", o.Tier, o.CacheHit, o.Result.Raw() != nil)
+	}
+	if st := cache.Stats(); cache.Len() != 0 || st != empty {
+		t.Errorf("cold WantRaw job touched the cache: len %d, stats %+v", cache.Len(), st)
+	}
+
+	// Against cached metrics: computed anyway, each time a new graph.
+	cached := run(mk("rawc", sched.WantMetrics))
+	if cached.Result.Raw() != nil {
 		t.Fatal("metrics-only job carries a raw attachment")
 	}
-	metricsOnly := outs[0].Result.Metrics
-
-	// WantRaw on the same key: the metrics tiers must NOT serve it.
-	outs, err = batch.Run(context.Background(), []batch.Job{mk("rawc", sched.WantRaw)}, batch.Options{Cache: cache})
-	if err != nil || outs[0].Err != nil {
-		t.Fatal(err, outs[0].Err)
+	before, beforeLen := cache.Stats(), cache.Len()
+	var graphs []any
+	for i := 0; i < 2; i++ {
+		o := run(mk("rawc", sched.WantRaw))
+		if o.Tier != batch.TierCompute || o.CacheHit {
+			t.Errorf("WantRaw run %d served from %v", i, o.Tier)
+		}
+		if o.Result.Raw() == nil {
+			t.Fatalf("WantRaw run %d returned no graph", i)
+		}
+		if o.Result.Metrics != cached.Result.Metrics {
+			t.Errorf("Want changed the metrics: %+v != %+v", o.Result.Metrics, cached.Result.Metrics)
+		}
+		graphs = append(graphs, o.Result.Raw())
 	}
-	if outs[0].Tier != batch.TierCompute {
-		t.Errorf("WantRaw served from %v despite no resident attachment", outs[0].Tier)
+	if graphs[0] == graphs[1] {
+		t.Error("two WantRaw jobs share one graph")
 	}
-	if outs[0].Result.Raw() == nil {
-		t.Fatal("WantRaw compute returned no attachment")
-	}
-	if outs[0].Result.Metrics != metricsOnly {
-		t.Errorf("Want changed the metrics: %+v != %+v", outs[0].Result.Metrics, metricsOnly)
-	}
-
-	// Now resident: a second WantRaw is a memory hit with the SHARED
-	// attachment (the documented aliasing contract).
-	shared := outs[0].Result.Raw()
-	outs, err = batch.Run(context.Background(), []batch.Job{mk("rawc", sched.WantRaw)}, batch.Options{Cache: cache})
-	if err != nil || outs[0].Err != nil {
-		t.Fatal(err, outs[0].Err)
-	}
-	if outs[0].Tier != batch.TierMemory {
-		t.Errorf("resident raw served from %v, want memory", outs[0].Tier)
-	}
-	if outs[0].Result.Raw() != shared {
-		t.Error("raw tier handed out a different attachment than it stored")
-	}
-
-	// Fill past the raw cap: metrics retained for all, raws for <= cap.
-	var jobs []batch.Job
-	for i := 0; i < 4; i++ {
-		jobs = append(jobs, mk(fmt.Sprintf("rawfill%d", i), sched.WantRaw))
-	}
-	if _, err := batch.Run(context.Background(), jobs, batch.Options{Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
-	if got := cache.RawLen(); got > 2 {
-		t.Errorf("raw tier holds %d attachments, cap is 2", got)
-	}
-	if got := cache.Len(); got != 5 {
-		t.Errorf("metrics tier holds %d entries, want all 5", got)
+	if st := cache.Stats(); st != before || cache.Len() != beforeLen {
+		t.Errorf("WantRaw jobs touched the cache: stats %+v -> %+v, len %d -> %d", before, st, beforeLen, cache.Len())
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/lru"
 	"repro/internal/sched"
 	"repro/internal/sched/store"
 )
@@ -17,8 +18,7 @@ type Tier uint8
 const (
 	// TierCompute: nothing served it — the caller ran the scheduler.
 	TierCompute Tier = iota
-	// TierMemory: the in-process metrics tier (raw tier too, when the
-	// request wanted the raw attachment).
+	// TierMemory: the in-process metrics tier.
 	TierMemory
 	// TierDisk: the persistent metrics tier; the entry was promoted to
 	// the memory tier on the way out.
@@ -42,20 +42,20 @@ func (t Tier) String() string {
 	}
 }
 
-// Cache is the tiered result store the batch engine consults before
-// running a job: memory, then disk (when attached), then compute —
+// Cache is the metrics store the batch engine consults before running
+// a metrics-only job: memory, then disk (when attached), then compute —
 // with write-through on the way back so both tiers see every computed
 // result. Single-flight deduplication is preserved across tiers:
 // concurrent requests for the same key share one computation instead
 // of racing to the same answer.
 //
-// Metrics move between tiers by value, so no two callers ever alias a
-// cached metrics record. Raw attachments live only in the capped
-// in-memory raw tier and ARE shared pointers — the aliasing contract
-// is owned by sched.Result: Raw() is read-only, CloneRaw() for
-// mutation.
+// The cache holds metrics only. They move between tiers by value, so
+// no two callers ever alias a cached record; a computed result reaches
+// the leader's single-flight waiters as the same *sched.Result, which
+// carries no graph because the engine sends only metrics-only jobs
+// here (see runOne).
 type Cache struct {
-	mem *store.Memory
+	mem *lru.Cache[string, sched.Metrics]
 
 	memHits     atomic.Uint64
 	diskHits    atomic.Uint64
@@ -76,18 +76,10 @@ type flight struct {
 }
 
 // NewCache returns a memory-only cache holding up to capacity metrics
-// entries (and store.DefaultRawCapacity raw attachments).
+// entries; AttachDisk adds the persistent tier.
 func NewCache(capacity int) *Cache {
-	return NewTieredCache(capacity, 0, nil)
-}
-
-// NewTieredCache composes the full store: a memory tier of capacity
-// metrics entries and rawCapacity raw attachments (<= 0 means
-// store.DefaultRawCapacity), over an optional persistent disk tier.
-func NewTieredCache(capacity, rawCapacity int, disk store.Store) *Cache {
 	return &Cache{
-		mem:     store.NewMemory(capacity, rawCapacity),
-		disk:    disk,
+		mem:     lru.New[string, sched.Metrics](capacity),
 		flights: make(map[string]*flight),
 	}
 }
@@ -108,81 +100,30 @@ func (c *Cache) diskTier() store.Store {
 	return c.disk
 }
 
-// Get returns a result materialized from the memory metrics tier,
-// without the raw attachment and without consulting the disk tier.
-func (c *Cache) Get(key string) (*sched.Result, bool) {
-	m, ok := c.mem.Get(key)
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.memHits.Add(1)
-	return sched.NewResult(m, nil), true
-}
-
-// Put stores a result: metrics into the memory tier (and the disk
-// tier, when attached), the raw attachment — if present — into the
-// capped raw tier.
-func (c *Cache) Put(key string, res *sched.Result) {
-	c.publish(key, res, c.diskTier())
-}
-
-// publish is the single write-through path: metrics into the memory
-// tier and (when attached) disk, the raw attachment into the capped
-// raw tier.
-func (c *Cache) publish(key string, res *sched.Result, disk store.Store) {
-	c.mem.Put(key, res.Metrics)
-	if raw := res.Raw(); raw != nil {
-		c.mem.PutRaw(key, raw)
-	}
-	if disk != nil {
-		disk.Put(key, res.Metrics)
-	}
-}
-
-// memLookup materializes a result from the memory tiers, honoring
-// want: a WantRaw request hits only when both the metrics AND the raw
-// attachment are resident. Callers hold c.mu.
-func (c *Cache) memLookup(key string, want sched.Want) (*sched.Result, bool) {
-	m, ok := c.mem.Get(key)
-	if !ok {
-		return nil, false
-	}
-	if want == sched.WantRaw {
-		raw, ok := c.mem.GetRaw(key)
-		if !ok {
-			return nil, false
-		}
-		return sched.NewResult(m, raw), true
-	}
-	return sched.NewResult(m, nil), true
-}
-
 // GetOrCompute returns the result under key, computing it at most once
 // across concurrent callers: the first caller (the leader) consults
 // the disk tier and then runs compute, everyone else either hits the
-// memory tier or waits on the leader's flight. The returned Tier
-// reports what served the result; TierCompute means this caller ran
-// the scheduler itself.
-//
-// A request with want == sched.WantRaw is served from a tier only when
-// the raw attachment is actually resident (the disk tier never is —
-// raw graphs are not persisted), so callers needing the raw result may
-// recompute a cell whose metrics are long cached. The compute callback
-// is responsible for requesting the attachment it needs.
+// memory tier or waits on the leader's flight and shares its result.
+// The returned Tier reports what served the result; TierCompute means
+// this caller ran the scheduler itself. Results served from a tier
+// carry metrics only, so compute should not attach a raw result either.
 //
 // A leader's error is not shared: it may be private to that caller
 // (its per-job timeout), so waiters retry — one becomes the next
 // leader — rather than inherit the failure. Errors are never stored in
 // any tier. A waiter whose own ctx expires stops waiting and returns
 // ctx.Err(); the leader's computation is unaffected.
-func (c *Cache) GetOrCompute(ctx context.Context, key string, want sched.Want, compute func() (*sched.Result, error)) (res *sched.Result, tier Tier, err error) {
+func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() (*sched.Result, error)) (res *sched.Result, tier Tier, err error) {
 	for {
+		// The lookup and the flight check share one critical section, and
+		// the leader retires its flight only after fill published to the
+		// memory tier, so a caller arriving between the two always finds
+		// one of them.
 		c.mu.Lock()
-		if res, ok := c.memLookup(key, want); ok {
+		if m, ok := c.mem.Get(key); ok {
 			c.mu.Unlock()
 			c.memHits.Add(1)
-			return res, TierMemory, nil
+			return sched.NewResult(m, nil), TierMemory, nil
 		}
 		f, inflight := c.flights[key]
 		if !inflight {
@@ -190,10 +131,7 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, want sched.Want, c
 			c.flights[key] = f
 			c.mu.Unlock()
 			var tier Tier
-			f.res, tier, f.err = c.fill(key, want, compute)
-			// Retire the flight only after fill published the result to
-			// the memory tier, so a caller arriving between the two
-			// always finds one of them.
+			f.res, tier, f.err = c.fill(key, compute)
 			c.mu.Lock()
 			delete(c.flights, key)
 			c.mu.Unlock()
@@ -203,12 +141,11 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, want sched.Want, c
 		c.mu.Unlock()
 		select {
 		case <-f.done:
-			if f.err == nil && (want != sched.WantRaw || f.res.Raw() != nil) {
+			if f.err == nil {
 				c.memHits.Add(1)
 				return f.res, TierFlight, nil
 			}
-			// Leader failed, or its result lacks the raw attachment this
-			// caller needs; loop and recompute (or join a newer flight).
+			// Leader failed; loop and recompute (or join a newer flight).
 		case <-ctx.Done():
 			return nil, TierCompute, ctx.Err()
 		}
@@ -216,11 +153,10 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, want sched.Want, c
 }
 
 // fill is the leader's path past the memory tier: disk, then compute,
-// writing through to every tier on the way back.
-func (c *Cache) fill(key string, want sched.Want, compute func() (*sched.Result, error)) (*sched.Result, Tier, error) {
+// writing the metrics through to every tier on the way back.
+func (c *Cache) fill(key string, compute func() (*sched.Result, error)) (*sched.Result, Tier, error) {
 	disk := c.diskTier()
-	// The disk tier holds metrics only, so it cannot serve WantRaw.
-	if want != sched.WantRaw && disk != nil {
+	if disk != nil {
 		if m, ok := disk.Get(key); ok {
 			c.diskHits.Add(1)
 			c.mem.Put(key, m) // promote, so reruns stay in memory
@@ -236,7 +172,10 @@ func (c *Cache) fill(key string, want sched.Want, compute func() (*sched.Result,
 		}
 		return nil, TierCompute, err
 	}
-	c.publish(key, res, disk)
+	c.mem.Put(key, res.Metrics)
+	if disk != nil {
+		disk.Put(key, res.Metrics)
+	}
 	return res, TierCompute, nil
 }
 
@@ -258,10 +197,6 @@ func safeCompute(key string, compute func() (*sched.Result, error)) (res *sched.
 
 // Len returns the number of metrics entries in the memory tier.
 func (c *Cache) Len() int { return c.mem.Len() }
-
-// RawLen returns the number of raw attachments resident in the capped
-// raw tier.
-func (c *Cache) RawLen() int { return c.mem.RawLen() }
 
 // CacheStats summarizes the cache's traffic by serving tier. Flight
 // shares (waiters that received another caller's in-flight result)

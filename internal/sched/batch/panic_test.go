@@ -136,7 +136,7 @@ func TestSingleFlightPanicPropagation(t *testing.T) {
 func TestGetOrComputeDirectPanic(t *testing.T) {
 	testutil.LeakCheck(t)
 	cache := batch.NewCache(8)
-	res, tier, err := cache.GetOrCompute(context.Background(), "direct-key", sched.WantMetrics,
+	res, tier, err := cache.GetOrCompute(context.Background(), "direct-key",
 		func() (*sched.Result, error) { panic("direct compute panic") })
 	if res != nil || tier != batch.TierCompute {
 		t.Fatalf("got res=%v tier=%v, want nil/compute", res, tier)

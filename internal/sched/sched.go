@@ -185,52 +185,25 @@ type Metrics struct {
 // (*pipeline.Result, *modulo.Result, *listsched.Result) — for the few
 // consumers (validation, figure rendering) that need more than the
 // normalized view. Backends attach the raw result only when the
-// request asked for it (Request.Want), so metrics-only runs never pin
-// megabyte scheduled graphs in caches.
+// request asked for it (Request.Want), so metrics-only runs never
+// retain megabyte scheduled graphs.
 type Result struct {
 	Metrics
-	// raw is deliberately unexported: results are shared through caches,
-	// and the attachment aliases the backend's internal graphs. Access
-	// goes through Raw (shared, read-only) or CloneRaw (private copy).
 	raw any
 }
 
-// NewResult assembles a result from its two tiers. A nil raw means the
-// result carries metrics only.
+// NewResult assembles a result from metrics and an optional raw
+// attachment. A nil raw means the result carries metrics only.
 func NewResult(m Metrics, raw any) *Result {
 	return &Result{Metrics: m, raw: raw}
 }
 
 // Raw returns the technique's native result, or nil when the request
-// did not ask for one (WantMetrics) or the result came from a
-// metrics-only store tier. The attachment is SHARED: caches hand the
-// same pointer to every caller, so treat it as strictly read-only —
-// mutating consumers (simulation setup, validation) must use CloneRaw.
+// did not ask for one (WantMetrics). No cache holds raw results, so
+// the attachment belongs to the caller that requested it, which may
+// mutate it (simulation setup allocates array IDs on a pipeline
+// result's allocator).
 func (r *Result) Raw() any { return r.raw }
-
-// RawCloner is implemented by raw attachments that support deep
-// copying; CloneRaw uses it to hand callers a private mutable copy.
-type RawCloner interface {
-	// CloneRaw returns a deep copy sharing no mutable state with the
-	// receiver.
-	CloneRaw() any
-}
-
-// CloneRaw returns a private deep copy of the raw attachment for
-// consumers that need to mutate it (simulation allocates array IDs on
-// the result's allocator, for example). It returns nil when there is
-// no attachment, and falls back to the shared pointer for attachment
-// types that do not implement RawCloner — those (modulo, listsched)
-// are plain value records with no interior mutability.
-func (r *Result) CloneRaw() any {
-	if r.raw == nil {
-		return nil
-	}
-	if c, ok := r.raw.(RawCloner); ok {
-		return c.CloneRaw()
-	}
-	return r.raw
-}
 
 // Scheduler is one scheduling technique: it maps a request (loop,
 // machine, configuration) to a normalized result. Implementations must

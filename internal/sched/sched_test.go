@@ -171,37 +171,6 @@ func TestResultRawTypes(t *testing.T) {
 	}
 }
 
-// TestCloneRawAliasing pins the raw-attachment aliasing contract:
-// Raw() hands back the shared attachment, CloneRaw() a private deep
-// copy the caller may mutate.
-func TestCloneRawAliasing(t *testing.T) {
-	r := req(dotLoop(), machine.New(4))
-	r.Want = sched.WantRaw
-	res, err := sched.Schedule(context.Background(), "grip", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared := res.Raw().(*pipeline.Result)
-	clone := res.CloneRaw().(*pipeline.Result)
-	if clone == shared {
-		t.Fatal("CloneRaw returned the shared attachment")
-	}
-	if res.Raw().(*pipeline.Result) != shared {
-		t.Error("Raw is not stable across calls")
-	}
-	if clone.Unwound == shared.Unwound || clone.Unwound.G == shared.Unwound.G {
-		t.Error("CloneRaw shares the unwound program/graph with the original")
-	}
-	if clone.Speedup != shared.Speedup || clone.Rows != shared.Rows {
-		t.Errorf("clone diverges from original: %+v vs %+v", clone.Speedup, shared.Speedup)
-	}
-	// Metrics-only results clone to nil, not panic.
-	lean := sched.NewResult(res.Metrics, nil)
-	if lean.CloneRaw() != nil {
-		t.Error("CloneRaw of a metrics-only result is non-nil")
-	}
-}
-
 // TestConfigRespected proves a per-request Config reaches the pipeline:
 // a fixed unwind factor must reproduce the direct call with the same
 // factor and differ from the automatic ladder when the factors differ.

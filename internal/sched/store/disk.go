@@ -101,7 +101,7 @@ func (o DiskOptions) withDefaults() DiskOptions {
 //
 // Disk stores metrics only. Raw scheduled graphs are deliberately not
 // persisted: they are megabytes each, pointer-rich, and only
-// validation paths want them — the in-memory raw tier covers those.
+// validation paths want them, which schedule afresh.
 type Disk struct {
 	dir  string
 	opts DiskOptions

@@ -233,39 +233,3 @@ func TestDiskClear(t *testing.T) {
 		t.Error("store unusable after Clear")
 	}
 }
-
-func TestMemoryTiers(t *testing.T) {
-	m := store.NewMemory(128, 2)
-	m.Put("a", metrics(1))
-	if got, ok := m.Get("a"); !ok || got != metrics(1) {
-		t.Fatalf("memory round trip: %+v %v", got, ok)
-	}
-	if _, ok := m.Get("b"); ok {
-		t.Fatal("phantom hit")
-	}
-	if st := m.Stats(); st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
-		t.Errorf("stats %+v", st)
-	}
-
-	// The raw tier is capped independently of the metrics tier.
-	for i := 0; i < 5; i++ {
-		key := fmt.Sprintf("r%d", i)
-		m.Put(key, metrics(i))
-		m.PutRaw(key, &struct{ big [16]int }{})
-	}
-	if m.Len() != 6 {
-		t.Errorf("metrics tier holds %d entries, want all 6", m.Len())
-	}
-	if m.RawLen() != 2 {
-		t.Errorf("raw tier holds %d entries, want the cap (2)", m.RawLen())
-	}
-	if _, ok := m.GetRaw("r0"); ok {
-		t.Error("raw tier retained an entry beyond its cap")
-	}
-	if _, ok := m.GetRaw("r4"); !ok {
-		t.Error("raw tier lost the most recent entry")
-	}
-	if _, ok := m.Get("r0"); !ok {
-		t.Error("metrics tier lost an entry because the raw tier evicted")
-	}
-}
