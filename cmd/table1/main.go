@@ -16,10 +16,11 @@
 // -cache-dir attaches a persistent metrics tier: every computed cell
 // is written through to disk, and a later process serves it from there
 // — a warm rerun schedules nothing. -cache-clear wipes that tier
-// before running (refusing directories not shaped like a store); cache
-// statistics — hits, misses, quarantined panics, disk footprint and
-// health (write/read errors, retries, degraded operations, breaker
-// state) — print to stderr at exit.
+// before running (refusing directories not shaped like a store). At
+// exit, stderr reports how the cells were served (memory, disk, flight
+// share or compute, counted from the outcomes) and, with -cache-dir,
+// the disk tier's footprint and health (write/read errors, retries,
+// degraded operations, breaker state).
 //
 // -chaos runs the matrix under a seeded fault schedule (injected
 // backend panics, compute errors, torn and failing disk writes,
@@ -283,7 +284,7 @@ func run() int {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s (%d cells, %.1fs wall)\n", *benchOut, len(outcomes), elapsed.Seconds())
 	}
-	printCacheStats(opts.Cache.Stats(), disk != nil)
+	printCacheStats(batch.Summarize(outcomes), disk)
 	if runErr != nil {
 		fmt.Fprintln(os.Stderr, runErr)
 		return 1
@@ -310,34 +311,35 @@ func run() int {
 	return 0
 }
 
-// printCacheStats reports the tiered cache's traffic at exit: where
-// hits came from, how much was computed, and — when a disk tier is
-// attached — what the persistent tier now holds and how healthy it is.
-func printCacheStats(st batch.CacheStats, diskAttached bool) {
-	fmt.Fprintf(os.Stderr, "cache: %d memory hits, %d disk hits, %d misses",
-		st.MemoryHits, st.DiskHits, st.Misses)
+// printCacheStats reports at exit how the cells were served, as counted
+// from their outcomes, and — when a disk tier is attached — what the
+// persistent tier now holds and how healthy it is.
+func printCacheStats(st batch.Stats, disk *store.Disk) {
+	fmt.Fprintf(os.Stderr, "cache: %d memory hits, %d disk hits, %d flight shares, %d computed",
+		st.MemoryHits, st.DiskHits, st.FlightShares, st.Computed)
 	if st.Quarantined > 0 {
 		fmt.Fprintf(os.Stderr, ", %d quarantined panics", st.Quarantined)
 	}
-	if diskAttached {
-		fmt.Fprintf(os.Stderr, "; disk tier: %d entries, %d bytes", st.Disk.Entries, st.Disk.Bytes)
-		if st.Disk.Rejected > 0 {
-			fmt.Fprintf(os.Stderr, ", %d rejected (corrupt/stale, recomputed)", st.Disk.Rejected)
+	if disk != nil {
+		ds := disk.Stats()
+		fmt.Fprintf(os.Stderr, "; disk tier: %d entries, %d bytes", ds.Entries, ds.Bytes)
+		if ds.Rejected > 0 {
+			fmt.Fprintf(os.Stderr, ", %d rejected (corrupt/stale, recomputed)", ds.Rejected)
 		}
-		if st.Disk.WriteErrors > 0 {
-			fmt.Fprintf(os.Stderr, ", %d write errors", st.Disk.WriteErrors)
+		if ds.WriteErrors > 0 {
+			fmt.Fprintf(os.Stderr, ", %d write errors", ds.WriteErrors)
 		}
-		if st.Disk.ReadErrors > 0 {
-			fmt.Fprintf(os.Stderr, ", %d read errors", st.Disk.ReadErrors)
+		if ds.ReadErrors > 0 {
+			fmt.Fprintf(os.Stderr, ", %d read errors", ds.ReadErrors)
 		}
-		if st.Disk.Retries > 0 {
-			fmt.Fprintf(os.Stderr, ", %d retries", st.Disk.Retries)
+		if ds.Retries > 0 {
+			fmt.Fprintf(os.Stderr, ", %d retries", ds.Retries)
 		}
-		if st.Disk.Degraded > 0 {
-			fmt.Fprintf(os.Stderr, ", %d degraded ops", st.Disk.Degraded)
+		if ds.Degraded > 0 {
+			fmt.Fprintf(os.Stderr, ", %d degraded ops", ds.Degraded)
 		}
-		if st.Disk.BreakerTrips > 0 || st.Disk.Breaker != "closed" {
-			fmt.Fprintf(os.Stderr, ", breaker %s (%d trips)", st.Disk.Breaker, st.Disk.BreakerTrips)
+		if ds.BreakerTrips > 0 || ds.Breaker != "closed" {
+			fmt.Fprintf(os.Stderr, ", breaker %s (%d trips)", ds.Breaker, ds.BreakerTrips)
 		}
 	}
 	fmt.Fprintln(os.Stderr)
@@ -378,7 +380,7 @@ func runChaos(kernels []*livermore.Kernel, fus []int, techniques []string, seed 
 		}
 	}
 	fmt.Printf("chaos recovery: %d/%d failed cells recomputed clean with faults disabled\n", recovered, len(rep.Recovered))
-	printCacheStats(rep.Cache, rep.Disk != nil)
+	printCacheStats(rep.Stats, rep.Disk)
 
 	if benchOut != "" {
 		if err := writeBench(benchOut, survivors, parallel, elapsed); err != nil {
@@ -394,9 +396,11 @@ func runChaos(kernels []*livermore.Kernel, fus []int, techniques []string, seed 
 		fmt.Fprintln(os.Stderr, "chaos: some failed cells did not recover")
 		return 1
 	}
-	if rep.Disk != nil && rep.Cache.Disk.Breaker != "closed" {
-		fmt.Fprintf(os.Stderr, "chaos: disk breaker ended %s, want closed\n", rep.Cache.Disk.Breaker)
-		return 1
+	if rep.Disk != nil {
+		if b := rep.Disk.Stats().Breaker; b != "closed" {
+			fmt.Fprintf(os.Stderr, "chaos: disk breaker ended %s, want closed\n", b)
+			return 1
+		}
 	}
 	return 0
 }

@@ -168,9 +168,10 @@ type BatchOptions = batch.Options
 // BatchCache is the thread-safe metrics cache keyed by (technique,
 // loop fingerprint, machine fingerprint, config fingerprint): an
 // in-memory LRU, optionally backed by a persistent on-disk tier
-// (AttachDisk), deduplicating identical in-flight computations. It
-// answers only metrics-only jobs without CrossCheck; every other job
-// computes.
+// (AttachDisk), whose single-flight runs identical in-flight jobs once.
+// It answers only metrics-only jobs without CrossCheck; every other job
+// computes. Cache hits and flight waiters share one result, so treat
+// it as read-only.
 type BatchCache = batch.Cache
 
 // Schedulers lists the registered scheduling techniques ("grip",

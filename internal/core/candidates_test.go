@@ -66,7 +66,7 @@ func buildRandomChain(rng *rand.Rand, nNodes int) (*scheduler, []*graph.Node, []
 }
 
 // TestCandidatesRandomMutations drives thousands of random mutation
-// sequences — picks under random room gates, upward op moves, freezes,
+// sequences — picks under random room gates, upward op moves,
 // suspensions and unsuspensions, unmoveable marks, tried-generation
 // bumps, and frontier advances — against schedulers with the reference
 // scan retained, asserting after every pick that the incremental
@@ -124,7 +124,7 @@ func TestCandidatesRandomMutations(t *testing.T) {
 		for step := 0; step < steps; step++ {
 			op := ops[rng.Intn(len(ops))]
 			suspActive := len(s.suspList) > 0
-			action := rng.Intn(10)
+			action := rng.Intn(9)
 			if err := s.checkCandidates(); err != nil {
 				t.Fatalf("seq %d step %d (before action %d): %v", seq, step, action, err)
 			}
@@ -149,25 +149,18 @@ func TestCandidatesRandomMutations(t *testing.T) {
 				}
 				g.MoveOp(op, chain[rng.Intn(hi)].Root)
 			case 5:
-				if suspActive || op.Frozen || op.IsBranch() {
-					break
-				}
-				if home := g.NodeOf(op); home != nil && home.OpCount() > 1 {
-					g.FreezeOp(op)
-				}
-			case 6:
 				if !s.suspended.Has(op.Index) && g.NodeOf(op) != nil {
 					s.suspendOp(op)
 				}
-			case 7:
+			case 6:
 				if suspActive {
 					s.clearSuspensions()
 				} else {
 					s.bumpGen()
 				}
-			case 8:
+			case 7:
 				s.markUnmoveable(op)
-			case 9: // frontier advance (between-node: suspensions cleared first)
+			case 8: // frontier advance (between-node: suspensions cleared first)
 				if fi+1 < len(chain) {
 					if suspActive {
 						s.clearSuspensions()

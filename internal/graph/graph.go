@@ -91,9 +91,8 @@ func (g *Graph) clearLoc(op *ir.Op) {
 
 // SetOpHomeHook registers f to be called after every mutation that
 // changes an operation's home: AddOp/RemoveOp/MoveOp (via setLoc and
-// clearLoc), branch placement and detachment, AdoptSubtree re-homing a
-// whole tree, and FreezeOp flipping a placed op out of the schedulable
-// set. It returns the previously registered hook so callers can save
+// clearLoc), branch placement and detachment, and AdoptSubtree
+// re-homing a whole tree. It returns the previously registered hook so callers can save
 // and restore around a scheduling run. The hook must not mutate the
 // graph; it exists so schedulers can maintain incremental candidate
 // structures (see internal/core) without rescanning: membership updates
@@ -286,29 +285,6 @@ func (g *Graph) RemoveOp(op *ir.Op) {
 	g.bump()
 }
 
-// FreezeOp marks a placed operation Frozen, maintaining the per-node
-// per-iteration counts (IterCount). The Frozen flag of a placed op must
-// never be flipped directly: the incremental caches depend on the graph
-// seeing the transition. (Ops frozen before placement — drain clones,
-// epilogue copies — just go through AddOp as usual.)
-func (g *Graph) FreezeOp(op *ir.Op) {
-	v := g.loc(op)
-	if v == nil {
-		panic("graph: FreezeOp of unplaced op")
-	}
-	if op.Frozen {
-		return
-	}
-	if n := v.node; n != nil {
-		n.noteOpRemoved(op)
-	}
-	op.Frozen = true
-	if g.onOpHome != nil {
-		g.onOpHome(op)
-	}
-	g.bump()
-}
-
 // MoveOp detaches op from its current vertex and re-attaches it at v.
 func (g *Graph) MoveOp(op *ir.Op, v *Vertex) {
 	g.RemoveOp(op)
@@ -422,49 +398,6 @@ func (g *Graph) AdoptSubtree(n *Node, sub *Vertex) {
 	adopt(sub)
 	n.opCount = ops
 	n.branchCount = branches
-	// Freshly built subtrees (frozen drain clones) carry no summaries;
-	// rebuild the whole adopted tree.
-	recomputeSummaries(sub)
-	g.bump()
-}
-
-// CloneSubtreeFrozen deep-copies the subtree rooted at sub for use on a
-// drain path: operations and branches are cloned with fresh IDs and
-// marked Frozen, leaf successors are preserved. The clone is returned
-// unattached (no node owner, no registered locations, no linked edges);
-// adopt it with AdoptSubtree.
-func (g *Graph) CloneSubtreeFrozen(sub *Vertex) *Vertex {
-	c := &Vertex{Succ: sub.Succ}
-	if len(sub.Ops) > 0 {
-		c.Ops = make([]*ir.Op, 0, len(sub.Ops))
-	}
-	for _, op := range sub.Ops {
-		c.Ops = append(c.Ops, op.Clone(g.Alloc.OpID(), true))
-	}
-	if sub.CJ != nil {
-		c.CJ = sub.CJ.Clone(g.Alloc.OpID(), true)
-		c.True = g.CloneSubtreeFrozen(sub.True)
-		c.False = g.CloneSubtreeFrozen(sub.False)
-		c.True.parent = c
-		c.False.parent = c
-		c.Succ = nil
-	}
-	return c
-}
-
-// registerSubtree records locations for every op in an adopted subtree
-// whose ops are not yet registered (used for cloned drains).
-func (g *Graph) RegisterSubtreeOps(sub *Vertex) {
-	sub.walk(func(v *Vertex) {
-		for _, op := range v.Ops {
-			if g.loc(op) == nil {
-				g.setLoc(op, v)
-			}
-		}
-		if v.CJ != nil && g.loc(v.CJ) == nil {
-			g.setLoc(v.CJ, v)
-		}
-	})
 	g.bump()
 }
 

@@ -147,27 +147,6 @@ func TestInsertBefore(t *testing.T) {
 	}
 }
 
-func TestCloneSubtreeFrozen(t *testing.T) {
-	g, ns, ops := buildChain(t)
-	clone := g.CloneSubtreeFrozen(ns[1].Root)
-	n := g.NewNode()
-	g.AdoptSubtree(n, clone)
-	g.RegisterSubtreeOps(clone)
-	if err := g.Validate(); err != nil {
-		t.Fatalf("Validate after clone adopt: %v", err)
-	}
-	cOps := n.Ops()
-	if len(cOps) != 1 || !cOps[0].Frozen {
-		t.Fatalf("clone ops wrong: %v", cOps)
-	}
-	if cOps[0].Origin != ops[1].Origin || cOps[0].ID == ops[1].ID {
-		t.Fatal("clone identity wrong")
-	}
-	if n.FallThrough() != ns[2] {
-		t.Fatal("clone must preserve leaf successor")
-	}
-}
-
 func TestValidateCatchesDoubleDef(t *testing.T) {
 	g, ns, ops := buildChain(t)
 	dup := &ir.Op{ID: g.Alloc.OpID(), Kind: ir.Const, Dst: ops[0].Dst, Imm: 9}
@@ -238,17 +217,18 @@ func TestIterCountAndSchedCount(t *testing.T) {
 	if ns[0].IterCount(0) != 1 || ns[0].IterCount(1) != 0 {
 		t.Fatal("IterCount wrong")
 	}
-	// Freezing must go through the graph so the incremental counts see
-	// the transition.
-	g.FreezeOp(ops[0])
-	if ns[0].IterCount(0) != 0 {
+	// Ops are frozen before placement: a frozen op of iteration 0 placed
+	// beside ops[0] leaves the count alone.
+	frozen := &ir.Op{ID: g.Alloc.OpID(), Origin: ops[0].Origin, Iter: 0, Kind: ir.Const, Dst: g.Alloc.Reg("f"), Imm: 1, Frozen: true}
+	g.AddOp(frozen, ns[0].Root)
+	if ns[0].IterCount(0) != 1 {
 		t.Fatal("frozen ops must not count")
 	}
 	if ns[2].IterCount(0) != 1 { // the branch
 		t.Fatal("branch must count as schedulable")
 	}
 	if err := g.Validate(); err != nil {
-		t.Fatalf("Validate after FreezeOp: %v", err)
+		t.Fatalf("Validate after placing a frozen op: %v", err)
 	}
 }
 

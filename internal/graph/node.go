@@ -31,10 +31,10 @@ type Node struct {
 
 	// iterCounts caches the schedulable (non-frozen) operation totals
 	// per iteration (iterCounts[iter+1]; slot 0 holds NoIter ops).
-	// Maintained by the same mutators plus FreezeOp, so the Gapless-move
-	// test's IterCount queries are O(1) slice reads instead of tree
-	// walks; Validate cross-checks them against a recount. See
-	// DESIGN.md.
+	// Maintained by the same mutators (ops are frozen before placement),
+	// so the Gapless-move test's IterCount queries are O(1) slice reads
+	// instead of tree walks; Validate cross-checks them against a
+	// recount. See DESIGN.md.
 	iterCounts []int32
 
 	// preds/succs are the node's compact adjacency sets, maintained by

@@ -126,17 +126,6 @@ func (v *Vertex) recomputeOwn() {
 	}
 }
 
-// recomputeSummaries rebuilds every summary in the subtree rooted at v
-// from scratch (subtree adoption: freshly built drain clones carry
-// none).
-func recomputeSummaries(v *Vertex) {
-	v.recomputeOwn()
-	if !v.IsLeaf() {
-		recomputeSummaries(v.True)
-		recomputeSummaries(v.False)
-	}
-}
-
 // DefinesHere reports whether an operation attached to v itself writes
 // register r. O(1).
 func (v *Vertex) DefinesHere(r ir.Reg) bool {

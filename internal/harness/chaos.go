@@ -22,13 +22,13 @@ var (
 	ErrChaosIO      = errors.New("chaos: injected disk I/O failure")
 )
 
-// ChaosOptions seed one chaos run: a deterministic fault schedule over
-// the batch compute path and the disk tier, plus a cancellation storm.
-// The zero value injects nothing; DefaultChaos returns the standard
-// schedule the CLI and the chaos suite run.
+// ChaosOptions configure one chaos run: a periodic fault schedule over
+// the batch compute path and the disk tier, plus a seeded cancellation
+// storm. The zero value injects nothing; DefaultChaos returns the
+// standard schedule the CLI and the chaos suite run.
 type ChaosOptions struct {
-	// Seed drives every random decision (fault plan, cancellation
-	// subset, retry jitter), so a run is replayable by seed.
+	// Seed drives every random decision (cancellation subset, retry
+	// jitter), so a run is replayable by seed.
 	Seed int64
 	// Parallelism and Timeout are the main pass's batch options.
 	Parallelism int
@@ -81,7 +81,7 @@ func DefaultChaos(seed int64) ChaosOptions {
 	}
 }
 
-// plan compiles the options into a seeded fault plan. Rule order
+// plan compiles the options into a fault plan. Rule order
 // matters at shared sites: when an ENOSPC period and a corruption
 // period coincide on one write, the failure wins.
 func (o ChaosOptions) plan() *faults.Plan {
@@ -101,7 +101,7 @@ func (o ChaosOptions) plan() *faults.Plan {
 	if o.ReadFailEvery > 0 {
 		rules = append(rules, faults.Rule{Site: faults.DiskRead, Every: o.ReadFailEvery, Limit: o.ReadFailLimit, Err: ErrChaosIO})
 	}
-	return faults.NewPlan(o.Seed, rules...)
+	return faults.NewPlan(rules...)
 }
 
 // ChaosReport is the outcome of one chaos run.
@@ -116,13 +116,12 @@ type ChaosReport struct {
 	// every poisoned or cut cell must compute cleanly afterwards,
 	// because errors are never cached.
 	Recovered []batch.Outcome
-	// Stats summarizes the main pass; Cache is the tiered cache's
-	// traffic and per-tier health after all passes.
+	// Stats summarizes the main pass.
 	Stats batch.Stats
-	Cache batch.CacheStats
 	// Plan exposes per-site hit/fire counters for assertions.
 	Plan *faults.Plan
-	// Disk is the persistent tier, nil when DiskDir was empty.
+	// Disk is the persistent tier, nil when DiskDir was empty; its
+	// Stats report the tier's health after all passes.
 	Disk *store.Disk
 }
 
@@ -138,7 +137,7 @@ func (r *ChaosReport) Survivors() []batch.Outcome {
 	return ok
 }
 
-// ChaosTable runs the technique matrix under a seeded fault schedule —
+// ChaosTable runs the technique matrix under a fault schedule —
 // the fault-tolerance acceptance mode. Three passes against one fresh
 // tiered cache (never the process-wide shared cache):
 //
@@ -207,7 +206,6 @@ func ChaosTable(ctx context.Context, kernels []*livermore.Kernel, fus []int, tec
 	rep.Outcomes = outs
 	rep.Stats = batch.Summarize(outs)
 	if err != nil {
-		rep.Cache = cache.Stats()
 		return rep, err
 	}
 
@@ -233,10 +231,8 @@ func ChaosTable(ctx context.Context, kernels []*livermore.Kernel, fus []int, tec
 		rec, err := batch.Run(ctx, failed, batch.Options{Parallelism: o.Parallelism, Cache: cache})
 		rep.Recovered = rec
 		if err != nil {
-			rep.Cache = cache.Stats()
 			return rep, err
 		}
 	}
-	rep.Cache = cache.Stats()
 	return rep, nil
 }

@@ -87,8 +87,8 @@ func TestChaosTableSurvivorsBitIdentical(t *testing.T) {
 	}
 	// The schedule must actually have hurt: injected panics quarantined,
 	// injected compute and write faults fired.
-	if rep.Stats.Quarantined == 0 || rep.Cache.Quarantined == 0 {
-		t.Errorf("no quarantined cells (stats %d, cache %d) — panic injection never bit", rep.Stats.Quarantined, rep.Cache.Quarantined)
+	if rep.Stats.Quarantined == 0 {
+		t.Error("no quarantined cells — panic injection never bit")
 	}
 	if rep.Plan.Fires(faults.BatchCompute) == 0 || rep.Plan.Fires(faults.DiskWrite) == 0 {
 		t.Error("fault plan never fired on a required site")
@@ -110,13 +110,14 @@ func TestChaosTableSurvivorsBitIdentical(t *testing.T) {
 
 	// The breaker tripped under write faults and recovered: closed at
 	// exit, with the trip count on the record.
-	if rep.Cache.Disk.BreakerTrips == 0 {
+	disk := rep.Disk.Stats()
+	if disk.BreakerTrips == 0 {
 		t.Error("disk breaker never tripped under write faults")
 	}
-	if rep.Cache.Disk.Breaker != "closed" {
-		t.Errorf("disk breaker ended %q, want closed", rep.Cache.Disk.Breaker)
+	if disk.Breaker != "closed" {
+		t.Errorf("disk breaker ended %q, want closed", disk.Breaker)
 	}
-	if rep.Cache.Disk.WriteErrors == 0 {
+	if disk.WriteErrors == 0 {
 		t.Error("injected write failures left no WriteErrors trace")
 	}
 }
@@ -141,8 +142,8 @@ func TestChaosNoFaultsAllSurvive(t *testing.T) {
 	if rep.Plan.TotalFires() != 0 {
 		t.Errorf("empty schedule fired %d faults", rep.Plan.TotalFires())
 	}
-	if rep.Cache.Disk.BreakerTrips != 0 || rep.Cache.Disk.Breaker != "closed" {
-		t.Errorf("healthy run disturbed the breaker: %q after %d trips", rep.Cache.Disk.Breaker, rep.Cache.Disk.BreakerTrips)
+	if disk := rep.Disk.Stats(); disk.BreakerTrips != 0 || disk.Breaker != "closed" {
+		t.Errorf("healthy run disturbed the breaker: %q after %d trips", disk.Breaker, disk.BreakerTrips)
 	}
 	assertCellsMatchBaseline(t, "cell", baselineIndex(t), rep.Outcomes)
 }

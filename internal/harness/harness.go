@@ -30,8 +30,8 @@ import (
 
 // defaultCache is shared by every harness entry point in the process,
 // so a cell scheduled for the table is not re-scheduled for a figure
-// pass or a bench rerun. It holds metrics only — tiny comparable
-// values — and is sized to retain every fingerprint a process
+// pass or a bench rerun. It holds metrics-only results, tiny and
+// shared read-only, and is sized to retain every fingerprint a process
 // plausibly touches (full tables, sweeps over many configurations).
 // Jobs that want a scheduled graph (validation) compute it afresh.
 var defaultCache = batch.NewCache(8192)
@@ -159,13 +159,6 @@ func ValidateCell(k *livermore.Kernel, fus int, cfg sched.Config) error {
 	u := int64(res.U)
 	trips := []int64{k.Spec.Start + 1, k.Spec.Start + u/3, k.Spec.Start + u}
 	return pipeline.ValidateSemantics(res, k.Vars, k.Arrays(res.U+16), trips)
-}
-
-// RunTable1 reproduces Table 1 for the given kernels and FU counts with
-// the default batch options (GOMAXPROCS workers, shared cache).
-func RunTable1(kernels []*livermore.Kernel, fus []int) (*Table, error) {
-	t, _, err := RunTable1Ctx(context.Background(), kernels, fus, batch.Options{})
-	return t, err
 }
 
 // RunTable1Ctx reproduces the paper's Table 1 (grip vs post, paper

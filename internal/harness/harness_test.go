@@ -19,7 +19,7 @@ func TestTable1ShapeProperties(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full table in -short mode")
 	}
-	tbl, err := RunTable1(livermore.All(), []int{2, 4, 8})
+	tbl, _, err := RunTable1Ctx(context.Background(), livermore.All(), []int{2, 4, 8}, batch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

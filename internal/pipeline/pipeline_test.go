@@ -261,25 +261,3 @@ func TestInitStateBindsInterface(t *testing.T) {
 		t.Fatal("array not bound")
 	}
 }
-
-func TestKernelReport(t *testing.T) {
-	res, err := PerfectPipeline(context.Background(), saxpyLoop(), DefaultConfig(machine.New(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := res.Report(machine.New(4))
-	if rep == nil {
-		t.Fatal("no report for converged result")
-	}
-	if rep.Rows != res.Kernel.Rows || rep.IterSpan != res.Kernel.IterSpan {
-		t.Fatalf("report mismatch: %+v vs %v", rep, res.Kernel)
-	}
-	// LL1-shaped loop at 4 FUs is resource-bound: utilization must be
-	// essentially full.
-	if rep.Utilization < 0.95 {
-		t.Fatalf("utilization %.2f, want ~1.0 (%s)", rep.Utilization, rep)
-	}
-	if !strings.Contains(rep.String(), "utilization") {
-		t.Fatalf("String = %q", rep.String())
-	}
-}

@@ -21,7 +21,7 @@ const phase1MemoCap = 64
 // has always used.
 func init() {
 	Register(gripScheduler{})
-	Register(postScheduler{memo: newPhase1Memo(phase1MemoCap)})
+	Register(postScheduler{memo: lru.New[string, *pipeline.Result](phase1MemoCap)})
 	Register(moduloScheduler{})
 	Register(listScheduler{})
 }
@@ -80,8 +80,14 @@ func (gripScheduler) Schedule(ctx context.Context, req Request) (*Result, error)
 // phase-1 schedules. It also carries CrossCheck, which the fingerprint
 // omits, so a checked request never reuses a phase 1 computed without
 // the reference checks.
+//
+// The memo's single-flight runs phase 1 once per key however many POST
+// jobs overlap; the others wait for it within their own ctx. Entries
+// are only read and cloned. A phase 1 cut short by its ctx returns the
+// ctx's error and stores nothing, so a timed-out request never poisons
+// the memo for later ones.
 type postScheduler struct {
-	memo *phase1Memo
+	memo *lru.Cache[string, *pipeline.Result]
 }
 
 func (postScheduler) Name() string { return "post" }
@@ -93,7 +99,7 @@ func (s postScheduler) Schedule(ctx context.Context, req Request) (*Result, erro
 	if p1cfg.CrossCheck {
 		key += "|crosscheck"
 	}
-	phase1, err := s.memo.get(key, func() (*pipeline.Result, error) {
+	phase1, _, err := s.memo.GetOrCompute(ctx, key, func() (*pipeline.Result, error) {
 		return pipeline.PerfectPipeline(ctx, req.Spec, p1cfg)
 	})
 	if err != nil {
@@ -151,30 +157,4 @@ func (listScheduler) Schedule(ctx context.Context, req Request) (*Result, error)
 		KernelIterSpan: 1,
 		Rows:           res.Cycles,
 	}, attach(req.Want, res)), nil
-}
-
-// phase1Memo is a small LRU of immutable phase-1 pipeline results.
-// Entries are only ever read (and cloned); concurrent getters of a
-// missing key may compute it twice, which is wasteful but correct —
-// scheduling is deterministic, so both computations agree, and the
-// first stored entry wins for stable sharing. A compute cancelled by
-// its context returns the context's error and stores nothing, so a
-// timed-out request never poisons the memo for later ones.
-type phase1Memo struct {
-	lru *lru.Cache[string, *pipeline.Result]
-}
-
-func newPhase1Memo(capacity int) *phase1Memo {
-	return &phase1Memo{lru: lru.New[string, *pipeline.Result](capacity)}
-}
-
-func (m *phase1Memo) get(key string, compute func() (*pipeline.Result, error)) (*pipeline.Result, error) {
-	if res, ok := m.lru.Get(key); ok {
-		return res, nil
-	}
-	res, err := compute()
-	if err != nil {
-		return nil, err
-	}
-	return m.lru.GetOrPut(key, res), nil
 }

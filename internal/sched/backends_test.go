@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/lru"
 	"repro/internal/machine"
+	"repro/internal/pipeline"
 )
 
 // TestPhase1MemoKeysOnCrossCheck runs POST on one loop plain and then
@@ -14,7 +16,7 @@ import (
 // reuse the unchecked phase 1. Checked requests still share phase 1
 // with each other.
 func TestPhase1MemoKeysOnCrossCheck(t *testing.T) {
-	s := postScheduler{memo: newPhase1Memo(4)}
+	s := postScheduler{memo: lru.New[string, *pipeline.Result](4)}
 	spec := &ir.LoopSpec{
 		Name: "copy",
 		Body: []ir.BodyOp{
@@ -31,7 +33,7 @@ func TestPhase1MemoKeysOnCrossCheck(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	if got := s.memo.lru.Len(); got != 2 {
+	if got := s.memo.Len(); got != 2 {
 		t.Errorf("phase-1 memo holds %d entries after plain+checked+checked, want 2", got)
 	}
 }

@@ -187,16 +187,15 @@ func runOne(ctx context.Context, j Job, opts Options, cut *atomic.Bool) Outcome 
 	// The compute closure is the panic-isolation perimeter: a backend
 	// panic is recovered into a typed *sched.PanicError carrying the
 	// job key and stack, so one poisoned cell fails alone — the worker
-	// goroutine survives, the rest of the batch proceeds, and (through
-	// the cache) single-flight waiters receive the error instead of
-	// waiting on a flight that will never retire.
+	// goroutine survives and the rest of the batch proceeds. Like any
+	// error it is not shared, so a single-flight waiter retries.
 	compute := func() (res *sched.Result, err error) {
 		defer func() {
 			if v := recover(); v != nil {
 				res, err = nil, &sched.PanicError{Key: j.Key(), Value: v, Stack: debug.Stack()}
 			}
 		}()
-		if err := faults.CheckCtx(runCtx, faults.BatchCompute); err != nil {
+		if err := faults.Check(faults.BatchCompute); err != nil {
 			return nil, err
 		}
 		s, ok := sched.Lookup(j.Technique)
@@ -212,7 +211,7 @@ func runOne(ctx context.Context, j Job, opts Options, cut *atomic.Bool) Outcome 
 	// checks, which a hit would skip, and CrossCheck is not part of the
 	// key. Neither reads nor writes the cache.
 	if opts.Cache != nil && j.Want == sched.WantMetrics && !j.Config.CrossCheck {
-		out.Result, out.Tier, out.Err = opts.Cache.GetOrCompute(runCtx, j.Key(), compute)
+		out.Result, out.Tier, out.Err = opts.Cache.getOrCompute(runCtx, j.Key(), compute)
 		out.CacheHit = out.Tier != TierCompute
 		if !out.CacheHit {
 			out.Wall = time.Since(start)

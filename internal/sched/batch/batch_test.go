@@ -116,14 +116,14 @@ func TestCacheHitMiss(t *testing.T) {
 	cache := batch.NewCache(8)
 	job := batch.Job{Technique: "test-count", Spec: tinyLoop("cached"), Machine: machine.New(2)}
 
-	outs, err := batch.Run(context.Background(), []batch.Job{job}, batch.Options{Cache: cache})
-	if err != nil || outs[0].Err != nil {
-		t.Fatalf("first run: %v %v", err, outs[0].Err)
+	first, err := batch.Run(context.Background(), []batch.Job{job}, batch.Options{Cache: cache})
+	if err != nil || first[0].Err != nil {
+		t.Fatalf("first run: %v %v", err, first[0].Err)
 	}
-	if outs[0].CacheHit {
+	if first[0].CacheHit {
 		t.Error("first run reported a cache hit")
 	}
-	outs, err = batch.Run(context.Background(), []batch.Job{job, job}, batch.Options{Cache: cache})
+	outs, err := batch.Run(context.Background(), []batch.Job{job, job}, batch.Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +135,8 @@ func TestCacheHitMiss(t *testing.T) {
 	if got := countStub.calls.Load(); got != 1 {
 		t.Errorf("scheduler ran %d times; cache should have held it to 1", got)
 	}
-	if st := cache.Stats(); st.MemoryHits != 2 || st.Misses != 1 {
-		t.Errorf("cache stats hits=%d misses=%d, want 2/1", st.MemoryHits, st.Misses)
+	if st := batch.Summarize(append(first, outs...)); st.MemoryHits != 2 || st.Computed != 1 {
+		t.Errorf("outcomes: hits=%d computed=%d, want 2/1", st.MemoryHits, st.Computed)
 	}
 
 	// A different machine is a different key.
@@ -167,8 +167,9 @@ func TestCrossCheckNeverServedFromCache(t *testing.T) {
 		t.Fatal("scenario: CrossCheck is expected to share the plain job's key")
 	}
 
-	if outs, err := batch.Run(context.Background(), []batch.Job{plain}, batch.Options{Cache: cache}); err != nil || outs[0].Err != nil {
-		t.Fatalf("warming run: %v %v", err, outs[0].Err)
+	warm, err := batch.Run(context.Background(), []batch.Job{plain}, batch.Options{Cache: cache})
+	if err != nil || warm[0].Err != nil {
+		t.Fatalf("warming run: %v %v", err, warm[0].Err)
 	}
 	outs, err := batch.Run(context.Background(), []batch.Job{checked, checked}, batch.Options{Cache: cache})
 	if err != nil {
@@ -182,9 +183,9 @@ func TestCrossCheckNeverServedFromCache(t *testing.T) {
 	if got := countStub.calls.Load(); got != 3 {
 		t.Errorf("scheduler ran %d times, want 3 (one plain, two checked)", got)
 	}
-	if st := cache.Stats(); st.MemoryHits != 0 || st.Misses != 1 || cache.Len() != 1 {
-		t.Errorf("cache stats hits=%d misses=%d len=%d, want 0/1/1: checked jobs must not touch the cache",
-			st.MemoryHits, st.Misses, cache.Len())
+	if st := batch.Summarize(append(warm, outs...)); st.MemoryHits != 0 || st.Computed != 3 || cache.Len() != 1 {
+		t.Errorf("outcomes: hits=%d computed=%d, cache len=%d, want 0/3/1: checked jobs must not touch the cache",
+			st.MemoryHits, st.Computed, cache.Len())
 	}
 }
 
@@ -439,8 +440,8 @@ func TestSingleFlightDedup(t *testing.T) {
 	if leaders != 1 {
 		t.Errorf("%d outcomes report CacheHit=false, want exactly the leader", leaders)
 	}
-	if st := cache.Stats(); st.MemoryHits != 3 || st.Misses != 1 {
-		t.Errorf("cache stats hits=%d misses=%d, want 3/1", st.MemoryHits, st.Misses)
+	if st := batch.Summarize(outs); st.MemoryHits+st.FlightShares != 3 || st.Computed != 1 {
+		t.Errorf("outcomes: hits=%d shares=%d computed=%d, want 3 served, 1 computed", st.MemoryHits, st.FlightShares, st.Computed)
 	}
 }
 
@@ -540,7 +541,7 @@ func TestParallelBitIdentical(t *testing.T) {
 }
 
 // diskCache returns a cache whose memory tier sits over disk.
-func diskCache(disk store.Store) *batch.Cache {
+func diskCache(disk *store.Disk) *batch.Cache {
 	c := batch.NewCache(64)
 	c.AttachDisk(disk)
 	return c
@@ -606,12 +607,11 @@ func TestDiskTierServesSecondCache(t *testing.T) {
 			t.Errorf("rerun job %d served by %v, want memory (disk hit not promoted)", i, o.Tier)
 		}
 	}
-	st := warm.Stats()
-	if st.DiskHits != 4 || st.MemoryHits != 4 || st.Misses != 0 {
-		t.Errorf("warm cache stats %+v, want 4 disk / 4 memory / 0 misses", st)
+	if st := batch.Summarize(append(second, third...)); st.DiskHits != 4 || st.MemoryHits != 4 || st.Computed != 0 {
+		t.Errorf("warm outcomes %+v, want 4 disk / 4 memory / 0 computed", st)
 	}
-	if st.Disk.Entries != 4 || st.Disk.Bytes <= 0 {
-		t.Errorf("disk footprint %+v, want 4 entries, >0 bytes", st.Disk)
+	if st := disk2.Stats(); st.Entries != 4 || st.Bytes <= 0 {
+		t.Errorf("disk footprint %+v, want 4 entries, >0 bytes", st)
 	}
 }
 
@@ -709,12 +709,12 @@ func TestWantRawBypassesCache(t *testing.T) {
 	}
 
 	// Against a cold cache: computed, and nothing stored.
-	empty := cache.Stats()
+	empty := disk.Stats()
 	if o := run(mk("rawcold", sched.WantRaw)); o.Tier != batch.TierCompute || o.CacheHit || o.Result.Raw() == nil {
 		t.Errorf("cold WantRaw job: tier %v, hit %v, graph %v; want a computed graph", o.Tier, o.CacheHit, o.Result.Raw() != nil)
 	}
-	if st := cache.Stats(); cache.Len() != 0 || st != empty {
-		t.Errorf("cold WantRaw job touched the cache: len %d, stats %+v", cache.Len(), st)
+	if st := disk.Stats(); cache.Len() != 0 || st != empty {
+		t.Errorf("cold WantRaw job touched the cache: len %d, disk stats %+v", cache.Len(), st)
 	}
 
 	// Against cached metrics: computed anyway, each time a new graph.
@@ -722,7 +722,7 @@ func TestWantRawBypassesCache(t *testing.T) {
 	if cached.Result.Raw() != nil {
 		t.Fatal("metrics-only job carries a raw attachment")
 	}
-	before, beforeLen := cache.Stats(), cache.Len()
+	before, beforeLen := disk.Stats(), cache.Len()
 	var graphs []any
 	for i := 0; i < 2; i++ {
 		o := run(mk("rawc", sched.WantRaw))
@@ -740,8 +740,8 @@ func TestWantRawBypassesCache(t *testing.T) {
 	if graphs[0] == graphs[1] {
 		t.Error("two WantRaw jobs share one graph")
 	}
-	if st := cache.Stats(); st != before || cache.Len() != beforeLen {
-		t.Errorf("WantRaw jobs touched the cache: stats %+v -> %+v, len %d -> %d", before, st, beforeLen, cache.Len())
+	if st := disk.Stats(); st != before || cache.Len() != beforeLen {
+		t.Errorf("WantRaw jobs touched the cache: disk stats %+v -> %+v, len %d -> %d", before, st, beforeLen, cache.Len())
 	}
 }
 

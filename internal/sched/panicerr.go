@@ -2,12 +2,11 @@ package sched
 
 import "fmt"
 
-// PanicError is a backend panic recovered by the execution engine
-// (batch workers and the cache's compute path): the poisoned cell fails
-// alone with a typed, diagnosable error instead of killing the whole
-// batch run or deadlocking single-flight waiters. Like every other
-// compute error it is never cached — a later request for the same key
-// recomputes.
+// PanicError is a backend panic recovered by the batch engine's
+// compute perimeter: the poisoned cell fails alone with a typed,
+// diagnosable error instead of killing the whole batch run. Like every
+// other compute error it is never cached or shared — single-flight
+// waiters and later requests for the same key recompute.
 type PanicError struct {
 	// Key is the job's cache key (technique + request fingerprint) —
 	// enough to identify and replay the poisoned cell.

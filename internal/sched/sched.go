@@ -257,16 +257,6 @@ func Names() []string {
 	return names
 }
 
-// All returns the registered backends in name order.
-func All() []Scheduler {
-	var ss []Scheduler
-	for _, n := range Names() {
-		s, _ := Lookup(n)
-		ss = append(ss, s)
-	}
-	return ss
-}
-
 // Schedule runs the named backend for the request, returning an error
 // for unknown names.
 func Schedule(ctx context.Context, name string, req Request) (*Result, error) {

@@ -36,8 +36,8 @@ func fastDisk(t *testing.T, dir string, opts store.DiskOptions) *store.Disk {
 func TestPutRetriesTransientFault(t *testing.T) {
 	testutil.LeakCheck(t)
 	d := fastDisk(t, t.TempDir(), store.DiskOptions{Retries: 2})
-	faults.Enable(faults.NewPlan(1, faults.Rule{
-		Site: faults.DiskWrite, Nth: 1, Err: errors.New("injected transient io")}))
+	faults.Enable(faults.NewPlan(faults.Rule{
+		Site: faults.DiskWrite, Every: 1, Limit: 1, Err: errors.New("injected transient io")}))
 	t.Cleanup(faults.Disable)
 
 	d.Put("k", metrics(1))
@@ -67,7 +67,7 @@ func TestBreakerTripsDegradesAndRecovers(t *testing.T) {
 	d := fastDisk(t, t.TempDir(), store.DiskOptions{
 		Retries: -1, BreakerThreshold: 2, BreakerCooldown: cooldown})
 	// Every write fails with ENOSPC until the third fire; then healthy.
-	faults.Enable(faults.NewPlan(1, faults.Rule{
+	faults.Enable(faults.NewPlan(faults.Rule{
 		Site: faults.DiskWrite, Every: 1, Limit: 3, Err: syscall.ENOSPC}))
 	t.Cleanup(faults.Disable)
 
@@ -117,8 +117,8 @@ func TestReadErrorFeedsBreaker(t *testing.T) {
 		BreakerThreshold: 1, BreakerCooldown: cooldown})
 	d.Put("k", metrics(1))
 
-	faults.Enable(faults.NewPlan(1, faults.Rule{
-		Site: faults.DiskRead, Nth: 1, Err: errors.New("injected read io")}))
+	faults.Enable(faults.NewPlan(faults.Rule{
+		Site: faults.DiskRead, Every: 1, Limit: 1, Err: errors.New("injected read io")}))
 	t.Cleanup(faults.Disable)
 
 	if _, ok := d.Get("k"); ok {
@@ -148,8 +148,8 @@ func TestReadErrorFeedsBreaker(t *testing.T) {
 // device failure — the breaker does not move. A rewrite heals the key.
 func TestCorruptWriteIsRejectedNotBreaker(t *testing.T) {
 	d := fastDisk(t, t.TempDir(), store.DiskOptions{})
-	faults.Enable(faults.NewPlan(1, faults.Rule{
-		Site: faults.DiskWrite, Nth: 1, Corrupt: true}))
+	faults.Enable(faults.NewPlan(faults.Rule{
+		Site: faults.DiskWrite, Every: 1, Limit: 1, Corrupt: true}))
 	t.Cleanup(faults.Disable)
 
 	d.Put("k", metrics(1))
@@ -173,7 +173,7 @@ func TestCorruptWriteIsRejectedNotBreaker(t *testing.T) {
 // store.disk.open surfaces as the constructor's error.
 func TestOpenDiskFaultSite(t *testing.T) {
 	boom := errors.New("injected open failure")
-	faults.Enable(faults.NewPlan(1, faults.Rule{Site: faults.DiskOpen, Nth: 1, Err: boom}))
+	faults.Enable(faults.NewPlan(faults.Rule{Site: faults.DiskOpen, Every: 1, Limit: 1, Err: boom}))
 	t.Cleanup(faults.Disable)
 	if _, err := store.OpenDisk(t.TempDir()); !errors.Is(err, boom) {
 		t.Fatalf("OpenDisk returned %v, want the injected error", err)

@@ -6,24 +6,6 @@
 // read-through/write-through: memory, then disk, then compute.
 package store
 
-import "repro/internal/sched"
-
-// Store persists normalized scheduling metrics keyed by the canonical
-// job fingerprint. Implementations must be safe for concurrent use.
-// Get never fails loudly: an entry that cannot be trusted (corrupt,
-// stale schema, mismatched fingerprint) is reported as a miss and the
-// caller recomputes.
-type Store interface {
-	// Get returns the metrics stored under key.
-	Get(key string) (sched.Metrics, bool)
-	// Put stores metrics under key. Best-effort for persistent tiers:
-	// a failed write is recorded in Stats, never surfaced — the store
-	// is a cache, losing a write only costs a future recompute.
-	Put(key string, m sched.Metrics)
-	// Stats reports the store's counters since creation.
-	Stats() Stats
-}
-
 // Stats are a store's observability counters.
 type Stats struct {
 	// Hits and Misses count Get outcomes.
