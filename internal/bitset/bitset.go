@@ -1,8 +1,8 @@
 // Package bitset provides the dense bit-set primitives the scheduler
-// hot loops are built on: membership sets over the dense operation index
-// space (ir.Op.Index), growable register sets, and hierarchical sets with
-// ordered search. All queries are O(1) loads with no allocation;
-// construction is one slice allocation.
+// hot loops are built on: membership sets over the dense operation
+// index space (ir.Op.Index) and hierarchical sets with ordered search.
+// All queries are O(1) loads with no allocation; construction is one
+// slice allocation.
 package bitset
 
 // Set is a fixed-capacity bit set. The zero value is an empty set of

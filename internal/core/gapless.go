@@ -146,14 +146,7 @@ func (s *scheduler) findFiller(succ *graph.Node, op *ir.Op, depth int) (bool, bo
 // treated as fillable when it can hoist (it will surface and then
 // move); this slight optimism is documented in DESIGN.md §2.1.
 func (s *scheduler) canFill(x, leaving *ir.Op) bool {
-	if x.IsBranch() {
-		return s.ctx.TryMoveCJUp(x, false).Kind == ps.BlockNone
-	}
-	v := s.ctx.G.Where(x)
-	if v != v.Node().Root {
-		return s.ctx.TryHoist(x, false).Kind == ps.BlockNone
-	}
-	return s.ctx.TryMoveOpUp(x, false, leaving).Kind == ps.BlockNone
+	return s.ctx.CanStepUp(x, leaving).Kind == ps.BlockNone
 }
 
 // iterFrontier caches, per iteration, the two highest node positions

@@ -83,7 +83,10 @@ func TestLiveOnSubtreeAndDefines(t *testing.T) {
 
 	// The kill that makes r9 dead sits at n2's root vertex; the branch
 	// vertex's continue side defines nothing itself.
-	if !ns[2].Root.DefinesHere(r9) || root.True.DefinesHere(r9) {
-		t.Error("DefinesHere must see exactly the vertex's own definitions")
+	if p, _ := ns[2].Root.DefSiteHere(r9); p == nil {
+		t.Error("DefSiteHere misses n2's own definition of r9")
+	}
+	if p, _ := root.True.DefSiteHere(r9); p != nil {
+		t.Errorf("DefSiteHere(r9) = %v on a vertex that defines nothing", p)
 	}
 }

@@ -36,16 +36,15 @@ func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 		maxPos:     g.maxPos,
 	}
 
-	// Count vertices (and per-iteration count slots, and def/use summary
-	// words) so every arena is sized exactly: growing an arena mid-build
-	// would move objects already pointed at. The same walk finds the
-	// largest placed op ID, which sizes the ID map.
-	nVertices, nIterSlots, nSumWords, nDefSites := 0, 0, 0, 0
+	// Count vertices (and per-iteration count slots, and def-site
+	// entries) so every arena is sized exactly: growing an arena
+	// mid-build would move objects already pointed at. The same walk
+	// finds the largest placed op ID, which sizes the ID map.
+	nVertices, nIterSlots, nDefSites := 0, 0, 0
 	maxID := -1
 	for n := range g.nodes {
 		n.Walk(func(v *Vertex) {
 			nVertices++
-			nSumWords += v.sum.words()
 			nDefSites += len(v.sum.defSites)
 			for _, op := range v.Ops {
 				maxID = max(maxID, op.ID)
@@ -61,7 +60,6 @@ func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 	nodeArena := make([]Node, 0, len(g.nodes))
 	opPtrArena := make([]*ir.Op, 0, g.numPlaced)
 	iterArena := make([]int32, 0, nIterSlots)
-	sumArena := make([]uint64, nSumWords)
 	dsArena := make([]defSite, nDefSites)
 
 	byID := make([]*ir.Op, maxID+1)
@@ -106,7 +104,7 @@ func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 	cloneVertex = func(v *Vertex, n *Node, parent *Vertex) *Vertex {
 		vertexArena = append(vertexArena, Vertex{node: n, parent: parent})
 		nv := &vertexArena[len(vertexArena)-1]
-		sumArena, dsArena = v.sum.cloneInto(&nv.sum, sumArena, dsArena)
+		dsArena = v.sum.cloneInto(&nv.sum, dsArena)
 		if len(v.Ops) > 0 {
 			// Each vertex's op-pointer list is a capped sub-slice of one
 			// shared arena; a later append on the vertex re-allocates

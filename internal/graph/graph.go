@@ -7,8 +7,8 @@ import (
 )
 
 // Graph is a VLIW program graph. All structural mutation must go through
-// Graph methods so that adjacency sets, operation placements, cached
-// node op counts, and the cached traversal order stay consistent;
+// Graph methods so that adjacency sets, operation placements, and
+// cached node op counts stay consistent;
 // Validate cross-checks every invariant and is run liberally in tests.
 // Adjacency lives on the nodes themselves (Node.preds/Node.succs compact
 // edge sets) rather than in a graph-level map, so predecessor and
@@ -31,8 +31,6 @@ type Graph struct {
 	numPlaced int
 
 	version    uint64
-	orderVer   uint64
-	orderCache []*Node
 	epoch      uint64
 	nextNodeID int
 	maxPos     float64
@@ -482,12 +480,8 @@ func (g *Graph) InsertBefore(n *Node) *Node {
 }
 
 // Order returns the nodes in a deterministic reverse-postorder from the
-// entry (drain paths included). The result is cached until the graph
-// changes.
+// entry (drain paths included), for printing and export.
 func (g *Graph) Order() []*Node {
-	if g.orderCache != nil && g.orderVer == g.version {
-		return g.orderCache
-	}
 	post := make([]*Node, 0, len(g.nodes))
 	epoch := g.BeginVisit()
 	var dfs func(n *Node)
@@ -505,23 +499,7 @@ func (g *Graph) Order() []*Node {
 	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
 		post[i], post[j] = post[j], post[i]
 	}
-	g.orderCache = post
-	g.orderVer = g.version
-	for i, n := range post {
-		n.orderIdx = int32(i)
-		n.orderStamp = g.orderVer
-	}
 	return post
-}
-
-// Index returns the position of n in Order, or -1 if unreachable. O(1)
-// after the order cache is built: the index is stamped on the node.
-func (g *Graph) Index(n *Node) int {
-	g.Order()
-	if n.orderStamp == g.orderVer {
-		return int(n.orderIdx)
-	}
-	return -1
 }
 
 // MainChain returns the non-drain spine of the graph: starting at entry,

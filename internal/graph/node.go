@@ -45,12 +45,6 @@ type Node struct {
 	preds edgeSet
 	succs edgeSet
 
-	// orderIdx/orderStamp cache the node's position in the graph's
-	// reverse-postorder; valid when orderStamp matches the graph's
-	// current order version (Graph.Index).
-	orderIdx   int32
-	orderStamp uint64
-
 	// seenEpoch supports allocation-free graph traversals: a traversal
 	// obtains a fresh epoch from Graph.BeginVisit and marks nodes with
 	// Visited instead of building a map.

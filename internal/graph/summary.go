@@ -1,27 +1,27 @@
 package graph
 
 import (
-	"repro/internal/bitset"
 	"repro/internal/ir"
 )
 
 // summary is the incrementally maintained def/use digest of one vertex:
 // it covers exactly the vertex's operation list plus its conditional
-// jump's reads. Register sets are exact — a bit is set iff some
-// operation in the vertex defines/reads that register — and the
-// store/load counters count its memory operations. Frozen operations
-// are included: the ps dependence scans the summaries filter do not
-// skip them either.
+// jump's reads. The register sets are may-masks, one word each: bit
+// r&63 is set iff some operation in the vertex defines/reads a register
+// congruent to r mod 64. A clear bit is exact ("no op here touches r");
+// a set bit may be another register's, so every reader confirms a hit
+// exactly (DefSiteHere, or the op scan). The store/load counters count
+// its memory operations. Frozen operations are included: the ps
+// dependence scans the summaries filter do not skip them either.
 //
 // Maintenance discipline (see DESIGN.md §7): adding an operation ORs
-// its registers in (exact, because a bit is "some op contributes");
-// removing one recomputes the summary from the surviving op list (bits
-// cannot be cleared blindly — another op may contribute the same
-// register). Operand rewrites (copy propagation, renaming) must reach
-// the vertex through Graph.ReplaceUse / Graph.RetargetDef, which
-// recompute the same way.
+// its registers in; removing one recomputes the summary from the
+// surviving op list (bits cannot be cleared blindly — another op may
+// contribute the same bit). Operand rewrites (copy propagation,
+// renaming) must reach the vertex through Graph.ReplaceUse /
+// Graph.RetargetDef, which recompute the same way.
 type summary struct {
-	ownDefs, ownUses bitset.Grow
+	ownDefs, ownUses uint64
 	ownStores        int32
 	ownLoads         int32
 
@@ -36,6 +36,9 @@ type summary struct {
 	defSites []defSite
 }
 
+// regBit returns register r's bit in a may-mask.
+func regBit(r ir.Reg) uint64 { return 1 << (uint(r) & 63) }
+
 // defSite keys one register-defining operation of a vertex's op list by
 // its defined register and list position.
 type defSite struct {
@@ -43,43 +46,27 @@ type defSite struct {
 	pos int32
 }
 
-// words returns the total backing-word count across the two register
-// sets (arena sizing for Clone).
-func (s *summary) words() int {
-	return s.ownDefs.Words() + s.ownUses.Words()
-}
-
-// cloneInto copies s into dst, carving the register sets' storage out
-// of arena and the def-site index out of dsArena (as a capped
-// sub-slice, so a later append on the clone re-allocates instead of
-// clobbering a neighbour); it returns the unused arena tails.
-// Graph-wide arenas keep Clone at a constant allocation count.
-func (s *summary) cloneInto(dst *summary, arena []uint64, dsArena []defSite) ([]uint64, []defSite) {
-	dst.ownStores, dst.ownLoads = s.ownStores, s.ownLoads
-	for _, p := range [2]struct{ d, s *bitset.Grow }{
-		{&dst.ownDefs, &s.ownDefs}, {&dst.ownUses, &s.ownUses},
-	} {
-		n := p.s.Words()
-		p.d.SetWords(arena[:n], p.s)
-		arena = arena[n:]
-	}
-	if n := len(s.defSites); n > 0 {
-		copy(dsArena, s.defSites)
-		dst.defSites = dsArena[:n:n]
-		dsArena = dsArena[n:]
-	}
-	return arena, dsArena
+// cloneInto copies s into dst — masks and counters by value — carving
+// the def-site index out of dsArena as a capped sub-slice, so a later
+// append on the clone re-allocates instead of clobbering a neighbour;
+// it returns the unused arena tail. A graph-wide arena keeps Clone at a
+// constant allocation count.
+func (s *summary) cloneInto(dst *summary, dsArena []defSite) []defSite {
+	*dst = *s
+	n := copy(dsArena, s.defSites)
+	dst.defSites = dsArena[:n:n]
+	return dsArena[n:]
 }
 
 // addOp ORs one operation's contribution into the summary (branches
 // contribute reads only; Def is NoReg for them).
 func (s *summary) addOp(op *ir.Op) {
 	if d := op.Def(); d != ir.NoReg {
-		s.ownDefs.Add(int(d))
+		s.ownDefs |= regBit(d)
 	}
 	var buf [3]ir.Reg
 	for _, u := range op.Uses(buf[:0]) {
-		s.ownUses.Add(int(u))
+		s.ownUses |= regBit(u)
 	}
 	if op.IsStore() {
 		s.ownStores++
@@ -109,12 +96,11 @@ func (s *summary) indexOp(op *ir.Op, pos int32) {
 	}
 }
 
-// recomputeOwn rebuilds the summary — bitsets, counters, and def-site
+// recomputeOwn rebuilds the summary — masks, counters, and def-site
 // index — from v's current op list and CJ.
 func (v *Vertex) recomputeOwn() {
 	s := &v.sum
-	s.ownDefs.Reset()
-	s.ownUses.Reset()
+	s.ownDefs, s.ownUses = 0, 0
 	s.ownStores, s.ownLoads = 0, 0
 	s.defSites = s.defSites[:0]
 	for i, op := range v.Ops {
@@ -126,22 +112,19 @@ func (v *Vertex) recomputeOwn() {
 	}
 }
 
-// DefinesHere reports whether an operation attached to v itself writes
-// register r. O(1).
-func (v *Vertex) DefinesHere(r ir.Reg) bool {
-	if r == ir.NoReg {
-		return false
-	}
-	return v.sum.ownDefs.Has(int(r))
+// MayDefine reports whether an operation attached to v itself may write
+// register r. False is exact: no own op defines r. True may be a
+// collision with a register sharing r's mask bit, so callers confirm
+// it with DefSiteHere. O(1).
+func (v *Vertex) MayDefine(r ir.Reg) bool {
+	return r != ir.NoReg && v.sum.ownDefs&regBit(r) != 0
 }
 
-// ReadsHere reports whether an operation attached to v itself (its
-// conditional jump included) reads register r. O(1).
-func (v *Vertex) ReadsHere(r ir.Reg) bool {
-	if r == ir.NoReg {
-		return false
-	}
-	return v.sum.ownUses.Has(int(r))
+// MayRead reports whether an operation attached to v itself (its
+// conditional jump included) may read register r. False is exact; true
+// may be a collision, so callers confirm it op by op. O(1).
+func (v *Vertex) MayRead(r ir.Reg) bool {
+	return r != ir.NoReg && v.sum.ownUses&regBit(r) != 0
 }
 
 // StoresHere reports whether v's own operation list contains a store.
@@ -174,7 +157,7 @@ func (v *Vertex) DefSiteHere(r ir.Reg) (*ir.Op, int32) {
 }
 
 // ReplaceUse substitutes register to for every read of from in op,
-// keeping the def/use summaries exact. All operand rewrites of placed
+// keeping the def/use summaries in sync. All operand rewrites of placed
 // operations (copy propagation, renaming retries) must route through
 // this method — calling ir.Op.ReplaceUse directly on a placed op would
 // silently desynchronize the summaries the ps fast paths filter on.
@@ -185,7 +168,7 @@ func (g *Graph) ReplaceUse(op *ir.Op, from, to ir.Reg) {
 }
 
 // RetargetDef points op's destination at register r (the renaming
-// transformation), keeping the def/use summaries exact. Same routing
+// transformation), keeping the def/use summaries in sync. Same routing
 // rule as ReplaceUse: a placed op's Dst must never be assigned
 // directly.
 func (g *Graph) RetargetDef(op *ir.Op, r ir.Reg) {

@@ -217,7 +217,7 @@ func checkSummaries(n *Node) (err error) {
 		if v.CJ != nil {
 			want.addOp(v.CJ)
 		}
-		if !want.ownDefs.Equal(&v.sum.ownDefs) || !want.ownUses.Equal(&v.sum.ownUses) ||
+		if want.ownDefs != v.sum.ownDefs || want.ownUses != v.sum.ownUses ||
 			want.ownStores != v.sum.ownStores || want.ownLoads != v.sum.ownLoads {
 			err = fmt.Errorf("n%d: vertex def/use summary out of sync", n.ID)
 			return

@@ -217,7 +217,7 @@ func CheckLoop(ctx context.Context, spec *ir.LoopSpec, opts FuzzOptions) (*LoopV
 		}
 		if res, ok := o.Result.Raw().(*pipeline.Result); ok {
 			// Semantic oracle for the pipelining techniques.
-			if err := validateFuzzResult(res, vars, arrays); err != nil {
+			if err := validateResult(res, vars, arrays); err != nil {
 				class := FailMismatch
 				if errors.Is(err, sim.ErrCycleBudget) {
 					class = FailLivelock
@@ -248,11 +248,11 @@ func CheckLoop(ctx context.Context, spec *ir.LoopSpec, opts FuzzOptions) (*LoopV
 	return v, nil
 }
 
-// validateFuzzResult proves one scheduled pipeline result equivalent to
-// its source loop on the spec's deterministic workload, for an early
-// exit, a mid-unwind exit, and the full unwound depth — the same trip
-// discipline the Livermore validation pass uses.
-func validateFuzzResult(res *pipeline.Result, vars map[string]int64, arrays map[string][]int64) error {
+// validateResult proves one scheduled pipeline result equivalent to its
+// source loop on the given workload, for an early exit, a mid-unwind
+// exit, and the full unwound depth: trips Start + Step·max(i,1) for i
+// in {1, U/3, U}, deduplicated. CheckLoop and ValidateCell share it.
+func validateResult(res *pipeline.Result, vars map[string]int64, arrays map[string][]int64) error {
 	u := int64(res.U)
 	var trips []int64
 	seen := map[int64]bool{}

@@ -44,21 +44,6 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 	}
 }
 
-// Get returns the value under key, marking it most recently used.
-func (c *Cache[K, V]) Get(key K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.get(key)
-}
-
-// Put stores value under key (overwriting any existing entry), evicting
-// the least recently used entry when over capacity.
-func (c *Cache[K, V]) Put(key K, val V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.put(key, val)
-}
-
 // Source says what served a successful GetOrCompute call.
 type Source uint8
 
@@ -138,7 +123,8 @@ func (c *Cache[K, V]) Len() int {
 	return c.order.Len()
 }
 
-// get and put are Get and Put for callers holding the lock.
+// get returns the value under key, marking it most recently used. The
+// caller holds the lock.
 func (c *Cache[K, V]) get(key K) (V, bool) {
 	if el, ok := c.items[key]; ok {
 		c.order.MoveToFront(el)
@@ -148,12 +134,10 @@ func (c *Cache[K, V]) get(key K) (V, bool) {
 	return zero, false
 }
 
+// put stores val under key, evicting the least recently used entry when
+// over capacity. The caller holds the lock, and key is absent: only a
+// flight's leader stores, and a flight is led only for a missing key.
 func (c *Cache[K, V]) put(key K, val V) {
-	if el, ok := c.items[key]; ok {
-		el.Value.(*entry[K, V]).val = val
-		c.order.MoveToFront(el)
-		return
-	}
 	c.items[key] = c.order.PushFront(&entry[K, V]{key: key, val: val})
 	for c.order.Len() > c.capacity {
 		last := c.order.Back()

@@ -11,36 +11,58 @@ import (
 	"repro/internal/testutil"
 )
 
-func TestGetPutEvict(t *testing.T) {
-	c := New[string, int](2)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	if v, ok := c.Get("a"); !ok || v != 1 {
-		t.Fatalf("Get(a) = %d, %v", v, ok)
+// errMiss is what lookup's compute returns: errors are never stored, so
+// a lookup that misses leaves the cache as it found it.
+var errMiss = errors.New("miss")
+
+// lookup reports the value cached under key. A hit marks the key most
+// recently used, as every GetOrCompute hit does.
+func lookup(c *Cache[string, int], key string) (int, bool) {
+	v, src, err := c.GetOrCompute(context.Background(), key, func() (int, error) { return 0, errMiss })
+	return v, err == nil && src == Hit
+}
+
+// store caches val under an absent key through a computing call.
+func store(t *testing.T, c *Cache[string, int], key string, val int) {
+	t.Helper()
+	if _, src, err := c.GetOrCompute(context.Background(), key, func() (int, error) { return val, nil }); err != nil || src != Computed {
+		t.Fatalf("store %s: source %d, err %v; want a computed value", key, src, err)
 	}
-	c.Put("c", 3) // evicts b (a was refreshed)
-	if _, ok := c.Get("b"); ok {
+}
+
+func TestEvictionAndRecency(t *testing.T) {
+	c := New[string, int](2)
+	store(t, c, "a", 1)
+	store(t, c, "b", 2)
+	if v, ok := lookup(c, "a"); !ok || v != 1 {
+		t.Fatalf("lookup(a) = %d, %v", v, ok)
+	}
+	store(t, c, "c", 3) // evicts b (a was refreshed)
+	if _, ok := lookup(c, "b"); ok {
 		t.Error("b survived eviction")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := lookup(c, "a"); !ok {
 		t.Error("a evicted despite recent use")
 	}
 	if c.Len() != 2 {
 		t.Errorf("Len = %d, want 2", c.Len())
 	}
-	c.Put("a", 10) // overwrite
-	if v, _ := c.Get("a"); v != 10 {
-		t.Errorf("overwrite lost: %d", v)
+	store(t, c, "b", 20) // evicts c, the least recently used
+	if _, ok := lookup(c, "c"); ok {
+		t.Error("c survived eviction")
+	}
+	if v, ok := lookup(c, "b"); !ok || v != 20 {
+		t.Errorf("recomputed b = %d, %v; want 20", v, ok)
 	}
 }
 
 func TestZeroCapacityClamped(t *testing.T) {
-	c := New[int, int](0)
-	c.Put(1, 1)
-	if _, ok := c.Get(1); !ok {
+	c := New[string, int](0)
+	store(t, c, "1", 1)
+	if _, ok := lookup(c, "1"); !ok {
 		t.Error("capacity-0 cache unusable")
 	}
-	c.Put(2, 2)
+	store(t, c, "2", 2)
 	if c.Len() != 1 {
 		t.Errorf("Len = %d, want 1", c.Len())
 	}
@@ -180,14 +202,14 @@ func TestSingleFlightErrorNotStoredOrShared(t *testing.T) {
 	if w := <-waiter; w.err != nil || w.val != 7 || w.src != Computed {
 		t.Errorf("waiter = %+v, want its own computed 7", w)
 	}
-	if v, ok := c.Get("k"); !ok || v != 7 {
+	if v, ok := lookup(c, "k"); !ok || v != 7 {
 		t.Errorf("stored %d/%v, want the waiter's 7", v, ok)
 	}
 
 	if _, _, err := c.GetOrCompute(context.Background(), "other", func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if _, ok := c.Get("other"); ok || c.Len() != 1 {
+	if _, ok := lookup(c, "other"); ok || c.Len() != 1 {
 		t.Errorf("an error was stored: Len = %d", c.Len())
 	}
 }
@@ -229,7 +251,7 @@ func TestSingleFlightPanicRetiresFlight(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("waiter stranded on a panicked flight")
 	}
-	if v, ok := c.Get("k"); !ok || v != 9 {
+	if v, ok := lookup(c, "k"); !ok || v != 9 {
 		t.Errorf("stored %d/%v, want the waiter's 9", v, ok)
 	}
 }
@@ -259,7 +281,7 @@ func TestSingleFlightWaiterCtxEndsWait(t *testing.T) {
 	if l := <-leader; l.err != nil || l.val != 5 || l.src != Computed {
 		t.Errorf("leader = %+v, want its computed 5", l)
 	}
-	if v, ok := c.Get("k"); !ok || v != 5 {
+	if v, ok := lookup(c, "k"); !ok || v != 5 {
 		t.Errorf("stored %d/%v, want the leader's 5", v, ok)
 	}
 }

@@ -308,7 +308,7 @@ func refillCandidate(g *graph.Graph, ctx *ps.Ctx, n *graph.Node, pri *deps.Prior
 	}
 	pri.Rank(cands)
 	for _, op := range cands {
-		if ctx.CanStepUp(op).Kind == ps.BlockNone {
+		if ctx.CanStepUp(op, nil).Kind == ps.BlockNone {
 			return op
 		}
 	}
@@ -317,19 +317,9 @@ func refillCandidate(g *graph.Graph, ctx *ps.Ctx, n *graph.Node, pri *deps.Prior
 
 // pullTo advances op step by step until it reaches n or blocks.
 func pullTo(ctx *ps.Ctx, n *graph.Node, op *ir.Op) bool {
-	g := ctx.G
 	moved := false
-	for g.NodeOf(op) != n {
-		var blk ps.Block
-		switch {
-		case op.IsBranch():
-			blk = ctx.TryMoveCJUp(op, true)
-		case g.Where(op) != g.NodeOf(op).Root:
-			blk = ctx.TryHoist(op, true)
-		default:
-			blk = ctx.TryMoveOpUp(op, true, nil)
-		}
-		if blk.Kind != ps.BlockNone {
+	for ctx.G.NodeOf(op) != n {
+		if ctx.StepUp(op).Kind != ps.BlockNone {
 			return moved
 		}
 		moved = true

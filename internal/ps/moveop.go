@@ -176,7 +176,7 @@ func firstPathEvent(leaf *graph.Vertex, op, excluding *ir.Op) *ir.Op {
 		v := chain[i]
 		first, at := (*ir.Op)(nil), int32(len(v.Ops))
 		for _, r := range regs {
-			if !v.DefinesHere(r) {
+			if !v.MayDefine(r) {
 				continue
 			}
 			if p, k := v.DefSiteHere(r); p != nil && p != op && p != excluding && k < at {
@@ -272,7 +272,7 @@ func (c *Ctx) scanMovePastRead(n *graph.Node, op *ir.Op, excluding *ir.Op) Block
 // contribute their own reads; MayAlias is per-op), which costs a scan
 // that finds nothing, never a wrong verdict.
 func scanMovePastReadFast(v *graph.Vertex, op, excluding *ir.Op, d ir.Reg, isStore bool) Block {
-	if d != ir.NoReg && v.ReadsHere(d) || isStore && v.LoadsHere() {
+	if d != ir.NoReg && v.MayRead(d) || isStore && v.LoadsHere() {
 		for _, p := range v.Ops {
 			if p == op || p == excluding {
 				continue

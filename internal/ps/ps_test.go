@@ -123,7 +123,7 @@ func TestMoveOpResourceBlock(t *testing.T) {
 	}
 	// CanStepUp agrees and does not mutate.
 	v := f.g.Version()
-	if blk := f.c.CanStepUp(c); blk.Kind != BlockResource {
+	if blk := f.c.CanStepUp(c, nil); blk.Kind != BlockResource {
 		t.Fatalf("CanStepUp: %v", blk.Kind)
 	}
 	if f.g.Version() != v {
@@ -490,5 +490,78 @@ func TestMoveCJBranchSlotLimit(t *testing.T) {
 	// The nested jump is now pinned by the outer one.
 	if blk := f.c.TryMoveCJUp(cj2, true); blk.Kind != BlockDep || blk.By != cj1 {
 		t.Fatalf("nested cj should be pinned by cj1, got %v", blk.Kind)
+	}
+}
+
+// TestMaskCollisionIsNotADefinition: vertex summaries are 64-bit
+// may-masks, so registers r and r+64 share a bit. A vertex that only
+// touches r+64 answers MayDefine(r) and MayRead(r) true, and every
+// reader must confirm such a hit exactly: DefSiteHere(r) is nil, a
+// mover reading r passes the committed-path probe through that vertex,
+// and a mover defining r passes move-past-read beside it. CrossCheck
+// runs the reference scans next to every answer. The r+64 movers show
+// the same vertices do block the register they really hold.
+func TestMaskCollisionIsNotADefinition(t *testing.T) {
+	f := newFixture(4)
+	f.c.CrossCheck = true
+	regs := make([]ir.Reg, 66)
+	for i := range regs {
+		regs[i] = f.al.Reg("")
+	}
+	r, alias, s := regs[1], regs[65], regs[2]
+	if alias != r+64 {
+		t.Fatalf("registers r%d and r%d do not share a mask bit", r, alias)
+	}
+	add := func(dst, a, b ir.Reg) *ir.Op {
+		return &ir.Op{ID: f.al.OpID(), Kind: ir.Add, Dst: dst, Src: [2]ir.Reg{a, b}}
+	}
+	def := add(alias, alias, s)         // n1: defines and reads r+64
+	readR := f.addI(f.al.Reg(""), r, 1) // n2: reads r
+	readA := f.addI(f.al.Reg(""), alias, 1)
+	defR := f.addI(r, s, 1)                  // n3: defines r
+	defA := f.addI(alias, s, 2)              // n3: defines r+64
+	reader := f.addI(f.al.Reg(""), alias, 2) // n3: reads r+64
+	n1 := graph.AppendOp(f.g, nil, def)
+	n2 := graph.AppendOp(f.g, n1, readR)
+	f.g.AddOp(readA, n2.Root)
+	n3 := graph.AppendOp(f.g, n2, defR)
+	f.g.AddOp(defA, n3.Root)
+	f.g.AddOp(reader, n3.Root)
+	if err := f.g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, v := range []*graph.Vertex{n1.Root, n3.Root} {
+		if !v.MayDefine(r) || !v.MayRead(r) {
+			t.Fatalf("n%d: MayDefine(r)=%v MayRead(r)=%v, want both true (bit shared with r+64)",
+				v.Node().ID, v.MayDefine(r), v.MayRead(r))
+		}
+	}
+	if p, _ := n1.Root.DefSiteHere(r); p != nil {
+		t.Fatalf("DefSiteHere(r) = %v, want nil: only r+64 is defined in n1", p)
+	}
+
+	// Committed path into n1: r collides with def, r+64 is def's.
+	if blk := f.c.CanStepUp(readR, nil); blk.Kind != BlockNone {
+		t.Errorf("reader of r blocked by %v (%v) on a mask collision", blk.By, blk.Kind)
+	}
+	if blk := f.c.CanStepUp(readA, nil); blk.Kind != BlockDep || blk.By != def {
+		t.Errorf("reader of r+64: %v by %v, want a dependence on %v", blk.Kind, blk.By, def)
+	}
+	// Move-past-read out of n3: reader reads r+64, not r.
+	if blk := f.c.CanStepUp(defR, nil); blk.Kind != BlockNone {
+		t.Errorf("definer of r blocked by %v (%v) on a mask collision", blk.By, blk.Kind)
+	}
+	if blk := f.c.CanStepUp(defA, nil); blk.Kind != BlockDep || blk.By != reader {
+		t.Errorf("definer of r+64: %v by %v, want a dependence on %v", blk.Kind, blk.By, reader)
+	}
+
+	for _, op := range []*ir.Op{readR, defR} {
+		if blk := f.c.StepUp(op); blk.Kind != BlockNone {
+			t.Fatalf("StepUp(%v): %v", op, blk.Kind)
+		}
+	}
+	if err := f.g.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -24,8 +24,9 @@ func (c *Ctx) StepUp(op *ir.Op) Block {
 }
 
 // CanStepUp reports whether StepUp would succeed, without mutating the
-// graph.
-func (c *Ctx) CanStepUp(op *ir.Op) Block {
+// graph. A non-nil excluding is treated as absent from the graph by the
+// move-op probe (see TryMoveOpUp); hoist and move-cj probes ignore it.
+func (c *Ctx) CanStepUp(op, excluding *ir.Op) Block {
 	if op.Frozen {
 		return Block{Kind: BlockFrozen}
 	}
@@ -36,5 +37,5 @@ func (c *Ctx) CanStepUp(op *ir.Op) Block {
 	if v != v.Node().Root {
 		return c.TryHoist(op, false)
 	}
-	return c.TryMoveOpUp(op, false, nil)
+	return c.TryMoveOpUp(op, false, excluding)
 }

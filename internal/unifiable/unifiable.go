@@ -122,16 +122,17 @@ func (s *sched) scheduleNode(n *graph.Node, ops []*ir.Op) error {
 // (exclusive) down to the op's node serializes against it, and its path
 // is not blocked by branch-crossing restrictions (a store cannot cross a
 // conditional jump, and a conditional jump must be at its node's root).
+// "Below n" is the position-key test core's frontier uses: main-chain
+// nodes compare by Pos exactly as by chain order.
 func (s *sched) unifiableSet(n *graph.Node, ops []*ir.Op) []*ir.Op {
 	g := s.ctx.G
-	limit := g.Index(n)
 	var set []*ir.Op
 	for _, op := range ops {
 		if op.Frozen {
 			continue
 		}
 		home := g.NodeOf(op)
-		if home == nil || home.Drain || g.Index(home) <= limit {
+		if home == nil || home.Drain || home.Pos() <= n.Pos() {
 			continue
 		}
 		if s.clearPathTo(n, op, home) {
@@ -205,16 +206,7 @@ func (s *sched) migrate(n *graph.Node, op *ir.Op) bool {
 		if cur := g.NodeOf(op); cur != nil && g.SinglePred(cur) == n && g.Where(op) == cur.Root {
 			ctx = s.ctx
 		}
-		var blk ps.Block
-		switch {
-		case op.IsBranch():
-			blk = ctx.TryMoveCJUp(op, true)
-		case g.Where(op) != g.NodeOf(op).Root:
-			blk = ctx.TryHoist(op, true)
-		default:
-			blk = ctx.TryMoveOpUp(op, true, nil)
-		}
-		if blk.Kind != ps.BlockNone {
+		if ctx.StepUp(op).Kind != ps.BlockNone {
 			return false
 		}
 	}

@@ -1,8 +1,10 @@
 package unifiable
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/deps"
 	"repro/internal/graph"
 	"repro/internal/ir"
@@ -111,5 +113,47 @@ func TestTraceEmitsSets(t *testing.T) {
 	}
 	if calls == 0 || first < 0 {
 		t.Fatal("trace never fired")
+	}
+}
+
+// TestMainChainPositionsIncrease: both schedulers test "below the node
+// being scheduled" by position key — core's iteration frontier and
+// unifiableSet alike — which is sound only while keys strictly
+// increase along the main chain. Checked at every traced scheduling
+// step and on the final graph, for GRiP and Unifiable-ops on every
+// Livermore kernel.
+func TestMainChainPositionsIncrease(t *testing.T) {
+	check := func(g *graph.Graph, what string) {
+		t.Helper()
+		chain := g.MainChain()
+		for i := 1; i < len(chain); i++ {
+			if chain[i].Pos() <= chain[i-1].Pos() {
+				t.Fatalf("%s: n%d at pos %v follows n%d at pos %v on the main chain",
+					what, chain[i].ID, chain[i].Pos(), chain[i-1].ID, chain[i-1].Pos())
+			}
+		}
+	}
+	for _, k := range livermore.All() {
+		for _, technique := range []string{"grip", "unifiable"} {
+			uw, err := pipeline.Unwind(k.Spec, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := uw.BuildGraph()
+			ctx := ps.NewCtx(g, machine.New(4), uw.ExitLive)
+			pri := deps.NewPriority(deps.Build(uw.Ops))
+			what := k.Name + " " + technique
+			trace := func(*graph.Node, []*ir.Op) { check(g, what) }
+			if technique == "grip" {
+				_, err = core.Schedule(context.Background(), ctx, uw.Ops, pri,
+					core.Options{GapPrevention: true, TraceNode: trace})
+			} else {
+				_, err = Schedule(ctx, uw.Ops, pri, Options{TraceNode: trace})
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			check(g, what)
+		}
 	}
 }
