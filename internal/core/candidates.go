@@ -17,7 +17,7 @@ import (
 // candidate. An op's rank is a member of its class selector exactly
 // when every per-op eligibility flag holds:
 //
-//	in selector  ⟺  !pruned && !suspended && tried != gen
+//	in selector  ⟺  !pruned && !suspended && tried != gen && !parked
 //
 // with one lazy exception: an op whose home is nil or a drain node is
 // dropped from the selector when the pick path encounters it, and the
@@ -38,7 +38,10 @@ import (
 //   - unmoveable marks and frontier crossings are monotone (an op at or
 //     above the scheduling frontier can never become eligible again, see
 //     chooseOp), so they remove the op and set its pruned bit, which
-//     keeps every later restore path from resurrecting it.
+//     keeps every later restore path from resurrecting it;
+//   - parking (park.go) removes an op whose re-pick could only repeat
+//     its dependence block; a wake returns it, tried or not as the
+//     skipped re-picks would have left it.
 //
 // Positional gates (the frontier limit and rule 3) are deliberately NOT
 // part of the structure: node positions of live candidates only ever
@@ -50,9 +53,13 @@ import (
 // DESIGN.md §6.
 
 // initCandidates sizes and fills the selectors from the freshly ranked
-// pool: every pool op starts eligible.
+// pool: every pool op starts eligible. rankOf, tried and parkLink share
+// one allocation.
 func (s *scheduler) initCandidates(idxSpace int) {
-	s.rankOf = make([]int32, idxSpace)
+	words := make([]int32, 2*idxSpace+len(s.pool))
+	s.rankOf = words[:idxSpace:idxSpace]
+	s.tried = words[idxSpace : 2*idxSpace : 2*idxSpace]
+	s.parkLink = words[2*idxSpace:]
 	for i := range s.rankOf {
 		s.rankOf[i] = -1
 	}
@@ -72,12 +79,19 @@ func (s *scheduler) initCandidates(idxSpace int) {
 
 // chooseOp returns the highest-priority op still eligible to move toward
 // n: below n, not unmoveable, not suspended, below the lowest suspended
-// op (rule 3), and not already tried since the graph last changed. It
-// replaces the per-pick rescan of the whole ranked list: candidates come
-// off the class selectors in rank order, so the scan only ever touches
-// ops whose eligibility flags all hold, and in the steady state returns
-// the very first one. Allocation-free.
+// op (rule 3), not parked, and not already tried since the graph last
+// changed. It replaces the per-pick rescan of the whole ranked list:
+// candidates come off the class selectors in rank order, so the scan
+// only ever touches ops whose eligibility flags all hold, and in the
+// steady state returns the very first one. Allocation-free.
 func (s *scheduler) chooseOp(n *graph.Node, opRoom, brRoom bool) *ir.Op {
+	op := s.scan(n, opRoom, brRoom)
+	s.notePick(n, opRoom, op)
+	return op
+}
+
+// scan is chooseOp's selector walk, without the pick record.
+func (s *scheduler) scan(n *graph.Node, opRoom, brRoom bool) *ir.Op {
 	g := s.ctx.G
 	limit := n.Pos()
 	haveSusp := len(s.suspList) > 0
@@ -143,7 +157,7 @@ func (s *scheduler) maybeAdd(op *ir.Op) {
 	if r < 0 || s.pool[r] != op {
 		return
 	}
-	if s.pruned.Has(idx) || s.suspended.Has(idx) || s.tried[idx] == s.gen {
+	if s.pruned.Has(idx) || s.suspended.Has(idx) || s.tried[idx] == s.gen || s.parkLink[r] != 0 {
 		return
 	}
 	if op.IsBranch() {
@@ -151,6 +165,26 @@ func (s *scheduler) maybeAdd(op *ir.Op) {
 	} else {
 		s.opSel.Add(int(r))
 	}
+}
+
+// opHome is the graph's op-home hook: op left from, or entered its
+// home when from is nil. The parked ops whose blocks or certificates
+// read the changed node wake first (DESIGN.md §6.5), then op itself
+// rejoins its selector if eligible.
+func (s *scheduler) opHome(op *ir.Op, from *graph.Node) {
+	switch {
+	case s.nParked == 0:
+	case from != nil:
+		// from lost an op: its counts, its readers and the committed
+		// paths it holds for its successors changed.
+		s.wake(from, true, true)
+	default:
+		// op's new home gained an op. The committed path op joined
+		// leads to the node it came from, whose departure event woke
+		// that node's list already.
+		s.wake(s.ctx.G.NodeOf(op), false, true)
+	}
+	s.maybeAdd(op)
 }
 
 // selRemove drops op from its class selector (no-op when absent).
@@ -188,6 +222,7 @@ func (s *scheduler) bumpGen() {
 		s.maybeAdd(op)
 	}
 	s.triedGen = s.triedGen[:0]
+	s.picks = s.picks[:0]
 	s.ruleCurOp, s.ruleCurBr = 0, 0
 }
 
@@ -218,11 +253,13 @@ func (s *scheduler) suspendOp(op *ir.Op) {
 
 // markUnmoveable takes op out of the candidate set permanently: the
 // pruned bit keeps every restore path (generation bumps, unsuspension,
-// op-home events) from resurrecting it.
+// op-home events) from resurrecting it. Ops that op blocks now have a
+// pinned blocker (recordBlock), so the ones parked around it wake.
 func (s *scheduler) markUnmoveable(op *ir.Op) {
 	s.unmoveable.Add(op.Index)
 	s.pruned.Add(op.Index)
 	s.selRemove(op)
+	s.wake(s.ctx.G.NodeOf(op), true, false)
 }
 
 // checkCandidates cross-checks the selector invariants against a full
@@ -243,10 +280,11 @@ func (s *scheduler) checkCandidates() error {
 		if s.opSel.Has(r) && s.brSel.Has(r) {
 			return fmt.Errorf("core: rank %d (%s) in both selectors", r, class)
 		}
-		eligible := !s.pruned.Has(idx) && !s.suspended.Has(idx) && s.tried[idx] != s.gen
+		parked := s.parkLink[r] != 0
+		eligible := !s.pruned.Has(idx) && !s.suspended.Has(idx) && s.tried[idx] != s.gen && !parked
 		if inSel && !eligible {
-			return fmt.Errorf("core: rank %d (%s %v) in %s selector but ineligible (pruned=%v suspended=%v tried=%v)",
-				r, class, op, class, s.pruned.Has(idx), s.suspended.Has(idx), s.tried[idx] == s.gen)
+			return fmt.Errorf("core: rank %d (%s %v) in %s selector but ineligible (pruned=%v suspended=%v tried=%v parked=%v)",
+				r, class, op, class, s.pruned.Has(idx), s.suspended.Has(idx), s.tried[idx] == s.gen, parked)
 		}
 		home := g.NodeOf(op)
 		if eligible && home != nil && !home.Drain && !inSel {

@@ -68,18 +68,24 @@ func buildRandomChain(rng *rand.Rand, nNodes int) (*scheduler, []*graph.Node, []
 // TestCandidatesRandomMutations drives thousands of random mutation
 // sequences — picks under random room gates, upward op moves,
 // suspensions and unsuspensions, unmoveable marks, tried-generation
-// bumps, and frontier advances — against schedulers with the reference
-// scan retained, asserting after every pick that the incremental
-// candidate structure returns the identical op, that the incremental
-// rule-3 bound matches a rescan, and that the structure invariants
-// (checkCandidates) and the graph's own cached-state invariants
-// (graph.Validate) hold.
+// bumps, frontier advances, parks and wakes — against schedulers with
+// the reference scan retained, asserting after every pick that the
+// incremental candidate structure returns the identical op, that the
+// incremental rule-3 bound matches a rescan, that every woken op
+// rejoins tried exactly when the reference re-picked it, and that the
+// structure invariants (checkCandidates, checkParked) and the graph's
+// own cached-state invariants (graph.Validate) hold.
 //
 // The mutation grammar mirrors the scheduler's real event structure:
 // operations only move upward (toward smaller positions), the frontier
 // only advances, and the graph does not mutate while suspensions are
 // live — rule 2 guarantees exactly that, and both the incremental
-// rule-3 bound and the rule-3 resume cursors rely on it.
+// rule-3 bound and the rule-3 resume cursors rely on it. An op parks
+// only where the scheduler parks one: right after its pick in the
+// current generation, or before any pick of a fresh generation (the
+// mid-migration bumpGen case). No dependence block backs these parks,
+// so the picks are checked with crossCheckScan, which leaves out the
+// probes of the re-picks.
 func TestCandidatesRandomMutations(t *testing.T) {
 	sequences := 400
 	steps := 250
@@ -90,16 +96,22 @@ func TestCandidatesRandomMutations(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seq)))
 		s, chain, ops := buildRandomChain(rng, 4+rng.Intn(12))
 		g := s.ctx.G
-		s.bumpGen() // scheduleNode opens every node with a fresh generation
 		fi := 0
+		s.startNode(chain[fi])
+		gen := s.gen
+		genPicked := false // an op-room pick happened in generation gen
 		pick := func() {
 			n := chain[fi]
 			opRoom, brRoom := rng.Intn(2) == 0, rng.Intn(2) == 0
 			if !opRoom && !brRoom {
 				opRoom = true
 			}
+			if s.gen != gen {
+				gen, genPicked = s.gen, false
+			}
+			genPicked = genPicked || opRoom
 			got := s.chooseOp(n, opRoom, brRoom)
-			if err := s.crossCheckPick(n, opRoom, brRoom, got); err != nil {
+			if err := s.crossCheckScan(n, opRoom, brRoom, got); err != nil {
 				if got != nil {
 					inRef := false
 					for _, o := range s.refRanked {
@@ -124,8 +136,11 @@ func TestCandidatesRandomMutations(t *testing.T) {
 		for step := 0; step < steps; step++ {
 			op := ops[rng.Intn(len(ops))]
 			suspActive := len(s.suspList) > 0
-			action := rng.Intn(9)
+			action := rng.Intn(11)
 			if err := s.checkCandidates(); err != nil {
+				t.Fatalf("seq %d step %d (before action %d): %v", seq, step, action, err)
+			}
+			if err := s.checkParked(); err != nil {
 				t.Fatalf("seq %d step %d (before action %d): %v", seq, step, action, err)
 			}
 			switch action {
@@ -149,7 +164,7 @@ func TestCandidatesRandomMutations(t *testing.T) {
 				}
 				g.MoveOp(op, chain[rng.Intn(hi)].Root)
 			case 5:
-				if !s.suspended.Has(op.Index) && g.NodeOf(op) != nil {
+				if !s.suspended.Has(op.Index) && !s.parked(op) && g.NodeOf(op) != nil {
 					s.suspendOp(op)
 				}
 			case 6:
@@ -165,9 +180,27 @@ func TestCandidatesRandomMutations(t *testing.T) {
 					if suspActive {
 						s.clearSuspensions()
 					}
+					// Sometimes past a node, as the frontier passes a
+					// node off the main chain: an op parked there is left
+					// above the frontier, and must not rejoin as tried.
 					fi++
-					s.bumpGen()
+					if fi+1 < len(chain) && rng.Intn(4) == 0 {
+						fi++
+					}
+					s.startNode(chain[fi])
 				}
+			case 9: // park, where the scheduler would
+				home := g.NodeOf(op)
+				fresh := (s.gen != gen || !genPicked) && s.tried[op.Index] != s.gen
+				if op.IsBranch() || home == nil || home.Drain || s.parked(op) ||
+					s.pruned.Has(op.Index) || s.suspended.Has(op.Index) || home.Pos() <= chain[fi].Pos() ||
+					(s.tried[op.Index] != s.gen && !fresh) {
+					pick()
+					break
+				}
+				s.park(op, home, rng.Intn(3))
+			case 10: // wake around a random node
+				s.wake(chain[rng.Intn(len(chain))], rng.Intn(2) == 0, rng.Intn(2) == 0)
 			}
 		}
 		if err := s.checkCandidates(); err != nil {

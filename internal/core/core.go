@@ -76,6 +76,7 @@ type Stats struct {
 	Unsuspensions    int // rule 2 wake-ups
 	GaplessRejects   int // moves rejected by the Gapless-move test
 	Renames          int
+	Picks            int // ops chooseOp returned (parked re-picks skipped)
 }
 
 // The scheduler's per-op state lives in bitsets and slices addressed by
@@ -102,6 +103,23 @@ type scheduler struct {
 	pruned   bitset.Set  // permanently ineligible: unmoveable or at/above the frontier
 	triedGen []*ir.Op    // ops tried in the current generation, restored on bumpGen
 
+	// Parking (park.go, DESIGN.md §6.5): an intrusive list per node of
+	// the ops whose re-pick could only repeat their dependence block.
+	// parkLink[rank] is 0 for an op that is not parked, else 2 + the
+	// rank of the next op filed at the same node (1 ends the list);
+	// parkHead[node ID] packs the rank+1 of the first op filed there
+	// (low 32 bits) with the deepest witness chain filed there.
+	parkLink []int32
+	parkHead []uint64
+	nParked  int
+
+	// picks and pickLimit record the current generation's picks for
+	// the rule that decides how a woken op rejoins (repicked): one
+	// mark per rule-3 bound the generation picked under, so one per
+	// suspension at most.
+	picks     []pickMark
+	pickLimit float64
+
 	// maxSuspPos is the rule-3 bound — the largest home position over
 	// the suspended ops — maintained on suspension and reset on
 	// unsuspension instead of rescanned per pick (valid while suspList
@@ -120,11 +138,16 @@ type scheduler struct {
 
 	// refRanked, under Options.CrossCheck, is the retained reference
 	// scan's own compacting copy of the ranked list (chooseOpReference).
-	refRanked []*ir.Op
+	// refTried[i] holds the generation the reference last re-picked
+	// parked op i in, and refRepicks the parked ops its latest scan
+	// re-picked, which crossCheckPick probes.
+	refRanked  []*ir.Op
+	refTried   []int32
+	refRepicks []*ir.Op
 
 	// prevHook is the graph's op-home hook displaced by this run's
 	// candidate maintenance, restored when Schedule returns.
-	prevHook func(*ir.Op)
+	prevHook func(*ir.Op, *graph.Node)
 
 	unmoveable bitset.Set
 	suspended  bitset.Set
@@ -136,7 +159,7 @@ type scheduler struct {
 
 	// tried[i] holds the generation op i was last tried in; a fresh
 	// generation invalidates every mark at once (no per-node map).
-	tried []int
+	tried []int32
 
 	// gen is the retry generation: it advances on events that can
 	// unblock previously tried operations (an arrival at the scheduled
@@ -145,7 +168,7 @@ type scheduler struct {
 	// generation advances (bumpGen restores it), which keeps the Figure
 	// 10 while-loop from re-probing the whole Moveable set after every
 	// unrelated move.
-	gen int
+	gen int32
 
 	// Gapless-move machinery (section 3.3), all stamped by the graph
 	// mutation counter so one committed move invalidates everything at
@@ -230,7 +253,6 @@ func newScheduler(ctx context.Context, pctx *ps.Ctx, ops []*ir.Op, pri *deps.Pri
 		unmoveable: bitset.New(n),
 		suspended:  bitset.New(n),
 		barrierSet: bitset.New(n),
-		tried:      make([]int, n),
 		suspList:   make([]*ir.Op, 0, n),
 	}
 	s.pool = make([]*ir.Op, 0, len(ops))
@@ -253,11 +275,12 @@ func newScheduler(ctx context.Context, pctx *ps.Ctx, ops []*ir.Op, pri *deps.Pri
 	s.initCandidates(n)
 	if opts.CrossCheck {
 		s.refRanked = append([]*ir.Op(nil), s.pool...)
+		s.refTried = make([]int32, n)
 	}
 	// The structure hears about every op whose home changes — re-homing
 	// via branch-move node splits, transient unplacement during moves,
 	// renaming compensations — through the graph's op-home hook.
-	s.prevHook = pctx.G.SetOpHomeHook(s.maybeAdd)
+	s.prevHook = pctx.G.SetOpHomeHook(s.opHome)
 	return s
 }
 
@@ -300,9 +323,7 @@ func ensureIndices(ops []*ir.Op) int {
 // prevention is on): repeatedly choose the best moveable op and migrate
 // it toward n until resources run out or nothing can move.
 func (s *scheduler) scheduleNode(n *graph.Node) error {
-	// A fresh generation invalidates every tried mark from the previous
-	// node at once (the map-based version allocated a new map here).
-	s.bumpGen()
+	s.startNode(n)
 	if s.opts.TraceNode != nil {
 		s.opts.TraceNode(n, s.MoveableSet(n))
 	}
@@ -334,9 +355,20 @@ func (s *scheduler) scheduleNode(n *graph.Node) error {
 		if op == nil {
 			return nil
 		}
+		s.stats.Picks++
 		s.markTried(op)
 		s.migrate(n, op)
 	}
+}
+
+// startNode makes n the scheduling frontier. A fresh generation
+// invalidates every tried mark from the previous node at once (the
+// map-based version allocated a new map here). An op blocked by a
+// producer at n is now blocked by the scheduled region, which pins it
+// (recordBlock), so the ops parked around n wake.
+func (s *scheduler) startNode(n *graph.Node) {
+	s.bumpGen()
+	s.wake(n, true, false)
 }
 
 // chooseOpReference is the retained reference implementation of the
@@ -346,11 +378,17 @@ func (s *scheduler) scheduleNode(n *graph.Node) error {
 // under Options.CrossCheck (against its own refRanked copy) so the
 // randomized equivalence tests can assert the incremental structure
 // returns the identical pick sequence.
+//
+// It replays the scheduler without parking: a parked op it would pick
+// is re-picked in place — stamped tried in refTried and listed in
+// refRepicks for crossCheckPick to probe — and the scan moves on, as
+// the next pick after a no-op re-pick would have.
 func (s *scheduler) chooseOpReference(n *graph.Node, opRoom, brRoom bool) *ir.Op {
 	g := s.ctx.G
 	limit := n.Pos()
 	lowestSusp, haveSusp := s.lowestSuspendedPosRescan()
 	ranked := s.refRanked
+	s.refRepicks = s.refRepicks[:0]
 	w := 0
 	for r := 0; r < len(ranked); r++ {
 		op := ranked[r]
@@ -376,7 +414,7 @@ func (s *scheduler) chooseOpReference(n *graph.Node, opRoom, brRoom bool) *ir.Op
 		} else if !opRoom {
 			continue
 		}
-		if s.tried[op.Index] == s.gen {
+		if s.tried[op.Index] == s.gen || s.refTried[op.Index] == s.gen {
 			continue
 		}
 		if s.suspended.Has(op.Index) {
@@ -384,6 +422,11 @@ func (s *scheduler) chooseOpReference(n *graph.Node, opRoom, brRoom bool) *ir.Op
 		}
 		if haveSusp && pos <= lowestSusp {
 			continue // rule 3: only ops below the lowest suspended op move
+		}
+		if s.parked(op) {
+			s.refTried[op.Index] = s.gen
+			s.refRepicks = append(s.refRepicks, op)
+			continue
 		}
 		w += copy(ranked[w:], ranked[r+1:])
 		s.refRanked = ranked[:w]
@@ -414,11 +457,27 @@ func (s *scheduler) lowestSuspendedPosRescan() (float64, bool) {
 }
 
 // crossCheckPick checks, under Options.CrossCheck, that the candidate
-// structure and the reference scan agree on the pick, that the
-// incremental rule-3 bound matches a rescan, and that the structure's
-// invariants hold. It returns the first disagreement; scheduleNode
-// panics with it.
+// structure and the reference scan agree on the pick, that every parked
+// op the reference re-picked on the way would have re-picked to no
+// effect, that the incremental rule-3 bound matches a rescan, and that
+// the structure's invariants hold. It returns the first disagreement;
+// scheduleNode panics with it.
 func (s *scheduler) crossCheckPick(n *graph.Node, opRoom, brRoom bool, got *ir.Op) error {
+	if err := s.crossCheckScan(n, opRoom, brRoom, got); err != nil {
+		return err
+	}
+	for _, op := range s.refRepicks {
+		if err := s.repickIsNoop(n, op); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// crossCheckScan is crossCheckPick without the re-pick probes: the
+// bookkeeping half, which the randomized structure test drives with
+// parks that no real dependence block backs.
+func (s *scheduler) crossCheckScan(n *graph.Node, opRoom, brRoom bool, got *ir.Op) error {
 	want := s.chooseOpReference(n, opRoom, brRoom)
 	if got != want {
 		return fmt.Errorf("core: candidate structure diverged at n%d (opRoom=%v brRoom=%v): picked %v, reference %v",
@@ -430,7 +489,10 @@ func (s *scheduler) crossCheckPick(n *graph.Node, opRoom, brRoom bool, got *ir.O
 			return fmt.Errorf("core: incremental rule-3 bound %v, rescan %v (have=%v)", s.maxSuspPos, low, have)
 		}
 	}
-	return s.checkCandidates()
+	if err := s.checkCandidates(); err != nil {
+		return err
+	}
+	return s.checkParked()
 }
 
 func (s *scheduler) clearSuspensions() {
@@ -489,6 +551,9 @@ func (s *scheduler) migrate(n *graph.Node, op *ir.Op) {
 			if progressed {
 				s.stats.PartialMoves++
 			}
+			if blk.Kind == ps.BlockDep && blk.By != nil && !hoisting && !op.IsBranch() && !s.opts.Renaming {
+				s.maybePark(cur, op)
+			}
 			return
 		}
 		progressed = true
@@ -526,27 +591,26 @@ func (s *scheduler) recordBlock(target, cur *graph.Node, op *ir.Op, blk ps.Block
 		}
 	case ps.BlockDep:
 		// The op is unmoveable if it is pinned by something that will
-		// never move again: a frozen clone, an op already marked
-		// unmoveable, or an op resting in the scheduled region.
-		// (bitset.Has is false for ops outside the index space, exactly
-		// as the old pointer-keyed map was for ops never inserted.)
-		by := blk.By
-		if by == nil {
+		// never move again, or by nothing identifiable.
+		if blk.By == nil || s.pins(target, blk.By) {
 			s.markUnmoveable(op)
-			return
-		}
-		if by.Frozen || s.unmoveable.Has(by.Index) {
-			s.markUnmoveable(op)
-			return
-		}
-		if home := s.ctx.G.NodeOf(by); home != nil {
-			if home.Pos() <= target.Pos() {
-				s.markUnmoveable(op)
-			}
 		}
 	case ps.BlockStructure:
 		// Entry reached or shape limit: nothing more to do for now.
 	}
+}
+
+// pins reports whether a dependence block by by pins the blocked op for
+// good while target is scheduled: by is a frozen clone, an op already
+// marked unmoveable, or an op resting in the scheduled region.
+// (bitset.Has is false for ops outside the index space, exactly as the
+// old pointer-keyed map was for ops never inserted.)
+func (s *scheduler) pins(target *graph.Node, by *ir.Op) bool {
+	if by.Frozen || s.unmoveable.Has(by.Index) {
+		return true
+	}
+	home := s.ctx.G.NodeOf(by)
+	return home != nil && home.Pos() <= target.Pos()
 }
 
 // MoveableSet returns the current Moveable-ops set of n in ranked order:

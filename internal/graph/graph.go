@@ -36,12 +36,11 @@ type Graph struct {
 	maxPos     float64
 
 	// onOpHome, when set, observes every event that changes which node
-	// (if any) holds an operation: placement, removal, re-homing via
-	// subtree adoption, and in-place freezing. Schedulers register it
-	// for the duration of a run so incrementally maintained candidate
-	// structures hear about ops whose home changed underneath them
-	// (see SetOpHomeHook).
-	onOpHome func(op *ir.Op)
+	// (if any) holds an operation: placement, removal, and re-homing via
+	// subtree adoption. Schedulers register it for the duration of a run
+	// so incrementally maintained candidate structures hear about ops
+	// whose home changed underneath them (see SetOpHomeHook).
+	onOpHome func(op *ir.Op, from *Node)
 }
 
 // New returns an empty graph sharing the given allocator.
@@ -71,31 +70,36 @@ func (g *Graph) setLoc(op *ir.Op, v *Vertex) {
 	op.SetPlacement(v)
 	g.numPlaced++
 	if g.onOpHome != nil {
-		g.onOpHome(op)
+		g.onOpHome(op, nil)
 	}
 }
 
 // clearLoc unplaces op; an op not placed in this graph is left alone.
 func (g *Graph) clearLoc(op *ir.Op) {
-	if g.loc(op) == nil {
+	v := g.loc(op)
+	if v == nil {
 		return
 	}
 	op.SetPlacement(nil)
 	g.numPlaced--
 	if g.onOpHome != nil {
-		g.onOpHome(op)
+		g.onOpHome(op, v.node)
 	}
 }
 
 // SetOpHomeHook registers f to be called after every mutation that
 // changes an operation's home: AddOp/RemoveOp/MoveOp (via setLoc and
 // clearLoc), branch placement and detachment, and AdoptSubtree
-// re-homing a whole tree. It returns the previously registered hook so callers can save
-// and restore around a scheduling run. The hook must not mutate the
-// graph; it exists so schedulers can maintain incremental candidate
-// structures (see internal/core) without rescanning: membership updates
-// happen at the mutation site, in O(1) per affected op.
-func (g *Graph) SetOpHomeHook(f func(op *ir.Op)) func(op *ir.Op) {
+// re-homing a whole tree. from is the node op left — nil for a
+// placement, whose new home is g.NodeOf(op) — so a scheduler can key
+// its reactions by node. It returns the previously registered hook so
+// callers can save and restore around a scheduling run. The hook fires
+// mid-mutation (counts and edges may be half-updated) and must not
+// read node counts or mutate the graph; it exists so schedulers can
+// maintain incremental candidate structures (see internal/core) without
+// rescanning: membership updates happen at the mutation site, in O(1)
+// per affected op.
+func (g *Graph) SetOpHomeHook(f func(op *ir.Op, from *Node)) func(op *ir.Op, from *Node) {
 	prev := g.onOpHome
 	g.onOpHome = f
 	return prev
@@ -161,6 +165,11 @@ func (g *Graph) PlaceBetween(n, a, b *Node) {
 
 // NumNodes returns the number of live nodes.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
+
+// NodeIDBound returns one more than the largest node ID issued so far,
+// so a table indexed by Node.ID of that length covers every node that
+// exists now. Later NewNode calls raise it.
+func (g *Graph) NodeIDBound() int { return g.nextNodeID + 1 }
 
 // Has reports whether n is a live node of this graph.
 func (g *Graph) Has(n *Node) bool { return g.nodes[n] }
@@ -373,12 +382,13 @@ func (g *Graph) AdoptSubtree(n *Node, sub *Vertex) {
 	ops, branches := 0, 0
 	var adopt func(v *Vertex)
 	adopt = func(v *Vertex) {
+		from := v.node
 		v.node = n
 		ops += len(v.Ops)
 		for _, op := range v.Ops {
 			n.noteOpAdded(op)
 			if g.onOpHome != nil {
-				g.onOpHome(op)
+				g.onOpHome(op, from)
 			}
 		}
 		if v.IsLeaf() {
@@ -388,7 +398,7 @@ func (g *Graph) AdoptSubtree(n *Node, sub *Vertex) {
 		branches++
 		n.noteOpAdded(v.CJ)
 		if g.onOpHome != nil {
-			g.onOpHome(v.CJ)
+			g.onOpHome(v.CJ, from)
 		}
 		adopt(v.True)
 		adopt(v.False)
