@@ -40,7 +40,8 @@ import (
 //     chooseOp), so they remove the op and set its pruned bit, which
 //     keeps every later restore path from resurrecting it;
 //   - parking (park.go) removes an op whose re-pick could only repeat
-//     its dependence block; a wake returns it, tried or not as the
+//     its dependence block or its branch-slot barrier; a wake that its
+//     park record says can matter returns it, tried or not as the
 //     skipped re-picks would have left it.
 //
 // Positional gates (the frontier limit and rule 3) are deliberately NOT
@@ -86,7 +87,7 @@ func (s *scheduler) initCandidates(idxSpace int) {
 // steady state returns the very first one. Allocation-free.
 func (s *scheduler) chooseOp(n *graph.Node, opRoom, brRoom bool) *ir.Op {
 	op := s.scan(n, opRoom, brRoom)
-	s.notePick(n, opRoom, op)
+	s.notePick(n, opRoom, brRoom, op)
 	return op
 }
 
@@ -149,14 +150,11 @@ func (s *scheduler) scan(n *graph.Node, opRoom, brRoom bool) *ir.Op {
 // pool (frozen drain clones, renaming compensations, ops of a different
 // allocator) are identity-checked out, and bitset adds are idempotent.
 func (s *scheduler) maybeAdd(op *ir.Op) {
+	r := s.rank(op)
+	if r < 0 {
+		return
+	}
 	idx := op.Index
-	if idx < 0 || idx >= len(s.rankOf) {
-		return
-	}
-	r := s.rankOf[idx]
-	if r < 0 || s.pool[r] != op {
-		return
-	}
 	if s.pruned.Has(idx) || s.suspended.Has(idx) || s.tried[idx] == s.gen || s.parkLink[r] != 0 {
 		return
 	}
@@ -168,33 +166,24 @@ func (s *scheduler) maybeAdd(op *ir.Op) {
 }
 
 // opHome is the graph's op-home hook: op left from, or entered its
-// home when from is nil. The parked ops whose blocks or certificates
-// read the changed node wake first (DESIGN.md §6.5), then op itself
-// rejoins its selector if eligible.
+// home when from is nil. The parked ops whose records the event can
+// concern hear it first (DESIGN.md §6.5), then op itself rejoins its
+// selector if eligible.
 func (s *scheduler) opHome(op *ir.Op, from *graph.Node) {
 	switch {
 	case s.nParked == 0:
 	case from != nil:
-		// from lost an op: its counts, its readers and the committed
-		// paths it holds for its successors changed.
-		s.wake(from, true, true)
+		s.wakeDeparture(op, from)
 	default:
-		// op's new home gained an op. The committed path op joined
-		// leads to the node it came from, whose departure event woke
-		// that node's list already.
-		s.wake(s.ctx.G.NodeOf(op), false, true)
+		s.wakeArrival(op, s.ctx.G.NodeOf(op))
 	}
 	s.maybeAdd(op)
 }
 
 // selRemove drops op from its class selector (no-op when absent).
 func (s *scheduler) selRemove(op *ir.Op) {
-	idx := op.Index
-	if idx < 0 || idx >= len(s.rankOf) {
-		return
-	}
-	r := s.rankOf[idx]
-	if r < 0 || s.pool[r] != op {
+	r := s.rank(op)
+	if r < 0 {
 		return
 	}
 	if op.IsBranch() {
@@ -215,14 +204,17 @@ func (s *scheduler) markTried(op *ir.Op) {
 
 // bumpGen starts a new retry generation, which invalidates every tried
 // mark at once: the ops tried in the closing generation rejoin the
-// selectors (unless some other flag keeps them out).
+// selectors (unless some other flag keeps them out). The closing
+// generation's skipped branch re-picks are counted first.
 func (s *scheduler) bumpGen() {
+	s.accountBranches()
 	s.gen++
 	for _, op := range s.triedGen {
 		s.maybeAdd(op)
 	}
 	s.triedGen = s.triedGen[:0]
 	s.picks = s.picks[:0]
+	s.brPicks = s.brPicks[:0]
 	s.ruleCurOp, s.ruleCurBr = 0, 0
 }
 
@@ -254,12 +246,12 @@ func (s *scheduler) suspendOp(op *ir.Op) {
 // markUnmoveable takes op out of the candidate set permanently: the
 // pruned bit keeps every restore path (generation bumps, unsuspension,
 // op-home events) from resurrecting it. Ops that op blocks now have a
-// pinned blocker (recordBlock), so the ones parked around it wake.
+// pinned blocker (recordBlock), so the ones parked on it wake.
 func (s *scheduler) markUnmoveable(op *ir.Op) {
 	s.unmoveable.Add(op.Index)
 	s.pruned.Add(op.Index)
 	s.selRemove(op)
-	s.wake(s.ctx.G.NodeOf(op), true, false)
+	s.wakeAround(s.ctx.G.NodeOf(op), &wakeEvent{kind: evUnmoveable, x: op, rank: s.rank(op)})
 }
 
 // checkCandidates cross-checks the selector invariants against a full

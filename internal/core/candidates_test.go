@@ -72,19 +72,24 @@ func buildRandomChain(rng *rand.Rand, nNodes int) (*scheduler, []*graph.Node, []
 // the reference scan retained, asserting after every pick that the
 // incremental candidate structure returns the identical op, that the
 // incremental rule-3 bound matches a rescan, that every woken op
-// rejoins tried exactly when the reference re-picked it, and that the
-// structure invariants (checkCandidates, checkParked) and the graph's
-// own cached-state invariants (graph.Validate) hold.
+// rejoins tried exactly when the reference re-picked it, that the
+// skipped branch re-picks counted as barriers match the reference's at
+// every generation bump, and that the structure invariants
+// (checkCandidates, checkParked) and the graph's own cached-state
+// invariants (graph.Validate) hold.
 //
 // The mutation grammar mirrors the scheduler's real event structure:
 // operations only move upward (toward smaller positions), the frontier
 // only advances, and the graph does not mutate while suspensions are
 // live — rule 2 guarantees exactly that, and both the incremental
-// rule-3 bound and the rule-3 resume cursors rely on it. An op parks
-// only where the scheduler parks one: right after its pick in the
-// current generation, or before any pick of a fresh generation (the
-// mid-migration bumpGen case). No dependence block backs these parks,
-// so the picks are checked with crossCheckScan, which leaves out the
+// rule-3 bound and the rule-3 resume cursors rely on it. An op or
+// branch parks only where the scheduler parks one: right after its
+// pick in the current generation, or before any pick of a fresh
+// generation with room for its class (the mid-migration bumpGen case).
+// Its park record is random, and so are the events the wakes pass: a
+// departure or arrival of a random op, an unmoveable mark or a node
+// advance, around a random node. No real block backs these parks, so
+// the picks are checked with crossCheckScan, which leaves out the
 // probes of the re-picks.
 func TestCandidatesRandomMutations(t *testing.T) {
 	sequences := 400
@@ -99,7 +104,8 @@ func TestCandidatesRandomMutations(t *testing.T) {
 		fi := 0
 		s.startNode(chain[fi])
 		gen := s.gen
-		genPicked := false // an op-room pick happened in generation gen
+		// An op-room and a branch-room pick happened in generation gen.
+		genPicked, genPickedBr := false, false
 		pick := func() {
 			n := chain[fi]
 			opRoom, brRoom := rng.Intn(2) == 0, rng.Intn(2) == 0
@@ -107,9 +113,10 @@ func TestCandidatesRandomMutations(t *testing.T) {
 				opRoom = true
 			}
 			if s.gen != gen {
-				gen, genPicked = s.gen, false
+				gen, genPicked, genPickedBr = s.gen, false, false
 			}
 			genPicked = genPicked || opRoom
+			genPickedBr = genPickedBr || brRoom
 			got := s.chooseOp(n, opRoom, brRoom)
 			if err := s.crossCheckScan(n, opRoom, brRoom, got); err != nil {
 				if got != nil {
@@ -174,7 +181,13 @@ func TestCandidatesRandomMutations(t *testing.T) {
 					s.bumpGen()
 				}
 			case 7:
-				s.markUnmoveable(op)
+				// The scheduler marks only the op it migrates, never a
+				// parked one. A parked branch marked after the
+				// reference re-picked it would leave its barrier
+				// uncounted, a case no schedule produces.
+				if !op.IsBranch() || !s.parked(op) {
+					s.markUnmoveable(op)
+				}
 			case 8: // frontier advance (between-node: suspensions cleared first)
 				if fi+1 < len(chain) {
 					if suspActive {
@@ -189,18 +202,37 @@ func TestCandidatesRandomMutations(t *testing.T) {
 					}
 					s.startNode(chain[fi])
 				}
-			case 9: // park, where the scheduler would
+			case 9: // park, where the scheduler would, with a random record
 				home := g.NodeOf(op)
-				fresh := (s.gen != gen || !genPicked) && s.tried[op.Index] != s.gen
-				if op.IsBranch() || home == nil || home.Drain || s.parked(op) ||
+				picked := genPicked
+				if op.IsBranch() {
+					picked = genPickedBr
+				}
+				fresh := (s.gen != gen || !picked) && s.tried[op.Index] != s.gen
+				if home == nil || home.Drain || s.parked(op) ||
 					s.pruned.Has(op.Index) || s.suspended.Has(op.Index) || home.Pos() <= chain[fi].Pos() ||
 					(s.tried[op.Index] != s.gen && !fresh) {
 					pick()
 					break
 				}
-				s.park(op, home, rng.Intn(3))
-			case 10: // wake around a random node
-				s.wake(chain[rng.Intn(len(chain))], rng.Intn(2) == 0, rng.Intn(2) == 0)
+				rec := parkRec{blocker: -1, regs: rng.Uint64() & rng.Uint64(), depth: uint8(rng.Intn(3)),
+					term: uint8(rng.Intn(4)), flags: uint8(rng.Intn(8))}
+				if !op.IsBranch() {
+					rec.blocker = int32(rng.Intn(len(s.pool)))
+				}
+				s.park(op, home, rec)
+			case 10: // an event around a random node
+				n, x := chain[rng.Intn(len(chain))], ops[rng.Intn(len(ops))]
+				switch rng.Intn(4) {
+				case 0:
+					s.wakeDeparture(x, n)
+				case 1:
+					s.wakeArrival(x, n)
+				case 2:
+					s.wakeAround(n, &wakeEvent{kind: evUnmoveable, x: x, rank: s.rank(x)})
+				default:
+					s.wakeAround(n, &wakeEvent{kind: evAdvance})
+				}
 			}
 		}
 		if err := s.checkCandidates(); err != nil {

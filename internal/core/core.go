@@ -104,21 +104,36 @@ type scheduler struct {
 	triedGen []*ir.Op    // ops tried in the current generation, restored on bumpGen
 
 	// Parking (park.go, DESIGN.md §6.5): an intrusive list per node of
-	// the ops whose re-pick could only repeat their dependence block.
-	// parkLink[rank] is 0 for an op that is not parked, else 2 + the
-	// rank of the next op filed at the same node (1 ends the list);
-	// parkHead[node ID] packs the rank+1 of the first op filed there
-	// (low 32 bits) with the deepest witness chain filed there.
-	parkLink []int32
-	parkHead []uint64
-	nParked  int
+	// the ops whose re-pick could only repeat their block. parkLink[rank]
+	// is 0 for an op that is not parked, else 2 + the rank of the next
+	// op filed at the same node (1 ends the list); parkHead[node ID]
+	// packs the rank+1 of the first op filed there (low 32 bits) with
+	// the deepest witness chain filed there. parkRec[rank] records what
+	// a parked op's skipped re-pick reads; it and parkHead are allocated
+	// at the first park. brRanks lists the pool's branch ranks, for the
+	// barrier accounting, once a branch has parked.
+	parkLink  []int32
+	parkHead  []uint64
+	parkRec   []parkRec
+	nParked   int
+	nParkedBr int
+	brRanks   []int32
 
-	// picks and pickLimit record the current generation's picks for
-	// the rule that decides how a woken op rejoins (repicked): one
-	// mark per rule-3 bound the generation picked under, so one per
-	// suspension at most.
+	// picks and brPicks record the current generation's picks with op
+	// room and with branch room for the rule that decides how a woken
+	// op rejoins (repicked): one mark per rule-3 bound the generation
+	// picked under, so one per suspension at most. pickLimit is the
+	// frontier they picked at.
 	picks     []pickMark
+	brPicks   []pickMark
 	pickLimit float64
+
+	// skippedBarriers counts the resource barriers the skipped re-picks
+	// of parked branches would have hit (accountBranches); under
+	// CrossCheck, refBarriers counts the parked branches the reference
+	// scan re-picked, and the two must agree at every generation bump.
+	skippedBarriers int
+	refBarriers     int
 
 	// maxSuspPos is the rule-3 bound — the largest home position over
 	// the suspended ops — maintained on suspension and reset on
@@ -365,10 +380,11 @@ func (s *scheduler) scheduleNode(n *graph.Node) error {
 // invalidates every tried mark from the previous node at once (the
 // map-based version allocated a new map here). An op blocked by a
 // producer at n is now blocked by the scheduled region, which pins it
-// (recordBlock), so the ops parked around n wake.
+// (recordBlock), and a branch barred by n's full branch slot is no
+// longer a barrier, so the ops parked around n wake.
 func (s *scheduler) startNode(n *graph.Node) {
 	s.bumpGen()
-	s.wake(n, true, false)
+	s.wakeAround(n, &wakeEvent{kind: evAdvance})
 }
 
 // chooseOpReference is the retained reference implementation of the
@@ -426,6 +442,9 @@ func (s *scheduler) chooseOpReference(n *graph.Node, opRoom, brRoom bool) *ir.Op
 		if s.parked(op) {
 			s.refTried[op.Index] = s.gen
 			s.refRepicks = append(s.refRepicks, op)
+			if op.IsBranch() {
+				s.refBarriers++
+			}
 			continue
 		}
 		w += copy(ranked[w:], ranked[r+1:])
@@ -547,12 +566,15 @@ func (s *scheduler) migrate(n *graph.Node, op *ir.Op) {
 		}
 
 		if blk.Kind != ps.BlockNone {
-			s.recordBlock(n, cur, op, blk)
+			barrier := s.recordBlock(n, cur, op, blk)
 			if progressed {
 				s.stats.PartialMoves++
 			}
-			if blk.Kind == ps.BlockDep && blk.By != nil && !hoisting && !op.IsBranch() && !s.opts.Renaming {
-				s.maybePark(cur, op)
+			switch {
+			case barrier && op.IsBranch():
+				s.maybePark(cur, op, nil)
+			case blk.Kind == ps.BlockDep && blk.By != nil && !hoisting && !op.IsBranch() && !s.opts.Renaming:
+				s.maybePark(cur, op, blk.By)
 			}
 			return
 		}
@@ -576,7 +598,9 @@ func (s *scheduler) migrate(n *graph.Node, op *ir.Op) {
 	s.bumpGen()
 }
 
-func (s *scheduler) recordBlock(target, cur *graph.Node, op *ir.Op, blk ps.Block) {
+// recordBlock applies a blocked step's consequences and reports whether
+// it counted a resource barrier.
+func (s *scheduler) recordBlock(target, cur *graph.Node, op *ir.Op, blk ps.Block) bool {
 	switch blk.Kind {
 	case ps.BlockResource:
 		// Blocked by a full node that is not the scheduling target:
@@ -588,6 +612,7 @@ func (s *scheduler) recordBlock(target, cur *graph.Node, op *ir.Op, blk ps.Block
 				s.barrierSet.Add(op.Index)
 				s.barrierOps++
 			}
+			return true
 		}
 	case ps.BlockDep:
 		// The op is unmoveable if it is pinned by something that will
@@ -598,6 +623,7 @@ func (s *scheduler) recordBlock(target, cur *graph.Node, op *ir.Op, blk ps.Block
 	case ps.BlockStructure:
 		// Entry reached or shape limit: nothing more to do for now.
 	}
+	return false
 }
 
 // pins reports whether a dependence block by by pins the blocked op for

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,7 +15,10 @@ import (
 // TestTable1ShapeProperties reproduces Table 1 and asserts the paper's
 // qualitative claims: GRiP converges everywhere, is never materially
 // worse than POST, is essentially optimal (against the analytic bound)
-// at 2 and 4 functional units, and speedups grow with the machine.
+// at 2 and 4 functional units, and speedups grow with the machine. The
+// whole table, POST's barrier counts included, must also equal the
+// golden testdata/table1.csv byte for byte (`table1 -csv` output):
+// scheduler work skipped for speed must leave every cell unchanged.
 func TestTable1ShapeProperties(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full table in -short mode")
@@ -78,6 +82,26 @@ func TestTable1ShapeProperties(t *testing.T) {
 	csv := tbl.CSV()
 	if !strings.Contains(csv, "LL3,4,grip,") || !strings.Contains(csv, "LL3,4,post,") {
 		t.Errorf("CSV missing expected rows")
+	}
+	golden, err := os.ReadFile("testdata/table1.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if csv != string(golden) {
+		gl, cl := strings.Split(string(golden), "\n"), strings.Split(csv, "\n")
+		for i := 0; i < len(gl) || i < len(cl); i++ {
+			var g, c string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(cl) {
+				c = cl[i]
+			}
+			if g != c {
+				t.Errorf("table differs from testdata/table1.csv at line %d: got %q, want %q", i+1, c, g)
+				break
+			}
+		}
 	}
 }
 
