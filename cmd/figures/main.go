@@ -23,16 +23,7 @@ import (
 func main() {
 	fig := flag.String("fig", "all", "which figure to print")
 	fus := flag.Int("fus", 3, "functional units for the trace figures")
-	cacheDir := flag.String("cache-dir", "",
-		"persistent result-cache directory shared with cmd/table1 (serves the figures that run through the batch engine)")
 	flag.Parse()
-
-	if *cacheDir != "" {
-		if _, err := harness.EnableDiskCache(*cacheDir); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
 
 	w := os.Stdout
 	run := func(names []string, title string, f func() error) {

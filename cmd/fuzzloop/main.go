@@ -17,22 +17,16 @@
 // additionally writes pre/post-minimization loops and full error text
 // for CI upload.
 //
-// -chaos composes the fuzz sweep with the internal/faults plan:
-// injected backend panics and compute errors fire while the sweep runs,
-// and the run passes only if every failure is attributable to the
-// injection — scheduling bugs stay visible under fire.
-//
 // Usage:
 //
 //	go run ./cmd/fuzzloop [-seeds 200] [-seed-base 0] [-budget 60s]
 //	                      [-machines 2,4,8] [-technique grip,post,...]
 //	                      [-parallel N] [-timeout 30s] [-maxunwind 24]
 //	                      [-minimize] [-corpus testdata/corpus]
-//	                      [-artifacts DIR] [-chaos]
+//	                      [-artifacts DIR]
 //
-// Exit status 0 means every judged loop passed (explained chaos faults
-// aside); 1 means unexplained failures; 2 means a setup or
-// infrastructure error.
+// Exit status 0 means every judged loop passed; 1 means failures; 2
+// means a setup or infrastructure error.
 package main
 
 import (
@@ -44,7 +38,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/harness"
 	"repro/internal/sched"
 )
@@ -67,7 +60,6 @@ func run() int {
 		minProbes = flag.Int("min-probes", 200, "oracle probe budget per minimization")
 		corpus    = flag.String("corpus", "", "write minimized reproducers into this corpus directory")
 		artifacts = flag.String("artifacts", "", "write pre/post-minimization loops and error text here")
-		chaos     = flag.Bool("chaos", false, "inject backend panics and compute errors during the sweep")
 	)
 	flag.Parse()
 
@@ -110,18 +102,6 @@ func run() int {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
 	}
-	if *chaos {
-		// Panics and compute errors only: disk faults need a cache the
-		// fuzz path deliberately runs without.
-		plan := faults.NewPlan(
-			faults.Rule{Site: faults.BatchCompute, Every: 7, Panic: "fuzz chaos schedule"},
-			faults.Rule{Site: faults.BatchCompute, Every: 11, Err: harness.ErrInjected},
-		)
-		faults.Enable(plan)
-		defer faults.Disable()
-		opts.Explain = harness.ExplainInjected
-	}
-
 	rep, err := harness.FuzzSweep(context.Background(), opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fuzzloop: %v\n", err)
@@ -146,8 +126,8 @@ func run() int {
 		}
 	}
 
-	fmt.Printf("fuzzloop: %d seeds, %d checks, %d explained fault(s), %d failing loop(s) in %v\n",
-		rep.Seeds, rep.Checks, rep.Explained, len(rep.Failures), rep.Elapsed.Round(time.Millisecond))
+	fmt.Printf("fuzzloop: %d seeds, %d checks, %d failing loop(s) in %v\n",
+		rep.Seeds, rep.Checks, len(rep.Failures), rep.Elapsed.Round(time.Millisecond))
 	for _, f := range rep.Failures {
 		for _, ff := range f.Failures {
 			fmt.Printf("  seed %d (%s): %s\n", f.Seed, f.Spec.Name, ff)

@@ -32,38 +32,14 @@ func main() {
 	fusFlag := flag.String("fus", "4", "functional units (comma-separated list compares widths)")
 	technique := flag.String("technique", "grip",
 		fmt.Sprintf("scheduling technique (registered: %s)", strings.Join(sched.Names(), ", ")))
-	schedAlias := flag.String("scheduler", "", "alias for -technique (kept for compatibility)")
 	printRows := flag.Bool("print", false, "print the scheduled rows (grip and post only)")
 	noOpt := flag.Bool("no-opt", false, "disable redundant-operation removal (grip and post only)")
 	unwind := flag.Int("unwind", 0, "fix the unwind factor (0 = automatic ladder); joins the cache key")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker count when comparing several widths (batch path only; -print/-no-opt runs are sequential)")
-	cacheDir := flag.String("cache-dir", "",
-		"persistent result-cache directory shared with cmd/table1; widths already scheduled\n"+
-			"by any process are served from disk (batch path only)")
 	flag.Parse()
 
-	if *cacheDir != "" {
-		if _, err := harness.EnableDiskCache(*cacheDir); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
-
 	tech := *technique
-	if *schedAlias != "" {
-		techniqueSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "technique" {
-				techniqueSet = true
-			}
-		})
-		if techniqueSet && *schedAlias != *technique {
-			fmt.Fprintf(os.Stderr, "-technique %q and -scheduler %q conflict; pass one\n", *technique, *schedAlias)
-			os.Exit(2)
-		}
-		tech = *schedAlias
-	}
 	if _, ok := sched.Lookup(tech); !ok {
 		fmt.Fprintf(os.Stderr, "unknown technique %q (registered: %s)\n", tech, strings.Join(sched.Names(), ", "))
 		os.Exit(2)
@@ -105,9 +81,6 @@ func main() {
 	for _, f := range fus {
 		jobs = append(jobs, batch.Job{Technique: tech, Spec: spec, Machine: machine.New(f), Config: cfg})
 	}
-	// The shared cache carries the tiered store: in-memory always, plus
-	// the -cache-dir disk tier so widths scheduled by earlier processes
-	// (this command or cmd/table1) cost a file read.
 	outcomes, err := batch.Run(context.Background(), jobs,
 		batch.Options{Parallelism: *parallel, Cache: harness.SharedCache()})
 	if err != nil {

@@ -13,31 +13,16 @@
 // sweep cells cache independently while paper-default cells stay
 // bit-identical to BENCH_table1.json.
 //
-// -cache-dir attaches a persistent metrics tier: every computed cell
-// is written through to disk, and a later process serves it from there
-// — a warm rerun schedules nothing. -cache-clear wipes that tier
-// before running (refusing directories not shaped like a store). At
-// exit, stderr reports how the cells were served (memory, disk, flight
-// share or compute, counted from the outcomes) and, with -cache-dir,
-// the disk tier's footprint and health (write/read errors, retries,
-// degraded operations, breaker state).
-//
-// -chaos runs the matrix under a seeded fault schedule (injected
-// backend panics, compute errors, torn and failing disk writes,
-// failing reads, random cancellations) and verifies the engine's
-// fault-tolerance contract: surviving cells are exact, failures are
-// isolated and recompute clean afterwards, and the disk tier's circuit
-// breaker trips and recovers. With -bench-out it writes the surviving
-// cells only, for benchdiff against the fault-free baseline.
+// At exit, stderr reports how the cells were served (memory hit,
+// flight share or compute, counted from the outcomes). The cache lives
+// in the process: every run computes each distinct cell once.
 //
 // Usage:
 //
 //	go run ./cmd/table1 [-fus 2,4,8] [-loops LL1,LL3] [-csv] [-validate]
 //	                    [-parallel N] [-technique grip,post]
 //	                    [-config unwind=24,gap=false] [-sweep-unwind 0,12,24,48]
-//	                    [-sweep-gap] [-cache-dir .gripcache] [-cache-clear]
-//	                    [-timeout 5m] [-bench-out BENCH_table1.json]
-//	                    [-chaos] [-chaos-seed 42]
+//	                    [-sweep-gap] [-timeout 5m] [-bench-out BENCH_table1.json]
 package main
 
 import (
@@ -51,13 +36,11 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/harness"
 	"repro/internal/livermore"
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/sched/batch"
-	"repro/internal/sched/store"
 )
 
 func main() {
@@ -83,17 +66,8 @@ func run() int {
 	sweepGap := flag.Bool("sweep-gap", false,
 		"gap-prevention ablation: run the matrix with the section 3.3 machinery on and off\n"+
 			"(composes with -sweep-unwind; each variant is a distinct cache key)")
-	cacheDir := flag.String("cache-dir", "",
-		"persistent result-cache directory; cells computed by any process are served\n"+
-			"from disk by later runs against the same directory")
-	cacheClear := flag.Bool("cache-clear", false, "wipe the disk cache tier before running (requires -cache-dir)")
 	timeout := flag.Duration("timeout", 0, "per-cell timeout (0 = none)")
-	chaos := flag.Bool("chaos", false,
-		"run the matrix under the seeded chaos fault schedule (injected panics, compute\n"+
-			"errors, torn/failing disk writes, failing reads, random cancellations); surviving\n"+
-			"cells must stay bit-identical, failures are rerun clean afterwards")
-	chaosSeed := flag.Int64("chaos-seed", 42, "seed for the chaos fault schedule (with -chaos)")
-	benchOut := flag.String("bench-out", "", "write a JSON bench report (per-cell wall time + speedups) to this file\n(with -chaos: surviving cells only)")
+	benchOut := flag.String("bench-out", "", "write a JSON bench report (per-cell wall time + speedups) to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -168,42 +142,6 @@ func run() int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
-	}
-
-	if *cacheClear && *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "-cache-clear requires -cache-dir")
-		return 2
-	}
-	if *chaos {
-		if *sweepFlag != "" || *sweepGap || *validate {
-			fmt.Fprintln(os.Stderr, "-chaos does not compose with -sweep-unwind/-sweep-gap/-validate")
-			return 2
-		}
-		if *cacheClear {
-			d, err := store.OpenDisk(*cacheDir)
-			if err == nil {
-				err = d.Clear()
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 2
-			}
-		}
-		return runChaos(kernels, fus, techniques, *chaosSeed, *parallel, *timeout, *cacheDir, *benchOut)
-	}
-	var disk *store.Disk
-	if *cacheDir != "" {
-		disk, err = harness.EnableDiskCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		if *cacheClear {
-			if err := disk.Clear(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 2
-			}
-		}
 	}
 
 	// The run's configurations: the base config alone, or its expansion
@@ -284,7 +222,7 @@ func run() int {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s (%d cells, %.1fs wall)\n", *benchOut, len(outcomes), elapsed.Seconds())
 	}
-	printCacheStats(batch.Summarize(outcomes), disk)
+	printCacheStats(batch.Summarize(outcomes))
 	if runErr != nil {
 		fmt.Fprintln(os.Stderr, runErr)
 		return 1
@@ -312,97 +250,14 @@ func run() int {
 }
 
 // printCacheStats reports at exit how the cells were served, as counted
-// from their outcomes, and — when a disk tier is attached — what the
-// persistent tier now holds and how healthy it is.
-func printCacheStats(st batch.Stats, disk *store.Disk) {
-	fmt.Fprintf(os.Stderr, "cache: %d memory hits, %d disk hits, %d flight shares, %d computed",
-		st.MemoryHits, st.DiskHits, st.FlightShares, st.Computed)
+// from their outcomes.
+func printCacheStats(st batch.Stats) {
+	fmt.Fprintf(os.Stderr, "cache: %d memory hits, %d flight shares, %d computed",
+		st.MemoryHits, st.FlightShares, st.Computed)
 	if st.Quarantined > 0 {
 		fmt.Fprintf(os.Stderr, ", %d quarantined panics", st.Quarantined)
 	}
-	if disk != nil {
-		ds := disk.Stats()
-		fmt.Fprintf(os.Stderr, "; disk tier: %d entries, %d bytes", ds.Entries, ds.Bytes)
-		if ds.Rejected > 0 {
-			fmt.Fprintf(os.Stderr, ", %d rejected (corrupt/stale, recomputed)", ds.Rejected)
-		}
-		if ds.WriteErrors > 0 {
-			fmt.Fprintf(os.Stderr, ", %d write errors", ds.WriteErrors)
-		}
-		if ds.ReadErrors > 0 {
-			fmt.Fprintf(os.Stderr, ", %d read errors", ds.ReadErrors)
-		}
-		if ds.Retries > 0 {
-			fmt.Fprintf(os.Stderr, ", %d retries", ds.Retries)
-		}
-		if ds.Degraded > 0 {
-			fmt.Fprintf(os.Stderr, ", %d degraded ops", ds.Degraded)
-		}
-		if ds.BreakerTrips > 0 || ds.Breaker != "closed" {
-			fmt.Fprintf(os.Stderr, ", breaker %s (%d trips)", ds.Breaker, ds.BreakerTrips)
-		}
-	}
 	fmt.Fprintln(os.Stderr)
-}
-
-// runChaos is the -chaos mode: the matrix under the standard seeded
-// fault schedule, reported in terms of the fault-tolerance contract —
-// survivors exact, failures isolated and recomputable, breaker tripped
-// and recovered. The bench report (when requested) holds survivors
-// only, so benchdiff compares them against the fault-free baseline
-// without treating the injected failures as regressions.
-func runChaos(kernels []*livermore.Kernel, fus []int, techniques []string, seed int64, parallel int, timeout time.Duration, cacheDir, benchOut string) int {
-	opts := harness.DefaultChaos(seed)
-	opts.Parallelism = parallel
-	opts.Timeout = timeout
-	opts.DiskDir = cacheDir
-
-	start := time.Now()
-	rep, err := harness.ChaosTable(context.Background(), kernels, fus, techniques, opts)
-	elapsed := time.Since(start)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-
-	survivors := rep.Survivors()
-	fmt.Printf("chaos seed %d: %d cells, %d survived, %d failed (%d quarantined panics, %d cancelled); %d cells cancelled in the storm pass\n",
-		seed, rep.Stats.Jobs, rep.Stats.Succeeded, rep.Stats.Failed,
-		rep.Stats.Quarantined, rep.Stats.Cancelled, batch.Summarize(rep.CancelOutcomes).Cancelled)
-	fmt.Printf("chaos fires: compute=%d disk-write=%d disk-read=%d disk-open=%d\n",
-		rep.Plan.Fires(faults.BatchCompute), rep.Plan.Fires(faults.DiskWrite),
-		rep.Plan.Fires(faults.DiskRead), rep.Plan.Fires(faults.DiskOpen))
-
-	recovered := 0
-	for _, o := range rep.Recovered {
-		if o.Err == nil {
-			recovered++
-		}
-	}
-	fmt.Printf("chaos recovery: %d/%d failed cells recomputed clean with faults disabled\n", recovered, len(rep.Recovered))
-	printCacheStats(rep.Stats, rep.Disk)
-
-	if benchOut != "" {
-		if err := writeBench(benchOut, survivors, parallel, elapsed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d surviving cells, %.1fs wall)\n", benchOut, len(survivors), elapsed.Seconds())
-	}
-
-	// The contract, enforced: every failure recovers, and an attached
-	// disk tier ends with its breaker closed.
-	if recovered != len(rep.Recovered) {
-		fmt.Fprintln(os.Stderr, "chaos: some failed cells did not recover")
-		return 1
-	}
-	if rep.Disk != nil {
-		if b := rep.Disk.Stats().Breaker; b != "closed" {
-			fmt.Fprintf(os.Stderr, "chaos: disk breaker ended %s, want closed\n", b)
-			return 1
-		}
-	}
-	return 0
 }
 
 // joinLabel composes sweep-dimension labels ("unwind=24 gap=off").

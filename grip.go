@@ -167,8 +167,7 @@ type BatchOptions = batch.Options
 
 // BatchCache is the thread-safe metrics cache keyed by (technique,
 // loop fingerprint, machine fingerprint, config fingerprint): an
-// in-memory LRU, optionally backed by a persistent on-disk tier
-// (AttachDisk), whose single-flight runs identical in-flight jobs once.
+// in-memory LRU whose single-flight runs identical in-flight jobs once.
 // It answers only metrics-only jobs without CrossCheck; every other job
 // computes. Cache hits and flight waiters share one result, so treat
 // it as read-only.

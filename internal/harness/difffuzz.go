@@ -86,22 +86,19 @@ func (f FuzzFailure) String() string {
 // technique × machine matrix.
 type LoopVerdict struct {
 	Spec *ir.LoopSpec
-	// Checks is the number of (technique, FU) cells judged; Explained
-	// counts cells whose failure the Explain hook claimed (injected
-	// chaos faults) — expected, so not failures.
-	Checks    int
-	Explained int
-	Failures  []FuzzFailure
+	// Checks is the number of (technique, FU) cells judged.
+	Checks   int
+	Failures []FuzzFailure
 }
 
-// Failed reports whether any unexplained check failed.
+// Failed reports whether any check failed.
 func (v *LoopVerdict) Failed() bool { return len(v.Failures) > 0 }
 
 // FuzzOptions configure the differential oracle. The zero value means:
 // all registered techniques, 2/4/8 FUs, paper-default configuration
-// with the unwind ladder capped at FuzzMaxUnwind, a 30s per-job
-// timeout, nothing explained. There is no cache option: every fuzz job
-// carries CrossCheck, which the batch engine never serves from a cache.
+// with the unwind ladder capped at FuzzMaxUnwind, and a 30s per-job
+// timeout. There is no cache option: every fuzz job carries
+// CrossCheck, which the batch engine never serves from a cache.
 type FuzzOptions struct {
 	// Machines are the FU counts to sweep; nil means 2, 4, 8.
 	Machines []int
@@ -119,10 +116,6 @@ type FuzzOptions struct {
 	// because a hung scheduler is precisely a finding (FailTimeout).
 	Parallelism int
 	Timeout     time.Duration
-	// Explain, when set, is consulted on every job error; a true return
-	// marks the failure expected (counted, not reported). Chaos mode
-	// passes ExplainInjected so injected faults don't read as findings.
-	Explain func(error) bool
 }
 
 // FuzzMaxUnwind is the fuzzer's default cap on the automatic unwind
@@ -195,19 +188,7 @@ func CheckLoop(ctx context.Context, spec *ir.LoopSpec, opts FuzzOptions) (*LoopV
 	}
 	for _, o := range outs {
 		if o.Err != nil {
-			if opts.Explain != nil && opts.Explain(o.Err) {
-				v.Explained++
-				continue
-			}
-			var pe *sched.PanicError
-			switch {
-			case errors.As(o.Err, &pe):
-				fail(o, FailPanic, o.Err)
-			case errors.Is(o.Err, context.DeadlineExceeded):
-				fail(o, FailTimeout, o.Err)
-			default:
-				fail(o, FailError, o.Err)
-			}
+			fail(o, classify(o.Err), o.Err)
 			continue
 		}
 		if o.Result.CyclesPerIter <= 0 || o.Result.Speedup <= 0 {
@@ -248,6 +229,19 @@ func CheckLoop(ctx context.Context, spec *ir.LoopSpec, opts FuzzOptions) (*LoopV
 	return v, nil
 }
 
+// classify names the failure class of a job error: a recovered panic,
+// a per-job deadline, or any other scheduler error.
+func classify(err error) FailureClass {
+	var pe *sched.PanicError
+	switch {
+	case errors.As(err, &pe):
+		return FailPanic
+	case errors.Is(err, context.DeadlineExceeded):
+		return FailTimeout
+	}
+	return FailError
+}
+
 // validateResult proves one scheduled pipeline result equivalent to its
 // source loop on the given workload, for an early exit, a mid-unwind
 // exit, and the full unwound depth: trips Start + Step·max(i,1) for i
@@ -267,25 +261,6 @@ func validateResult(res *pipeline.Result, vars map[string]int64, arrays map[stri
 		}
 	}
 	return pipeline.ValidateSemantics(res, vars, arrays, trips)
-}
-
-// ErrInjected marks an error deliberately injected by a fuzz chaos
-// plan; ExplainInjected recognizes it (and the harness chaos sentinels)
-// so chaos-mode fuzzing doesn't report its own faults as findings.
-var ErrInjected = errors.New("difffuzz: injected fault")
-
-// ExplainInjected reports whether err is an injected chaos fault: one
-// of the injection sentinels, or a recovered panic whose payload came
-// from the fault plan (internal/faults stamps its panics).
-func ExplainInjected(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrInjected) || errors.Is(err, ErrChaosCompute) || errors.Is(err, ErrChaosIO) {
-		return true
-	}
-	var pe *sched.PanicError
-	return errors.As(err, &pe) && strings.Contains(fmt.Sprint(pe.Value), "faults: injected panic")
 }
 
 // SweepOptions configure FuzzSweep.
@@ -324,12 +299,11 @@ type SweepFailure struct {
 // FuzzReport summarizes a sweep.
 type FuzzReport struct {
 	// Seeds is how many seeds were actually judged (the budget may stop
-	// the sweep early); Checks and Explained aggregate their verdicts.
-	Seeds     int
-	Checks    int
-	Explained int
-	Failures  []SweepFailure
-	Elapsed   time.Duration
+	// the sweep early); Checks aggregates their verdicts.
+	Seeds    int
+	Checks   int
+	Failures []SweepFailure
+	Elapsed  time.Duration
 }
 
 // FuzzSweep generates Seeds loops from the seeded sweep distribution
@@ -360,7 +334,6 @@ func FuzzSweep(ctx context.Context, opts SweepOptions) (*FuzzReport, error) {
 		}
 		rep.Seeds++
 		rep.Checks += v.Checks
-		rep.Explained += v.Explained
 		if !v.Failed() {
 			continue
 		}

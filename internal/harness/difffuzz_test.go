@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
-	"repro/internal/faults"
 	"repro/internal/fuzzgen"
 	"repro/internal/sched"
 	"repro/internal/testutil"
@@ -78,86 +78,47 @@ func TestVerdictDeterminism(t *testing.T) {
 }
 
 func verdictKey(v *LoopVerdict) string {
-	key := fmt.Sprintf("checks=%d explained=%d", v.Checks, v.Explained)
+	key := fmt.Sprintf("checks=%d", v.Checks)
 	for _, f := range v.Failures {
 		key += fmt.Sprintf("|%s@%d:%s", f.Technique, f.FUs, f.Class)
 	}
 	return key
 }
 
-// TestCheckLoopClassifiesInjectedFaults drives the oracle with the
-// fault plan firing on every compute: without an Explain hook every
-// cell is a finding with the right class; with ExplainInjected the same
-// run is fully explained — the contract chaos-mode fuzzing relies on.
-func TestCheckLoopClassifiesInjectedFaults(t *testing.T) {
-	testutil.LeakCheck(t)
-	spec := fuzzgen.SweepSpec(5)
-	opts := FuzzOptions{Machines: []int{4}, Techniques: []string{"grip", "post"}}
-
-	faults.Enable(faults.NewPlan(
-		faults.Rule{Site: faults.BatchCompute, Every: 2, Panic: "fuzz chaos schedule"},
-		faults.Rule{Site: faults.BatchCompute, Every: 1, Err: ErrInjected},
-	))
-	defer faults.Disable()
-
-	v, err := CheckLoop(context.Background(), spec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Failures) != 2 || v.Explained != 0 {
-		t.Fatalf("want 2 unexplained failures, got %d (explained %d)", len(v.Failures), v.Explained)
-	}
-	for _, f := range v.Failures {
-		if f.Class != FailError && f.Class != FailPanic {
-			t.Errorf("injected fault classified as %s: %v", f.Class, f.Err)
-		}
-	}
-
-	opts.Explain = ExplainInjected
-	v, err = CheckLoop(context.Background(), spec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Failed() || v.Explained != 2 {
-		t.Fatalf("with ExplainInjected: want 0 failures / 2 explained, got %d / %d",
-			len(v.Failures), v.Explained)
-	}
-}
-
-func TestExplainInjected(t *testing.T) {
-	testutil.LeakCheck(t)
+// TestClassify pins CheckLoop's failure classes for job errors: a
+// recovered panic (wrapped or not) is FailPanic, a deadline is
+// FailTimeout, and anything else, a cancellation included, is
+// FailError.
+func TestClassify(t *testing.T) {
+	pe := &sched.PanicError{Key: "k", Value: "index out of range"}
 	cases := []struct {
 		err  error
-		want bool
+		want FailureClass
 	}{
-		{nil, false},
-		{errors.New("scheduler bug"), false},
-		{fmt.Errorf("wrapped: %w", ErrInjected), true},
-		{fmt.Errorf("wrapped: %w", ErrChaosCompute), true},
-		{fmt.Errorf("wrapped: %w", ErrChaosIO), true},
-		{&sched.PanicError{Key: "k", Value: "faults: injected panic at batch.compute: chaos"}, true},
-		{&sched.PanicError{Key: "k", Value: "index out of range"}, false},
+		{pe, FailPanic},
+		{fmt.Errorf("wrapped: %w", pe), FailPanic},
+		{context.DeadlineExceeded, FailTimeout},
+		{fmt.Errorf("batch: grip on L: %w", context.DeadlineExceeded), FailTimeout},
+		{context.Canceled, FailError},
+		{errors.New("scheduler bug"), FailError},
 	}
 	for _, c := range cases {
-		if got := ExplainInjected(c.err); got != c.want {
-			t.Errorf("ExplainInjected(%v) = %v, want %v", c.err, got, c.want)
+		if got := classify(c.err); got != c.want {
+			t.Errorf("classify(%v) = %s, want %s", c.err, got, c.want)
 		}
 	}
 }
 
 // TestMinimizeFailureShrinks wires the minimizer to the live oracle: a
-// loop that "fails" on every cell (injected fault, Every: 1) must
-// shrink to a single op while the class keeps reproducing.
+// one-nanosecond job budget makes every cell of every candidate time
+// out, so the loop must shrink to a single op while FailTimeout keeps
+// reproducing.
 func TestMinimizeFailureShrinks(t *testing.T) {
 	testutil.LeakCheck(t)
 	spec := fuzzgen.SweepSpec(9)
-	faults.Enable(faults.NewPlan(
-		faults.Rule{Site: faults.BatchCompute, Every: 1, Err: ErrInjected}))
-	defer faults.Disable()
-
-	f := FuzzFailure{Technique: "grip", FUs: 2, Class: FailError}
+	f := FuzzFailure{Technique: "grip", FUs: 2, Class: FailTimeout}
 	min, probes := MinimizeFailure(context.Background(), spec, f,
-		FuzzOptions{Machines: []int{2}, Techniques: []string{"grip"}}, 500)
+		FuzzOptions{Machines: []int{2}, Techniques: []string{"grip"}, Timeout: time.Nanosecond}, 500)
 	if probes == 0 {
 		t.Fatal("minimizer never probed the oracle")
 	}

@@ -209,7 +209,7 @@ func Figure8And11(w io.Writer, fus int) error {
 // IntroExample contrasts GRiP against modulo scheduling on the section 1
 // example, returning both speedups. Both cells run through the batch
 // engine and the process-wide metrics cache — everything printed here
-// is in the normalized metrics, so with a disk tier attached a rerun
+// is in the normalized metrics, so a rerun in the same process
 // schedules nothing.
 func IntroExample(w io.Writer) (grip, mod float64, err error) {
 	spec := IntroExampleLoop()

@@ -25,7 +25,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/sched"
 	"repro/internal/sched/batch"
-	"repro/internal/sched/store"
 )
 
 // defaultCache is shared by every harness entry point in the process,
@@ -40,26 +39,6 @@ var defaultCache = batch.NewCache(8192)
 // against; commands can pass it to their own batch runs to share work
 // with table runs.
 func SharedCache() *batch.Cache { return defaultCache }
-
-// EnableDiskCache attaches a persistent metrics tier rooted at dir to
-// the process-wide shared cache, making table and bench runs
-// incremental across processes: every computed cell is written through
-// to disk, and a later process serves it from there without
-// scheduling anything. Call it during command setup, before batch
-// traffic. It returns the store so commands can report its stats or
-// clear it.
-//
-// The store is opened durable (fsync before and after the publishing
-// rename): -cache-dir runs are exactly the cross-process reuse case
-// where losing a committed entry to a crash costs a recompute.
-func EnableDiskCache(dir string) (*store.Disk, error) {
-	d, err := store.OpenDiskOptions(dir, store.DiskOptions{Durable: true})
-	if err != nil {
-		return nil, err
-	}
-	defaultCache.AttachDisk(d)
-	return d, nil
-}
 
 // Table1Techniques is the paper's technique pair, in its column order.
 var Table1Techniques = []string{"grip", "post"}

@@ -2,14 +2,19 @@ package harness
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/livermore"
+	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/sched/batch"
+	"repro/internal/testutil"
 )
 
 // TestTable1ShapeProperties reproduces Table 1 and asserts the paper's
@@ -163,6 +168,50 @@ func TestSharedCacheMakesRerunsFree(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first.Cells[0][0], second.Cells[0][0]) {
 		t.Errorf("cached cell differs: %+v != %+v", first.Cells[0][0], second.Cells[0][0])
+	}
+}
+
+// TestCancelledPostRecomputesExact: a POST job cancelled in the middle
+// of phase 1 must leave the phase-1 memo and the batch cache clean.
+// LL7 at 2 FUs under MaxUnwind 48, a config no other test in this
+// binary schedules, so the memo cannot already hold its phase 1: two
+// duplicate jobs under a 1ms budget both time out, and the rerun
+// through the same cache computes the golden LL7,2,post row exactly.
+func TestCancelledPostRecomputesExact(t *testing.T) {
+	testutil.LeakCheck(t)
+	k := livermore.ByName("LL7")
+	cfg := sched.Config{MaxUnwind: 48}
+	cache := batch.NewCache(16)
+	job := batch.Job{Technique: "post", Spec: k.Spec, Machine: machine.New(2), Config: cfg, Label: k.Name}
+	outs, err := batch.Run(context.Background(), []batch.Job{job, job},
+		batch.Options{Parallelism: 2, Timeout: time.Millisecond, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range outs {
+		if !errors.Is(o.Err, context.DeadlineExceeded) {
+			t.Fatalf("job %d: err = %v, want context.DeadlineExceeded", i, o.Err)
+		}
+	}
+
+	tbl, outs, err := RunTable(context.Background(), []*livermore.Kernel{k}, []int{2},
+		[]string{"post"}, cfg, batch.Options{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outs[0].Tier != batch.TierCompute {
+		t.Errorf("rerun served from %v, want a fresh compute", outs[0].Tier)
+	}
+	if s := tbl.Cells[0][0].Stats[0]; fmt.Sprintf("%.3f", s.Speedup) != "2.575" || s.Barriers != 254738 || s.Converged {
+		t.Errorf("rerun = %+v, want speedup 2.575, 254738 barriers, not converged", s)
+	}
+	golden, err := os.ReadFile("testdata/table1.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := strings.Split(tbl.CSV(), "\n")[1]
+	if !strings.Contains(string(golden), "\n"+row+"\n") {
+		t.Errorf("rerun row %q is not in testdata/table1.csv", row)
 	}
 }
 

@@ -21,7 +21,7 @@ func (s *LoopSpec) Fingerprint() string {
 	// this runs once per kernel per table cell and the verb parsing was
 	// visible in the cold-table profile — byte-identical to the
 	// Fprintf encoding it replaces (TestFingerprintEncodingStable),
-	// which existing disk caches are keyed by.
+	// from which fuzzgen.Workload derives every corpus entry's inputs.
 	b := make([]byte, 0, 256)
 	b = append(b, "loop|"...)
 	b = strconv.AppendQuote(b, s.Name)

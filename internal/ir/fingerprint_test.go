@@ -44,8 +44,9 @@ func TestFingerprintDeterministicAndContentBased(t *testing.T) {
 }
 
 // fingerprintReference is the original fmt.Fprintf-based encoding the
-// strconv implementation replaced. Fingerprints key disk caches across
-// runs, so the encodings must stay byte-identical.
+// strconv implementation replaced. Fuzz workloads derive from the
+// fingerprint, so the encodings must stay byte-identical for corpus
+// entries to replay with the inputs they were found with.
 func fingerprintReference(s *LoopSpec) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "loop|%q|start=%d|step=%d|trip=%q", s.Name, s.Start, s.Step, s.TripVar)

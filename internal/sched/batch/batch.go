@@ -1,11 +1,10 @@
 // Package batch executes scheduling jobs against the sched registry
 // concurrently: a worker pool with configurable parallelism, context
-// cancellation, per-job timeouts, and a metrics cache (memory →
-// optional disk → compute; see Cache) with single-flight dedup keyed
-// by a canonical fingerprint of (technique, loop spec, machine,
-// configuration), so repeated table cells — bench reruns, config
-// sweeps — cost nothing, across processes once a disk tier is
-// attached.
+// cancellation, per-job timeouts, and an in-memory metrics cache (see
+// Cache) with single-flight dedup keyed by a canonical fingerprint of
+// (technique, loop spec, machine, configuration), so repeated table
+// cells — figure passes, config sweeps — cost nothing within a
+// process.
 package batch
 
 import (
@@ -18,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/sched"
@@ -79,9 +77,9 @@ type Outcome struct {
 	// computation (CacheHit true).
 	Wall     time.Duration
 	CacheHit bool
-	// Tier reports which store tier served the result: TierCompute when
-	// this job ran the scheduler (CacheHit false), TierMemory/TierDisk/
-	// TierFlight otherwise.
+	// Tier reports what served the result: TierCompute when this job
+	// ran the scheduler (CacheHit false), TierMemory or TierFlight
+	// otherwise.
 	Tier Tier
 }
 
@@ -195,9 +193,6 @@ func runOne(ctx context.Context, j Job, opts Options, cut *atomic.Bool) Outcome 
 				res, err = nil, &sched.PanicError{Key: j.Key(), Value: v, Stack: debug.Stack()}
 			}
 		}()
-		if err := faults.Check(faults.BatchCompute); err != nil {
-			return nil, err
-		}
 		s, ok := sched.Lookup(j.Technique)
 		if !ok {
 			return nil, fmt.Errorf("batch: unknown technique %q (have %v)", j.Technique, sched.Names())

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,7 +14,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/sched/batch"
-	"repro/internal/sched/store"
 	"repro/internal/testutil"
 )
 
@@ -540,162 +537,12 @@ func TestParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// diskCache returns a cache whose memory tier sits over disk.
-func diskCache(disk *store.Disk) *batch.Cache {
-	c := batch.NewCache(64)
-	c.AttachDisk(disk)
-	return c
-}
-
-// TestDiskTierServesSecondCache simulates the cross-process warm run:
-// a fresh cache sharing the first cache's disk directory must serve
-// every cell from the disk tier without calling the scheduler, with
-// metrics bit-identical, and promote entries into its memory tier so
-// a further rerun is a memory hit.
-func TestDiskTierServesSecondCache(t *testing.T) {
-	stubs()
-	dir := t.TempDir()
-	disk1, err := store.OpenDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := diskCache(disk1)
-	countStub.calls.Store(0)
-	var jobs []batch.Job
-	for i := 0; i < 4; i++ {
-		jobs = append(jobs, batch.Job{Technique: "test-count", Spec: tinyLoop(fmt.Sprintf("d%d", i)), Machine: machine.New(2)})
-	}
-	first, err := batch.Run(context.Background(), jobs, batch.Options{Cache: cold})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range first {
-		if o.Err != nil || o.Tier != batch.TierCompute {
-			t.Fatalf("cold job %d: err=%v tier=%v", i, o.Err, o.Tier)
-		}
-	}
-
-	disk2, err := store.OpenDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := diskCache(disk2)
-	second, err := batch.Run(context.Background(), jobs, batch.Options{Cache: warm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range second {
-		if o.Err != nil {
-			t.Fatalf("warm job %d: %v", i, o.Err)
-		}
-		if o.Tier != batch.TierDisk || !o.CacheHit {
-			t.Errorf("warm job %d served by %v, want disk", i, o.Tier)
-		}
-		if o.Result.Metrics != first[i].Result.Metrics {
-			t.Errorf("warm job %d metrics drifted: %+v != %+v", i, o.Result.Metrics, first[i].Result.Metrics)
-		}
-	}
-	if got := countStub.calls.Load(); got != 4 {
-		t.Errorf("scheduler ran %d times; warm run must not compute", got)
-	}
-	third, err := batch.Run(context.Background(), jobs, batch.Options{Cache: warm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range third {
-		if o.Tier != batch.TierMemory {
-			t.Errorf("rerun job %d served by %v, want memory (disk hit not promoted)", i, o.Tier)
-		}
-	}
-	if st := batch.Summarize(append(second, third...)); st.DiskHits != 4 || st.MemoryHits != 4 || st.Computed != 0 {
-		t.Errorf("warm outcomes %+v, want 4 disk / 4 memory / 0 computed", st)
-	}
-	if st := disk2.Stats(); st.Entries != 4 || st.Bytes <= 0 {
-		t.Errorf("disk footprint %+v, want 4 entries, >0 bytes", st)
-	}
-}
-
-// TestCorruptDiskEntryRecomputesWithoutPoisoning corrupts one on-disk
-// entry: the lookup must fall through to compute, serve correct
-// metrics, and leave both tiers healthy — the memory tier never learns
-// the corrupt value, and the disk slot is rewritten.
-func TestCorruptDiskEntryRecomputesWithoutPoisoning(t *testing.T) {
-	stubs()
-	dir := t.TempDir()
-	disk, err := store.OpenDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := batch.Job{Technique: "test-count", Spec: tinyLoop("corrupt"), Machine: machine.New(2)}
-	cold := diskCache(disk)
-	first, err := batch.Run(context.Background(), []batch.Job{job}, batch.Options{Cache: cold})
-	if err != nil || first[0].Err != nil {
-		t.Fatalf("cold run: %v %v", err, first[0].Err)
-	}
-
-	// Smash every entry file.
-	var smashed int
-	filepath.Walk(dir, func(path string, info os.FileInfo, walkErr error) error {
-		if walkErr == nil && !info.IsDir() && strings.HasSuffix(path, ".json") {
-			if err := os.WriteFile(path, []byte("{torn write"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			smashed++
-		}
-		return nil
-	})
-	if smashed == 0 {
-		t.Fatal("no disk entry written by the cold run")
-	}
-
-	before := countStub.calls.Load()
-	fresh := diskCache(disk)
-	warm, err := batch.Run(context.Background(), []batch.Job{job}, batch.Options{Cache: fresh})
-	if err != nil || warm[0].Err != nil {
-		t.Fatalf("recompute run: %v %v", err, warm[0].Err)
-	}
-	if warm[0].Tier != batch.TierCompute {
-		t.Errorf("corrupt entry served from %v, want recompute", warm[0].Tier)
-	}
-	if warm[0].Result.Metrics != first[0].Result.Metrics {
-		t.Errorf("recomputed metrics drifted: %+v != %+v", warm[0].Result.Metrics, first[0].Result.Metrics)
-	}
-	if got := countStub.calls.Load(); got != before+1 {
-		t.Errorf("scheduler calls %d, want %d (exactly one recompute)", got, before+1)
-	}
-	// The rewrite healed the disk slot: a third cache now disk-hits.
-	again, err := batch.Run(context.Background(), []batch.Job{job},
-		batch.Options{Cache: diskCache(disk)})
-	if err != nil || again[0].Err != nil {
-		t.Fatal(err, again[0].Err)
-	}
-	if again[0].Tier != batch.TierDisk {
-		t.Errorf("healed entry served from %v, want disk", again[0].Tier)
-	}
-	// The memory tier of the recomputing cache holds the good value.
-	mem, err := batch.Run(context.Background(), []batch.Job{job}, batch.Options{Cache: fresh})
-	if err != nil || mem[0].Err != nil {
-		t.Fatal(err, mem[0].Err)
-	}
-	if mem[0].Tier != batch.TierMemory || mem[0].Result.Metrics != first[0].Result.Metrics {
-		t.Errorf("memory tier poisoned or empty after corrupt-entry recompute: tier %v, %+v", mem[0].Tier, mem[0].Result.Metrics)
-	}
-	if disk.Stats().Rejected == 0 {
-		t.Error("corrupt entry not counted as rejected")
-	}
-}
-
 // TestWantRawBypassesCache pins the cache rule for WantRaw jobs: the
 // cache holds metrics only, so a job that wants the scheduled graph
-// computes every time, even when its metrics are cached in memory and
-// on disk, returns a graph of its own, and neither reads nor writes
-// any tier.
+// computes every time, even when its metrics are cached, returns a
+// graph of its own, and neither reads nor writes the cache.
 func TestWantRawBypassesCache(t *testing.T) {
-	disk, err := store.OpenDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := diskCache(disk)
+	cache := batch.NewCache(64)
 	mk := func(name string, want sched.Want) batch.Job {
 		return batch.Job{Technique: "grip", Spec: tinyLoop(name), Machine: machine.New(2), Want: want}
 	}
@@ -709,12 +556,11 @@ func TestWantRawBypassesCache(t *testing.T) {
 	}
 
 	// Against a cold cache: computed, and nothing stored.
-	empty := disk.Stats()
 	if o := run(mk("rawcold", sched.WantRaw)); o.Tier != batch.TierCompute || o.CacheHit || o.Result.Raw() == nil {
 		t.Errorf("cold WantRaw job: tier %v, hit %v, graph %v; want a computed graph", o.Tier, o.CacheHit, o.Result.Raw() != nil)
 	}
-	if st := disk.Stats(); cache.Len() != 0 || st != empty {
-		t.Errorf("cold WantRaw job touched the cache: len %d, disk stats %+v", cache.Len(), st)
+	if cache.Len() != 0 {
+		t.Errorf("cold WantRaw job stored %d entries", cache.Len())
 	}
 
 	// Against cached metrics: computed anyway, each time a new graph.
@@ -722,7 +568,6 @@ func TestWantRawBypassesCache(t *testing.T) {
 	if cached.Result.Raw() != nil {
 		t.Fatal("metrics-only job carries a raw attachment")
 	}
-	before, beforeLen := disk.Stats(), cache.Len()
 	var graphs []any
 	for i := 0; i < 2; i++ {
 		o := run(mk("rawc", sched.WantRaw))
@@ -740,8 +585,8 @@ func TestWantRawBypassesCache(t *testing.T) {
 	if graphs[0] == graphs[1] {
 		t.Error("two WantRaw jobs share one graph")
 	}
-	if st := disk.Stats(); st != before || cache.Len() != beforeLen {
-		t.Errorf("WantRaw jobs touched the cache: disk stats %+v -> %+v, len %d -> %d", before, st, beforeLen, cache.Len())
+	if cache.Len() != 1 {
+		t.Errorf("WantRaw jobs touched the cache: len %d, want 1", cache.Len())
 	}
 }
 

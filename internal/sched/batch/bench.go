@@ -27,9 +27,8 @@ type BenchCell struct {
 	Converged bool    `json:"converged"`
 	WallMS    float64 `json:"wall_ms"`
 	CacheHit  bool    `json:"cache_hit"`
-	// Tier names the store tier that served a cache hit ("memory",
-	// "disk", "flight"); empty for computed cells and for reports
-	// written before the store was tiered.
+	// Tier names what served a cache hit ("memory", "flight"); empty
+	// for computed cells.
 	Tier  string `json:"tier,omitempty"`
 	Error string `json:"error,omitempty"`
 }

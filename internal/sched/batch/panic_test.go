@@ -138,7 +138,6 @@ func TestSummarizeClassifiesErrors(t *testing.T) {
 	outs := []batch.Outcome{
 		mk(batch.TierCompute),
 		mk(batch.TierMemory),
-		mk(batch.TierDisk),
 		mk(batch.TierFlight),
 		{Err: &sched.PanicError{Key: "k", Value: "v"}},
 		{Err: context.Canceled},
@@ -147,9 +146,9 @@ func TestSummarizeClassifiesErrors(t *testing.T) {
 	}
 	got := batch.Summarize(outs)
 	want := batch.Stats{
-		Jobs: 8, Succeeded: 4, Failed: 4,
+		Jobs: 7, Succeeded: 3, Failed: 4,
 		Quarantined: 1, Cancelled: 2,
-		Computed: 1, MemoryHits: 1, DiskHits: 1, FlightShares: 1,
+		Computed: 1, MemoryHits: 1, FlightShares: 1,
 	}
 	if got != want {
 		t.Errorf("Summarize = %+v, want %+v", got, want)

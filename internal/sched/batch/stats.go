@@ -8,9 +8,9 @@ import (
 )
 
 // Stats summarizes a batch run's outcomes: how each cell was served and
-// how each failure failed. Chaos runs and exit reports consume it; it
-// is derived entirely from the outcome slice, so it composes across
-// runs by summing.
+// how each failure failed. Exit reports consume it; it is derived
+// entirely from the outcome slice, so it composes across runs by
+// summing.
 type Stats struct {
 	// Jobs is the outcome count; Succeeded + Failed == Jobs.
 	Jobs      int
@@ -23,7 +23,7 @@ type Stats struct {
 	// deadlines — cells cut short, not cells that computed wrongly.
 	Cancelled int
 	// Serving-tier breakdown of the successes.
-	Computed, MemoryHits, DiskHits, FlightShares int
+	Computed, MemoryHits, FlightShares int
 }
 
 // Summarize folds the outcomes of one (or more, by appending) batch
@@ -47,8 +47,6 @@ func Summarize(outs []Outcome) Stats {
 		switch o.Tier {
 		case TierMemory:
 			st.MemoryHits++
-		case TierDisk:
-			st.DiskHits++
 		case TierFlight:
 			st.FlightShares++
 		default:

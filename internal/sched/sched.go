@@ -142,17 +142,10 @@ func (r Request) Fingerprint() string {
 	return r.Spec.Fingerprint() + "|" + r.Machine.Fingerprint() + "|" + r.Config.Fingerprint()
 }
 
-// MetricsVersion is the schema version of the serialized Metrics
-// layout. Bump it whenever a field is added, removed, or changes
-// meaning: persistent stores echo the version in every entry and treat
-// a mismatch as a miss, so stale on-disk entries are recomputed rather
-// than misread.
-const MetricsVersion = 1
-
 // Metrics is the normalized, serializable outcome every backend
 // reports: the numbers Table 1 and the CLI compare across techniques.
 // It is a plain comparable value — no pointers, no graphs — so caches
-// copy it freely and persistent stores serialize it as-is.
+// copy it freely.
 type Metrics struct {
 	// Technique is the registry name of the backend that produced the
 	// result.

@@ -10,9 +10,9 @@ import (
 
 // LeakCheck snapshots the goroutine count and registers a cleanup that
 // fails the test if the count has not returned to the baseline shortly
-// after it finishes — the shared guard the batch, store, and harness
-// suites use to prove cancelled, timed-out, panicking, or fault-injected
-// work leaves nothing running behind it.
+// after it finishes — the shared guard the batch and harness suites
+// use to prove cancelled, timed-out or panicking work leaves nothing
+// running behind it.
 //
 // The cleanup polls because the runtime needs a moment to retire
 // goroutines that have already been waited on. On failure it dumps all
