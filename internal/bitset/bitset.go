@@ -1,9 +1,11 @@
-// Package bitset provides the dense bit-set primitives the scheduler
-// hot loops are built on: membership sets over the dense operation
-// index space (ir.Op.Index) and hierarchical sets with ordered search.
-// All queries are O(1) loads with no allocation; construction is one
-// slice allocation.
+// Package bitset provides the dense bit set the scheduler hot loops are
+// built on: membership over the dense operation index space
+// (ir.Op.Index), and ordered search over core's candidate rank space.
+// Membership queries are O(1) loads, NextAtLeast is a word scan, and
+// nothing allocates after construction, which is one slice allocation.
 package bitset
+
+import "math/bits"
 
 // Set is a fixed-capacity bit set. The zero value is an empty set of
 // capacity zero; use New for a sized one.
@@ -42,4 +44,25 @@ func (s Set) Remove(i int) {
 		return
 	}
 	s.words[i>>6] &^= 1 << (uint(i) & 63)
+}
+
+// NextAtLeast returns the smallest member >= i, or -1 when there is
+// none. Negative i is treated as 0. It scans word by word from i's
+// word, so it costs one load per 64 positions it skips.
+func (s Set) NextAtLeast(i int) int {
+	if i < 0 {
+		i = 0
+	}
+	if i >= s.n {
+		return -1
+	}
+	w := i >> 6
+	word := s.words[w] &^ (1<<(uint(i)&63) - 1)
+	for word == 0 {
+		if w++; w == len(s.words) {
+			return -1
+		}
+		word = s.words[w]
+	}
+	return w<<6 | bits.TrailingZeros64(word)
 }

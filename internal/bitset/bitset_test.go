@@ -1,6 +1,9 @@
 package bitset
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestSetWordBoundaries(t *testing.T) {
 	s := New(130)
@@ -30,4 +33,80 @@ func TestSetWordBoundaries(t *testing.T) {
 		}
 	}()
 	s.Add(130)
+}
+
+// TestSetNextAtLeastAgainstReference drives random Add/Remove sequences
+// against a []bool model and checks Has and NextAtLeast from every kind
+// of start: negative, in range, and at or past the end. The sizes cover
+// one word, exact word boundaries and many words.
+func TestSetNextAtLeastAgainstReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, n := range []int{1, 7, 63, 64, 65, 1000, 4096, 4097, 70000} {
+		s := New(n)
+		ref := make([]bool, n)
+		next := func(i int) int {
+			for i = max(i, 0); i < n; i++ {
+				if ref[i] {
+					return i
+				}
+			}
+			return -1
+		}
+		check := func(step, i int) {
+			if got, want := s.NextAtLeast(i), next(i); got != want {
+				t.Fatalf("n=%d step=%d: NextAtLeast(%d) = %d, want %d", n, step, i, got, want)
+			}
+		}
+		for step := 0; step < 4000; step++ {
+			i := rng.Intn(n)
+			switch rng.Intn(4) {
+			case 0, 1:
+				s.Add(i)
+				ref[i] = true
+			case 2:
+				s.Remove(i)
+				ref[i] = false
+			case 3:
+				check(step, i)
+			}
+			if got, want := s.Has(i), ref[i]; got != want {
+				t.Fatalf("n=%d step=%d: Has(%d) = %v, want %v", n, step, i, got, want)
+			}
+			check(step, rng.Intn(n+130)-65)
+		}
+		for _, i := range []int{-1, 0, n - 1, n, n + 1} {
+			check(4000, i)
+		}
+	}
+}
+
+// TestSetNextAtLeastEdges covers the cases a random walk rarely hits:
+// an empty set searched from any start, a lone member in the last bit,
+// idempotent Add and Remove, and sets of capacity zero.
+func TestSetNextAtLeastEdges(t *testing.T) {
+	s := New(130)
+	for _, i := range []int{-5, 0, 129, 130, 194} {
+		if got := s.NextAtLeast(i); got != -1 {
+			t.Fatalf("empty set: NextAtLeast(%d) = %d, want -1", i, got)
+		}
+	}
+	s.Add(129)
+	s.Add(129) // idempotent
+	if s.NextAtLeast(-5) != 129 || s.NextAtLeast(129) != 129 || s.NextAtLeast(130) != -1 {
+		t.Fatal("single high member not found")
+	}
+	s.Remove(129)
+	if s.NextAtLeast(0) != -1 || s.Has(129) {
+		t.Fatal("Remove did not empty the set")
+	}
+	s.Remove(129) // idempotent
+	if s.NextAtLeast(0) != -1 {
+		t.Fatal("second Remove changed the set")
+	}
+	var zero Set
+	for _, z := range []Set{zero, New(0), New(-3)} {
+		if z.NextAtLeast(0) != -1 || z.NextAtLeast(-3) != -1 || z.Has(0) {
+			t.Fatal("a zero-capacity set has a member")
+		}
+	}
 }

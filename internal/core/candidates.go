@@ -11,9 +11,9 @@ import (
 // The incremental Moveable-ops candidate structure.
 //
 // Ranks are assigned once by deps.Priority and never change, so the
-// structure is two hierarchical bitsets (bitset.Tree) over rank space —
-// one for plain operations, one for branches, so the opRoom/brRoom
-// gates of Figure 10 select a sub-structure instead of filtering every
+// structure is two flat bitsets (bitset.Set) over rank space — one for
+// plain operations, one for branches, so the opRoom/brRoom gates of
+// Figure 10 select a sub-structure instead of filtering every
 // candidate. An op's rank is a member of its class selector exactly
 // when every per-op eligibility flag holds:
 //
@@ -26,7 +26,7 @@ import (
 // placed in a live node ⟹ in selector", which is what the pick needs.
 //
 // Every eligibility transition updates the selectors at the event site
-// in O(log64 n):
+// with one word write:
 //
 //   - pick: markTried removes the op and records it for restore;
 //   - retry-generation bump: bumpGen re-adds everything tried in the
@@ -49,9 +49,9 @@ import (
 // decrease (ops move up; move-cj gives the continue-side node the
 // dissolved node's position), so they are checked against the op's
 // current home at pick time, where a failed frontier check prunes
-// permanently. The pick itself is then a NextAtLeast walk that in the
-// common case inspects exactly one candidate. Soundness arguments in
-// DESIGN.md §6.
+// permanently. The pick itself is then a NextAtLeast word scan that in
+// the common case inspects exactly one candidate. Soundness arguments
+// in DESIGN.md §6.
 
 // initCandidates sizes and fills the selectors from the freshly ranked
 // pool: every pool op starts eligible. rankOf, tried and parkLink share
@@ -64,8 +64,8 @@ func (s *scheduler) initCandidates(idxSpace int) {
 	for i := range s.rankOf {
 		s.rankOf[i] = -1
 	}
-	s.opSel = bitset.NewTree(len(s.pool))
-	s.brSel = bitset.NewTree(len(s.pool))
+	s.opSel = bitset.New(len(s.pool))
+	s.brSel = bitset.New(len(s.pool))
 	s.pruned = bitset.New(idxSpace)
 	s.triedGen = make([]*ir.Op, 0, len(s.pool))
 	for r, op := range s.pool {

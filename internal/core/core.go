@@ -97,11 +97,11 @@ type scheduler struct {
 	// selectors over rank space plus the per-op flags that gate
 	// membership, maintained at every eligibility transition so a pick
 	// is a selector lookup instead of a rescan of pool.
-	rankOf   []int32     // op index -> rank in pool, -1 when absent
-	opSel    bitset.Tree // eligible non-branch candidates, by rank
-	brSel    bitset.Tree // eligible branch candidates, by rank
-	pruned   bitset.Set  // permanently ineligible: unmoveable or at/above the frontier
-	triedGen []*ir.Op    // ops tried in the current generation, restored on bumpGen
+	rankOf   []int32    // op index -> rank in pool, -1 when absent
+	opSel    bitset.Set // eligible non-branch candidates, by rank
+	brSel    bitset.Set // eligible branch candidates, by rank
+	pruned   bitset.Set // permanently ineligible: unmoveable or at/above the frontier
+	triedGen []*ir.Op   // ops tried in the current generation, restored on bumpGen
 
 	// Parking (park.go, DESIGN.md §6.5): an intrusive list per node of
 	// the ops whose re-pick could only repeat their block. parkLink[rank]

@@ -1,25 +1,25 @@
 package graph
 
-// edge is one adjacency record: an adjacent node plus the number of
-// parallel leaf edges connecting the pair in this direction.
+// edge is one predecessor record: a predecessor node plus the number
+// of parallel leaf edges from it.
 type edge struct {
 	n     *Node
 	count int32
 }
 
-// inlineEdges is the number of adjacency records stored directly in the
-// node. Chain nodes have one predecessor and at most two successors
-// (continue side + exit drain), so the inline array covers the common
-// case; nodes with more neighbours spill into the overflow slice.
+// inlineEdges is the number of predecessor records stored directly in
+// the node. Chain nodes have one predecessor, so the inline array
+// covers the common case; nodes with more predecessors spill into the
+// overflow slice.
 const inlineEdges = 2
 
-// edgeSet is a small multiset of adjacent nodes, the compact
-// index-addressed replacement for the old map[*Node]map[*Node]int
-// predecessor table. Entries are kept in first-insertion order and
-// removed (order-preserving) when their edge count drops to zero, so
-// iteration never sees stale neighbours. Lookup is a linear scan — the
-// sets hold a handful of entries, so the scan beats any map on both
-// time and allocation.
+// edgeSet is a small multiset of predecessor nodes, the compact
+// replacement for a graph-level map[*Node]map[*Node]int predecessor
+// table. Entries are kept in first-insertion order and removed
+// (order-preserving) when their edge count drops to zero, so iteration
+// never sees stale neighbours. Lookup is a linear scan — the sets hold
+// a handful of entries, so the scan beats any map on both time and
+// allocation.
 type edgeSet struct {
 	inline [inlineEdges]edge
 	extra  []edge

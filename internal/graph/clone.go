@@ -36,16 +36,15 @@ func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 		maxPos:     g.maxPos,
 	}
 
-	// Count vertices (and per-iteration count slots, and def-site
-	// entries) so every arena is sized exactly: growing an arena
-	// mid-build would move objects already pointed at. The same walk
-	// finds the largest placed op ID, which sizes the ID map.
-	nVertices, nIterSlots, nDefSites := 0, 0, 0
+	// Count vertices (and per-iteration count slots) so every arena is
+	// sized exactly: growing an arena mid-build would move objects
+	// already pointed at. The same walk finds the largest placed op ID,
+	// which sizes the ID map.
+	nVertices, nIterSlots := 0, 0
 	maxID := -1
 	for n := range g.nodes {
 		n.Walk(func(v *Vertex) {
 			nVertices++
-			nDefSites += len(v.sum.defSites)
 			for _, op := range v.Ops {
 				maxID = max(maxID, op.ID)
 			}
@@ -60,7 +59,6 @@ func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 	nodeArena := make([]Node, 0, len(g.nodes))
 	opPtrArena := make([]*ir.Op, 0, g.numPlaced)
 	iterArena := make([]int32, 0, nIterSlots)
-	dsArena := make([]defSite, nDefSites)
 
 	byID := make([]*ir.Op, maxID+1)
 	cloneOp := func(op *ir.Op) *ir.Op {
@@ -102,9 +100,8 @@ func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 	// nodeMap and predecessor counts rebuilt as edges are recreated.
 	var cloneVertex func(v *Vertex, n *Node, parent *Vertex) *Vertex
 	cloneVertex = func(v *Vertex, n *Node, parent *Vertex) *Vertex {
-		vertexArena = append(vertexArena, Vertex{node: n, parent: parent})
+		vertexArena = append(vertexArena, Vertex{node: n, parent: parent, sum: v.sum})
 		nv := &vertexArena[len(vertexArena)-1]
-		dsArena = v.sum.cloneInto(&nv.sum, dsArena)
 		if len(v.Ops) > 0 {
 			// Each vertex's op-pointer list is a capped sub-slice of one
 			// shared arena; a later append on the vertex re-allocates

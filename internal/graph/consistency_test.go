@@ -13,7 +13,7 @@ import (
 // movement, branch insertion, leaf retargeting, node insertion and
 // splicing, move-cj style node splits, and in-place operand rewrites —
 // and after every step lets Validate cross-check the incremental caches
-// (compact adjacency sets, per-iteration schedulable counts, op/branch
+// (compact predecessor sets, per-iteration schedulable counts, op/branch
 // counts, op placements, def/use summaries) against full recounts. This
 // is the consistency property the walk-free schedulers rely on: no
 // sequence of mutator calls may drift a cache from the structure it
@@ -21,11 +21,11 @@ import (
 //
 // Operations draw registers from a small shared pool, so removals hit
 // the case where several ops contribute the same summary bit, and the
-// mix includes loads, stores (direct and indirect) and copies, so the
-// store/load counters and every operand-rewrite path are exercised.
-// The pool spans register ids past 64, so distinct registers share a
-// mask bit: the final spot check requires the masks to have no false
-// negatives and DefSiteHere to stay exact under those collisions.
+// mix includes loads, stores (direct and indirect) and copies, so every
+// operand-rewrite path is exercised. The pool spans register ids past
+// 64, so distinct registers share a mask bit: the final spot check
+// requires the masks to have no false negatives and DefSiteHere to stay
+// exact under those collisions.
 func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 	collisions := 0
 	for seed := int64(1); seed <= 10; seed++ {
@@ -292,7 +292,6 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 				n.Walk(func(v *Vertex) {
 					defsHere := map[ir.Reg]*ir.Op{}
 					usesHere := map[ir.Reg]bool{}
-					storesHere, loadsHere := false, false
 					var buf [3]ir.Reg
 					for _, op := range v.Ops {
 						if d := op.Def(); d != ir.NoReg {
@@ -301,8 +300,6 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 						for _, u := range op.Uses(buf[:0]) {
 							usesHere[u] = true
 						}
-						storesHere = storesHere || op.IsStore()
-						loadsHere = loadsHere || op.IsLoad()
 					}
 					if v.CJ != nil {
 						for _, u := range v.CJ.Uses(buf[:0]) {
@@ -324,12 +321,6 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 							collisions++
 						}
 					}
-					if got := v.StoresHere(); got != storesHere {
-						t.Fatalf("n%d: StoresHere() = %v, walk says %v", n.ID, got, storesHere)
-					}
-					if got := v.LoadsHere(); got != loadsHere {
-						t.Fatalf("n%d: LoadsHere() = %v, walk says %v", n.ID, got, loadsHere)
-					}
 				})
 			}
 		})
@@ -340,10 +331,11 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 }
 
 // TestEdgeSetOverflow exercises the inline-array overflow path of the
-// compact adjacency sets: a node with more distinct successors and
-// predecessors than the inline capacity, plus parallel edges, must
-// answer Preds/Successors/PredEdgeCount/SinglePred exactly and survive
-// edge removal back below the inline boundary.
+// compact predecessor sets: a node with more distinct predecessors than
+// the inline capacity, plus parallel edges, must answer
+// Preds/PredEdgeCount/SinglePred exactly and survive edge removal back
+// below the inline boundary. The hub's four leaves into four distinct
+// successors check Successors and NonDrainSucc on a wide tree.
 func TestEdgeSetOverflow(t *testing.T) {
 	al := ir.NewAlloc()
 	g := New(al)
@@ -413,5 +405,104 @@ func TestEdgeSetOverflow(t *testing.T) {
 	}
 	if got := hub.NonDrainSucc(); got != nil {
 		t.Fatalf("NonDrainSucc over 4 successors = n%d, want nil (ambiguous)", got.ID)
+	}
+}
+
+// TestCloneVisitsSuccessorsInLeafOrder pins the order successors come
+// in. They are read off the leaves, in left-first preorder with each
+// successor at its first leaf, so a graph and its Clone visit
+// corresponding successors alike even after random edge mutations have
+// made the order edges were added in differ from the leaf order.
+func TestCloneVisitsSuccessorsInLeafOrder(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		al := ir.NewAlloc()
+		g := New(al)
+		var ns []*Node
+		for i := 0; i < 8; i++ {
+			n := g.NewNode()
+			n.Drain = rng.Intn(4) == 0
+			ns = append(ns, n)
+		}
+		g.Entry = ns[0]
+		randSucc := func() *Node {
+			if rng.Intn(5) == 0 {
+				return nil
+			}
+			return ns[rng.Intn(len(ns))]
+		}
+		for step := 0; step < 60; step++ {
+			n := ns[rng.Intn(len(ns))]
+			ls := n.Leaves()
+			leaf := ls[rng.Intn(len(ls))]
+			if rng.Intn(3) == 0 && n.BranchCount() < 3 {
+				cj := &ir.Op{ID: al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{al.Reg("")}, Imm: 1, BImm: true, Rel: ir.Lt}
+				g.RetargetLeaf(leaf, nil)
+				g.InsertBranchAtLeaf(leaf, cj, randSucc(), randSucc())
+			} else {
+				g.RetargetLeaf(leaf, randSucc())
+			}
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		ng, _ := g.Clone(al.Clone())
+		byID := map[int]*Node{}
+		for n := range ng.nodes {
+			byID[n.ID] = n
+		}
+		for _, n := range ns {
+			// The expected order, from the leaves directly.
+			var want []int
+			seen := map[*Node]bool{}
+			for _, l := range n.Leaves() {
+				if l.Succ != nil && !seen[l.Succ] {
+					seen[l.Succ] = true
+					want = append(want, l.Succ.ID)
+				}
+			}
+			for _, m := range []*Node{n, byID[n.ID]} {
+				var got []int
+				m.VisitSuccessors(func(s *Node) bool {
+					got = append(got, s.ID)
+					return true
+				})
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("seed %d: n%d visits successors %v, leaf order is %v", seed, m.ID, got, want)
+				}
+			}
+		}
+	}
+
+	// Two leaves into one successor: it is visited once, so it is still
+	// the unique non-drain successor, next to a drain exit.
+	al := ir.NewAlloc()
+	g := New(al)
+	hub, s, d := g.NewNode(), g.NewNode(), g.NewNode()
+	d.Drain = true
+	g.Entry = hub
+	mkCJ := func() *ir.Op {
+		return &ir.Op{ID: al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{al.Reg("")}, Imm: 1, BImm: true, Rel: ir.Lt}
+	}
+	tl, fl := g.InsertBranchAtLeaf(hub.Root, mkCJ(), s, nil)
+	g.InsertBranchAtLeaf(fl, mkCJ(), d, s)
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := hub.Successors(); len(got) != 2 || got[0] != s || got[1] != d {
+		t.Fatalf("hub successors = %v, want [n%d n%d]", got, s.ID, d.ID)
+	}
+	if got := hub.NonDrainSucc(); got != s {
+		t.Fatalf("NonDrainSucc = %v, want n%d", got, s.ID)
+	}
+	g.RetargetLeaf(tl, nil)
+	if got := hub.Successors(); len(got) != 2 || got[0] != d || got[1] != s {
+		t.Fatalf("hub successors after retarget = %v, want [n%d n%d]", got, d.ID, s.ID)
+	}
+	// The same with one branch over two leaves, a shape read directly.
+	one := g.NewNode()
+	g.InsertBranchAtLeaf(one.Root, mkCJ(), s, s)
+	if got := one.Successors(); len(got) != 1 || got[0] != s || one.NonDrainSucc() != s {
+		t.Fatalf("one-branch successors = %v, NonDrainSucc = %v, want n%d once", got, one.NonDrainSucc(), s.ID)
 	}
 }

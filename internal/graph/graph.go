@@ -7,12 +7,12 @@ import (
 )
 
 // Graph is a VLIW program graph. All structural mutation must go through
-// Graph methods so that adjacency sets, operation placements, and
+// Graph methods so that predecessor sets, operation placements, and
 // cached node op counts stay consistent;
 // Validate cross-checks every invariant and is run liberally in tests.
-// Adjacency lives on the nodes themselves (Node.preds/Node.succs compact
-// edge sets) rather than in a graph-level map, so predecessor and
-// successor queries in scheduler hot paths are allocation-free scans.
+// Predecessors live on the nodes themselves (Node.preds compact edge
+// sets) rather than in a graph-level map; successors are read off the
+// node's leaves. Both queries are allocation-free scans.
 type Graph struct {
 	Entry *Node
 	Alloc *ir.Alloc
@@ -211,7 +211,7 @@ func (g *Graph) PredEdgeCount(n *Node) int {
 }
 
 // SinglePred returns the unique predecessor of n when n has exactly one
-// incoming edge, else nil. O(1) on the compact adjacency set.
+// incoming edge, else nil. O(1) on the compact predecessor set.
 func (g *Graph) SinglePred(n *Node) *Node {
 	return n.preds.single()
 }
@@ -221,14 +221,13 @@ func (g *Graph) link(from, to *Node) {
 		return
 	}
 	to.preds.add(from)
-	from.succs.add(to)
 }
 
 func (g *Graph) unlink(from, to *Node) {
 	if to == nil {
 		return
 	}
-	if !to.preds.remove(from) || !from.succs.remove(to) {
+	if !to.preds.remove(from) {
 		panic(fmt.Sprintf("graph: unlink of absent edge n%d->n%d", from.ID, to.ID))
 	}
 }
@@ -263,7 +262,6 @@ func (g *Graph) AddOp(op *ir.Op, v *Vertex) {
 	v.Ops = append(v.Ops, op)
 	g.setLoc(op, v)
 	v.sum.addOp(op)
-	v.sum.indexOp(op, int32(len(v.Ops)-1))
 	if n := v.node; n != nil {
 		n.opCount++
 		n.noteOpAdded(op)

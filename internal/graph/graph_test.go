@@ -261,3 +261,30 @@ func TestRetargetLeafMaintainsPreds(t *testing.T) {
 		t.Fatalf("drain pred count = %d, want 2", g.PredEdgeCount(ns[4]))
 	}
 }
+
+// TestDefSiteHereNoReg: stores and branches "define" NoReg, so an op
+// scan that compared Def() alone would name the store; NoReg has no
+// def site.
+func TestDefSiteHereNoReg(t *testing.T) {
+	al := ir.NewAlloc()
+	g := New(al)
+	n := g.NewNode()
+	g.Entry = n
+	st := &ir.Op{ID: al.OpID(), Kind: ir.Store, Src: [2]ir.Reg{al.Reg("v")},
+		Mem: ir.MemRef{Array: al.Array("A")}}
+	g.AddOp(st, n.Root)
+	cj := &ir.Op{ID: al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{al.Reg("c")}, Imm: 1, BImm: true, Rel: ir.Lt}
+	g.InsertBranchAtLeaf(n.Root, cj, nil, nil)
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Def() != ir.NoReg || cj.Def() != ir.NoReg {
+		t.Fatal("store and branch must define NoReg for this test to mean anything")
+	}
+	if p, pos := n.Root.DefSiteHere(ir.NoReg); p != nil {
+		t.Fatalf("DefSiteHere(NoReg) = %v at %d, want nil", p, pos)
+	}
+	if n.Root.MayDefine(ir.NoReg) {
+		t.Fatal("MayDefine(NoReg) = true")
+	}
+}

@@ -37,13 +37,11 @@ type Node struct {
 	// recount. See DESIGN.md.
 	iterCounts []int32
 
-	// preds/succs are the node's compact adjacency sets, maintained by
-	// the Graph's link/unlink on every leaf-edge mutation and
-	// cross-checked by Validate. They replace the graph-level
-	// map[*Node]map[*Node]int predecessor table, making Preds,
-	// SinglePred, and successor iteration allocation-free scans.
+	// preds is the node's compact predecessor set, maintained by the
+	// Graph's link/unlink on every leaf-edge mutation and cross-checked
+	// by Validate, so Preds and SinglePred are allocation-free scans.
+	// Successors need no set: they are read off the node's own leaves.
 	preds edgeSet
-	succs edgeSet
 
 	// seenEpoch supports allocation-free graph traversals: a traversal
 	// obtains a fresh epoch from Graph.BeginVisit and marks nodes with
@@ -246,32 +244,59 @@ func leafTo(v *Vertex, succ *Node) *Vertex {
 	return leafTo(v.False, succ)
 }
 
-// Successors returns the distinct successor nodes in first-edge order,
-// read off the compact adjacency set. Allocates the result slice; hot
-// paths use VisitSuccessors or NonDrainSucc.
+// Successors returns the distinct successor nodes in leaf preorder.
+// Allocates the result slice; hot paths use VisitSuccessors or
+// NonDrainSucc.
 func (n *Node) Successors() []*Node {
-	succs := make([]*Node, 0, n.succs.n)
-	n.succs.visit(func(s *Node, _ int32) bool {
+	var succs []*Node
+	n.VisitSuccessors(func(s *Node) bool {
 		succs = append(succs, s)
 		return true
 	})
 	return succs
 }
 
-// VisitSuccessors calls f for every distinct successor node, stopping
-// early when f returns false. Allocation-free: it iterates the compact
-// adjacency set maintained on edge mutation.
+// VisitSuccessors calls f for every distinct successor node, in the
+// left-first preorder of the leaves that reach them, stopping early when
+// f returns false. A successor reached by several leaves is visited at
+// its first one. The order depends only on the tree, so a graph and its
+// Clone visit corresponding successors alike. Allocation-free.
+//
+// The gapless search and the park wakes visit successors on every
+// probe, and most trees are a leaf or one branch over two leaves, so
+// those two shapes are read without the callback walk, which costs
+// more than a successor set would (DESIGN.md §1). The shape comes from
+// the tree, never the node's counts, so the visit is exact inside the
+// op-home hook too.
 func (n *Node) VisitSuccessors(f func(*Node) bool) {
-	n.succs.visit(func(s *Node, _ int32) bool { return f(s) })
+	r := n.Root
+	switch {
+	case r.IsLeaf():
+		if r.Succ != nil {
+			f(r.Succ)
+		}
+	case r.True.IsLeaf() && r.False.IsLeaf():
+		t, e := r.True.Succ, r.False.Succ
+		if t != nil && !f(t) {
+			return
+		}
+		if e != nil && e != t {
+			f(e)
+		}
+	default:
+		n.VisitLeaves(func(l *Vertex) bool {
+			return l.Succ == nil || n.LeafTo(l.Succ) != l || f(l.Succ)
+		})
+	}
 }
 
 // NonDrainSucc returns the unique non-drain successor, or nil when the
 // node has none or several (the main-chain step used by every
-// scheduler's top-down traversal). O(successors), allocation-free.
+// scheduler's top-down traversal). O(leaves²) at worst, allocation-free.
 func (n *Node) NonDrainSucc() *Node {
 	var next *Node
 	ambiguous := false
-	n.succs.visit(func(s *Node, _ int32) bool {
+	n.VisitSuccessors(func(s *Node) bool {
 		if s.Drain {
 			return true
 		}

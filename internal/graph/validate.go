@@ -19,8 +19,7 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("graph: entry n%d not registered", g.Entry.ID)
 	}
 
-	recount := map[*Node]map[*Node]int{}     // successor -> predecessor -> edges
-	succRecount := map[*Node]map[*Node]int{} // predecessor -> successor -> edges
+	recount := map[*Node]map[*Node]int{} // successor -> predecessor -> edges
 	seenOps := map[*ir.Op]*Vertex{}
 
 	for n := range g.nodes {
@@ -75,12 +74,6 @@ func (g *Graph) Validate() error {
 						recount[v.Succ] = m
 					}
 					m[n]++
-					sm := succRecount[n]
-					if sm == nil {
-						sm = map[*Node]int{}
-						succRecount[n] = sm
-					}
-					sm[v.Succ]++
 				}
 				return
 			}
@@ -147,35 +140,32 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("graph: numPlaced %d, walk reaches %d placed ops", g.numPlaced, len(seenOps))
 	}
 
-	// The incremental adjacency sets must match a full edge recount, in
-	// both directions (same pattern as the op-count cross-check).
+	// The incremental predecessor sets must match a full edge recount
+	// (same pattern as the op-count cross-check).
 	for n := range g.nodes {
-		if err := checkEdgeSet(g, n, &n.preds, recount[n], "pred"); err != nil {
-			return err
-		}
-		if err := checkEdgeSet(g, n, &n.succs, succRecount[n], "succ"); err != nil {
+		if err := checkPreds(g, n, recount[n]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// checkEdgeSet cross-checks one node's incremental adjacency set
+// checkPreds cross-checks one node's incremental predecessor set
 // against the edge multiset rebuilt from the leaf walk.
-func checkEdgeSet(g *Graph, n *Node, s *edgeSet, want map[*Node]int, dir string) error {
+func checkPreds(g *Graph, n *Node, want map[*Node]int) error {
 	got := map[*Node]int{}
 	err := error(nil)
-	s.visit(func(m *Node, c int32) bool {
+	n.preds.visit(func(m *Node, c int32) bool {
 		if c <= 0 {
-			err = fmt.Errorf("n%d: %s entry for n%d with count %d", n.ID, dir, m.ID, c)
+			err = fmt.Errorf("n%d: pred entry for n%d with count %d", n.ID, m.ID, c)
 			return false
 		}
 		if !g.nodes[m] {
-			err = fmt.Errorf("n%d: %s entry for deleted node n%d", n.ID, dir, m.ID)
+			err = fmt.Errorf("n%d: pred entry for deleted node n%d", n.ID, m.ID)
 			return false
 		}
 		if _, dup := got[m]; dup {
-			err = fmt.Errorf("n%d: duplicate %s entry for n%d", n.ID, dir, m.ID)
+			err = fmt.Errorf("n%d: duplicate pred entry for n%d", n.ID, m.ID)
 			return false
 		}
 		got[m] = int(c)
@@ -186,51 +176,29 @@ func checkEdgeSet(g *Graph, n *Node, s *edgeSet, want map[*Node]int, dir string)
 	}
 	for m, c := range want {
 		if got[m] != c {
-			return fmt.Errorf("n%d: %s count for n%d = %d, want %d", n.ID, dir, m.ID, got[m], c)
+			return fmt.Errorf("n%d: pred count for n%d = %d, want %d", n.ID, m.ID, got[m], c)
 		}
 	}
 	for m, c := range got {
 		if want[m] != c {
-			return fmt.Errorf("n%d: stale %s count for n%d = %d, want %d", n.ID, dir, m.ID, c, want[m])
+			return fmt.Errorf("n%d: stale pred count for n%d = %d, want %d", n.ID, m.ID, c, want[m])
 		}
 	}
 	return nil
 }
 
 // checkSummaries cross-checks every vertex's incremental def/use
-// summary and def-site index against a from-scratch recomputation from
-// the vertex's op list. Any mutation path that forgets to refresh a
-// summary — including operand rewrites bypassing
-// Graph.ReplaceUse/RetargetDef — surfaces here, so every randomized
-// test calling Validate inherits the invariant the ps fast-path filters
-// depend on.
+// summary against a from-scratch recomputation from the vertex's op
+// list. Any mutation path that forgets to refresh a summary — including
+// operand rewrites bypassing Graph.ReplaceUse/RetargetDef — surfaces
+// here, so every randomized test calling Validate inherits the
+// invariant the ps fast-path filters depend on.
 func checkSummaries(n *Node) (err error) {
 	n.Walk(func(v *Vertex) {
-		if err != nil {
-			return
-		}
-		want := &summary{}
-		for i, op := range v.Ops {
-			want.addOp(op)
-			want.indexOp(op, int32(i))
-		}
-		if v.CJ != nil {
-			want.addOp(v.CJ)
-		}
-		if want.ownDefs != v.sum.ownDefs || want.ownUses != v.sum.ownUses ||
-			want.ownStores != v.sum.ownStores || want.ownLoads != v.sum.ownLoads {
+		fresh := Vertex{Ops: v.Ops, CJ: v.CJ}
+		fresh.recomputeOwn()
+		if err == nil && fresh.sum != v.sum {
 			err = fmt.Errorf("n%d: vertex def/use summary out of sync", n.ID)
-			return
-		}
-		if len(want.defSites) != len(v.sum.defSites) {
-			err = fmt.Errorf("n%d: vertex def-site index out of sync", n.ID)
-			return
-		}
-		for i, e := range want.defSites {
-			if v.sum.defSites[i] != e {
-				err = fmt.Errorf("n%d: vertex def-site index out of sync at r%d", n.ID, e.reg)
-				return
-			}
 		}
 	})
 	return err

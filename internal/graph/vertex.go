@@ -28,10 +28,9 @@ type Vertex struct {
 	parent *Vertex
 
 	// sum is the vertex's incrementally maintained def/use summary (see
-	// summary.go): exact register def/use sets, memory-op counts and a
-	// def-site index for the vertex's own op list, kept current by every
-	// Graph mutator and operand-rewrite method — what the ps legality
-	// fast paths filter on.
+	// summary.go): register def/use may-masks for the vertex's own op
+	// list, kept current by every Graph mutator and operand-rewrite
+	// method — what the ps legality fast paths filter on.
 	sum summary
 }
 

@@ -170,7 +170,7 @@ func BenchmarkScanMovePastRead(b *testing.B) {
 // BenchmarkScanCommittedPath measures the movers' shared
 // committed-path check, checkCommittedPath, in its three shapes: miss
 // finds no event on the path, hit resolves the blocking producer
-// through the def-site index, and copyChain meets a copy first and
+// through DefSiteHere, and copyChain meets a copy first and
 // hands over to the reference scan, which propagates the moving op's
 // use through a two-hop copy chain.
 func BenchmarkScanCommittedPath(b *testing.B) {

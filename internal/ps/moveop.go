@@ -94,7 +94,7 @@ func (c *Ctx) TryMoveOpUp(op *ir.Op, commit bool, excluding *ir.Op) Block {
 // the copy-propagation rewrites the move needs to rewrites.
 //
 // firstPathEvent names the earliest path op the reference scan would
-// act on, from the per-vertex summaries and def-site index alone. A
+// act on, probing each vertex's op list only behind its def mask. A
 // non-copy event is the blocker, and no event means the move is free
 // with no rewrites: before its first event the reference scan neither
 // blocks nor rewrites. A copy event hands the whole question to the
@@ -148,17 +148,17 @@ func crossCheckPath(leaf *graph.Vertex, op, excluding *ir.Op, block Block, rewri
 // nil when the path holds none. op and excluding count as absent, as
 // in the reference scan.
 //
-// It is one pass over the chain's summaries, root first, stopping at
-// the first vertex with an event. A register resolves through the
-// vertex's def-site index only when its def set holds it; by the
+// It is one pass over the chain, root first, stopping at the first
+// vertex with an event. A register resolves through DefSiteHere only
+// when the vertex's def mask may hold it; by the
 // single-definition-per-path invariant (Validate's
 // checkSingleDefPerPath) that site is the register's only one on the
 // path, so a site occupied by op or excluding leaves no other to fall
-// back to. The memory probe scans only vertices holding a store, and
-// only ahead of the vertex's earliest register event. Stores define no
-// register, so the two kinds of event never share an op. Conditional
-// jumps on the path define nothing and touch no memory, exactly as the
-// reference ignores them.
+// back to. The memory probe scans the op list only ahead of the
+// vertex's earliest register event. Stores define no register, so the
+// two kinds of event never share an op. Conditional jumps on the path
+// define nothing and touch no memory, exactly as the reference ignores
+// them.
 func firstPathEvent(leaf *graph.Vertex, op, excluding *ir.Op) *ir.Op {
 	// Same stack-buffered chain collection as pathOps (and the same
 	// overflow behavior past depth 8: a correct heap append).
@@ -183,7 +183,7 @@ func firstPathEvent(leaf *graph.Vertex, op, excluding *ir.Op) *ir.Op {
 				first, at = p, k
 			}
 		}
-		if mem && v.StoresHere() {
+		if mem {
 			for _, p := range v.Ops[:at] {
 				// Memory ordering: a load may not pass an aliasing
 				// store; two aliasing stores may not share a path
@@ -250,8 +250,8 @@ func scanCommittedPath(leaf *graph.Vertex, op, excluding *ir.Op, uses []ir.Reg, 
 // a store, aliasing loads) left behind in the source node. The fast
 // path visits every vertex of the instruction tree in the same preorder
 // as the reference walk, so the reported blocker is identical, but
-// scans a vertex's op list only when its own tier holds a read of d
-// (or a load, for a store mover). Under Ctx.CrossCheck the retained
+// scans a vertex's op list only when its use mask may hold a read of d
+// (every list, for a store mover). Under Ctx.CrossCheck the retained
 // full walk runs next to it and any divergence panics.
 func (c *Ctx) scanMovePastRead(n *graph.Node, op *ir.Op, excluding *ir.Op) Block {
 	blk := scanMovePastReadFast(n.Root, op, excluding, op.Def(), op.IsStore())
@@ -264,15 +264,16 @@ func (c *Ctx) scanMovePastRead(n *graph.Node, op *ir.Op, excluding *ir.Op) Block
 	return blk
 }
 
-// scanMovePastReadFast is the own-tier-gated walk. Soundness of the
-// gate: a blocking op p satisfies either p.ReadsReg(d) — then d is in
-// the own-use tier of p's vertex — or p.IsLoad()∧aliasing — then that
-// vertex's own load counter is positive. So a skipped op list holds no
-// blocker. The gate may pass without a blocker (op or excluding
-// contribute their own reads; MayAlias is per-op), which costs a scan
-// that finds nothing, never a wrong verdict.
+// scanMovePastReadFast is the use-mask-gated walk. Soundness of the
+// gate: a blocking op p satisfies either p.ReadsReg(d) — then d's bit
+// is in the use mask of p's vertex — or p.IsLoad()∧aliasing, which only
+// a store mover looks for, and a store mover scans every op list. So a
+// skipped op list holds no blocker. The gate may pass without a blocker
+// (a mask collision; op or excluding contribute their own reads;
+// MayAlias is per-op), which costs a scan that finds nothing, never a
+// wrong verdict.
 func scanMovePastReadFast(v *graph.Vertex, op, excluding *ir.Op, d ir.Reg, isStore bool) Block {
-	if d != ir.NoReg && v.MayRead(d) || isStore && v.LoadsHere() {
+	if isStore || v.MayRead(d) {
 		for _, p := range v.Ops {
 			if p == op || p == excluding {
 				continue
