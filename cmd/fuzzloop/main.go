@@ -25,8 +25,10 @@
 //	                      [-minimize] [-corpus testdata/corpus]
 //	                      [-artifacts DIR]
 //
-// Exit status 0 means every judged loop passed; 1 means failures; 2
-// means a setup or infrastructure error.
+// The summary line reports the seeds judged, the checks run, the
+// failing loops, the elapsed time and the throughput in seeds per
+// second. Exit status 0 means every judged loop passed; 1 means
+// failures; 2 means a setup or infrastructure error.
 package main
 
 import (
@@ -126,8 +128,14 @@ func run() int {
 		}
 	}
 
-	fmt.Printf("fuzzloop: %d seeds, %d checks, %d failing loop(s) in %v\n",
-		rep.Seeds, rep.Checks, len(rep.Failures), rep.Elapsed.Round(time.Millisecond))
+	// Seeds per second is the fuzz throughput the per-push sweep logs;
+	// minimizing failing loops, when asked, counts against it.
+	var rate float64
+	if rep.Elapsed > 0 {
+		rate = float64(rep.Seeds) / rep.Elapsed.Seconds()
+	}
+	fmt.Printf("fuzzloop: %d seeds, %d checks, %d failing loop(s) in %v (%.1f seeds/s)\n",
+		rep.Seeds, rep.Checks, len(rep.Failures), rep.Elapsed.Round(time.Millisecond), rate)
 	for _, f := range rep.Failures {
 		for _, ff := range f.Failures {
 			fmt.Printf("  seed %d (%s): %s\n", f.Seed, f.Spec.Name, ff)

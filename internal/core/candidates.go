@@ -278,10 +278,13 @@ func (s *scheduler) checkCandidates() error {
 			return fmt.Errorf("core: rank %d (%s %v) in %s selector but ineligible (pruned=%v suspended=%v tried=%v parked=%v)",
 				r, class, op, class, s.pruned.Has(idx), s.suspended.Has(idx), s.tried[idx] == s.gen, parked)
 		}
-		home := g.NodeOf(op)
-		if eligible && home != nil && !home.Drain && !inSel {
-			return fmt.Errorf("core: rank %d (%s %v) eligible and placed at n%d but missing from %s selector",
-				r, class, op, home.ID, class)
+		if eligible && !inSel {
+			// NodeOf is most of this loop's cost, and only an eligible
+			// op missing from its selector needs its home.
+			if home := g.NodeOf(op); home != nil && !home.Drain {
+				return fmt.Errorf("core: rank %d (%s %v) eligible and placed at n%d but missing from %s selector",
+					r, class, op, home.ID, class)
+			}
 		}
 		if s.unmoveable.Has(idx) && !s.pruned.Has(idx) {
 			return fmt.Errorf("core: rank %d (%s %v) unmoveable but not pruned", r, class, op)

@@ -6,8 +6,9 @@
 // graphs, so they get the full semantic oracle: the scheduled program
 // runs in internal/sim against a fresh, unoptimized, unscheduled
 // unwinding of the same loop on the same deterministic workload, for
-// full and early-exit trip counts (pipeline.ValidateSemantics — the
-// same machinery behind the CLI's -validate). The single-iteration
+// full and early-exit trip counts (pipeline.NewReference and
+// Reference.Check, the two halves of the ValidateSemantics machinery
+// behind the CLI's -validate). The single-iteration
 // baselines (modulo, list) report metrics only, so they get analytic
 // oracles instead: their cycles-per-iteration must respect the
 // dependence-theoretic rate bound (max of the recurrence and resource
@@ -32,6 +33,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/deps"
@@ -150,6 +152,13 @@ const boundEps = 1e-9
 // same loop, same verdict, regardless of parallelism or cache state.
 // The returned error is infrastructural only (context cancelled);
 // per-cell failures live in the verdict.
+//
+// The semantic oracle runs inside the batch pool: each grip/post cell
+// is simulated by the worker that scheduled it, as soon as its outcome
+// is final, against a reference shared by every cell at its unwind
+// factor (see references). The rate bands and the verdict assembly
+// follow the batch, in (machine, technique) order whatever the
+// dispatch order (see dispatchOrder).
 func CheckLoop(ctx context.Context, spec *ir.LoopSpec, opts FuzzOptions) (*LoopVerdict, error) {
 	opts = opts.normalized()
 	if err := spec.Validate(); err != nil {
@@ -166,15 +175,34 @@ func CheckLoop(ctx context.Context, spec *ir.LoopSpec, opts FuzzOptions) (*LoopV
 			})
 		}
 	}
-	outs, err := batch.Run(ctx, jobs, batch.Options{
+	order := dispatchOrder(jobs)
+	queued := make([]batch.Job, len(jobs))
+	for q, i := range order {
+		queued[q] = jobs[i]
+	}
+	vars, arrays := fuzzgen.Workload(spec)
+	refs := &references{spec: spec, vars: vars, arrays: arrays}
+	semantic := make([]error, len(jobs))
+	queuedOuts, err := batch.Run(ctx, queued, batch.Options{
 		Parallelism: opts.Parallelism, Timeout: opts.Timeout,
+		AfterJob: func(q int, o batch.Outcome) {
+			if o.Err != nil {
+				return
+			}
+			if res, ok := o.Result.Raw().(*pipeline.Result); ok {
+				semantic[order[q]] = refs.check(res)
+			}
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
+	outs := make([]batch.Outcome, len(jobs))
+	for q, i := range order {
+		outs[i] = queuedOuts[q]
+	}
 
 	v := &LoopVerdict{Spec: spec, Checks: len(jobs)}
-	vars, arrays := fuzzgen.Workload(spec)
 	info := deps.Analyze(spec)
 	bounds := map[int]float64{}
 	for _, fus := range opts.Machines {
@@ -186,7 +214,7 @@ func CheckLoop(ctx context.Context, spec *ir.LoopSpec, opts FuzzOptions) (*LoopV
 			Technique: o.Job.Technique, FUs: o.Job.Machine.OpSlots, Class: class, Err: err,
 		})
 	}
-	for _, o := range outs {
+	for i, o := range outs {
 		if o.Err != nil {
 			fail(o, classify(o.Err), o.Err)
 			continue
@@ -196,9 +224,10 @@ func CheckLoop(ctx context.Context, spec *ir.LoopSpec, opts FuzzOptions) (*LoopV
 				o.Result.CyclesPerIter, o.Result.Speedup))
 			continue
 		}
-		if res, ok := o.Result.Raw().(*pipeline.Result); ok {
-			// Semantic oracle for the pipelining techniques.
-			if err := validateResult(res, vars, arrays); err != nil {
+		if _, ok := o.Result.Raw().(*pipeline.Result); ok {
+			// Semantic oracle for the pipelining techniques, already
+			// run on the worker.
+			if err := semantic[i]; err != nil {
 				class := FailMismatch
 				if errors.Is(err, sim.ErrCycleBudget) {
 					class = FailLivelock
@@ -229,6 +258,39 @@ func CheckLoop(ctx context.Context, spec *ir.LoopSpec, opts FuzzOptions) (*LoopV
 	return v, nil
 }
 
+// dispatchOrder returns the order in which CheckLoop queues its jobs,
+// given in (machine, technique) order, as indices into jobs: the first
+// POST job (the first machine's), then GRiP's jobs, then every other
+// technique's, then the remaining POST jobs, each group in job order.
+// POST's phase 1 (Perfect Pipelining at infinite resources) does not
+// depend on the machine, so its jobs at every width share one
+// single-flight computation; queued among the others they would block a
+// worker waiting on that flight. The first POST job starts phase 1 at
+// once, GRiP's long jobs and the short baselines keep the other workers
+// busy meanwhile, and the POST jobs queued last find phase 1 landed.
+func dispatchOrder(jobs []batch.Job) []int {
+	group := make([]int, len(jobs))
+	firstPost := true
+	for i, j := range jobs {
+		switch {
+		case j.Technique == "post" && firstPost:
+			group[i], firstPost = 0, false
+		case j.Technique == "grip":
+			group[i] = 1
+		case j.Technique != "post":
+			group[i] = 2
+		default:
+			group[i] = 3
+		}
+	}
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return group[order[a]] < group[order[b]] })
+	return order
+}
+
 // classify names the failure class of a job error: a recovered panic,
 // a per-job deadline, or any other scheduler error.
 func classify(err error) FailureClass {
@@ -242,25 +304,63 @@ func classify(err error) FailureClass {
 	return FailError
 }
 
-// validateResult proves one scheduled pipeline result equivalent to its
-// source loop on the given workload, for an early exit, a mid-unwind
-// exit, and the full unwound depth: trips Start + Step·max(i,1) for i
-// in {1, U/3, U}, deduplicated. CheckLoop and ValidateCell share it.
-func validateResult(res *pipeline.Result, vars map[string]int64, arrays map[string][]int64) error {
-	u := int64(res.U)
+// references are one CheckLoop call's semantic references, one per
+// unwind factor: the cells at one factor differ only in their
+// schedules, so they share the reference unwinding and its runs. Each
+// is built at most once, by the first cell that needs it, while the
+// call's other cells at that factor wait. They live only as long as
+// the call.
+type references struct {
+	spec   *ir.LoopSpec
+	vars   map[string]int64
+	arrays map[string][]int64
+
+	mu  sync.Mutex
+	byU map[int]func() (*pipeline.Reference, error)
+}
+
+// check judges one scheduled result against its unwind factor's
+// reference: pipeline.ValidateSemantics at oracleTrips, with the
+// reference half shared.
+func (r *references) check(res *pipeline.Result) error {
+	r.mu.Lock()
+	if r.byU == nil {
+		r.byU = map[int]func() (*pipeline.Reference, error){}
+	}
+	ref, ok := r.byU[res.U]
+	if !ok {
+		u := res.U
+		ref = sync.OnceValues(func() (*pipeline.Reference, error) {
+			return pipeline.NewReference(r.spec, u, r.vars, r.arrays, oracleTrips(r.spec, u))
+		})
+		r.byU[u] = ref
+	}
+	r.mu.Unlock()
+	built, err := ref()
+	if err != nil {
+		return err
+	}
+	return built.Check(res)
+}
+
+// oracleTrips are the trip counts the semantic oracle simulates a loop
+// unwound u times at: an early exit, a mid-unwind exit, and the full
+// unwound depth, Start + Step·max(i,1) for i in {1, u/3, u},
+// deduplicated. CheckLoop and ValidateCell share them.
+func oracleTrips(spec *ir.LoopSpec, u int) []int64 {
 	var trips []int64
 	seen := map[int64]bool{}
-	for _, iters := range []int64{1, u / 3, u} {
+	for _, iters := range []int64{1, int64(u) / 3, int64(u)} {
 		if iters < 1 {
 			iters = 1
 		}
-		trip := res.Spec.Start + res.Spec.Step*iters
+		trip := spec.Start + spec.Step*iters
 		if !seen[trip] {
 			seen[trip] = true
 			trips = append(trips, trip)
 		}
 	}
-	return pipeline.ValidateSemantics(res, vars, arrays, trips)
+	return trips
 }
 
 // SweepOptions configure FuzzSweep.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -73,6 +74,34 @@ func TestVerdictDeterminism(t *testing.T) {
 		}
 		if got, want := verdictKey(a), verdictKey(b); got != want {
 			t.Errorf("seed %d: verdict depends on parallelism:\n1 worker: %s\n8 workers: %s", seed, want, got)
+		}
+	}
+}
+
+// TestFailuresInJobOrder pins that CheckLoop's dispatch order never
+// reaches a verdict: under a one-nanosecond job budget every cell
+// fails, and the failures come back in (machine, technique) order at
+// any worker count.
+func TestFailuresInJobOrder(t *testing.T) {
+	testutil.LeakCheck(t)
+	spec := fuzzgen.SweepSpec(5)
+	var want []string
+	for _, fus := range []int{2, 4, 8} {
+		for _, tech := range sched.Names() {
+			want = append(want, fmt.Sprintf("%s@%d:%s", tech, fus, FailTimeout))
+		}
+	}
+	for _, p := range []int{1, 2, 8} {
+		v, err := CheckLoop(context.Background(), spec, FuzzOptions{Parallelism: p, Timeout: time.Nanosecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, f := range v.Failures {
+			got = append(got, fmt.Sprintf("%s@%d:%s", f.Technique, f.FUs, f.Class))
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%d workers: failures\n%v\nwant\n%v", p, got, want)
 		}
 	}
 }

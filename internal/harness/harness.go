@@ -135,7 +135,7 @@ func ValidateCell(k *livermore.Kernel, fus int, cfg sched.Config) error {
 		return outs[0].Err
 	}
 	res := outs[0].Result.Raw().(*pipeline.Result)
-	return validateResult(res, k.Vars, k.Arrays(res.U+16))
+	return pipeline.ValidateSemantics(res, k.Vars, k.Arrays(res.U+16), oracleTrips(res.Spec, res.U))
 }
 
 // RunTable1Ctx reproduces the paper's Table 1 (grip vs post, paper

@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -110,18 +111,31 @@ func TestTable1ShapeProperties(t *testing.T) {
 	}
 }
 
+// freshKernels numbers the kernel copies freshKernel returns.
+var freshKernels atomic.Int32
+
+// freshKernel returns a copy of the named kernel whose spec carries a
+// name no earlier call returned. The name joins POST's phase-1 memo key
+// and changes no schedule, so the process-wide memo, which no test can
+// reset, cannot already hold the copy's phase 1, whatever ran earlier
+// in the binary (-count=N included).
+func freshKernel(name string) *livermore.Kernel {
+	k := *livermore.ByName(name)
+	spec := *k.Spec
+	spec.Name = fmt.Sprintf("%s-fresh-%d", name, freshKernels.Add(1))
+	k.Spec = &spec
+	return &k
+}
+
 // TestParallelTableBitIdentical runs a Table 1 slice with four workers
 // and then sequentially, with a fresh result cache for each run, and
 // requires every cell to be bit-identical — the acceptance criterion
 // for moving the harness onto the batch engine. The parallel pass runs
-// first so that (on a fresh test binary, e.g. CI's -short -race run)
-// POST phase-1 results are computed by concurrent workers rather than
-// replayed from the process-global phase-1 memo, which result caches
-// cannot isolate.
+// first, on fresh kernel copies, so that POST phase-1 results are
+// computed by concurrent workers rather than replayed from the
+// process-global phase-1 memo, which result caches cannot isolate.
 func TestParallelTableBitIdentical(t *testing.T) {
-	kernels := []*livermore.Kernel{
-		livermore.ByName("LL1"), livermore.ByName("LL3"), livermore.ByName("LL5"),
-	}
+	kernels := []*livermore.Kernel{freshKernel("LL1"), freshKernel("LL3"), freshKernel("LL5")}
 	fus := []int{2, 4}
 	par, _, err := RunTable1Ctx(context.Background(), kernels, fus,
 		batch.Options{Parallelism: 4, Cache: batch.NewCache(64)})
@@ -173,13 +187,13 @@ func TestSharedCacheMakesRerunsFree(t *testing.T) {
 
 // TestCancelledPostRecomputesExact: a POST job cancelled in the middle
 // of phase 1 must leave the phase-1 memo and the batch cache clean.
-// LL7 at 2 FUs under MaxUnwind 48, a config no other test in this
-// binary schedules, so the memo cannot already hold its phase 1: two
-// duplicate jobs under a 1ms budget both time out, and the rerun
-// through the same cache computes the golden LL7,2,post row exactly.
+// LL7 at 2 FUs under MaxUnwind 48, on a fresh kernel copy, so every
+// iteration starts phase 1 cold: two duplicate jobs under a 1ms budget
+// both time out inside it, and the rerun through the same cache
+// computes the golden LL7,2,post row exactly.
 func TestCancelledPostRecomputesExact(t *testing.T) {
 	testutil.LeakCheck(t)
-	k := livermore.ByName("LL7")
+	k := freshKernel("LL7")
 	cfg := sched.Config{MaxUnwind: 48}
 	cache := batch.NewCache(16)
 	job := batch.Job{Technique: "post", Spec: k.Spec, Machine: machine.New(2), Config: cfg, Label: k.Name}

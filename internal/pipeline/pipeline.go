@@ -255,35 +255,104 @@ func (u *Unwound) InitState(vars map[string]int64, arrays map[string][]int64) *s
 // original loop: a fresh, unoptimized, unscheduled unwinding is executed
 // against the same inputs for every given trip count (trips below the
 // unwind factor exercise the drain code that move-cj splitting
-// produced), and memory plus live-out registers must match.
+// produced), and memory plus live-out registers must match. It is
+// NewReference followed by Check; callers judging several schedules of
+// one loop at one unwind factor can share the reference.
 func ValidateSemantics(res *Result, vars map[string]int64, arrays map[string][]int64, trips []int64) error {
-	ref, err := Unwind(res.Spec, res.U)
+	ref, err := NewReference(res.Spec, res.U, vars, arrays, trips)
 	if err != nil {
 		return err
 	}
-	refG := ref.BuildGraph()
-	maxCycles := 100 * (ref.SeqCycles(res.U) + 100)
-	for _, trip := range trips {
-		v := map[string]int64{}
-		for k, val := range vars {
-			v[k] = val
-		}
-		v[res.Spec.TripVar] = trip
+	return ref.Check(res)
+}
 
-		refRes, err := sim.Run(refG, ref.InitState(v, arrays), maxCycles)
+// Reference is the oracle side of ValidateSemantics: a fresh,
+// unoptimized, unscheduled unwinding of a loop, simulated once per trip
+// count on one workload. It is read-only once built, so schedules may
+// be checked against it from several goroutines at once.
+type Reference struct {
+	u         int
+	arrays    map[string][]int64
+	maxCycles int
+	outRegs   []ir.Reg
+	// runs holds the reference's run per trip, in trip order; a run
+	// that failed ends the list, its error kept for Check.
+	runs []refRun
+}
+
+// refRun is the reference run at one trip: its scalar inputs (the
+// workload's, with the trip variable set to the trip) and its final
+// state or error.
+type refRun struct {
+	trip  int64
+	vars  map[string]int64
+	state *sim.State
+	err   error
+}
+
+// NewReference unwinds spec u times and simulates that unwinding once
+// per trip on the workload: vars, with the trip variable set to the
+// trip, and arrays. The workload maps are read, never written, here and
+// in Check. The error is the unwinding's; a failed reference run is
+// reported by Check, after the trips before it have been checked.
+func NewReference(spec *ir.LoopSpec, u int, vars map[string]int64, arrays map[string][]int64, trips []int64) (*Reference, error) {
+	return newReference(spec, u, vars, arrays, trips, 100*(u*spec.SeqOpsPerIter()+100))
+}
+
+// newReference is NewReference under an explicit simulator cycle
+// budget, which bounds the reference runs and, in Check, the scheduled
+// ones.
+func newReference(spec *ir.LoopSpec, u int, vars map[string]int64, arrays map[string][]int64, trips []int64, maxCycles int) (*Reference, error) {
+	uw, err := Unwind(spec, u)
+	if err != nil {
+		return nil, err
+	}
+	g := uw.BuildGraph()
+	r := &Reference{u: u, arrays: arrays, maxCycles: maxCycles}
+	for _, reg := range uw.LiveOut {
+		r.outRegs = append(r.outRegs, reg)
+	}
+	for _, trip := range trips {
+		run := refRun{trip: trip, vars: make(map[string]int64, len(vars)+1)}
+		for k, val := range vars {
+			run.vars[k] = val
+		}
+		run.vars[spec.TripVar] = trip
+		out, err := sim.Run(g, uw.InitState(run.vars, arrays), maxCycles)
 		if err != nil {
-			return fmt.Errorf("trip %d: reference: %w", trip, err)
+			run.err = err
+		} else {
+			run.state = out.State
 		}
-		gotRes, err := sim.Run(res.Unwound.G, res.Unwound.InitState(v, arrays), maxCycles)
+		r.runs = append(r.runs, run)
 		if err != nil {
-			return fmt.Errorf("trip %d: scheduled: %w", trip, err)
+			break
 		}
-		var outRegs []ir.Reg
-		for _, r := range ref.LiveOut {
-			outRegs = append(outRegs, r)
+	}
+	return r, nil
+}
+
+// Check simulates res's scheduled graph at every trip of the reference,
+// in order, and returns the first trip's error: the reference's own
+// failure, the scheduled run's, or a difference in memory or live-out
+// registers. res must schedule the reference's loop, and at its unwind
+// factor: a reference of a smaller factor would pass a correct schedule
+// too, but would never run the trips past its own depth. Check writes
+// only res (InitState may allocate arrays in its allocator).
+func (r *Reference) Check(res *Result) error {
+	if res.U != r.u {
+		return fmt.Errorf("pipeline: schedule unwound %d times checked against a reference unwound %d times", res.U, r.u)
+	}
+	for _, run := range r.runs {
+		if run.err != nil {
+			return fmt.Errorf("trip %d: reference: %w", run.trip, run.err)
 		}
-		if err := sim.Equivalent(refRes.State, gotRes.State, outRegs); err != nil {
-			return fmt.Errorf("trip %d: %w", trip, err)
+		got, err := sim.Run(res.Unwound.G, res.Unwound.InitState(run.vars, r.arrays), r.maxCycles)
+		if err != nil {
+			return fmt.Errorf("trip %d: scheduled: %w", run.trip, err)
+		}
+		if err := sim.Equivalent(run.state, got.State, r.outRegs); err != nil {
+			return fmt.Errorf("trip %d: %w", run.trip, err)
 		}
 	}
 	return nil

@@ -103,6 +103,13 @@ type Options struct {
 	// merely redundant, not wasteful. WantRaw and CrossCheck jobs bypass
 	// it entirely (see runOne).
 	Cache *Cache
+	// AfterJob, when set, runs on the worker right after job i's
+	// outcome is final, before that worker takes another job, so the
+	// worker count bounds its concurrency too and Run returns only
+	// after every call has. It sees the outcome Run returns (Wall
+	// excludes it) and must be safe for concurrent use. A job that a
+	// cancelled run never hands to a worker skips it.
+	AfterJob func(i int, o Outcome)
 }
 
 // Run executes the jobs and returns one outcome per job, in job order.
@@ -125,6 +132,9 @@ func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
 			defer wg.Done()
 			for i := range idx {
 				outcomes[i] = runOne(ctx, jobs[i], opts, &cut)
+				if opts.AfterJob != nil {
+					opts.AfterJob(i, outcomes[i])
+				}
 			}
 		}()
 	}

@@ -90,6 +90,57 @@ func TestRunOrderAndResults(t *testing.T) {
 	}
 }
 
+// TestAfterJobRunsOnWorkers: the hook runs exactly once per job, with
+// the outcome Run returns for it, and every call has returned when Run
+// does. The calls run on the pool's workers: the first one waits until
+// a second has started, which a caller running the hooks one by one
+// could never see, and no more run at once than there are workers.
+func TestAfterJobRunsOnWorkers(t *testing.T) {
+	testutil.LeakCheck(t)
+	const workers = 2
+	var jobs []batch.Job
+	for i := 0; i < 6; i++ {
+		jobs = append(jobs, batch.Job{
+			Technique: "list", Spec: tinyLoop(fmt.Sprintf("h%d", i)), Machine: machine.New(2),
+		})
+	}
+	seen := make([]batch.Outcome, len(jobs))
+	calls := make([]atomic.Int32, len(jobs))
+	var started, running, peak atomic.Int32
+	overlap := make(chan struct{})
+	hook := func(i int, o batch.Outcome) {
+		calls[i].Add(1)
+		seen[i] = o
+		n := running.Add(1)
+		defer running.Add(-1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		if started.Add(1) == 2 {
+			close(overlap)
+		}
+		select {
+		case <-overlap:
+		case <-time.After(5 * time.Second):
+			t.Error("no second hook started while the first ran: hooks do not run on the workers")
+		}
+	}
+	outs, err := batch.Run(context.Background(), jobs, batch.Options{Parallelism: workers, AfterJob: hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range outs {
+		if n := calls[i].Load(); n != 1 {
+			t.Errorf("job %d: hook ran %d times before Run returned, want 1", i, n)
+		}
+		if seen[i].Job.Spec != jobs[i].Spec || seen[i].Result != o.Result || seen[i].Err != o.Err {
+			t.Errorf("job %d: hook saw %+v, Run returned %+v", i, seen[i], o)
+		}
+	}
+	if p := peak.Load(); p < 2 || p > workers {
+		t.Errorf("at most %d hooks ran at once, want 2 (the worker count)", p)
+	}
+}
+
 func TestUnknownTechniqueFailsJobOnly(t *testing.T) {
 	jobs := []batch.Job{
 		{Technique: "no-such", Spec: tinyLoop("a"), Machine: machine.New(2)},
