@@ -252,8 +252,7 @@ func run() int {
 // printCacheStats reports at exit how the cells were served, as counted
 // from their outcomes.
 func printCacheStats(st batch.Stats) {
-	fmt.Fprintf(os.Stderr, "cache: %d memory hits, %d flight shares, %d computed",
-		st.MemoryHits, st.FlightShares, st.Computed)
+	fmt.Fprintf(os.Stderr, "cache: %d hits, %d computed", st.CacheHits, st.Computed)
 	if st.Quarantined > 0 {
 		fmt.Fprintf(os.Stderr, ", %d quarantined panics", st.Quarantined)
 	}

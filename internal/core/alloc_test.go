@@ -96,7 +96,7 @@ func TestGaplessProbeAllocs(t *testing.T) {
 }
 
 // TestGraphAccessorAllocs guards the O(1) accessors the gapless path
-// reads per probe: per-iteration counts, compact successor/predecessor
+// reads per probe: per-iteration counts, the successor and incoming-edge
 // queries, and the leaf visits.
 func TestGraphAccessorAllocs(t *testing.T) {
 	pctx, _, ops := buildIterChain(8, 4, 4)
@@ -109,10 +109,10 @@ func TestGraphAccessorAllocs(t *testing.T) {
 		if s := n.NonDrainSucc(); s != nil {
 			sink++
 		}
-		if p := g.SinglePred(n); p != nil {
+		if p := n.Pred(); p != nil {
 			sink++
 		}
-		if f := n.FallThrough(); f != nil {
+		if l := n.In(); l != nil {
 			sink++
 		}
 		n.VisitLeaves(func(v *graph.Vertex) bool { sink++; return true })

@@ -53,7 +53,7 @@ func buildRandomChain(rng *rand.Rand, nNodes int) (*scheduler, []*graph.Node, []
 			Src: [2]ir.Reg{al.Reg(fmt.Sprintf("c%d", origin))}, Imm: 10, BImm: true, Rel: ir.Lt}
 		origin++
 		ops = append(ops, cj)
-		leaf := n.Leaves()[0]
+		leaf := graph.ContinueLeaf(n)
 		g.RetargetLeaf(leaf, nil)
 		g.InsertBranchAtLeaf(leaf, cj, nil, next)
 	}

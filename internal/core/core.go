@@ -605,8 +605,7 @@ func (s *scheduler) recordBlock(target, cur *graph.Node, op *ir.Op, blk ps.Block
 	case ps.BlockResource:
 		// Blocked by a full node that is not the scheduling target:
 		// the paper's resource barrier.
-		pred := s.ctx.G.SinglePred(cur)
-		if pred != nil && pred != target {
+		if pred := cur.Pred(); pred != nil && pred != target {
 			s.stats.ResourceBarriers++
 			if !s.barrierSet.Has(op.Index) {
 				s.barrierSet.Add(op.Index)

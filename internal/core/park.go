@@ -101,13 +101,14 @@ func opRegs(op *ir.Op) uint64 {
 
 func touchesMem(op *ir.Op) bool { return op.IsLoad() || op.IsStore() }
 
-// pathCopyRegs returns the may-mask of the copies committed on pred's
-// path into n. A mover out of n propagates its reads through them, so
-// an op landing on that path that defines one of their registers can
-// block the mover without conflicting with it.
-func pathCopyRegs(pred, n *graph.Node) uint64 {
+// pathCopyRegs returns the may-mask of the copies committed on the
+// path from the root of in's node down to in, the leaf entering some
+// node n. A mover out of n propagates its reads through them, so an op
+// landing on that path that defines one of their registers can block
+// the mover without conflicting with it.
+func pathCopyRegs(in *graph.Vertex) uint64 {
 	var m uint64
-	for v := pred.LeafTo(n); v != nil; v = v.Parent() {
+	for v := in; v != nil; v = v.Parent() {
 		for _, o := range v.Ops {
 			if o.IsCopy() {
 				m |= opRegs(o)
@@ -149,7 +150,7 @@ func (s *scheduler) maybePark(cur *graph.Node, op, by *ir.Op) {
 		if g.NodeOf(by) == cur {
 			rec.flags |= recInHome
 		}
-		if c := pathCopyRegs(g.SinglePred(cur), cur); c != 0 {
+		if c := pathCopyRegs(cur.In()); c != 0 {
 			rec.flags |= recPathCopy
 			rec.regs |= c
 		}
@@ -223,9 +224,8 @@ func (s *scheduler) wakeArrival(x *ir.Op, m *graph.Node) {
 	}
 	ev := wakeEvent{kind: evArrive, x: x, regs: opRegs(x), mem: touchesMem(x)}
 	s.wakeList(m, &ev, 0)
-	g := s.ctx.G
 	for dist := 1; dist <= maxWitnessDepth; dist++ {
-		if m = g.SinglePred(m); m == nil {
+		if m = m.Pred(); m == nil {
 			return
 		}
 		s.wakeList(m, &ev, dist)
@@ -496,7 +496,7 @@ func (s *scheduler) certify(from *graph.Node, op *ir.Op, depth int, rec *parkRec
 				continue
 			}
 			if s.certify(succ, x, depth+1, rec) {
-				rec.regs |= opRegs(x) | pathCopyRegs(from, succ)
+				rec.regs |= opRegs(x) | pathCopyRegs(succ.In())
 				if touchesMem(x) {
 					rec.flags |= recMem
 				}
@@ -528,7 +528,7 @@ func (s *scheduler) repickIsNoop(target *graph.Node, op *ir.Op) error {
 		if blk.Kind != ps.BlockResource {
 			return fmt.Errorf("core: parked branch %v at n%d would end in a %v block", op, home.ID, blk.Kind)
 		}
-		if pred := g.SinglePred(home); pred == nil || pred == target {
+		if pred := home.Pred(); pred == nil || pred == target {
 			return fmt.Errorf("core: parked branch %v at n%d would not count a barrier (predecessor %v, target n%d)",
 				op, home.ID, pred, target.ID)
 		}

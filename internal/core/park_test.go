@@ -209,7 +209,7 @@ func TestParkWakeDepartureEmptiesPredecessor(t *testing.T) {
 	r.mustPark(p)
 	r.s.bumpGen()
 	r.migrate(c)
-	if r.s.ctx.G.SinglePred(r.s.ctx.G.NodeOf(p)) != r.nodes[0] {
+	if r.s.ctx.G.NodeOf(p).Pred() != r.nodes[0] {
 		t.Fatal("scenario: the emptied predecessor was not spliced out")
 	}
 	r.replay(r.nodes[0])

@@ -40,14 +40,6 @@ func AppendBranch(g *Graph, tail *Node, cj *ir.Op, exit *Node) *Node {
 	return n
 }
 
-// AppendEmpty creates an empty node after tail (used for prelude slots
-// and as chain terminators).
-func AppendEmpty(g *Graph, tail *Node) *Node {
-	n := g.NewNode()
-	linkTail(g, tail, n)
-	return n
-}
-
 func linkTail(g *Graph, tail, n *Node) {
 	if tail == nil {
 		if g.Entry != nil {

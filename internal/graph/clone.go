@@ -7,7 +7,7 @@ import (
 // Clone deep-copies the graph: every node, vertex, and operation is
 // duplicated (operations keep their IDs, origins, iteration tags, and
 // dense indices; nodes keep their IDs and order-maintenance keys), and
-// the clone's bookkeeping (predecessor sets, op placements, ID counters)
+// the clone's bookkeeping (incoming edges, op placements, ID counters)
 // is rebuilt to match. The clone uses alloc for future allocations; pass
 // an independent allocator (ir.Alloc.Clone) so transformations on the
 // clone allocate exactly the IDs the same transformations on the
@@ -97,7 +97,7 @@ func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 	}
 
 	// Clone each instruction tree; leaf successors are resolved through
-	// nodeMap and predecessor counts rebuilt as edges are recreated.
+	// nodeMap and incoming edges recorded as edges are recreated.
 	var cloneVertex func(v *Vertex, n *Node, parent *Vertex) *Vertex
 	cloneVertex = func(v *Vertex, n *Node, parent *Vertex) *Vertex {
 		vertexArena = append(vertexArena, Vertex{node: n, parent: parent, sum: v.sum})
@@ -123,7 +123,7 @@ func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 		}
 		if v.Succ != nil {
 			nv.Succ = nodeMap[v.Succ]
-			ng.link(n, nv.Succ)
+			link(nv)
 		}
 		return nv
 	}

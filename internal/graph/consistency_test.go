@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
@@ -13,8 +14,9 @@ import (
 // movement, branch insertion, leaf retargeting, node insertion and
 // splicing, move-cj style node splits, and in-place operand rewrites —
 // and after every step lets Validate cross-check the incremental caches
-// (compact predecessor sets, per-iteration schedulable counts, op/branch
-// counts, op placements, def/use summaries) against full recounts. This
+// (incoming leaves, per-iteration schedulable counts, op/branch counts,
+// op placements, def/use summaries) against full recounts. New edges
+// only enter nodes that have none (one incoming edge per node). This
 // is the consistency property the walk-free schedulers rely on: no
 // sequence of mutator calls may drift a cache from the structure it
 // summarizes.
@@ -100,6 +102,20 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 				ns := liveNodes()
 				return ns[rng.Intn(len(ns))]
 			}
+			// randFree returns a random node with no incoming edge, or
+			// nil when every node has one.
+			randFree := func() *Node {
+				var free []*Node
+				for _, n := range liveNodes() {
+					if n.In() == nil {
+						free = append(free, n)
+					}
+				}
+				if len(free) == 0 {
+					return nil
+				}
+				return free[rng.Intn(len(free))]
+			}
 			randVertex := func(n *Node) *Vertex {
 				var vs []*Vertex
 				n.Walk(func(v *Vertex) { vs = append(vs, v) })
@@ -175,35 +191,36 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 					if n.BranchCount() >= 3 {
 						continue // keep trees small
 					}
-					ls := n.Leaves()
+					ls := leaves(n)
 					leaf := ls[rng.Intn(len(ls))]
 					cj := &ir.Op{ID: al.OpID(), Origin: origin, Iter: rng.Intn(3), Kind: ir.CJ,
 						Src: [2]ir.Reg{randReg()}, Imm: 1, BImm: true, Rel: ir.Lt}
 					origin++
-					var tSucc, fSucc *Node
-					ns := liveNodes()
-					if rng.Intn(2) == 0 {
-						tSucc = ns[rng.Intn(len(ns))]
-					}
-					if rng.Intn(2) == 0 {
-						fSucc = ns[rng.Intn(len(ns))]
-					}
 					g.RetargetLeaf(leaf, nil)
+					var tSucc, fSucc *Node
+					if rng.Intn(2) == 0 {
+						tSucc = randFree()
+					}
+					if rng.Intn(2) == 0 {
+						if fSucc = randFree(); fSucc == tSucc {
+							fSucc = nil
+						}
+					}
 					g.InsertBranchAtLeaf(leaf, cj, tSucc, fSucc)
 				case 4: // retarget a random leaf (nil allowed)
 					n := randNode()
-					ls := n.Leaves()
+					ls := leaves(n)
 					leaf := ls[rng.Intn(len(ls))]
 					var succ *Node
 					if rng.Intn(3) > 0 {
-						succ = randNode()
+						succ = randFree()
 					}
 					g.RetargetLeaf(leaf, succ)
 				case 5: // insert an empty node before a random one
 					g.InsertBefore(randNode())
 				case 6: // splice an empty node out (no-op unless empty)
 					n := randNode()
-					if n == g.Entry && n.FallThrough() == nil {
+					if n == g.Entry && n.Root.Succ == nil {
 						continue // would leave the graph entry-less
 					}
 					g.SpliceOutEmpty(n)
@@ -236,7 +253,7 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 				case 9: // split a branch-rooted unreferenced node (move-cj shape)
 					var n *Node
 					for _, cand := range liveNodes() {
-						if cand != g.Entry && !cand.Root.IsLeaf() && g.PredEdgeCount(cand) == 0 {
+						if cand != g.Entry && !cand.Root.IsLeaf() && cand.In() == nil {
 							n = cand
 							break
 						}
@@ -263,7 +280,7 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 					for home == tn || home == fn {
 						home = randNode()
 					}
-					ls := home.Leaves()
+					ls := leaves(home)
 					leaf := ls[rng.Intn(len(ls))]
 					g.RetargetLeaf(leaf, nil)
 					g.InsertBranchAtLeaf(leaf, cj, tn, fn)
@@ -330,89 +347,124 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 	}
 }
 
-// TestEdgeSetOverflow exercises the inline-array overflow path of the
-// compact predecessor sets: a node with more distinct predecessors than
-// the inline capacity, plus parallel edges, must answer
-// Preds/PredEdgeCount/SinglePred exactly and survive edge removal back
-// below the inline boundary. The hub's four leaves into four distinct
-// successors check Successors and NonDrainSucc on a wide tree.
-func TestEdgeSetOverflow(t *testing.T) {
-	al := ir.NewAlloc()
+// hubGraph builds a hub whose three branches end in four leaves, each
+// into a successor of its own.
+func hubGraph(al *ir.Alloc) (*Graph, *Node, []*Vertex, []*Node) {
 	g := New(al)
 	hub := g.NewNode()
 	g.Entry = hub
-
-	// Give the hub three branches -> four leaves, each pointing at its
-	// own successor: 4 distinct successors (> inlineEdges).
+	t0, f0 := g.InsertBranchAtLeaf(hub.Root, testCJ(al), nil, nil)
+	t1, f1 := g.InsertBranchAtLeaf(t0, testCJ(al), nil, nil)
+	t2, f2 := g.InsertBranchAtLeaf(f0, testCJ(al), nil, nil)
+	ls := []*Vertex{t1, f1, t2, f2}
 	var succs []*Node
-	for i := 0; i < 4; i++ {
-		succs = append(succs, g.NewNode())
+	for _, leaf := range ls {
+		s := g.NewNode()
+		g.RetargetLeaf(leaf, s)
+		succs = append(succs, s)
 	}
-	mkCJ := func() *ir.Op {
-		return &ir.Op{ID: al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{al.Reg("")}, Imm: 1, BImm: true, Rel: ir.Lt}
-	}
-	t0, f0 := g.InsertBranchAtLeaf(hub.Root, mkCJ(), nil, nil)
-	t1, f1 := g.InsertBranchAtLeaf(t0, mkCJ(), nil, nil)
-	t2, f2 := g.InsertBranchAtLeaf(f0, mkCJ(), nil, nil)
-	for i, leaf := range []*Vertex{t1, f1, t2, f2} {
-		g.RetargetLeaf(leaf, succs[i])
-	}
+	return g, hub, ls, succs
+}
+
+func testCJ(al *ir.Alloc) *ir.Op {
+	return &ir.Op{ID: al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{al.Reg("")}, Imm: 1, BImm: true, Rel: ir.Lt}
+}
+
+// TestEdgeSetOverflow checks a wide tree: a hub whose four leaves enter
+// four distinct successors. Each successor's In and Pred name its own
+// leaf of the hub, VisitSuccessors reads them in leaf order, and
+// NonDrainSucc over several successors is ambiguous.
+func TestEdgeSetOverflow(t *testing.T) {
+	g, hub, ls, succs := hubGraph(ir.NewAlloc())
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := hub.Successors(); len(got) != 4 {
-		t.Fatalf("hub successors = %d, want 4", len(got))
+	if got := successors(hub); fmt.Sprint(got) != fmt.Sprint(succs) {
+		t.Fatalf("hub successors = %v, want %v", got, succs)
 	}
-	for _, s := range succs {
-		if g.SinglePred(s) != hub {
-			t.Fatalf("succ n%d SinglePred != hub", s.ID)
+	for i, s := range succs {
+		if s.In() != ls[i] || s.Pred() != hub {
+			t.Fatalf("n%d: In/Pred do not name the hub's leaf %d", s.ID, i)
 		}
 	}
-
-	// Now give one successor four distinct predecessors (the hub plus
-	// three fresh single-leaf nodes) and a parallel edge.
-	target := succs[0]
-	var extra []*Node
-	for i := 0; i < 3; i++ {
-		n := g.NewNode()
-		extra = append(extra, n)
-		g.RetargetLeaf(n.Root, target)
-	}
-	g.RetargetLeaf(f1, target) // second hub edge: parallel to t1's
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := g.PredEdgeCount(target); got != 5 {
-		t.Fatalf("PredEdgeCount = %d, want 5", got)
-	}
-	if got := len(g.Preds(target)); got != 4 {
-		t.Fatalf("distinct preds = %d, want 4", got)
-	}
-	if g.SinglePred(target) != nil {
-		t.Fatal("SinglePred must be nil with 5 in-edges")
-	}
-
-	// Unwind the overflow: drop edges until one remains.
-	g.RetargetLeaf(f1, nil)
-	for _, n := range extra {
-		g.RetargetLeaf(n.Root, nil)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if g.SinglePred(target) != hub {
-		t.Fatal("SinglePred must return the hub again")
+	if hub.In() != nil || hub.Pred() != nil {
+		t.Fatal("the entry has an incoming edge")
 	}
 	if got := hub.NonDrainSucc(); got != nil {
 		t.Fatalf("NonDrainSucc over 4 successors = n%d, want nil (ambiguous)", got.ID)
 	}
 }
 
+// TestOneIncomingEdgePerNode: move-op and move-cj take an op into a
+// node's unique predecessor, so the graph records one incoming leaf per
+// node and panics on a second edge from every mutator that links one:
+// RetargetLeaf, InsertBranchAtLeaf with both sides on one node, and
+// AdoptSubtree. Validate rebuilds the incoming leaves from the leaf walk,
+// so an edge or an in field changed behind the mutators is reported.
+func TestOneIncomingEdgePerNode(t *testing.T) {
+	al := ir.NewAlloc()
+	for _, c := range []struct {
+		name    string
+		corrupt func(g *Graph, hub *Node, ls []*Vertex, succs []*Node)
+		want    string
+	}{
+		{"a second leaf into a node", func(g *Graph, _ *Node, _ []*Vertex, succs []*Node) {
+			g.NewNode().Root.Succ = succs[0]
+		}, "second edge"},
+		{"an in field cleared", func(_ *Graph, _ *Node, _ []*Vertex, succs []*Node) {
+			succs[1].in = nil
+		}, "incoming leaf"},
+		{"an in field naming another leaf", func(_ *Graph, _ *Node, ls []*Vertex, succs []*Node) {
+			succs[2].in = ls[0]
+		}, "incoming leaf"},
+		{"an in field on a node nothing enters", func(_ *Graph, hub *Node, ls []*Vertex, _ []*Node) {
+			hub.in = ls[3]
+		}, "incoming leaf"},
+	} {
+		g, hub, ls, succs := hubGraph(al)
+		c.corrupt(g, hub, ls, succs)
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %v, want an error naming %q", c.name, err, c.want)
+		}
+	}
+
+	mustPanic(t, "RetargetLeaf", func() {
+		g := New(al)
+		a, b := g.NewNode(), g.NewNode()
+		g.RetargetLeaf(a.Root, b)
+		g.RetargetLeaf(g.NewNode().Root, b)
+	})
+	mustPanic(t, "InsertBranchAtLeaf", func() {
+		g := New(al)
+		s := g.NewNode()
+		g.InsertBranchAtLeaf(g.NewNode().Root, testCJ(al), s, s)
+	})
+	mustPanic(t, "AdoptSubtree", func() {
+		g := New(al)
+		x, d := g.NewNode(), g.NewNode()
+		g.InsertBranchAtLeaf(d.Root, testCJ(al), x, nil)
+		_, _, tSub, _ := g.DetachBranchRoot(d) // unlinks tSub's edge into x
+		g.RetargetLeaf(g.NewNode().Root, x)
+		g.AdoptSubtree(g.NewNode(), tSub)
+	})
+}
+
+// mustPanic fails the test unless f panics on a second edge into a node.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "second edge") {
+			t.Errorf("%s: a second edge into a node panicked with %v, want a second-edge panic", what, r)
+		}
+	}()
+	f()
+}
+
 // TestCloneVisitsSuccessorsInLeafOrder pins the order successors come
-// in. They are read off the leaves, in left-first preorder with each
-// successor at its first leaf, so a graph and its Clone visit
-// corresponding successors alike even after random edge mutations have
-// made the order edges were added in differ from the leaf order.
+// in. They are read off the leaves, in left-first preorder, so a graph
+// and its Clone visit corresponding successors alike even after random
+// edge mutations have made the order edges were added in differ from the
+// leaf order. New edges only enter nodes that have none.
 func TestCloneVisitsSuccessorsInLeafOrder(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -425,20 +477,29 @@ func TestCloneVisitsSuccessorsInLeafOrder(t *testing.T) {
 			ns = append(ns, n)
 		}
 		g.Entry = ns[0]
+		// randSucc returns nil or a random node with no incoming edge.
 		randSucc := func() *Node {
-			if rng.Intn(5) == 0 {
+			var free []*Node
+			for _, n := range ns {
+				if n.In() == nil {
+					free = append(free, n)
+				}
+			}
+			if len(free) == 0 || rng.Intn(5) == 0 {
 				return nil
 			}
-			return ns[rng.Intn(len(ns))]
+			return free[rng.Intn(len(free))]
 		}
 		for step := 0; step < 60; step++ {
 			n := ns[rng.Intn(len(ns))]
-			ls := n.Leaves()
+			ls := leaves(n)
 			leaf := ls[rng.Intn(len(ls))]
 			if rng.Intn(3) == 0 && n.BranchCount() < 3 {
 				cj := &ir.Op{ID: al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{al.Reg("")}, Imm: 1, BImm: true, Rel: ir.Lt}
 				g.RetargetLeaf(leaf, nil)
-				g.InsertBranchAtLeaf(leaf, cj, randSucc(), randSucc())
+				tl, fl := g.InsertBranchAtLeaf(leaf, cj, nil, nil)
+				g.RetargetLeaf(tl, randSucc())
+				g.RetargetLeaf(fl, randSucc())
 			} else {
 				g.RetargetLeaf(leaf, randSucc())
 			}
@@ -454,55 +515,20 @@ func TestCloneVisitsSuccessorsInLeafOrder(t *testing.T) {
 		for _, n := range ns {
 			// The expected order, from the leaves directly.
 			var want []int
-			seen := map[*Node]bool{}
-			for _, l := range n.Leaves() {
-				if l.Succ != nil && !seen[l.Succ] {
-					seen[l.Succ] = true
+			for _, l := range leaves(n) {
+				if l.Succ != nil {
 					want = append(want, l.Succ.ID)
 				}
 			}
 			for _, m := range []*Node{n, byID[n.ID]} {
 				var got []int
-				m.VisitSuccessors(func(s *Node) bool {
+				for _, s := range successors(m) {
 					got = append(got, s.ID)
-					return true
-				})
+				}
 				if fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("seed %d: n%d visits successors %v, leaf order is %v", seed, m.ID, got, want)
 				}
 			}
 		}
-	}
-
-	// Two leaves into one successor: it is visited once, so it is still
-	// the unique non-drain successor, next to a drain exit.
-	al := ir.NewAlloc()
-	g := New(al)
-	hub, s, d := g.NewNode(), g.NewNode(), g.NewNode()
-	d.Drain = true
-	g.Entry = hub
-	mkCJ := func() *ir.Op {
-		return &ir.Op{ID: al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{al.Reg("")}, Imm: 1, BImm: true, Rel: ir.Lt}
-	}
-	tl, fl := g.InsertBranchAtLeaf(hub.Root, mkCJ(), s, nil)
-	g.InsertBranchAtLeaf(fl, mkCJ(), d, s)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := hub.Successors(); len(got) != 2 || got[0] != s || got[1] != d {
-		t.Fatalf("hub successors = %v, want [n%d n%d]", got, s.ID, d.ID)
-	}
-	if got := hub.NonDrainSucc(); got != s {
-		t.Fatalf("NonDrainSucc = %v, want n%d", got, s.ID)
-	}
-	g.RetargetLeaf(tl, nil)
-	if got := hub.Successors(); len(got) != 2 || got[0] != d || got[1] != s {
-		t.Fatalf("hub successors after retarget = %v, want [n%d n%d]", got, d.ID, s.ID)
-	}
-	// The same with one branch over two leaves, a shape read directly.
-	one := g.NewNode()
-	g.InsertBranchAtLeaf(one.Root, mkCJ(), s, s)
-	if got := one.Successors(); len(got) != 1 || got[0] != s || one.NonDrainSucc() != s {
-		t.Fatalf("one-branch successors = %v, NonDrainSucc = %v, want n%d once", got, one.NonDrainSucc(), s.ID)
 	}
 }

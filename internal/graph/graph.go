@@ -7,12 +7,12 @@ import (
 )
 
 // Graph is a VLIW program graph. All structural mutation must go through
-// Graph methods so that predecessor sets, operation placements, and
+// Graph methods so that incoming edges, operation placements, and
 // cached node op counts stay consistent;
 // Validate cross-checks every invariant and is run liberally in tests.
-// Predecessors live on the nodes themselves (Node.preds compact edge
-// sets) rather than in a graph-level map; successors are read off the
-// node's leaves. Both queries are allocation-free scans.
+// Each node records the one leaf whose edge enters it (Node.In), and
+// successors are read off the node's leaves; a second edge into a node
+// panics.
 type Graph struct {
 	Entry *Node
 	Alloc *ir.Alloc
@@ -163,9 +163,6 @@ func (g *Graph) PlaceBetween(n, a, b *Node) {
 	g.bump()
 }
 
-// NumNodes returns the number of live nodes.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
-
 // NodeIDBound returns one more than the largest node ID issued so far,
 // so a table indexed by Node.ID of that length covers every node that
 // exists now. Later NewNode calls raise it.
@@ -186,69 +183,44 @@ func (g *Graph) NodeOf(op *ir.Op) *Node {
 	return nil
 }
 
-// Preds returns the distinct predecessors of n, in first-edge order.
-// Allocates the result slice (used by the splice/insert passes, which
-// mutate edges while iterating and need a snapshot); hot paths use
-// SinglePred or VisitPreds.
-func (g *Graph) Preds(n *Node) []*Node {
-	ps := make([]*Node, 0, n.preds.n)
-	n.preds.visit(func(p *Node, _ int32) bool {
-		ps = append(ps, p)
-		return true
-	})
-	return ps
-}
-
-// VisitPreds calls f for every distinct predecessor of n, stopping
-// early when f returns false. Allocation-free; f must not mutate edges.
-func (g *Graph) VisitPreds(n *Node, f func(*Node) bool) {
-	n.preds.visit(func(p *Node, _ int32) bool { return f(p) })
-}
-
-// PredEdgeCount returns the total number of edges into n.
-func (g *Graph) PredEdgeCount(n *Node) int {
-	return n.preds.total()
-}
-
-// SinglePred returns the unique predecessor of n when n has exactly one
-// incoming edge, else nil. O(1) on the compact predecessor set.
-func (g *Graph) SinglePred(n *Node) *Node {
-	return n.preds.single()
-}
-
-func (g *Graph) link(from, to *Node) {
+// link records leaf's edge as the one entering leaf.Succ. A second
+// incoming edge panics: move-op and move-cj take an op into a node's
+// unique predecessor, and a node reached by several edges would need
+// the unification transformation, which this reproduction does not
+// implement.
+func link(leaf *Vertex) {
+	to := leaf.Succ
 	if to == nil {
 		return
 	}
-	to.preds.add(from)
+	if to.in != nil {
+		panic(fmt.Sprintf("graph: second edge into n%d (from n%d, already from n%d)", to.ID, leaf.node.ID, to.in.node.ID))
+	}
+	to.in = leaf
 }
 
-func (g *Graph) unlink(from, to *Node) {
+// unlink forgets leaf's edge into leaf.Succ.
+func unlink(leaf *Vertex) {
+	to := leaf.Succ
 	if to == nil {
 		return
 	}
-	if !to.preds.remove(from) {
-		panic(fmt.Sprintf("graph: unlink of absent edge n%d->n%d", from.ID, to.ID))
+	if to.in != leaf {
+		panic(fmt.Sprintf("graph: unlink of absent edge n%d->n%d", leaf.node.ID, to.ID))
 	}
+	to.in = nil
 }
 
 // RetargetLeaf points leaf at succ (nil for program exit), maintaining
-// predecessor sets.
+// incoming edges; succ must have no incoming edge yet.
 func (g *Graph) RetargetLeaf(leaf *Vertex, succ *Node) {
 	if !leaf.IsLeaf() {
 		panic("graph: RetargetLeaf on non-leaf vertex")
 	}
-	g.unlinkIfSet(leaf)
+	unlink(leaf)
 	leaf.Succ = succ
-	g.link(leaf.node, succ)
+	link(leaf)
 	g.bump()
-}
-
-func (g *Graph) unlinkIfSet(leaf *Vertex) {
-	if leaf.Succ != nil {
-		g.unlink(leaf.node, leaf.Succ)
-		leaf.Succ = nil
-	}
 }
 
 // AddOp places op at vertex v.
@@ -298,10 +270,11 @@ func (g *Graph) MoveOp(op *ir.Op, v *Vertex) {
 
 // InsertBranchAtLeaf replaces leaf with a branch vertex holding cj whose
 // true side goes to tSucc and false side to fSucc (nil meaning program
-// exit). The leaf's former successor edge is discarded; callers detach it
-// first. The leaf's operations stay on the new branch vertex (they commit
-// on both outcomes, exactly as they did when the vertex was a leaf). The
-// two fresh leaf vertices are returned (true side first).
+// exit; one node cannot take both). The leaf's former successor edge is
+// discarded; callers detach it first. The leaf's operations stay on the
+// new branch vertex (they commit on both outcomes, exactly as they did
+// when the vertex was a leaf). The two fresh leaf vertices are returned
+// (true side first).
 func (g *Graph) InsertBranchAtLeaf(leaf *Vertex, cj *ir.Op, tSucc, fSucc *Node) (*Vertex, *Vertex) {
 	if !leaf.IsLeaf() {
 		panic("graph: InsertBranchAtLeaf on non-leaf")
@@ -312,12 +285,13 @@ func (g *Graph) InsertBranchAtLeaf(leaf *Vertex, cj *ir.Op, tSucc, fSucc *Node) 
 	if g.loc(cj) != nil {
 		panic("graph: branch already placed")
 	}
-	g.unlinkIfSet(leaf)
+	unlink(leaf)
+	leaf.Succ = nil
 
 	t := &Vertex{node: leaf.node, parent: leaf, Succ: tSucc}
 	f := &Vertex{node: leaf.node, parent: leaf, Succ: fSucc}
-	g.link(leaf.node, t.Succ)
-	g.link(leaf.node, f.Succ)
+	link(t)
+	link(f)
 
 	leaf.CJ = cj
 	leaf.True = t
@@ -333,7 +307,7 @@ func (g *Graph) InsertBranchAtLeaf(leaf *Vertex, cj *ir.Op, tSucc, fSucc *Node) 
 }
 
 // DetachBranchRoot removes the branch at the root vertex of n, which must
-// carry no nested structure responsibilities for the caller: it returns
+// have no incoming edge (callers retarget In() first): it returns
 // the cj op (now unplaced) and the two subtrees, whose vertices still
 // claim n as their node until adopted elsewhere. The node n is deleted
 // from the graph; its root ops are returned for re-homing.
@@ -341,6 +315,9 @@ func (g *Graph) DetachBranchRoot(n *Node) (cj *ir.Op, rootOps []*ir.Op, trueSub,
 	r := n.Root
 	if r.IsLeaf() {
 		panic("graph: DetachBranchRoot on leaf root")
+	}
+	if n.in != nil {
+		panic("graph: DetachBranchRoot of a node with an incoming edge")
 	}
 	cj = r.CJ
 	g.clearLoc(cj)
@@ -351,17 +328,12 @@ func (g *Graph) DetachBranchRoot(n *Node) (cj *ir.Op, rootOps []*ir.Op, trueSub,
 		g.clearLoc(op)
 	}
 	trueSub, falseSub = r.True, r.False
-	// Unlink every outgoing edge of n; the subtrees will be re-linked
-	// when adopted into new nodes.
-	n.Walk(func(v *Vertex) {
-		if v.IsLeaf() && v.Succ != nil {
-			g.unlink(n, v.Succ)
-			// Keep v.Succ: adoption re-links it.
-		}
+	// Unlink every outgoing edge of n but keep each leaf's Succ: the
+	// subtrees are re-linked when adopted into new nodes.
+	n.VisitLeaves(func(v *Vertex) bool {
+		unlink(v)
+		return true
 	})
-	if g.PredEdgeCount(n) != 0 {
-		panic("graph: DetachBranchRoot with live predecessors")
-	}
 	delete(g.nodes, n)
 	g.bump()
 	return cj, rootOps, trueSub, falseSub
@@ -390,7 +362,7 @@ func (g *Graph) AdoptSubtree(n *Node, sub *Vertex) {
 			}
 		}
 		if v.IsLeaf() {
-			g.link(n, v.Succ)
+			link(v)
 			return
 		}
 		branches++
@@ -418,7 +390,7 @@ func (g *Graph) HoistOp(op *ir.Op) {
 }
 
 // SpliceOutEmpty removes an empty single-leaf node from the graph,
-// redirecting every predecessor edge to its fall-through successor. The
+// redirecting its incoming edge to its fall-through successor. The
 // entry pointer is updated if needed. It reports whether the splice
 // happened.
 func (g *Graph) SpliceOutEmpty(n *Node) bool {
@@ -430,55 +402,31 @@ func (g *Graph) SpliceOutEmpty(n *Node) bool {
 	if succ == n { // self-loop; cannot splice
 		return false
 	}
-	// Redirect every predecessor leaf pointing at n. The snapshot (into
-	// a stack buffer — this runs after every successful move) is needed
-	// because retargeting mutates the pred set; it rewires edges but
-	// never reshapes a pred's tree, so the in-place leaf visit is safe.
-	var pbuf [8]*Node
-	preds := pbuf[:0]
-	n.preds.visit(func(p *Node, _ int32) bool {
-		preds = append(preds, p)
-		return true
-	})
-	for _, p := range preds {
-		p.VisitLeaves(func(l *Vertex) bool {
-			if l.Succ == n {
-				g.RetargetLeaf(l, succ)
-			}
-			return true
-		})
+	// Clear n's own edge first, so the leaf into n can become succ's
+	// one incoming edge.
+	g.RetargetLeaf(leaf, nil)
+	if in := n.in; in != nil {
+		g.RetargetLeaf(in, succ)
 	}
 	if g.Entry == n {
 		g.Entry = succ
 	}
-	g.RetargetLeaf(leaf, nil)
 	delete(g.nodes, n)
 	g.bump()
 	return true
 }
 
-// InsertBefore creates a fresh empty node in front of n: every
-// predecessor edge of n is redirected to the new node, whose single leaf
-// falls through to n. Entry is updated if n was the entry. Used for the
-// paper's "empty instructions at the beginning of the program"
-// mitigation and by the POST node-breaking pass.
+// InsertBefore creates a fresh empty node in front of n: n's incoming
+// edge is redirected to the new node, whose single leaf falls through
+// to n, and the new node's position key lies between n's predecessor
+// and n. Entry is updated if n was the entry. Used for the paper's
+// "empty instructions at the beginning of the program" mitigation and
+// by the POST node-breaking pass.
 func (g *Graph) InsertBefore(n *Node) *Node {
 	nn := g.NewNode()
-	var before *Node
-	g.VisitPreds(n, func(p *Node) bool {
-		if before == nil || p.pos > before.pos {
-			before = p
-		}
-		return true
-	})
-	g.PlaceBetween(nn, before, n)
-	for _, p := range g.Preds(n) {
-		p.VisitLeaves(func(leaf *Vertex) bool {
-			if leaf.Succ == n {
-				g.RetargetLeaf(leaf, nn)
-			}
-			return true
-		})
+	g.PlaceBetween(nn, n.Pred(), n)
+	if in := n.in; in != nil {
+		g.RetargetLeaf(in, nn)
 	}
 	g.RetargetLeaf(nn.Root, n)
 	if g.Entry == n {

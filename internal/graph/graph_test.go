@@ -32,6 +32,26 @@ func buildChain(t *testing.T) (*Graph, []*Node, []*ir.Op) {
 	return g, []*Node{n1, n2, n3, n4, drain}, []*ir.Op{a, b, cj, c}
 }
 
+// leaves returns n's leaf vertices in left-first preorder.
+func leaves(n *Node) []*Vertex {
+	var ls []*Vertex
+	n.VisitLeaves(func(v *Vertex) bool {
+		ls = append(ls, v)
+		return true
+	})
+	return ls
+}
+
+// successors returns n's successors in VisitSuccessors order.
+func successors(n *Node) []*Node {
+	var ss []*Node
+	n.VisitSuccessors(func(s *Node) bool {
+		ss = append(ss, s)
+		return true
+	})
+	return ss
+}
+
 func TestChainBuildAndValidate(t *testing.T) {
 	g, ns, ops := buildChain(t)
 	if g.Entry != ns[0] {
@@ -43,10 +63,10 @@ func TestChainBuildAndValidate(t *testing.T) {
 	if ns[2].BranchCount() != 1 || ns[2].OpCount() != 0 {
 		t.Fatal("branch node counts wrong")
 	}
-	if sp := g.SinglePred(ns[1]); sp != ns[0] {
-		t.Fatalf("SinglePred = %v", sp)
+	if p := ns[1].Pred(); p != ns[0] || ns[1].In() != ns[0].Root {
+		t.Fatalf("Pred = %v", p)
 	}
-	succs := ns[2].Successors()
+	succs := successors(ns[2])
 	if len(succs) != 2 {
 		t.Fatalf("branch successors = %d, want 2", len(succs))
 	}
@@ -129,14 +149,14 @@ func TestInsertBefore(t *testing.T) {
 	if g.Entry != pre {
 		t.Fatal("entry not updated")
 	}
-	if pre.FallThrough() != ns[0] {
+	if pre.Root.Succ != ns[0] {
 		t.Fatal("prelude does not fall through to old entry")
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	mid := g.InsertBefore(ns[1])
-	if g.SinglePred(ns[1]) != mid || g.SinglePred(mid) != ns[0] {
+	if ns[1].Pred() != mid || mid.Pred() != ns[0] {
 		t.Fatal("mid insertion edges wrong")
 	}
 	if err := g.Validate(); err != nil {
@@ -250,16 +270,29 @@ func TestNodeStringRendering(t *testing.T) {
 	}
 }
 
+// TestRetargetLeafMaintainsPreds: RetargetLeaf moves a leaf's edge and
+// the incoming leaf of both ends with it. Pointing the tail at the drain,
+// which the cj's false side already enters, is a second edge and panics.
 func TestRetargetLeafMaintainsPreds(t *testing.T) {
 	g, ns, _ := buildChain(t)
 	leaf := ContinueLeaf(ns[3])
-	g.RetargetLeaf(leaf, ns[4]) // point tail at the drain node
+	x, y := g.NewNode(), g.NewNode()
+	g.RetargetLeaf(leaf, x)
+	g.RetargetLeaf(leaf, y)
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if g.PredEdgeCount(ns[4]) != 2 {
-		t.Fatalf("drain pred count = %d, want 2", g.PredEdgeCount(ns[4]))
+	if x.In() != nil || y.In() != leaf || y.Pred() != ns[3] {
+		t.Fatalf("after retarget x->y: x.In = %v, y.In = %v, want nil and the tail's leaf", x.In(), y.In())
 	}
+	g.RetargetLeaf(leaf, nil)
+	if y.In() != nil || leaf.Succ != nil {
+		t.Fatal("retarget to exit left the edge into y")
+	}
+	if ns[4].Pred() != ns[2] {
+		t.Fatalf("drain Pred = %v, want the cj node", ns[4].Pred())
+	}
+	mustPanic(t, "RetargetLeaf onto the drain", func() { g.RetargetLeaf(leaf, ns[4]) })
 }
 
 // TestDefSiteHereNoReg: stores and branches "define" NoReg, so an op

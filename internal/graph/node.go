@@ -37,11 +37,12 @@ type Node struct {
 	// recount. See DESIGN.md.
 	iterCounts []int32
 
-	// preds is the node's compact predecessor set, maintained by the
-	// Graph's link/unlink on every leaf-edge mutation and cross-checked
-	// by Validate, so Preds and SinglePred are allocation-free scans.
-	// Successors need no set: they are read off the node's own leaves.
-	preds edgeSet
+	// in is the one leaf whose edge enters the node, nil when none does:
+	// one incoming edge per node is a graph invariant (see link). The
+	// Graph's link/unlink maintain it on every leaf-edge mutation, and
+	// Validate rebuilds it from the leaf walk. Successors need no field:
+	// they are read off the node's own leaves.
+	in *Vertex
 
 	// seenEpoch supports allocation-free graph traversals: a traversal
 	// obtains a fresh epoch from Graph.BeginVisit and marks nodes with
@@ -53,6 +54,18 @@ type Node struct {
 	// belong to a different graph — an op cloned into a new graph, or
 	// queried against a graph it was never part of.
 	g *Graph
+}
+
+// In returns the leaf whose edge enters n, or nil when nothing does
+// (the entry, or a node not linked yet). O(1).
+func (n *Node) In() *Vertex { return n.in }
+
+// Pred returns the node holding In(), or nil: n's unique predecessor.
+func (n *Node) Pred() *Node {
+	if n.in == nil {
+		return nil
+	}
+	return n.in.node
 }
 
 // Pos returns the node's order-maintenance key. Larger means later on
@@ -190,20 +203,9 @@ func (n *Node) Branches() []*ir.Op {
 	return cjs
 }
 
-// Leaves returns the leaf vertices of the tree, left (true side) first.
-// Allocates; hot paths use VisitLeaves.
-func (n *Node) Leaves() []*Vertex {
-	var ls []*Vertex
-	n.VisitLeaves(func(v *Vertex) bool {
-		ls = append(ls, v)
-		return true
-	})
-	return ls
-}
-
-// VisitLeaves visits the leaf vertices in left-first preorder (the same
-// order Leaves uses), stopping early when f returns false. It reports
-// whether the visit ran to completion. Allocation-free.
+// VisitLeaves visits the leaf vertices in left-first preorder (true
+// side first), stopping early when f returns false. It reports whether
+// the visit ran to completion. Allocation-free.
 func (n *Node) VisitLeaves(f func(*Vertex) bool) bool {
 	return visitLeaves(n.Root, f)
 }
@@ -221,53 +223,17 @@ func visitLeaves(v *Vertex, f func(*Vertex) bool) bool {
 	return visitLeaves(v.False, f)
 }
 
-// LeafTo returns the first leaf (in left-first preorder, the same order
-// Leaves uses) whose edge points at succ, or nil. Allocation-free — the
-// per-step transformation scans sit on this query.
-func (n *Node) LeafTo(succ *Node) *Vertex {
-	return leafTo(n.Root, succ)
-}
-
-func leafTo(v *Vertex, succ *Node) *Vertex {
-	if v == nil {
-		return nil
-	}
-	if v.IsLeaf() {
-		if v.Succ == succ {
-			return v
-		}
-		return nil
-	}
-	if l := leafTo(v.True, succ); l != nil {
-		return l
-	}
-	return leafTo(v.False, succ)
-}
-
-// Successors returns the distinct successor nodes in leaf preorder.
-// Allocates the result slice; hot paths use VisitSuccessors or
-// NonDrainSucc.
-func (n *Node) Successors() []*Node {
-	var succs []*Node
-	n.VisitSuccessors(func(s *Node) bool {
-		succs = append(succs, s)
-		return true
-	})
-	return succs
-}
-
-// VisitSuccessors calls f for every distinct successor node, in the
-// left-first preorder of the leaves that reach them, stopping early when
-// f returns false. A successor reached by several leaves is visited at
-// its first one. The order depends only on the tree, so a graph and its
-// Clone visit corresponding successors alike. Allocation-free.
+// VisitSuccessors calls f for every successor node, in the left-first
+// preorder of the leaves that reach them, stopping early when f returns
+// false. A node has one incoming edge, so no successor is reached by two
+// leaves. The order depends only on the tree, so a graph and its Clone
+// visit corresponding successors alike. Allocation-free.
 //
 // The gapless search and the park wakes visit successors on every
 // probe, and most trees are a leaf or one branch over two leaves, so
-// those two shapes are read without the callback walk, which costs
-// more than a successor set would (DESIGN.md §1). The shape comes from
-// the tree, never the node's counts, so the visit is exact inside the
-// op-home hook too.
+// those two shapes are read without the callback walk (DESIGN.md §1).
+// The shape comes from the tree, never the node's counts, so the visit
+// is exact inside the op-home hook too.
 func (n *Node) VisitSuccessors(f func(*Node) bool) {
 	r := n.Root
 	switch {
@@ -276,23 +242,22 @@ func (n *Node) VisitSuccessors(f func(*Node) bool) {
 			f(r.Succ)
 		}
 	case r.True.IsLeaf() && r.False.IsLeaf():
-		t, e := r.True.Succ, r.False.Succ
-		if t != nil && !f(t) {
+		if t := r.True.Succ; t != nil && !f(t) {
 			return
 		}
-		if e != nil && e != t {
+		if e := r.False.Succ; e != nil {
 			f(e)
 		}
 	default:
 		n.VisitLeaves(func(l *Vertex) bool {
-			return l.Succ == nil || n.LeafTo(l.Succ) != l || f(l.Succ)
+			return l.Succ == nil || f(l.Succ)
 		})
 	}
 }
 
 // NonDrainSucc returns the unique non-drain successor, or nil when the
 // node has none or several (the main-chain step used by every
-// scheduler's top-down traversal). O(leaves²) at worst, allocation-free.
+// scheduler's top-down traversal). O(leaves), allocation-free.
 func (n *Node) NonDrainSucc() *Node {
 	var next *Node
 	ambiguous := false
@@ -329,15 +294,4 @@ func (n *Node) IterCount(iter int) int {
 		return int(n.iterCounts[i])
 	}
 	return 0
-}
-
-// FallThrough returns the single successor when the node has exactly one
-// leaf, else nil. O(1): a tree with b branch vertices has b+1 leaves, so
-// a single-leaf node is exactly a branch-free node whose root is the
-// leaf.
-func (n *Node) FallThrough() *Node {
-	if n.branchCount == 0 && n.Root != nil {
-		return n.Root.Succ
-	}
-	return nil
 }

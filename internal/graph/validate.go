@@ -7,7 +7,7 @@ import (
 )
 
 // Validate checks every structural invariant of the graph: tree shape,
-// ownership pointers, operation placements, predecessor edge counts, and
+// ownership pointers, operation placements, one incoming edge per node, and
 // the single-definition-per-path rule of VLIW instructions. It returns
 // the first violation found. Tests call Validate after every
 // transformation.
@@ -19,7 +19,7 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("graph: entry n%d not registered", g.Entry.ID)
 	}
 
-	recount := map[*Node]map[*Node]int{} // successor -> predecessor -> edges
+	in := map[*Node]*Vertex{} // node -> the leaf whose edge enters it
 	seenOps := map[*ir.Op]*Vertex{}
 
 	for n := range g.nodes {
@@ -68,12 +68,11 @@ func (g *Graph) Validate() error {
 						err = fmt.Errorf("n%d: edge to deleted node n%d", n.ID, v.Succ.ID)
 						return
 					}
-					m := recount[v.Succ]
-					if m == nil {
-						m = map[*Node]int{}
-						recount[v.Succ] = m
+					if prev := in[v.Succ]; prev != nil {
+						err = fmt.Errorf("n%d: second edge into n%d (also from n%d)", n.ID, v.Succ.ID, prev.node.ID)
+						return
 					}
-					m[n]++
+					in[v.Succ] = v
 				}
 				return
 			}
@@ -140,48 +139,11 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("graph: numPlaced %d, walk reaches %d placed ops", g.numPlaced, len(seenOps))
 	}
 
-	// The incremental predecessor sets must match a full edge recount
+	// Each node's recorded incoming leaf must be the one the walk found
 	// (same pattern as the op-count cross-check).
 	for n := range g.nodes {
-		if err := checkPreds(g, n, recount[n]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkPreds cross-checks one node's incremental predecessor set
-// against the edge multiset rebuilt from the leaf walk.
-func checkPreds(g *Graph, n *Node, want map[*Node]int) error {
-	got := map[*Node]int{}
-	err := error(nil)
-	n.preds.visit(func(m *Node, c int32) bool {
-		if c <= 0 {
-			err = fmt.Errorf("n%d: pred entry for n%d with count %d", n.ID, m.ID, c)
-			return false
-		}
-		if !g.nodes[m] {
-			err = fmt.Errorf("n%d: pred entry for deleted node n%d", n.ID, m.ID)
-			return false
-		}
-		if _, dup := got[m]; dup {
-			err = fmt.Errorf("n%d: duplicate pred entry for n%d", n.ID, m.ID)
-			return false
-		}
-		got[m] = int(c)
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	for m, c := range want {
-		if got[m] != c {
-			return fmt.Errorf("n%d: pred count for n%d = %d, want %d", n.ID, m.ID, got[m], c)
-		}
-	}
-	for m, c := range got {
-		if want[m] != c {
-			return fmt.Errorf("n%d: stale pred count for n%d = %d, want %d", n.ID, m.ID, c, want[m])
+		if n.in != in[n] {
+			return fmt.Errorf("n%d: recorded incoming leaf differs from the leaf walk's", n.ID)
 		}
 	}
 	return nil

@@ -213,8 +213,8 @@ func TestCancelledPostRecomputesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outs[0].Tier != batch.TierCompute {
-		t.Errorf("rerun served from %v, want a fresh compute", outs[0].Tier)
+	if outs[0].CacheHit {
+		t.Error("rerun served from the cache, want a fresh compute")
 	}
 	if s := tbl.Cells[0][0].Stats[0]; fmt.Sprintf("%.3f", s.Speedup) != "2.575" || s.Barriers != 254738 || s.Converged {
 		t.Errorf("rerun = %+v, want speedup 2.575, 254738 barriers, not converged", s)

@@ -25,7 +25,7 @@ type BlockKind int
 // dependences such as a store refusing to pass a branch); BlockResource
 // means the target instruction is full — the situation that creates the
 // paper's resource barriers; BlockStructure covers graph-shape limits
-// (program entry reached, multiple predecessors, nested branches).
+// (program entry reached, a self-loop, nested branches).
 const (
 	BlockNone BlockKind = iota
 	BlockDep
@@ -108,19 +108,15 @@ func NewCtx(g *graph.Graph, m machine.Machine, exitLive map[ir.Reg]bool) *Ctx {
 
 // predLeaf returns the unique predecessor node of n and the leaf in it
 // that points at n, or a structural block. Percolation moves operations
-// up one edge at a time; a node reached by several edges would need the
-// unification transformation, which the unwound loops this repository
-// schedules never require (every node has one predecessor until the loop
-// is re-formed).
+// up one edge at a time; the graph gives every node at most one
+// incoming edge (a node reached by several would need the unification
+// transformation, which this repository does not implement).
 func (c *Ctx) predLeaf(n *graph.Node) (*graph.Node, *graph.Vertex, Block) {
-	t := c.G.SinglePred(n)
-	if t == nil || t == n {
+	l := n.In()
+	if l == nil || l.Node() == n {
 		return nil, nil, Block{Kind: BlockStructure}
 	}
-	if l := t.LeafTo(n); l != nil {
-		return t, l, blockNone
-	}
-	return nil, nil, Block{Kind: BlockStructure}
+	return l.Node(), l, blockNone
 }
 
 // pathOps calls f for every operation committed on the path from the

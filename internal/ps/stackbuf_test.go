@@ -47,9 +47,6 @@ func TestOpUsesBufferBound(t *testing.T) {
 func TestPathOpsDeepTreeOverflowsCorrectly(t *testing.T) {
 	f := newFixture(64)
 	const depth = 12
-	exit := f.g.NewNode()
-	f.g.AddOp(f.constOp(f.al.Reg(""), 0), exit.Root)
-
 	n := f.g.NewNode()
 	f.g.Entry = n
 	var want []*ir.Op
@@ -59,10 +56,10 @@ func TestPathOpsDeepTreeOverflowsCorrectly(t *testing.T) {
 		f.g.AddOp(op, leaf)
 		want = append(want, op)
 		cj := &ir.Op{ID: f.al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{f.al.Reg("")}, Imm: 1, BImm: true, Rel: ir.Lt}
-		tl, fl := f.g.InsertBranchAtLeaf(leaf, cj, nil, exit)
+		// Each branch exits to a node of its own: a node has one
+		// incoming edge.
+		leaf, _ = f.g.InsertBranchAtLeaf(leaf, cj, nil, f.g.NewNode())
 		want = append(want, cj)
-		_ = fl
-		leaf = tl
 	}
 	last := f.constOp(f.al.Reg(""), depth)
 	f.g.AddOp(last, leaf)

@@ -77,10 +77,6 @@ type Outcome struct {
 	// computation (CacheHit true).
 	Wall     time.Duration
 	CacheHit bool
-	// Tier reports what served the result: TierCompute when this job
-	// ran the scheduler (CacheHit false), TierMemory or TierFlight
-	// otherwise.
-	Tier Tier
 }
 
 // Options tune a batch run.
@@ -216,8 +212,7 @@ func runOne(ctx context.Context, j Job, opts Options, cut *atomic.Bool) Outcome 
 	// checks, which a hit would skip, and CrossCheck is not part of the
 	// key. Neither reads nor writes the cache.
 	if opts.Cache != nil && j.Want == sched.WantMetrics && !j.Config.CrossCheck {
-		out.Result, out.Tier, out.Err = opts.Cache.getOrCompute(runCtx, j.Key(), compute)
-		out.CacheHit = out.Tier != TierCompute
+		out.Result, out.CacheHit, out.Err = opts.Cache.getOrCompute(runCtx, j.Key(), compute)
 		if !out.CacheHit {
 			out.Wall = time.Since(start)
 		}

@@ -56,10 +56,19 @@ var registerOnce sync.Once
 var countStub = &stubScheduler{name: "test-count"}
 var blockStub = &stubScheduler{name: "test-block", gate: make(chan struct{})}
 
+// The single-flight stubs' gates are set by the test that runs them, so
+// a repeated test run (go test -count=2) gets a fresh gate.
+var flightStub = &stubScheduler{name: "test-flight"}
+var slowStub = &stubScheduler{name: "test-slow-leader"}
+
+// stubs registers the stub backends once per test binary: the registry
+// refuses a name registered twice.
 func stubs() {
 	registerOnce.Do(func() {
 		sched.Register(countStub)
 		sched.Register(blockStub)
+		sched.Register(flightStub)
+		sched.Register(slowStub)
 	})
 }
 
@@ -183,8 +192,8 @@ func TestCacheHitMiss(t *testing.T) {
 	if got := countStub.calls.Load(); got != 1 {
 		t.Errorf("scheduler ran %d times; cache should have held it to 1", got)
 	}
-	if st := batch.Summarize(append(first, outs...)); st.MemoryHits != 2 || st.Computed != 1 {
-		t.Errorf("outcomes: hits=%d computed=%d, want 2/1", st.MemoryHits, st.Computed)
+	if st := batch.Summarize(append(first, outs...)); st.CacheHits != 2 || st.Computed != 1 {
+		t.Errorf("outcomes: hits=%d computed=%d, want 2/1", st.CacheHits, st.Computed)
 	}
 
 	// A different machine is a different key.
@@ -224,16 +233,16 @@ func TestCrossCheckNeverServedFromCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, o := range outs {
-		if o.Err != nil || o.CacheHit || o.Tier != batch.TierCompute {
-			t.Errorf("checked job %d: err %v, hit %v, tier %v; want a computed result", i, o.Err, o.CacheHit, o.Tier)
+		if o.Err != nil || o.CacheHit {
+			t.Errorf("checked job %d: err %v, hit %v; want a computed result", i, o.Err, o.CacheHit)
 		}
 	}
 	if got := countStub.calls.Load(); got != 3 {
 		t.Errorf("scheduler ran %d times, want 3 (one plain, two checked)", got)
 	}
-	if st := batch.Summarize(append(warm, outs...)); st.MemoryHits != 0 || st.Computed != 3 || cache.Len() != 1 {
+	if st := batch.Summarize(append(warm, outs...)); st.CacheHits != 0 || st.Computed != 3 || cache.Len() != 1 {
 		t.Errorf("outcomes: hits=%d computed=%d, cache len=%d, want 0/3/1: checked jobs must not touch the cache",
-			st.MemoryHits, st.Computed, cache.Len())
+			st.CacheHits, st.Computed, cache.Len())
 	}
 }
 
@@ -244,29 +253,29 @@ func TestCacheLRUEviction(t *testing.T) {
 	stubs()
 	countStub.calls.Store(0)
 	c := batch.NewCache(2)
-	run := func(name string) batch.Tier {
+	hit := func(name string) bool {
 		t.Helper()
 		job := batch.Job{Technique: "test-count", Spec: tinyLoop(name), Machine: machine.New(2)}
 		outs, err := batch.Run(context.Background(), []batch.Job{job}, batch.Options{Cache: c})
 		if err != nil || outs[0].Err != nil {
 			t.Fatalf("%s: %v %v", name, err, outs[0].Err)
 		}
-		return outs[0].Tier
+		return outs[0].CacheHit
 	}
-	run("a")
-	run("b")
-	if tier := run("a"); tier != batch.TierMemory { // refresh a
-		t.Fatalf("a served by %v, want memory", tier)
+	hit("a")
+	hit("b")
+	if !hit("a") { // refresh a
+		t.Fatal("a computed, want a cache hit")
 	}
-	run("c") // evicts b
-	if tier := run("a"); tier != batch.TierMemory {
-		t.Errorf("a served by %v: evicted despite recent use", tier)
+	hit("c") // evicts b
+	if !hit("a") {
+		t.Error("a computed: evicted despite recent use")
 	}
-	if tier := run("c"); tier != batch.TierMemory {
-		t.Errorf("c served by %v, want memory", tier)
+	if !hit("c") {
+		t.Error("c computed, want a cache hit")
 	}
-	if tier := run("b"); tier != batch.TierCompute {
-		t.Errorf("b served by %v: survived eviction", tier)
+	if hit("b") {
+		t.Error("b served from the cache: survived eviction")
 	}
 	if got := countStub.calls.Load(); got != 4 {
 		t.Errorf("scheduler ran %d times, want 4 (a, b, c, and b again)", got)
@@ -456,15 +465,16 @@ func TestTimeoutStopsRealScheduler(t *testing.T) {
 // scheduler call, with every outcome getting the shared result.
 func TestSingleFlightDedup(t *testing.T) {
 	stubs()
-	flightStub := &stubScheduler{name: "test-flight", gate: make(chan struct{})}
-	sched.Register(flightStub)
+	gate := make(chan struct{})
+	flightStub.gate = gate
+	flightStub.calls.Store(0)
 	cache := batch.NewCache(8)
 	job := batch.Job{Technique: "test-flight", Spec: tinyLoop("dedup"), Machine: machine.New(2)}
 	jobs := []batch.Job{job, job, job, job}
 	go func() {
 		// Let the batch wedge on the leader's computation, then release.
 		time.Sleep(20 * time.Millisecond)
-		close(flightStub.gate)
+		close(gate)
 	}()
 	outs, err := batch.Run(context.Background(), jobs, batch.Options{Parallelism: 4, Cache: cache})
 	if err != nil {
@@ -488,8 +498,8 @@ func TestSingleFlightDedup(t *testing.T) {
 	if leaders != 1 {
 		t.Errorf("%d outcomes report CacheHit=false, want exactly the leader", leaders)
 	}
-	if st := batch.Summarize(outs); st.MemoryHits+st.FlightShares != 3 || st.Computed != 1 {
-		t.Errorf("outcomes: hits=%d shares=%d computed=%d, want 3 served, 1 computed", st.MemoryHits, st.FlightShares, st.Computed)
+	if st := batch.Summarize(outs); st.CacheHits != 3 || st.Computed != 1 {
+		t.Errorf("outcomes: hits=%d computed=%d, want 3 served, 1 computed", st.CacheHits, st.Computed)
 	}
 }
 
@@ -500,8 +510,9 @@ func TestSingleFlightDedup(t *testing.T) {
 // deadlines alongside it rather than getting a fresh allowance.)
 func TestSingleFlightLeaderTimeoutNotShared(t *testing.T) {
 	stubs()
-	slowStub := &stubScheduler{name: "test-slow-leader", gate: make(chan struct{})}
-	sched.Register(slowStub)
+	gate := make(chan struct{})
+	slowStub.gate = gate
+	slowStub.calls.Store(0)
 	cache := batch.NewCache(8)
 	job := batch.Job{Technique: "test-slow-leader", Spec: tinyLoop("retry"), Machine: machine.New(2)}
 	opts := batch.Options{Timeout: 400 * time.Millisecond, Cache: cache}
@@ -512,7 +523,7 @@ func TestSingleFlightLeaderTimeoutNotShared(t *testing.T) {
 	// inside the follower's remaining budget.
 	go func() {
 		time.Sleep(500 * time.Millisecond)
-		close(slowStub.gate)
+		close(gate)
 	}()
 	leaderDone := make(chan batch.Outcome, 1)
 	go func() {
@@ -607,8 +618,8 @@ func TestWantRawBypassesCache(t *testing.T) {
 	}
 
 	// Against a cold cache: computed, and nothing stored.
-	if o := run(mk("rawcold", sched.WantRaw)); o.Tier != batch.TierCompute || o.CacheHit || o.Result.Raw() == nil {
-		t.Errorf("cold WantRaw job: tier %v, hit %v, graph %v; want a computed graph", o.Tier, o.CacheHit, o.Result.Raw() != nil)
+	if o := run(mk("rawcold", sched.WantRaw)); o.CacheHit || o.Result.Raw() == nil {
+		t.Errorf("cold WantRaw job: hit %v, graph %v; want a computed graph", o.CacheHit, o.Result.Raw() != nil)
 	}
 	if cache.Len() != 0 {
 		t.Errorf("cold WantRaw job stored %d entries", cache.Len())
@@ -622,8 +633,8 @@ func TestWantRawBypassesCache(t *testing.T) {
 	var graphs []any
 	for i := 0; i < 2; i++ {
 		o := run(mk("rawc", sched.WantRaw))
-		if o.Tier != batch.TierCompute || o.CacheHit {
-			t.Errorf("WantRaw run %d served from %v", i, o.Tier)
+		if o.CacheHit {
+			t.Errorf("WantRaw run %d served from the cache", i)
 		}
 		if o.Result.Raw() == nil {
 			t.Fatalf("WantRaw run %d returned no graph", i)

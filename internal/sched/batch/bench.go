@@ -27,10 +27,7 @@ type BenchCell struct {
 	Converged bool    `json:"converged"`
 	WallMS    float64 `json:"wall_ms"`
 	CacheHit  bool    `json:"cache_hit"`
-	// Tier names what served a cache hit ("memory", "flight"); empty
-	// for computed cells.
-	Tier  string `json:"tier,omitempty"`
-	Error string `json:"error,omitempty"`
+	Error     string  `json:"error,omitempty"`
 }
 
 // BenchReport is the JSON document future PRs compare against.
@@ -55,9 +52,6 @@ func NewBenchReport(outcomes []Outcome, parallelism int, totalWall time.Duration
 			Technique: o.Job.Technique,
 			WallMS:    float64(o.Wall.Microseconds()) / 1000,
 			CacheHit:  o.CacheHit,
-		}
-		if o.CacheHit {
-			cell.Tier = o.Tier.String()
 		}
 		if fp := o.Job.Config.Fingerprint(); fp != paperDefault {
 			cell.Config = fp

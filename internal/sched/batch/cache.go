@@ -7,30 +7,6 @@ import (
 	"repro/internal/sched"
 )
 
-// Tier identifies what served a job's result.
-type Tier uint8
-
-const (
-	// TierCompute: nothing served it — the caller ran the scheduler.
-	TierCompute Tier = iota
-	// TierMemory: the in-process metrics cache.
-	TierMemory
-	// TierFlight: another caller's in-flight computation was shared.
-	TierFlight
-)
-
-// String names the tier for reports ("compute", "memory", "flight").
-func (t Tier) String() string {
-	switch t {
-	case TierMemory:
-		return "memory"
-	case TierFlight:
-		return "flight"
-	default:
-		return "compute"
-	}
-}
-
 // Cache is the in-memory metrics cache the batch engine consults before
 // running a metrics-only job. Its single-flight
 // (lru.Cache.GetOrCompute) makes concurrent requests for one key share
@@ -48,18 +24,12 @@ func NewCache(capacity int) *Cache {
 	return &Cache{mem: lru.New[string, *sched.Result](capacity)}
 }
 
-// getOrCompute returns the result under key and the tier that served
-// it: the cache, another caller's flight, or compute itself. Errors are
-// never stored, and a waiter whose ctx ends returns ctx.Err().
-func (c *Cache) getOrCompute(ctx context.Context, key string, compute func() (*sched.Result, error)) (*sched.Result, Tier, error) {
+// getOrCompute returns the result under key and whether the cache or
+// another caller's flight served it rather than compute itself. Errors
+// are never stored, and a waiter whose ctx ends returns ctx.Err().
+func (c *Cache) getOrCompute(ctx context.Context, key string, compute func() (*sched.Result, error)) (*sched.Result, bool, error) {
 	res, src, err := c.mem.GetOrCompute(ctx, key, compute)
-	switch src {
-	case lru.Hit:
-		return res, TierMemory, err
-	case lru.Shared:
-		return res, TierFlight, err
-	}
-	return res, TierCompute, err
+	return res, src != lru.Computed, err
 }
 
 // Len returns the number of cached entries.

@@ -130,15 +130,15 @@ func TestSingleFlightPanicPropagation(t *testing.T) {
 }
 
 // TestSummarizeClassifiesErrors pins the Stats taxonomy: quarantined
-// panics, cancellations, plain failures, and the serving-tier split.
+// panics, cancellations, plain failures, and the computed/hit split.
 func TestSummarizeClassifiesErrors(t *testing.T) {
-	mk := func(tier batch.Tier) batch.Outcome {
-		return batch.Outcome{Result: &sched.Result{}, Tier: tier, CacheHit: tier != batch.TierCompute}
+	mk := func(hit bool) batch.Outcome {
+		return batch.Outcome{Result: &sched.Result{}, CacheHit: hit}
 	}
 	outs := []batch.Outcome{
-		mk(batch.TierCompute),
-		mk(batch.TierMemory),
-		mk(batch.TierFlight),
+		mk(false),
+		mk(true),
+		mk(true),
 		{Err: &sched.PanicError{Key: "k", Value: "v"}},
 		{Err: context.Canceled},
 		{Err: context.DeadlineExceeded},
@@ -148,7 +148,7 @@ func TestSummarizeClassifiesErrors(t *testing.T) {
 	want := batch.Stats{
 		Jobs: 7, Succeeded: 3, Failed: 4,
 		Quarantined: 1, Cancelled: 2,
-		Computed: 1, MemoryHits: 1, FlightShares: 1,
+		Computed: 1, CacheHits: 2,
 	}
 	if got != want {
 		t.Errorf("Summarize = %+v, want %+v", got, want)

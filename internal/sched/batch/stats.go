@@ -22,8 +22,10 @@ type Stats struct {
 	// Cancelled counts failures from context cancellation or per-job
 	// deadlines — cells cut short, not cells that computed wrongly.
 	Cancelled int
-	// Serving-tier breakdown of the successes.
-	Computed, MemoryHits, FlightShares int
+	// How the successes were served: computed by their own job, or
+	// served by the cache or another job's in-flight computation
+	// (Outcome.CacheHit).
+	Computed, CacheHits int
 }
 
 // Summarize folds the outcomes of one (or more, by appending) batch
@@ -44,12 +46,9 @@ func Summarize(outs []Outcome) Stats {
 			continue
 		}
 		st.Succeeded++
-		switch o.Tier {
-		case TierMemory:
-			st.MemoryHits++
-		case TierFlight:
-			st.FlightShares++
-		default:
+		if o.CacheHit {
+			st.CacheHits++
+		} else {
 			st.Computed++
 		}
 	}

@@ -147,9 +147,9 @@ func (s *sched) unifiableSet(n *graph.Node, ops []*ir.Op) []*ir.Op {
 // dependences and branch-crossing rules, charging SetWork per probe.
 func (s *sched) clearPathTo(n *graph.Node, op *ir.Op, home *graph.Node) bool {
 	g := s.ctx.G
-	for m := home; m != n; m = g.SinglePred(m) {
+	for m := home; m != n; m = m.Pred() {
 		if m == nil {
-			return false // no single-pred path up to n
+			return false // reached the entry: no path up to n
 		}
 		if m != home {
 			crossesBranch := m.BranchCount() > 0
@@ -203,7 +203,7 @@ func (s *sched) migrate(n *graph.Node, op *ir.Op) bool {
 		}
 		ctx := s.inner
 		// The final hop into n must respect n's real capacity.
-		if cur := g.NodeOf(op); cur != nil && g.SinglePred(cur) == n && g.Where(op) == cur.Root {
+		if cur := g.NodeOf(op); cur != nil && cur.Pred() == n && g.Where(op) == cur.Root {
 			ctx = s.ctx
 		}
 		if ctx.StepUp(op).Kind != ps.BlockNone {
