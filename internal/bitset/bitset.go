@@ -2,7 +2,8 @@
 // built on: membership over the dense operation index space
 // (ir.Op.Index), and ordered search over core's candidate rank space.
 // Membership queries are O(1) loads, NextAtLeast is a word scan, and
-// nothing allocates after construction, which is one slice allocation.
+// nothing allocates after construction, which is one slice allocation
+// (one for a whole group of sets built by Carve).
 package bitset
 
 import "math/bits"
@@ -21,6 +22,22 @@ func New(n int) Set {
 	}
 	return Set{words: make([]uint64, (n+63)/64), n: n}
 }
+
+// Carve makes each of sets an empty set able to hold members 0..n-1,
+// all of them backed by one allocation.
+func Carve(n int, sets ...*Set) {
+	n = max(n, 0)
+	w := (n + 63) / 64
+	words := make([]uint64, w*len(sets))
+	for i, s := range sets {
+		*s = Set{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
+	}
+}
+
+// Words returns the set's words: member i is bit i&63 of word i>>6, and
+// the bits at or past the capacity are zero. The slice aliases the set,
+// so an audit can combine several sets a word at a time.
+func (s Set) Words() []uint64 { return s.words }
 
 // Has reports whether i is a member. Out-of-range i is never a member.
 func (s Set) Has(i int) bool {

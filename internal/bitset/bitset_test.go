@@ -110,3 +110,43 @@ func TestSetNextAtLeastEdges(t *testing.T) {
 		}
 	}
 }
+
+// TestCarveSetsAreIndependent carves three sets from one allocation and
+// checks that each holds its own members, at word boundaries too, and
+// that Words exposes exactly the members as bits.
+func TestCarveSetsAreIndependent(t *testing.T) {
+	var a, b, c Set
+	Carve(130, &a, &b, &c)
+	a.Add(0)
+	b.Add(63)
+	b.Add(64)
+	c.Add(129)
+	for _, tc := range []struct {
+		s    Set
+		name string
+		want []uint64
+	}{
+		{a, "a", []uint64{1, 0, 0}},
+		{b, "b", []uint64{1 << 63, 1, 0}},
+		{c, "c", []uint64{0, 0, 2}},
+	} {
+		got := tc.s.Words()
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: %d words, want %d", tc.name, len(got), len(tc.want))
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Fatalf("%s: word %d = %#x, want %#x", tc.name, i, got[i], tc.want[i])
+			}
+		}
+	}
+	if a.Has(129) || c.Has(0) || a.NextAtLeast(1) != -1 {
+		t.Fatal("carved sets share members")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Add out of range did not panic")
+		}
+	}()
+	a.Add(130)
+}

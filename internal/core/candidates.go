@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitset"
 	"repro/internal/graph"
@@ -55,22 +56,22 @@ import (
 
 // initCandidates sizes and fills the selectors from the freshly ranked
 // pool: every pool op starts eligible. rankOf, tried and parkLink share
-// one allocation.
+// one allocation, and so do the rank-space bitsets.
 func (s *scheduler) initCandidates(idxSpace int) {
-	words := make([]int32, 2*idxSpace+len(s.pool))
+	n := len(s.pool)
+	words := make([]int32, idxSpace+2*n)
 	s.rankOf = words[:idxSpace:idxSpace]
-	s.tried = words[idxSpace : 2*idxSpace : 2*idxSpace]
-	s.parkLink = words[2*idxSpace:]
+	s.tried = words[idxSpace : idxSpace+n : idxSpace+n]
+	s.parkLink = words[idxSpace+n:]
 	for i := range s.rankOf {
 		s.rankOf[i] = -1
 	}
-	s.opSel = bitset.New(len(s.pool))
-	s.brSel = bitset.New(len(s.pool))
-	s.pruned = bitset.New(idxSpace)
-	s.triedGen = make([]*ir.Op, 0, len(s.pool))
+	bitset.Carve(n, &s.opSel, &s.brSel, &s.branches, &s.pruned, &s.suspended, &s.unmoveable)
+	s.triedGen = make([]int32, 0, n)
 	for r, op := range s.pool {
 		s.rankOf[op.Index] = int32(r)
 		if op.IsBranch() {
+			s.branches.Add(r)
 			s.brSel.Add(r)
 		} else {
 			s.opSel.Add(r)
@@ -122,7 +123,7 @@ func (s *scheduler) scan(n *graph.Node, opRoom, brRoom bool) *ir.Op {
 			// only ever move up while the frontier only moves down, so
 			// this op can never become eligible again.
 			sel.Remove(r)
-			s.pruned.Add(op.Index)
+			s.pruned.Add(r)
 		case haveSusp && home.Pos() <= lowestSusp:
 			// Rule 3: only ops below the lowest suspended op move.
 			// Positional and temporary — the op stays eligible, but
@@ -150,15 +151,17 @@ func (s *scheduler) scan(n *graph.Node, opRoom, brRoom bool) *ir.Op {
 // pool (frozen drain clones, renaming compensations, ops of a different
 // allocator) are identity-checked out, and bitset adds are idempotent.
 func (s *scheduler) maybeAdd(op *ir.Op) {
-	r := s.rank(op)
-	if r < 0 {
+	if r := s.rank(op); r >= 0 {
+		s.addRank(r)
+	}
+}
+
+// addRank is maybeAdd for the op at rank r.
+func (s *scheduler) addRank(r int32) {
+	if s.pruned.Has(int(r)) || s.suspended.Has(int(r)) || s.tried[r] == s.gen || s.parkLink[r] != 0 {
 		return
 	}
-	idx := op.Index
-	if s.pruned.Has(idx) || s.suspended.Has(idx) || s.tried[idx] == s.gen || s.parkLink[r] != 0 {
-		return
-	}
-	if op.IsBranch() {
+	if s.pool[r].IsBranch() {
 		s.brSel.Add(int(r))
 	} else {
 		s.opSel.Add(int(r))
@@ -180,13 +183,9 @@ func (s *scheduler) opHome(op *ir.Op, from *graph.Node) {
 	s.maybeAdd(op)
 }
 
-// selRemove drops op from its class selector (no-op when absent).
-func (s *scheduler) selRemove(op *ir.Op) {
-	r := s.rank(op)
-	if r < 0 {
-		return
-	}
-	if op.IsBranch() {
+// selRemove drops rank r from its class selector (no-op when absent).
+func (s *scheduler) selRemove(r int32) {
+	if s.pool[r].IsBranch() {
 		s.brSel.Remove(int(r))
 	} else {
 		s.opSel.Remove(int(r))
@@ -195,11 +194,12 @@ func (s *scheduler) selRemove(op *ir.Op) {
 
 // markTried records that op was handed to migrate in the current retry
 // generation: it leaves the selectors now and returns on the next
-// generation bump.
+// generation bump. op must be in the pool.
 func (s *scheduler) markTried(op *ir.Op) {
-	s.tried[op.Index] = s.gen
-	s.selRemove(op)
-	s.triedGen = append(s.triedGen, op)
+	r := s.rankOf[op.Index]
+	s.tried[r] = s.gen
+	s.selRemove(r)
+	s.triedGen = append(s.triedGen, r)
 }
 
 // bumpGen starts a new retry generation, which invalidates every tried
@@ -209,8 +209,8 @@ func (s *scheduler) markTried(op *ir.Op) {
 func (s *scheduler) bumpGen() {
 	s.accountBranches()
 	s.gen++
-	for _, op := range s.triedGen {
-		s.maybeAdd(op)
+	for _, r := range s.triedGen {
+		s.addRank(r)
 	}
 	s.triedGen = s.triedGen[:0]
 	s.picks = s.picks[:0]
@@ -224,11 +224,12 @@ func (s *scheduler) bumpGen() {
 // graph cannot change while suspensions exist: every successful move
 // immediately wakes all suspended ops (rule 2, see migrate), so between
 // a suspension and the next unsuspension no committed mutation can move
-// a suspended op's home.
+// a suspended op's home. op must be in the pool.
 func (s *scheduler) suspendOp(op *ir.Op) {
-	s.suspended.Add(op.Index)
+	r := s.rankOf[op.Index]
+	s.suspended.Add(int(r))
 	s.suspList = append(s.suspList, op)
-	s.selRemove(op) // already out via markTried when reached from migrate
+	s.selRemove(r) // already out via markTried when reached from migrate
 	s.stats.Suspensions++
 	if home := s.ctx.G.NodeOf(op); home != nil {
 		if p := home.Pos(); len(s.suspList) == 1 || p > s.maxSuspPos {
@@ -246,49 +247,92 @@ func (s *scheduler) suspendOp(op *ir.Op) {
 // markUnmoveable takes op out of the candidate set permanently: the
 // pruned bit keeps every restore path (generation bumps, unsuspension,
 // op-home events) from resurrecting it. Ops that op blocks now have a
-// pinned blocker (recordBlock), so the ones parked on it wake.
+// pinned blocker (recordBlock), so the ones parked on it wake. op must
+// be in the pool.
 func (s *scheduler) markUnmoveable(op *ir.Op) {
-	s.unmoveable.Add(op.Index)
-	s.pruned.Add(op.Index)
-	s.selRemove(op)
-	s.wakeAround(s.ctx.G.NodeOf(op), &wakeEvent{kind: evUnmoveable, x: op, rank: s.rank(op)})
+	r := s.rankOf[op.Index]
+	s.unmoveable.Add(int(r))
+	s.pruned.Add(int(r))
+	s.selRemove(r)
+	s.wakeAround(s.ctx.G.NodeOf(op), &wakeEvent{kind: evUnmoveable, x: op, rank: r})
 }
 
 // checkCandidates cross-checks the selector invariants against a full
 // recomputation (the candidate-structure analogue of graph.Validate's
 // cached-count recounts): membership implies every eligibility flag,
-// and an eligible op placed in a live node must be a member. Test and
-// CrossCheck use only.
+// and an eligible op placed in a live node must be a member. It tests
+// 64 ranks per word: the flags and selectors are bitsets over rank
+// space, and the tried stamps and park links fold into two masks as
+// they are read. Only an eligible rank missing from its selector needs
+// its home. The same pass counts the parked ops for checkParked. The
+// error names the lowest failing rank and the first check it fails in
+// the switch's order, as a per-rank loop would. Test and CrossCheck use
+// only.
 func (s *scheduler) checkCandidates() error {
 	g := s.ctx.G
-	for r, op := range s.pool {
-		idx := op.Index
-		inSel := s.opSel.Has(r)
-		class := "op"
-		if op.IsBranch() {
-			inSel = s.brSel.Has(r)
-			class = "branch"
-		}
-		if s.opSel.Has(r) && s.brSel.Has(r) {
-			return fmt.Errorf("core: rank %d (%s) in both selectors", r, class)
-		}
-		parked := s.parkLink[r] != 0
-		eligible := !s.pruned.Has(idx) && !s.suspended.Has(idx) && s.tried[idx] != s.gen && !parked
-		if inSel && !eligible {
-			return fmt.Errorf("core: rank %d (%s %v) in %s selector but ineligible (pruned=%v suspended=%v tried=%v parked=%v)",
-				r, class, op, class, s.pruned.Has(idx), s.suspended.Has(idx), s.tried[idx] == s.gen, parked)
-		}
-		if eligible && !inSel {
-			// NodeOf is most of this loop's cost, and only an eligible
-			// op missing from its selector needs its home.
-			if home := g.NodeOf(op); home != nil && !home.Drain {
-				return fmt.Errorf("core: rank %d (%s %v) eligible and placed at n%d but missing from %s selector",
-					r, class, op, home.ID, class)
+	n := len(s.pool)
+	opSel, brSel, br := s.opSel.Words(), s.brSel.Words(), s.branches.Words()
+	pruned, susp, unm := s.pruned.Words(), s.suspended.Words(), s.unmoveable.Words()
+	gen, parked, branches := s.gen, 0, 0
+	for w := range br {
+		base := w << 6
+		end := min(base+64, n)
+		stamps, links := s.tried[base:end], s.parkLink[base:end]
+		links = links[:len(stamps)]
+		var tried, park uint64
+		for j, t := range stamps {
+			if t == gen {
+				tried |= 1 << j
+			}
+			if links[j] != 0 {
+				park |= 1 << j
 			}
 		}
-		if s.unmoveable.Has(idx) && !s.pruned.Has(idx) {
+		parked += bits.OnesCount64(park)
+		branches += bits.OnesCount64(park & br[w])
+		all := ^uint64(0)
+		if end-base < 64 {
+			all = 1<<(end-base) - 1
+		}
+		inSel := opSel[w]&^br[w] | brSel[w]&br[w]
+		eligible := all &^ (pruned[w] | susp[w] | tried | park)
+		both := opSel[w] & brSel[w]
+		inelig := inSel &^ eligible
+		notPruned := unm[w] &^ pruned[w]
+		bad := both | inelig | notPruned
+		var missing uint64
+		for m := eligible &^ inSel; m != 0; m &= m - 1 {
+			bit := m & -m
+			if bad != 0 && bit > bad&-bad {
+				break // a lower rank already fails
+			}
+			if home := g.NodeOf(s.pool[base+bits.TrailingZeros64(m)]); home != nil && !home.Drain {
+				missing = bit
+				break
+			}
+		}
+		if bad |= missing; bad == 0 {
+			continue
+		}
+		bit := bad & -bad
+		r := base + bits.TrailingZeros64(bad)
+		op := s.pool[r]
+		class := "op"
+		if op.IsBranch() {
+			class = "branch"
+		}
+		switch {
+		case both&bit != 0:
+			return fmt.Errorf("core: rank %d (%s) in both selectors", r, class)
+		case inelig&bit != 0:
+			return fmt.Errorf("core: rank %d (%s %v) in %s selector but ineligible (pruned=%v suspended=%v tried=%v parked=%v)",
+				r, class, op, class, pruned[w]&bit != 0, susp[w]&bit != 0, tried&bit != 0, park&bit != 0)
+		case missing == bit:
+			return fmt.Errorf("core: rank %d (%s %v) eligible and placed at n%d but missing from %s selector",
+				r, class, op, g.NodeOf(op).ID, class)
+		default:
 			return fmt.Errorf("core: rank %d (%s %v) unmoveable but not pruned", r, class, op)
 		}
 	}
-	return nil
+	return s.checkParked(parked, branches)
 }

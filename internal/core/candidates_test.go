@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/deps"
 	"repro/internal/graph"
 	"repro/internal/ir"
@@ -75,8 +77,31 @@ func buildRandomChain(rng *rand.Rand, nNodes int) (*scheduler, []*graph.Node, []
 // rejoins tried exactly when the reference re-picked it, that the
 // skipped branch re-picks counted as barriers match the reference's at
 // every generation bump, and that the structure invariants
-// (checkCandidates, checkParked) and the graph's own cached-state
-// invariants (graph.Validate) hold.
+// (checkCandidates, with the park lists) and the graph's own
+// cached-state invariants (graph.Validate) hold.
+func TestCandidatesRandomMutations(t *testing.T) {
+	sequences := 400
+	if testing.Short() {
+		sequences = 60
+	}
+	for seq := 0; seq < sequences; seq++ {
+		s := runRandomMutations(t, seq, func(s *scheduler, step, action int) {
+			if err := s.checkCandidates(); err != nil {
+				t.Fatalf("seq %d step %d (before action %d): %v", seq, step, action, err)
+			}
+		})
+		if err := s.checkCandidates(); err != nil {
+			t.Fatalf("seq %d: final: %v", seq, err)
+		}
+		if err := s.ctx.G.Validate(); err != nil {
+			t.Fatalf("seq %d: final: %v", seq, err)
+		}
+	}
+}
+
+// runRandomMutations runs random mutation sequence seq, 250 steps, and
+// calls before ahead of every action; it returns the scheduler in its
+// final state.
 //
 // The mutation grammar mirrors the scheduler's real event structure:
 // operations only move upward (toward smaller positions), the frontier
@@ -91,155 +116,287 @@ func buildRandomChain(rng *rand.Rand, nNodes int) (*scheduler, []*graph.Node, []
 // advance, around a random node. No real block backs these parks, so
 // the picks are checked with crossCheckScan, which leaves out the
 // probes of the re-picks.
-func TestCandidatesRandomMutations(t *testing.T) {
-	sequences := 400
-	steps := 250
-	if testing.Short() {
-		sequences = 60
-	}
-	for seq := 0; seq < sequences; seq++ {
-		rng := rand.New(rand.NewSource(int64(seq)))
-		s, chain, ops := buildRandomChain(rng, 4+rng.Intn(12))
-		g := s.ctx.G
-		fi := 0
-		s.startNode(chain[fi])
-		gen := s.gen
-		// An op-room and a branch-room pick happened in generation gen.
-		genPicked, genPickedBr := false, false
-		pick := func() {
-			n := chain[fi]
-			opRoom, brRoom := rng.Intn(2) == 0, rng.Intn(2) == 0
-			if !opRoom && !brRoom {
-				opRoom = true
-			}
-			if s.gen != gen {
-				gen, genPicked, genPickedBr = s.gen, false, false
-			}
-			genPicked = genPicked || opRoom
-			genPickedBr = genPickedBr || brRoom
-			got := s.chooseOp(n, opRoom, brRoom)
-			if err := s.crossCheckScan(n, opRoom, brRoom, got); err != nil {
-				if got != nil {
-					inRef := false
-					for _, o := range s.refRanked {
-						if o == got {
-							inRef = true
-						}
-					}
-					home := g.NodeOf(got)
-					t.Logf("got: idx=%d frozen=%v inRef=%v pruned=%v susp=%v tried=%v home=%v limit=%v susps=%d",
-						got.Index, got.Frozen, inRef, s.pruned.Has(got.Index), s.suspended.Has(got.Index),
-						s.tried[got.Index] == s.gen, home, n.Pos(), len(s.suspList))
-					if home != nil {
-						t.Logf("got home pos=%v drain=%v", home.Pos(), home.Drain)
-					}
-				}
-				t.Fatalf("seq %d: %v", seq, err)
-			}
-			if got != nil && rng.Intn(4) > 0 {
-				s.markTried(got)
-			}
+func runRandomMutations(t *testing.T, seq int, before func(s *scheduler, step, action int)) *scheduler {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(seq)))
+	s, chain, ops := buildRandomChain(rng, 4+rng.Intn(12))
+	g := s.ctx.G
+	fi := 0
+	s.startNode(chain[fi])
+	gen := s.gen
+	// An op-room and a branch-room pick happened in generation gen.
+	genPicked, genPickedBr := false, false
+	pick := func() {
+		n := chain[fi]
+		opRoom, brRoom := rng.Intn(2) == 0, rng.Intn(2) == 0
+		if !opRoom && !brRoom {
+			opRoom = true
 		}
-		for step := 0; step < steps; step++ {
-			op := ops[rng.Intn(len(ops))]
-			suspActive := len(s.suspList) > 0
-			action := rng.Intn(11)
-			if err := s.checkCandidates(); err != nil {
-				t.Fatalf("seq %d step %d (before action %d): %v", seq, step, action, err)
+		if s.gen != gen {
+			gen, genPicked, genPickedBr = s.gen, false, false
+		}
+		genPicked = genPicked || opRoom
+		genPickedBr = genPickedBr || brRoom
+		got := s.chooseOp(n, opRoom, brRoom)
+		if err := s.crossCheckScan(n, opRoom, brRoom, got); err != nil {
+			if got != nil {
+				inRef := false
+				for _, o := range s.refRanked {
+					if o == got {
+						inRef = true
+					}
+				}
+				r := int(s.rankOf[got.Index])
+				home := g.NodeOf(got)
+				t.Logf("got: rank=%d frozen=%v inRef=%v pruned=%v susp=%v tried=%v home=%v limit=%v susps=%d",
+					r, got.Frozen, inRef, s.pruned.Has(r), s.suspended.Has(r),
+					s.tried[r] == s.gen, home, n.Pos(), len(s.suspList))
+				if home != nil {
+					t.Logf("got home pos=%v drain=%v", home.Pos(), home.Drain)
+				}
 			}
-			if err := s.checkParked(); err != nil {
-				t.Fatalf("seq %d step %d (before action %d): %v", seq, step, action, err)
-			}
-			switch action {
-			case 0, 1, 2, 3:
+			t.Fatalf("seq %d: %v", seq, err)
+		}
+		if got != nil && rng.Intn(4) > 0 {
+			s.markTried(got)
+		}
+	}
+	for step := 0; step < 250; step++ {
+		op := ops[rng.Intn(len(ops))]
+		r := s.rankOf[op.Index]
+		suspActive := len(s.suspList) > 0
+		action := rng.Intn(11)
+		before(s, step, action)
+		switch action {
+		case 0, 1, 2, 3:
+			pick()
+		case 4: // upward move: the only direction migration takes
+			if suspActive || op.IsBranch() {
 				pick()
-			case 4: // upward move: the only direction migration takes
-				if suspActive || op.IsBranch() {
-					pick()
-					break
-				}
-				home := g.NodeOf(op)
-				if home == nil || home.OpCount() <= 1 {
-					break
-				}
-				hi := 0
-				for hi < len(chain) && chain[hi] != home {
-					hi++
-				}
-				if hi == 0 || hi >= len(chain) {
-					break
-				}
-				g.MoveOp(op, chain[rng.Intn(hi)].Root)
-			case 5:
-				if !s.suspended.Has(op.Index) && !s.parked(op) && g.NodeOf(op) != nil {
-					s.suspendOp(op)
-				}
-			case 6:
+				break
+			}
+			home := g.NodeOf(op)
+			if home == nil || home.OpCount() <= 1 {
+				break
+			}
+			hi := 0
+			for hi < len(chain) && chain[hi] != home {
+				hi++
+			}
+			if hi == 0 || hi >= len(chain) {
+				break
+			}
+			g.MoveOp(op, chain[rng.Intn(hi)].Root)
+		case 5:
+			if !s.suspended.Has(int(r)) && !s.parked(op) && g.NodeOf(op) != nil {
+				s.suspendOp(op)
+			}
+		case 6:
+			if suspActive {
+				s.clearSuspensions()
+			} else {
+				s.bumpGen()
+			}
+		case 7:
+			// The scheduler marks only the op it migrates, never a
+			// parked one. A parked branch marked after the
+			// reference re-picked it would leave its barrier
+			// uncounted, a case no schedule produces.
+			if !op.IsBranch() || !s.parked(op) {
+				s.markUnmoveable(op)
+			}
+		case 8: // frontier advance (between-node: suspensions cleared first)
+			if fi+1 < len(chain) {
 				if suspActive {
 					s.clearSuspensions()
-				} else {
-					s.bumpGen()
 				}
-			case 7:
-				// The scheduler marks only the op it migrates, never a
-				// parked one. A parked branch marked after the
-				// reference re-picked it would leave its barrier
-				// uncounted, a case no schedule produces.
-				if !op.IsBranch() || !s.parked(op) {
-					s.markUnmoveable(op)
-				}
-			case 8: // frontier advance (between-node: suspensions cleared first)
-				if fi+1 < len(chain) {
-					if suspActive {
-						s.clearSuspensions()
-					}
-					// Sometimes past a node, as the frontier passes a
-					// node off the main chain: an op parked there is left
-					// above the frontier, and must not rejoin as tried.
+				// Sometimes past a node, as the frontier passes a
+				// node off the main chain: an op parked there is left
+				// above the frontier, and must not rejoin as tried.
+				fi++
+				if fi+1 < len(chain) && rng.Intn(4) == 0 {
 					fi++
-					if fi+1 < len(chain) && rng.Intn(4) == 0 {
-						fi++
-					}
-					s.startNode(chain[fi])
 				}
-			case 9: // park, where the scheduler would, with a random record
-				home := g.NodeOf(op)
-				picked := genPicked
-				if op.IsBranch() {
-					picked = genPickedBr
-				}
-				fresh := (s.gen != gen || !picked) && s.tried[op.Index] != s.gen
-				if home == nil || home.Drain || s.parked(op) ||
-					s.pruned.Has(op.Index) || s.suspended.Has(op.Index) || home.Pos() <= chain[fi].Pos() ||
-					(s.tried[op.Index] != s.gen && !fresh) {
-					pick()
-					break
-				}
-				rec := parkRec{blocker: -1, regs: rng.Uint64() & rng.Uint64(), depth: uint8(rng.Intn(3)),
-					term: uint8(rng.Intn(4)), flags: uint8(rng.Intn(8))}
-				if !op.IsBranch() {
-					rec.blocker = int32(rng.Intn(len(s.pool)))
-				}
-				s.park(op, home, rec)
-			case 10: // an event around a random node
-				n, x := chain[rng.Intn(len(chain))], ops[rng.Intn(len(ops))]
-				switch rng.Intn(4) {
-				case 0:
-					s.wakeDeparture(x, n)
-				case 1:
-					s.wakeArrival(x, n)
-				case 2:
-					s.wakeAround(n, &wakeEvent{kind: evUnmoveable, x: x, rank: s.rank(x)})
-				default:
-					s.wakeAround(n, &wakeEvent{kind: evAdvance})
-				}
+				s.startNode(chain[fi])
+			}
+		case 9: // park, where the scheduler would, with a random record
+			home := g.NodeOf(op)
+			picked := genPicked
+			if op.IsBranch() {
+				picked = genPickedBr
+			}
+			fresh := (s.gen != gen || !picked) && s.tried[r] != s.gen
+			if home == nil || home.Drain || s.parked(op) ||
+				s.pruned.Has(int(r)) || s.suspended.Has(int(r)) || home.Pos() <= chain[fi].Pos() ||
+				(s.tried[r] != s.gen && !fresh) {
+				pick()
+				break
+			}
+			rec := parkRec{blocker: -1, regs: rng.Uint64() & rng.Uint64(), depth: uint8(rng.Intn(3)),
+				term: uint8(rng.Intn(4)), flags: uint8(rng.Intn(8))}
+			if !op.IsBranch() {
+				rec.blocker = int32(rng.Intn(len(s.pool)))
+			}
+			s.park(r, home, rec)
+		case 10: // an event around a random node
+			n, x := chain[rng.Intn(len(chain))], ops[rng.Intn(len(ops))]
+			switch rng.Intn(4) {
+			case 0:
+				s.wakeDeparture(x, n)
+			case 1:
+				s.wakeArrival(x, n)
+			case 2:
+				s.wakeAround(n, &wakeEvent{kind: evUnmoveable, x: x, rank: s.rank(x)})
+			default:
+				s.wakeAround(n, &wakeEvent{kind: evAdvance})
 			}
 		}
-		if err := s.checkCandidates(); err != nil {
-			t.Fatalf("seq %d: final: %v", seq, err)
+	}
+	return s
+}
+
+// auditPerRank is checkCandidates as a per-rank loop, each flag probed
+// on its own, with the park counts tallied in the same loop: the
+// reference the word-parallel audit must agree with.
+func auditPerRank(s *scheduler) error {
+	g := s.ctx.G
+	parked, branches := 0, 0
+	for r, op := range s.pool {
+		inSel := s.opSel.Has(r)
+		class := "op"
+		if op.IsBranch() {
+			inSel = s.brSel.Has(r)
+			class = "branch"
 		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("seq %d: final: %v", seq, err)
+		if s.opSel.Has(r) && s.brSel.Has(r) {
+			return fmt.Errorf("core: rank %d (%s) in both selectors", r, class)
+		}
+		isParked := s.parkLink[r] != 0
+		eligible := !s.pruned.Has(r) && !s.suspended.Has(r) && s.tried[r] != s.gen && !isParked
+		if inSel && !eligible {
+			return fmt.Errorf("core: rank %d (%s %v) in %s selector but ineligible (pruned=%v suspended=%v tried=%v parked=%v)",
+				r, class, op, class, s.pruned.Has(r), s.suspended.Has(r), s.tried[r] == s.gen, isParked)
+		}
+		if eligible && !inSel {
+			if home := g.NodeOf(op); home != nil && !home.Drain {
+				return fmt.Errorf("core: rank %d (%s %v) eligible and placed at n%d but missing from %s selector",
+					r, class, op, home.ID, class)
+			}
+		}
+		if s.unmoveable.Has(r) && !s.pruned.Has(r) {
+			return fmt.Errorf("core: rank %d (%s %v) unmoveable but not pruned", r, class, op)
+		}
+		if isParked {
+			parked++
+			if op.IsBranch() {
+				branches++
+			}
+		}
+	}
+	return s.checkParked(parked, branches)
+}
+
+// TestCandidateAuditMatchesPerRank takes the states along the random
+// mutation sequences and corrupts each one in a single way: a selector
+// bit flipped, a rank in both selectors, a branch moved into the op
+// selector, a pruned or suspended bit flipped, a tried stamp set or
+// cleared, a park link set, or an unmoveable bit set on an unpruned
+// rank. On every such state the word-parallel checkCandidates must
+// return exactly what auditPerRank returns, and on the uncorrupted
+// states both must pass. Every kind of corruption must fail somewhere,
+// so the comparison is not vacuous.
+func TestCandidateAuditMatchesPerRank(t *testing.T) {
+	sequences := 150
+	if testing.Short() {
+		sequences = 30
+	}
+	const kinds = 9
+	failed := make([]int, kinds)
+	for seq := 0; seq < sequences; seq++ {
+		rng := rand.New(rand.NewSource(int64(1000 + seq)))
+		runRandomMutations(t, seq, func(s *scheduler, step, _ int) {
+			sets := []bitset.Set{s.opSel, s.brSel, s.pruned, s.suspended, s.unmoveable}
+			saved := make([][]uint64, len(sets))
+			for i, set := range sets {
+				saved[i] = slices.Clone(set.Words())
+			}
+			tried, parkLink := slices.Clone(s.tried), slices.Clone(s.parkLink)
+			restore := func() {
+				for i, set := range sets {
+					copy(set.Words(), saved[i])
+				}
+				copy(s.tried, tried)
+				copy(s.parkLink, parkLink)
+			}
+			compare := func(what string) bool {
+				t.Helper()
+				got, want := s.checkCandidates(), auditPerRank(s)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("seq %d step %d, %s: word pass says %v, per-rank audit %v", seq, step, what, got, want)
+				}
+				return got != nil
+			}
+			if compare("uncorrupted") {
+				t.Fatalf("seq %d step %d: the uncorrupted state fails the audit", seq, step)
+			}
+			flip := func(set bitset.Set, r int) {
+				if set.Has(r) {
+					set.Remove(r)
+				} else {
+					set.Add(r)
+				}
+			}
+			for k := 0; k < kinds; k++ {
+				r := rng.Intn(len(s.pool))
+				switch k {
+				case 0:
+					flip(s.opSel, r)
+				case 1:
+					flip(s.brSel, r)
+				case 2:
+					s.opSel.Add(r)
+					s.brSel.Add(r)
+				case 3:
+					br := s.branches.NextAtLeast(r)
+					if br < 0 {
+						br = s.branches.NextAtLeast(0)
+					}
+					if br < 0 {
+						continue
+					}
+					s.brSel.Remove(br)
+					s.opSel.Add(br)
+				case 4:
+					flip(s.pruned, r)
+				case 5:
+					flip(s.suspended, r)
+				case 6:
+					if s.tried[r] == s.gen {
+						s.tried[r] = s.gen - 1
+					} else {
+						s.tried[r] = s.gen
+					}
+				case 7:
+					if s.parkLink[r] != 0 {
+						continue
+					}
+					s.parkLink[r] = 1
+				case 8:
+					if s.pruned.Has(r) {
+						continue
+					}
+					s.unmoveable.Add(r)
+				}
+				if compare(fmt.Sprintf("corruption %d at rank %d", k, r)) {
+					failed[k]++
+				}
+				restore()
+			}
+		})
+	}
+	for k, n := range failed {
+		if n == 0 {
+			t.Errorf("corruption %d never failed the audit", k)
 		}
 	}
 }

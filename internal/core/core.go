@@ -80,8 +80,9 @@ type Stats struct {
 }
 
 // The scheduler's per-op state lives in bitsets and slices addressed by
-// the dense op index (ir.Op.Index, assigned by deps.Build), so the
-// Figure 10 while-loop's per-candidate checks are O(1) loads with zero
+// the candidate's rank in pool (the candidate flags) or by the dense op
+// index (ir.Op.Index, assigned by deps.Build), so the Figure 10
+// while-loop's per-candidate checks are O(1) loads with zero
 // steady-state allocation — the paper's efficiency claim depends on the
 // Moveable-ops bookkeeping being trivially cheap.
 type scheduler struct {
@@ -95,13 +96,21 @@ type scheduler struct {
 
 	// The incremental candidate structure (see candidates.go): class
 	// selectors over rank space plus the per-op flags that gate
-	// membership, maintained at every eligibility transition so a pick
-	// is a selector lookup instead of a rescan of pool.
-	rankOf   []int32    // op index -> rank in pool, -1 when absent
-	opSel    bitset.Set // eligible non-branch candidates, by rank
-	brSel    bitset.Set // eligible branch candidates, by rank
-	pruned   bitset.Set // permanently ineligible: unmoveable or at/above the frontier
-	triedGen []*ir.Op   // ops tried in the current generation, restored on bumpGen
+	// membership, also by rank, maintained at every eligibility
+	// transition so a pick is a selector lookup instead of a rescan of
+	// pool.
+	rankOf     []int32    // op index -> rank in pool, -1 when absent
+	opSel      bitset.Set // eligible non-branch candidates
+	brSel      bitset.Set // eligible branch candidates
+	branches   bitset.Set // the pool's branches, static
+	pruned     bitset.Set // permanently ineligible: unmoveable or at/above the frontier
+	suspended  bitset.Set
+	unmoveable bitset.Set
+	triedGen   []int32 // ranks tried in the current generation, restored on bumpGen
+
+	// tried[r] holds the generation rank r was last tried in; a fresh
+	// generation invalidates every mark at once (no per-node map).
+	tried []int32
 
 	// Parking (park.go, DESIGN.md §6.5): an intrusive list per node of
 	// the ops whose re-pick could only repeat their block. parkLink[rank]
@@ -110,14 +119,12 @@ type scheduler struct {
 	// packs the rank+1 of the first op filed there (low 32 bits) with
 	// the deepest witness chain filed there. parkRec[rank] records what
 	// a parked op's skipped re-pick reads; it and parkHead are allocated
-	// at the first park. brRanks lists the pool's branch ranks, for the
-	// barrier accounting, once a branch has parked.
+	// at the first park.
 	parkLink  []int32
 	parkHead  []uint64
 	parkRec   []parkRec
 	nParked   int
 	nParkedBr int
-	brRanks   []int32
 
 	// picks and brPicks record the current generation's picks with op
 	// room and with branch room for the rule that decides how a woken
@@ -153,9 +160,9 @@ type scheduler struct {
 
 	// refRanked, under Options.CrossCheck, is the retained reference
 	// scan's own compacting copy of the ranked list (chooseOpReference).
-	// refTried[i] holds the generation the reference last re-picked
-	// parked op i in, and refRepicks the parked ops its latest scan
-	// re-picked, which crossCheckPick probes.
+	// refTried[r] holds the generation the reference last re-picked the
+	// parked op at rank r in, and refRepicks the parked ops its latest
+	// scan re-picked, which crossCheckPick probes.
 	refRanked  []*ir.Op
 	refTried   []int32
 	refRepicks []*ir.Op
@@ -164,17 +171,11 @@ type scheduler struct {
 	// candidate maintenance, restored when Schedule returns.
 	prevHook func(*ir.Op, *graph.Node)
 
-	unmoveable bitset.Set
-	suspended  bitset.Set
 	suspList   []*ir.Op // the suspended ops, in suspension order
 	stats      Stats
 	steps      int
-	barrierSet bitset.Set
+	barrierSet bitset.Set // by op index
 	barrierOps int
-
-	// tried[i] holds the generation op i was last tried in; a fresh
-	// generation invalidates every mark at once (no per-node map).
-	tried []int32
 
 	// gen is the retry generation: it advances on events that can
 	// unblock previously tried operations (an arrival at the scheduled
@@ -265,8 +266,6 @@ func newScheduler(ctx context.Context, pctx *ps.Ctx, ops []*ir.Op, pri *deps.Pri
 		ctx:        pctx,
 		pri:        pri,
 		opts:       opts,
-		unmoveable: bitset.New(n),
-		suspended:  bitset.New(n),
 		barrierSet: bitset.New(n),
 		suspList:   make([]*ir.Op, 0, n),
 	}
@@ -290,7 +289,7 @@ func newScheduler(ctx context.Context, pctx *ps.Ctx, ops []*ir.Op, pri *deps.Pri
 	s.initCandidates(n)
 	if opts.CrossCheck {
 		s.refRanked = append([]*ir.Op(nil), s.pool...)
-		s.refTried = make([]int32, n)
+		s.refTried = make([]int32, len(s.pool))
 	}
 	// The structure hears about every op whose home changes — re-homing
 	// via branch-move node splits, transient unplacement during moves,
@@ -406,9 +405,10 @@ func (s *scheduler) chooseOpReference(n *graph.Node, opRoom, brRoom bool) *ir.Op
 	ranked := s.refRanked
 	s.refRepicks = s.refRepicks[:0]
 	w := 0
-	for r := 0; r < len(ranked); r++ {
-		op := ranked[r]
-		if s.unmoveable.Has(op.Index) {
+	for i := 0; i < len(ranked); i++ {
+		op := ranked[i]
+		r := s.rankOf[op.Index]
+		if s.unmoveable.Has(int(r)) {
 			continue // prune: unmoveable is never cleared
 		}
 		home := g.NodeOf(op)
@@ -430,24 +430,24 @@ func (s *scheduler) chooseOpReference(n *graph.Node, opRoom, brRoom bool) *ir.Op
 		} else if !opRoom {
 			continue
 		}
-		if s.tried[op.Index] == s.gen || s.refTried[op.Index] == s.gen {
+		if s.tried[r] == s.gen || s.refTried[r] == s.gen {
 			continue
 		}
-		if s.suspended.Has(op.Index) {
+		if s.suspended.Has(int(r)) {
 			continue
 		}
 		if haveSusp && pos <= lowestSusp {
 			continue // rule 3: only ops below the lowest suspended op move
 		}
 		if s.parked(op) {
-			s.refTried[op.Index] = s.gen
+			s.refTried[r] = s.gen
 			s.refRepicks = append(s.refRepicks, op)
 			if op.IsBranch() {
 				s.refBarriers++
 			}
 			continue
 		}
-		w += copy(ranked[w:], ranked[r+1:])
+		w += copy(ranked[w:], ranked[i+1:])
 		s.refRanked = ranked[:w]
 		return op
 	}
@@ -508,16 +508,14 @@ func (s *scheduler) crossCheckScan(n *graph.Node, opRoom, brRoom bool, got *ir.O
 			return fmt.Errorf("core: incremental rule-3 bound %v, rescan %v (have=%v)", s.maxSuspPos, low, have)
 		}
 	}
-	if err := s.checkCandidates(); err != nil {
-		return err
-	}
-	return s.checkParked()
+	return s.checkCandidates()
 }
 
 func (s *scheduler) clearSuspensions() {
 	for _, op := range s.suspList {
-		s.suspended.Remove(op.Index)
-		s.maybeAdd(op)
+		r := s.rankOf[op.Index]
+		s.suspended.Remove(int(r))
+		s.addRank(r)
 	}
 	s.suspList = s.suspList[:0]
 	s.maxSuspPos = 0
@@ -628,10 +626,9 @@ func (s *scheduler) recordBlock(target, cur *graph.Node, op *ir.Op, blk ps.Block
 // pins reports whether a dependence block by by pins the blocked op for
 // good while target is scheduled: by is a frozen clone, an op already
 // marked unmoveable, or an op resting in the scheduled region.
-// (bitset.Has is false for ops outside the index space, exactly as the
-// old pointer-keyed map was for ops never inserted.)
+// (bitset.Has is false for rank -1, an op outside the pool.)
 func (s *scheduler) pins(target *graph.Node, by *ir.Op) bool {
-	if by.Frozen || s.unmoveable.Has(by.Index) {
+	if by.Frozen || s.unmoveable.Has(int(s.rank(by))) {
 		return true
 	}
 	home := s.ctx.G.NodeOf(by)
@@ -645,8 +642,8 @@ func (s *scheduler) MoveableSet(n *graph.Node) []*ir.Op {
 	g := s.ctx.G
 	limit := n.Pos()
 	var out []*ir.Op
-	for _, op := range s.pool {
-		if op.Frozen || s.unmoveable.Has(op.Index) {
+	for r, op := range s.pool {
+		if op.Frozen || s.unmoveable.Has(r) {
 			continue
 		}
 		home := g.NodeOf(op)

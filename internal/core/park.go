@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/deps"
 	"repro/internal/graph"
@@ -138,7 +139,8 @@ func (s *scheduler) rank(op *ir.Op) int32 {
 // that left it moveable, or a branch (by nil) whose move-cj hit the
 // full branch slot of a predecessor that is not the target.
 func (s *scheduler) maybePark(cur *graph.Node, op, by *ir.Op) {
-	if s.unmoveable.Has(op.Index) {
+	r := s.rankOf[op.Index]
+	if s.unmoveable.Has(int(r)) {
 		return
 	}
 	rec := parkRec{blocker: -1}
@@ -158,16 +160,15 @@ func (s *scheduler) maybePark(cur *graph.Node, op, by *ir.Op) {
 	if s.opts.GapPrevention && op.Iter != ir.NoIter && !s.certify(cur, op, 0, &rec) {
 		return
 	}
-	s.park(op, cur, rec)
+	s.park(r, cur, rec)
 }
 
-// park files op under home with record rec. The op leaves its selector:
-// it is usually out already (markTried), but a mid-migration bumpGen
-// (after a step out of a full node, or a branch move) re-adds the op
-// being migrated.
-func (s *scheduler) park(op *ir.Op, home *graph.Node, rec parkRec) {
-	r := s.rankOf[op.Index]
-	s.selRemove(op)
+// park files the op at rank r under home with record rec. The op leaves
+// its selector: it is usually out already (markTried), but a
+// mid-migration bumpGen (after a step out of a full node, or a branch
+// move) re-adds the op being migrated.
+func (s *scheduler) park(r int32, home *graph.Node, rec parkRec) {
+	s.selRemove(r)
 	if home.ID >= len(s.parkHead) {
 		// Sized at the first park; node splits keep issuing IDs.
 		s.parkHead = append(s.parkHead, make([]uint64, s.ctx.G.NodeIDBound()-len(s.parkHead))...)
@@ -183,14 +184,8 @@ func (s *scheduler) park(op *ir.Op, home *graph.Node, rec parkRec) {
 	}
 	s.parkHead[home.ID] = w&^math.MaxUint32 | uint64(r+1)
 	s.nParked++
-	if op.IsBranch() {
-		if s.nParkedBr++; s.brRanks == nil {
-			for k, o := range s.pool {
-				if o.IsBranch() {
-					s.brRanks = append(s.brRanks, int32(k))
-				}
-			}
-		}
+	if s.pool[r].IsBranch() {
+		s.nParkedBr++
 	}
 }
 
@@ -281,11 +276,10 @@ func (s *scheduler) wakeList(n *graph.Node, ev *wakeEvent, dist int) {
 		}
 		s.parkLink[r] = 0
 		s.nParked--
-		op := s.pool[r]
-		if op.IsBranch() {
+		if s.pool[r].IsBranch() {
 			s.nParkedBr--
 		}
-		s.rejoin(op, pos)
+		s.rejoin(r, pos)
 		r = next
 	}
 	if last >= 0 {
@@ -338,28 +332,27 @@ func (s *scheduler) hears(r int32, ev *wakeEvent, dist int) bool {
 	return deps.Blocks(x, p) || deps.Blocks(p, x)
 }
 
-// rejoin returns a woken op to the candidate state it would have had
-// without parking: tried in this generation when the skipped re-picks
-// would already have reached it here, a selector member otherwise. A
-// branch's skipped re-pick counted a resource barrier; it is counted
-// now.
-func (s *scheduler) rejoin(op *ir.Op, pos float64) {
-	idx := op.Index
-	if s.tried[idx] != s.gen && !s.pruned.Has(idx) {
-		again := s.repicked(op, pos)
-		if s.refTried != nil && again != (s.refTried[idx] == s.gen) {
+// rejoin returns the woken op at rank r to the candidate state it would
+// have had without parking: tried in this generation when the skipped
+// re-picks would already have reached it here, a selector member
+// otherwise. A branch's skipped re-pick counted a resource barrier; it
+// is counted now.
+func (s *scheduler) rejoin(r int32, pos float64) {
+	if s.tried[r] != s.gen && !s.pruned.Has(int(r)) {
+		again := s.repicked(r, pos)
+		if s.refTried != nil && again != (s.refTried[r] == s.gen) {
 			panic(fmt.Errorf("core: woken %v rejoined with tried=%v, but the reference scan re-picked it: %v",
-				op, again, s.refTried[idx] == s.gen))
+				s.pool[r], again, s.refTried[r] == s.gen))
 		}
 		if again {
-			s.tried[idx] = s.gen
-			s.triedGen = append(s.triedGen, op)
-			if op.IsBranch() {
+			s.tried[r] = s.gen
+			s.triedGen = append(s.triedGen, r)
+			if s.pool[r].IsBranch() {
 				s.countSkippedBarrier()
 			}
 		}
 	}
-	s.maybeAdd(op)
+	s.addRank(r)
 }
 
 func (s *scheduler) countSkippedBarrier() {
@@ -374,10 +367,12 @@ func (s *scheduler) countSkippedBarrier() {
 func (s *scheduler) accountBranches() {
 	if len(s.brPicks) > 0 && s.nParkedBr > 0 {
 		g := s.ctx.G
-		for _, r := range s.brRanks {
-			op := s.pool[r]
-			if s.parkLink[r] != 0 && s.tried[op.Index] != s.gen && s.repicked(op, g.NodeOf(op).Pos()) {
-				s.countSkippedBarrier()
+		for w, word := range s.branches.Words() {
+			for ; word != 0; word &= word - 1 {
+				r := int32(w<<6 | bits.TrailingZeros64(word))
+				if s.parkLink[r] != 0 && s.tried[r] != s.gen && s.repicked(r, g.NodeOf(s.pool[r]).Pos()) {
+					s.countSkippedBarrier()
+				}
 			}
 		}
 	}
@@ -426,21 +421,20 @@ func addMark(marks []pickMark, bound float64, r int32) []pickMark {
 }
 
 // repicked reports whether a pick of the current generation would have
-// returned op, parked at a node of position pos, had it not been
-// parked: a pick with room for op's class that ran while op was below
-// the frontier and clear of rule 3, and returned a lower-priority op or
-// none. Within a generation the frontier is fixed, and rule-3 bounds
-// only grow (the graph does not change while suspensions are live), so
-// the marks are ordered by bound.
-func (s *scheduler) repicked(op *ir.Op, pos float64) bool {
+// returned the op at rank r, parked at a node of position pos, had it
+// not been parked: a pick with room for the op's class that ran while
+// the op was below the frontier and clear of rule 3, and returned a
+// lower-priority op or none. Within a generation the frontier is fixed,
+// and rule-3 bounds only grow (the graph does not change while
+// suspensions are live), so the marks are ordered by bound.
+func (s *scheduler) repicked(r int32, pos float64) bool {
 	marks := s.picks
-	if op.IsBranch() {
+	if s.pool[r].IsBranch() {
 		marks = s.brPicks
 	}
 	if len(marks) == 0 || pos <= s.pickLimit {
 		return false
 	}
-	r := s.rankOf[op.Index]
 	for _, m := range marks {
 		if m.bound >= pos {
 			break
@@ -544,9 +538,10 @@ func (s *scheduler) repickIsNoop(target *graph.Node, op *ir.Op) error {
 }
 
 // checkParked cross-checks the park lists: every parked op is filed
-// exactly once, under its current home, and the branch count matches.
+// exactly once, under its current home, and the counts match parked and
+// branches, the parked ops and branches checkCandidates' pass counted.
 // Test and CrossCheck use only.
-func (s *scheduler) checkParked() error {
+func (s *scheduler) checkParked(parked, branches int) error {
 	g := s.ctx.G
 	filed := 0
 	for id, w := range s.parkHead {
@@ -563,15 +558,6 @@ func (s *scheduler) checkParked() error {
 			}
 			if d := int(w >> 32); int(s.parkRec[r].depth) > d {
 				return fmt.Errorf("core: %v's witness chain is %d deep, but n%d's list says %d", op, s.parkRec[r].depth, id, d)
-			}
-		}
-	}
-	parked, branches := 0, 0
-	for r := range s.parkLink {
-		if s.parkLink[r] != 0 {
-			parked++
-			if s.pool[r].IsBranch() {
-				branches++
 			}
 		}
 	}

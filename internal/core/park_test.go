@@ -133,7 +133,7 @@ func (r *parkRig) mustPark(op *ir.Op) {
 	r.migrate(op)
 	if !r.s.parked(op) {
 		r.t.Fatalf("scenario: %v did not park (home n%d, unmoveable=%v)",
-			op, r.s.ctx.G.NodeOf(op).ID, r.s.unmoveable.Has(op.Index))
+			op, r.s.ctx.G.NodeOf(op).ID, r.s.unmoveable.Has(int(r.s.rankOf[op.Index])))
 	}
 }
 
@@ -229,7 +229,7 @@ func TestParkWakeBlockerMarkedUnmoveable(t *testing.T) {
 	r.mustPark(p)
 	r.s.bumpGen()
 	r.migrate(b)
-	if !r.s.unmoveable.Has(b.Index) {
+	if !r.s.unmoveable.Has(int(r.s.rankOf[b.Index])) {
 		t.Fatal("scenario: the blocker was not marked unmoveable")
 	}
 	r.replay(r.nodes[0])

@@ -90,13 +90,6 @@ func (n *Node) Walk(f func(*Vertex)) {
 	}
 }
 
-// Ops returns all non-branch operations in the instruction tree.
-func (n *Node) Ops() []*ir.Op {
-	var ops []*ir.Op
-	n.Walk(func(v *Vertex) { ops = append(ops, v.Ops...) })
-	return ops
-}
-
 // OpCount returns the number of non-branch operations in the tree; this
 // is the number of functional units the instruction occupies. O(1): the
 // count is maintained by the Graph mutators.

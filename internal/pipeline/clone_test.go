@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/ir"
 	"repro/internal/machine"
 )
@@ -74,7 +75,9 @@ func TestCloneIsolation(t *testing.T) {
 	g := c.Unwound.G
 	// Remove every op of the first main-chain node of the clone.
 	n := g.MainChain()[0]
-	for _, op := range n.Ops() {
+	var ops []*ir.Op
+	n.Walk(func(v *graph.Vertex) { ops = append(ops, v.Ops...) })
+	for _, op := range ops {
 		g.RemoveOp(op)
 	}
 	g.SpliceOutEmpty(n)

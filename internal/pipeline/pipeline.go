@@ -272,7 +272,6 @@ func ValidateSemantics(res *Result, vars map[string]int64, arrays map[string][]i
 // be checked against it from several goroutines at once.
 type Reference struct {
 	u         int
-	arrays    map[string][]int64
 	maxCycles int
 	outRegs   []ir.Reg
 	// runs holds the reference's run per trip, in trip order; a run
@@ -280,12 +279,13 @@ type Reference struct {
 	runs []refRun
 }
 
-// refRun is the reference run at one trip: its scalar inputs (the
-// workload's, with the trip variable set to the trip) and its final
-// state or error.
+// refRun is the reference run at one trip: the initial state it started
+// from (the workload, with the trip variable set to the trip), which
+// every scheduled run at that trip starts from too, and its final state
+// or error.
 type refRun struct {
 	trip  int64
-	vars  map[string]int64
+	init  *sim.State
 	state *sim.State
 	err   error
 }
@@ -308,17 +308,18 @@ func newReference(spec *ir.LoopSpec, u int, vars map[string]int64, arrays map[st
 		return nil, err
 	}
 	g := uw.BuildGraph()
-	r := &Reference{u: u, arrays: arrays, maxCycles: maxCycles}
+	r := &Reference{u: u, maxCycles: maxCycles}
 	for _, reg := range uw.LiveOut {
 		r.outRegs = append(r.outRegs, reg)
 	}
+	runVars := make(map[string]int64, len(vars)+1)
+	for k, val := range vars {
+		runVars[k] = val
+	}
 	for _, trip := range trips {
-		run := refRun{trip: trip, vars: make(map[string]int64, len(vars)+1)}
-		for k, val := range vars {
-			run.vars[k] = val
-		}
-		run.vars[spec.TripVar] = trip
-		out, err := sim.Run(g, uw.InitState(run.vars, arrays), maxCycles)
+		runVars[spec.TripVar] = trip
+		run := refRun{trip: trip, init: uw.InitState(runVars, arrays)}
+		out, err := sim.Run(g, run.init, maxCycles)
 		if err != nil {
 			run.err = err
 		} else {
@@ -337,8 +338,10 @@ func newReference(spec *ir.LoopSpec, u int, vars map[string]int64, arrays map[st
 // failure, the scheduled run's, or a difference in memory or live-out
 // registers. res must schedule the reference's loop, and at its unwind
 // factor: a reference of a smaller factor would pass a correct schedule
-// too, but would never run the trips past its own depth. Check writes
-// only res (InitState may allocate arrays in its allocator).
+// too, but would never run the trips past its own depth. Each scheduled
+// run starts from the reference run's initial state at its trip, which
+// InitState's numbering guarantee makes valid for res; sim.Run only
+// reads it. Check writes nothing.
 func (r *Reference) Check(res *Result) error {
 	if res.U != r.u {
 		return fmt.Errorf("pipeline: schedule unwound %d times checked against a reference unwound %d times", res.U, r.u)
@@ -347,7 +350,7 @@ func (r *Reference) Check(res *Result) error {
 		if run.err != nil {
 			return fmt.Errorf("trip %d: reference: %w", run.trip, run.err)
 		}
-		got, err := sim.Run(res.Unwound.G, res.Unwound.InitState(run.vars, r.arrays), r.maxCycles)
+		got, err := sim.Run(res.Unwound.G, run.init, r.maxCycles)
 		if err != nil {
 			return fmt.Errorf("trip %d: scheduled: %w", run.trip, err)
 		}

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -68,12 +70,14 @@ func corruptFirstAdd(t *testing.T, res *Result) {
 	t.Helper()
 	hit := 0
 	for _, n := range res.Unwound.G.Order() {
-		for _, op := range n.Ops() {
-			if op.Kind == ir.Add && op.Origin == 1 && op.Iter == 0 {
-				op.Imm++
-				hit++
+		n.Walk(func(v *graph.Vertex) {
+			for _, op := range v.Ops {
+				if op.Kind == ir.Add && op.Origin == 1 && op.Iter == 0 {
+					op.Imm++
+					hit++
+				}
 			}
-		}
+		})
 	}
 	if hit == 0 {
 		t.Fatal("iteration 0's add is not in the scheduled graph")
@@ -141,10 +145,13 @@ func TestReferenceSplitMatchesValidateSemantics(t *testing.T) {
 }
 
 // TestReferenceSharedAcrossResults: two schedules of one loop at one
-// unwind factor check against one reference; corrupting one of them
-// fails it alone, and the reference stays fit for the other. A
-// schedule at another factor is refused: it would pass a reference of
-// a smaller factor without ever running its deeper trips.
+// unwind factor check against one reference, from two goroutines at
+// once (under -race, the shared initial states must only be read); one
+// of them passes a second check too, and the checks leave every initial
+// state as it was; corrupting one of them fails it alone, and the
+// reference stays fit for the other. A schedule at another factor is refused: it would pass
+// a reference of a smaller factor without ever running its deeper
+// trips.
 func TestReferenceSharedAcrossResults(t *testing.T) {
 	spec := incLoop()
 	vars := map[string]int64{}
@@ -164,9 +171,33 @@ func TestReferenceSharedAcrossResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	inits := make([]string, len(ref.runs))
+	for i, run := range ref.runs {
+		inits[i] = run.init.Dump()
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
 	for i, res := range results[:2] {
-		if err := ref.Check(res); err != nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = ref.Check(res)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
 			t.Errorf("result %d: %v", i, err)
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		if err := ref.Check(results[0]); err != nil {
+			t.Errorf("result 0, check %d: %v", pass, err)
+		}
+	}
+	for i, run := range ref.runs {
+		if run.init.Dump() != inits[i] {
+			t.Errorf("trip %d: checking wrote into the shared initial state", run.trip)
 		}
 	}
 	if err := ref.Check(results[2]); err == nil {

@@ -441,7 +441,8 @@ func TestMoveCJClonesRootOpsToDrain(t *testing.T) {
 	if drain == nil {
 		t.Fatal("no drain node created")
 	}
-	dOps := drain.Ops()
+	var dOps []*ir.Op
+	drain.Walk(func(v *graph.Vertex) { dOps = append(dOps, v.Ops...) })
 	if len(dOps) != 1 || !dOps[0].Frozen || dOps[0].Origin != add.Origin {
 		t.Fatalf("drain clone wrong: %v", dOps)
 	}

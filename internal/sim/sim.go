@@ -17,6 +17,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -50,17 +51,7 @@ func NewState() *State {
 
 // Clone deep-copies the state.
 func (s *State) Clone() *State {
-	c := &State{
-		Regs: make(map[ir.Reg]int64, len(s.Regs)),
-		Mem:  make(map[Key]int64, len(s.Mem)),
-	}
-	for k, v := range s.Regs {
-		c.Regs[k] = v
-	}
-	for k, v := range s.Mem {
-		c.Mem[k] = v
-	}
-	return c
+	return &State{Regs: maps.Clone(s.Regs), Mem: maps.Clone(s.Mem)}
 }
 
 // SetReg writes a register.
@@ -103,15 +94,14 @@ func (s *State) addr(m ir.MemRef) Key {
 type Result struct {
 	Cycles int
 	State  *State
-	// Visits counts executions per node ID (for drain-coverage checks).
-	Visits map[int]int
 }
 
 // Run executes the graph from its entry until a nil successor is
-// reached, for at most maxCycles instructions.
+// reached, for at most maxCycles instructions. It reads init and never
+// writes it, so runs may share one initial state.
 func Run(g *graph.Graph, init *State, maxCycles int) (*Result, error) {
 	st := init.Clone()
-	res := &Result{State: st, Visits: make(map[int]int)}
+	res := &Result{State: st}
 	type write struct {
 		reg ir.Reg
 		mem Key
@@ -128,7 +118,6 @@ func Run(g *graph.Graph, init *State, maxCycles int) (*Result, error) {
 			return nil, fmt.Errorf("sim: %s: %w of %d cycles at n%d", label, ErrCycleBudget, maxCycles, n.ID)
 		}
 		res.Cycles++
-		res.Visits[n.ID]++
 
 		// All fetches use entry state; collect the selected path's
 		// writes and apply them after the whole instruction.
@@ -168,21 +157,24 @@ func Run(g *graph.Graph, init *State, maxCycles int) (*Result, error) {
 }
 
 // EquivalentMem reports whether two states agree on all memory cells
-// (missing cells read as zero).
+// (missing cells read as zero): a's cells against b, then the cells only
+// b holds.
 func EquivalentMem(a, b *State) error {
-	keys := map[Key]bool{}
-	for k := range a.Mem {
-		keys[k] = true
+	for k, va := range a.Mem {
+		if vb := b.Mem[k]; va != vb {
+			return memDiff(k, va, vb)
+		}
 	}
-	for k := range b.Mem {
-		keys[k] = true
-	}
-	for k := range keys {
-		if a.Mem[k] != b.Mem[k] {
-			return fmt.Errorf("mem[%d,%d]: %d vs %d", k.Arr, k.Idx, a.Mem[k], b.Mem[k])
+	for k, vb := range b.Mem {
+		if _, ok := a.Mem[k]; !ok && vb != 0 {
+			return memDiff(k, 0, vb)
 		}
 	}
 	return nil
+}
+
+func memDiff(k Key, a, b int64) error {
+	return fmt.Errorf("mem[%d,%d]: %d vs %d", k.Arr, k.Idx, a, b)
 }
 
 // Equivalent reports whether two states agree on all memory and on the

@@ -214,9 +214,23 @@ func TestEquivalence(t *testing.T) {
 	if err := EquivalentMem(a, b); err != nil {
 		t.Errorf("EquivalentMem: %v", err)
 	}
+	a.SetMem(4, 1, 0) // on either side
+	if err := EquivalentMem(a, b); err != nil {
+		t.Errorf("EquivalentMem with an explicit zero in a: %v", err)
+	}
 	b.SetMem(1, 0, 6)
-	if err := EquivalentMem(a, b); err == nil {
-		t.Error("EquivalentMem must catch difference")
+	if err := EquivalentMem(a, b); err == nil || err.Error() != "mem[1,0]: 5 vs 6" {
+		t.Errorf("EquivalentMem = %v, want the differing cell", err)
+	}
+	// A nonzero cell only one side holds differs from the other's
+	// missing zero, whichever side holds it.
+	b.SetMem(1, 0, 5)
+	b.SetMem(3, 7, 2)
+	if err := EquivalentMem(a, b); err == nil || err.Error() != "mem[3,7]: 0 vs 2" {
+		t.Errorf("EquivalentMem = %v, want the cell only b holds", err)
+	}
+	if err := EquivalentMem(b, a); err == nil || err.Error() != "mem[3,7]: 2 vs 0" {
+		t.Errorf("EquivalentMem = %v, want the cell only a holds", err)
 	}
 	a2, b2 := NewState(), NewState()
 	a2.SetReg(1, 3)
