@@ -5,13 +5,13 @@
 // when a cell's speedup value drifted (the cells are deterministic, so
 // a drift is a correctness change, not noise).
 //
-// Cells are matched by (loop, fus, technique, config). Cache-hit cells
-// and cells faster than -min-ms in the old report are skipped for the
-// wall-time check — they measure the cache, not the scheduler. Cells
-// present in only one report are listed but never fatal: new kernels
-// and new techniques are growth, not regressions. A comparison that
-// matched no cell at all against a non-empty baseline is fatal, though:
-// it checked nothing, so it must not pass.
+// Cells are matched by (loop, fus, technique, config). Cells faster
+// than -min-ms in the old report are skipped for the wall-time check:
+// they are too short to time reliably. Cells present in only one
+// report are listed but never fatal: new kernels and new techniques are
+// growth, not regressions. A comparison that matched no cell at all
+// against a non-empty baseline is fatal, though: it checked nothing, so
+// it must not pass.
 //
 // With -gobench the two arguments are `go test -bench` output files
 // instead: benchmarks are matched by name (the -cpus suffix stripped),
@@ -114,7 +114,7 @@ func (k cellKey) String() string {
 // diffReport is the outcome of one comparison.
 type diffReport struct {
 	Compared    int
-	Skipped     int // cache hits and sub-min-ms cells
+	Skipped     int // sub-min-ms cells
 	Regressions []string
 	OnlyOld     []string
 	OnlyNew     []string
@@ -122,16 +122,15 @@ type diffReport struct {
 
 // compare matches cells by key and collects regressions. When a key
 // occurs several times in one report (a sweep rerunning a cell), the
-// non-cache-hit occurrence wins; later duplicates are ignored.
+// first occurrence wins; later duplicates are ignored.
 func compare(oldRep, newRep *batch.BenchReport, threshold, minMS float64, checkSpeedups bool) *diffReport {
 	index := func(rep *batch.BenchReport) map[cellKey]batch.BenchCell {
 		m := make(map[cellKey]batch.BenchCell, len(rep.Cells))
 		for _, c := range rep.Cells {
 			k := cellKey{c.Loop, c.FUs, c.Technique, c.Config}
-			if prev, ok := m[k]; ok && !prev.CacheHit {
-				continue
+			if _, ok := m[k]; !ok {
+				m[k] = c
 			}
-			m[k] = c
 		}
 		return m
 	}
@@ -162,7 +161,7 @@ func compare(oldRep, newRep *batch.BenchReport, threshold, minMS float64, checkS
 				fmt.Sprintf("%s: newly failing: %s", k, nc.Error))
 			continue
 		}
-		if oc.CacheHit || nc.CacheHit || oc.WallMS < minMS {
+		if oc.WallMS < minMS {
 			rep.Skipped++
 			continue
 		}
@@ -188,7 +187,7 @@ func compare(oldRep, newRep *batch.BenchReport, threshold, minMS float64, checkS
 func (r *diffReport) print(w *os.File, oldPath, newPath string) {
 	fmt.Fprintf(w, "benchdiff %s -> %s: %d cells compared", oldPath, newPath, r.Compared)
 	if r.Skipped > 0 {
-		fmt.Fprintf(w, ", %d skipped (cache hits / below min-ms)", r.Skipped)
+		fmt.Fprintf(w, ", %d skipped (below min-ms)", r.Skipped)
 	}
 	fmt.Fprintln(w)
 	for _, s := range r.OnlyOld {
@@ -214,7 +213,6 @@ func runSelfcheck(w *os.File) int {
 		{Loop: "LL1", FUs: 2, Technique: "grip", Speedup: 1.833, WallMS: 120},
 		{Loop: "LL1", FUs: 2, Technique: "post", Speedup: 1.833, WallMS: 80},
 		{Loop: "LL2", FUs: 4, Technique: "grip", Speedup: 2.5, WallMS: 2},
-		{Loop: "LL3", FUs: 8, Technique: "grip", Speedup: 7.9, WallMS: 50, CacheHit: true},
 		// A sweep pair: same (loop, fus, technique), distinct configs —
 		// the config must key the cells apart.
 		{Loop: "LL1", FUs: 2, Technique: "grip", Config: "cfg|u=24", Speedup: 1.9, WallMS: 60},
@@ -223,7 +221,6 @@ func runSelfcheck(w *os.File) int {
 		{Loop: "LL1", FUs: 2, Technique: "grip", Speedup: 1.833, WallMS: 130},
 		{Loop: "LL1", FUs: 2, Technique: "post", Speedup: 1.833, WallMS: 75},
 		{Loop: "LL2", FUs: 4, Technique: "grip", Speedup: 2.5, WallMS: 200}, // under min-ms in base: skipped
-		{Loop: "LL3", FUs: 8, Technique: "grip", Speedup: 7.9, WallMS: 50, CacheHit: true},
 		{Loop: "LL4", FUs: 2, Technique: "modulo", Speedup: 1.0, WallMS: 1}, // new cell: not a regression
 		{Loop: "LL1", FUs: 2, Technique: "grip", Config: "cfg|u=24", Speedup: 1.9, WallMS: 65},
 	}}
@@ -231,7 +228,6 @@ func runSelfcheck(w *os.File) int {
 		{Loop: "LL1", FUs: 2, Technique: "grip", Speedup: 1.833, WallMS: 400}, // 3.3x: wall regression
 		{Loop: "LL1", FUs: 2, Technique: "post", Speedup: 1.900, WallMS: 80},  // speedup drift
 		{Loop: "LL2", FUs: 4, Technique: "grip", Speedup: 2.5, WallMS: 3},
-		{Loop: "LL3", FUs: 8, Technique: "grip", Speedup: 7.9, WallMS: 50, CacheHit: true},
 	}}
 
 	clean := compare(base, same, 1.5, 5, true)
@@ -239,8 +235,8 @@ func runSelfcheck(w *os.File) int {
 		fmt.Fprintf(w, "selfcheck FAILED: clean diff reported regressions: %v\n", clean.Regressions)
 		return 1
 	}
-	if clean.Compared != 5 {
-		fmt.Fprintf(w, "selfcheck FAILED: compared %d cells, want 5 (config cells must not collide)\n", clean.Compared)
+	if clean.Compared != 4 {
+		fmt.Fprintf(w, "selfcheck FAILED: compared %d cells, want 4 (config cells must not collide)\n", clean.Compared)
 		return 1
 	}
 	dirty := compare(base, bad, 1.5, 5, true)

@@ -34,7 +34,7 @@ func main() {
 		fmt.Sprintf("scheduling technique (registered: %s)", strings.Join(sched.Names(), ", ")))
 	printRows := flag.Bool("print", false, "print the scheduled rows (grip and post only)")
 	noOpt := flag.Bool("no-opt", false, "disable redundant-operation removal (grip and post only)")
-	unwind := flag.Int("unwind", 0, "fix the unwind factor (0 = automatic ladder); joins the cache key")
+	unwind := flag.Int("unwind", 0, "fix the unwind factor (0 = automatic ladder)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker count when comparing several widths (batch path only; -print/-no-opt runs are sequential)")
 	flag.Parse()
@@ -81,8 +81,7 @@ func main() {
 	for _, f := range fus {
 		jobs = append(jobs, batch.Job{Technique: tech, Spec: spec, Machine: machine.New(f), Config: cfg})
 	}
-	outcomes, err := batch.Run(context.Background(), jobs,
-		batch.Options{Parallelism: *parallel, Cache: harness.SharedCache()})
+	outcomes, err := batch.Run(context.Background(), jobs, batch.Options{Parallelism: *parallel})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -9,13 +9,12 @@
 // -config overrides the techniques' paper-default configuration for
 // every cell; -sweep-unwind runs the whole matrix once per unwind
 // factor and -sweep-gap once per gap-prevention setting (the ROADMAP's
-// on/off ablation). Each configuration is a distinct cache key, so
-// sweep cells cache independently while paper-default cells stay
-// bit-identical to BENCH_table1.json.
+// on/off ablation). Each configuration runs as its own batch, so POST
+// shares phase 1 within a configuration and never across, while
+// paper-default cells stay bit-identical to BENCH_table1.json.
 //
-// At exit, stderr reports how the cells were served (memory hit,
-// flight share or compute, counted from the outcomes). The cache lives
-// in the process: every run computes each distinct cell once.
+// At exit, stderr reports how many cells failed with a recovered
+// backend panic, when any did.
 //
 // Usage:
 //
@@ -61,11 +60,11 @@ func run() int {
 		"scheduler configuration overrides for every cell, comma-separated key=value pairs\n"+
 			"(unwind=N, maxunwind=N, optimize=BOOL, gap=BOOL, prelude=N, renaming=BOOL, periods=N)")
 	sweepFlag := flag.String("sweep-unwind", "",
-		"comma-separated unwind factors; runs the matrix once per factor through the shared\n"+
-			"per-config cache (0 = the automatic ladder, i.e. the paper default)")
+		"comma-separated unwind factors; runs the matrix once per factor\n"+
+			"(0 = the automatic ladder, i.e. the paper default)")
 	sweepGap := flag.Bool("sweep-gap", false,
 		"gap-prevention ablation: run the matrix with the section 3.3 machinery on and off\n"+
-			"(composes with -sweep-unwind; each variant is a distinct cache key)")
+			"(composes with -sweep-unwind)")
 	timeout := flag.Duration("timeout", 0, "per-cell timeout (0 = none)")
 	benchOut := flag.String("bench-out", "", "write a JSON bench report (per-cell wall time + speedups) to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -183,11 +182,7 @@ func run() int {
 	// single-factor -sweep-unwind still renders as a sweep row.
 	sweeping := *sweepFlag != "" || *sweepGap
 
-	opts := batch.Options{
-		Parallelism: *parallel,
-		Timeout:     *timeout,
-		Cache:       harness.SharedCache(),
-	}
+	opts := batch.Options{Parallelism: *parallel, Timeout: *timeout}
 
 	start := time.Now()
 	var outcomes []batch.Outcome
@@ -222,7 +217,9 @@ func run() int {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s (%d cells, %.1fs wall)\n", *benchOut, len(outcomes), elapsed.Seconds())
 	}
-	printCacheStats(batch.Summarize(outcomes))
+	if st := batch.Summarize(outcomes); st.Quarantined > 0 {
+		fmt.Fprintf(os.Stderr, "%d quarantined panics\n", st.Quarantined)
+	}
 	if runErr != nil {
 		fmt.Fprintln(os.Stderr, runErr)
 		return 1
@@ -247,16 +244,6 @@ func run() int {
 		}
 	}
 	return 0
-}
-
-// printCacheStats reports at exit how the cells were served, as counted
-// from their outcomes.
-func printCacheStats(st batch.Stats) {
-	fmt.Fprintf(os.Stderr, "cache: %d hits, %d computed", st.CacheHits, st.Computed)
-	if st.Quarantined > 0 {
-		fmt.Fprintf(os.Stderr, ", %d quarantined panics", st.Quarantined)
-	}
-	fmt.Fprintln(os.Stderr)
 }
 
 // joinLabel composes sweep-dimension labels ("unwind=24 gap=off").
@@ -335,12 +322,11 @@ type sweepVariant struct {
 }
 
 // runSweep runs the technique matrix once per variant (unwind factors,
-// gap-prevention on/off, or their cross product). Every variant is a
-// distinct configuration fingerprint, so the shared cache holds the
-// sweep's cells side by side; rerunning a variant is free.
+// gap-prevention on/off, or their cross product), each as its own batch
+// run.
 func runSweep(kernels []*livermore.Kernel, fus []int, techniques []string, variants []sweepVariant, opts batch.Options, csv bool) ([]batch.Outcome, error) {
 	if csv {
-		fmt.Println("config,loop,fus,technique,speedup,converged,cache_hit,wall_ms")
+		fmt.Println("config,loop,fus,technique,speedup,converged,wall_ms")
 	}
 	var all []batch.Outcome
 	for _, v := range variants {
@@ -352,9 +338,9 @@ func runSweep(kernels []*livermore.Kernel, fus []int, techniques []string, varia
 		if csv {
 			for _, o := range outs {
 				r := o.Result
-				fmt.Printf("%s,%s,%d,%s,%.3f,%v,%v,%.3f\n",
+				fmt.Printf("%s,%s,%d,%s,%.3f,%v,%.3f\n",
 					strings.ReplaceAll(v.label, " ", ";"), o.Job.DisplayName(), o.Job.Machine.OpSlots, o.Job.Technique,
-					r.Speedup, r.Converged, o.CacheHit, float64(o.Wall.Microseconds())/1000)
+					r.Speedup, r.Converged, float64(o.Wall.Microseconds())/1000)
 			}
 			continue
 		}

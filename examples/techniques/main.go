@@ -70,25 +70,25 @@ func main() {
 	fmt.Println("POST   = unconstrained pipeline + resource post-pass")
 	fmt.Println("GRiP   = resource constraints inside global scheduling (this paper)")
 
-	// Configurations are first-class: a per-job SchedConfig joins the
-	// cache key, so a sweep over unwind factors runs through the same
-	// engine and cache without the cells colliding.
-	cache := grip.NewBatchCache(32)
-	fmt.Println("\nGRiP @4FU unwind-factor sweep (distinct cache entries per config):")
+	// Configurations are first-class: each job carries its own
+	// SchedConfig, so a sweep over unwind factors is one batch.
+	var sweep []grip.BatchJob
 	for _, unwind := range []int{12, 24, 48} {
-		sweep := []grip.BatchJob{{
+		sweep = append(sweep, grip.BatchJob{
 			Technique: "grip", Spec: spec, Machine: grip.Machine(4),
 			Config: grip.SchedConfig{Unwind: unwind},
-		}}
-		outs, err := grip.Batch(context.Background(), sweep, grip.BatchOptions{Cache: cache})
-		if err != nil {
-			log.Fatal(err)
-		}
-		o := outs[0]
+		})
+	}
+	outs, err := grip.Batch(context.Background(), sweep, grip.BatchOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("\nGRiP @4FU unwind-factor sweep:")
+	for _, o := range outs {
 		if o.Err != nil {
 			log.Fatal(o.Err)
 		}
-		fmt.Printf("  unwind=%-3d speedup %.2f converged=%-5v cacheHit=%v\n",
-			unwind, o.Result.Speedup, o.Result.Converged, o.CacheHit)
+		fmt.Printf("  unwind=%-3d speedup %.2f converged=%v\n",
+			o.Job.Config.Unwind, o.Result.Speedup, o.Result.Converged)
 	}
 }

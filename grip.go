@@ -121,18 +121,17 @@ func ListSchedule(loop *Loop, m MachineModel) *listsched.Result {
 
 // SchedResult is the result every registered scheduling backend
 // reports: normalized metrics plus an optional raw attachment
-// (requested via SchedRequest.Want, accessed via Raw). No cache holds
-// the attachment, so it belongs to the caller that asked for it.
+// (requested via SchedRequest.Want, accessed via Raw). The attachment
+// belongs to the caller that asked for it.
 type SchedResult = sched.Result
 
 // SchedMetrics is the normalized, serializable metrics tier of a
 // scheduling result (speedup, cycles/iteration, convergence, kernel
-// shape, barrier count) — the part persistent caches keep for every
-// fingerprint.
+// shape, barrier count).
 type SchedMetrics = sched.Metrics
 
 // SchedWant hints what a request needs beyond the metrics; it never
-// joins cache keys.
+// joins fingerprints.
 type SchedWant = sched.Want
 
 // Re-exported Want values.
@@ -145,14 +144,13 @@ const (
 type SchedBackend = sched.Scheduler
 
 // SchedRequest is a first-class scheduling request: the (loop, machine,
-// configuration) triple that identifies an experiment and keys result
-// caches.
+// configuration) triple that identifies an experiment.
 type SchedRequest = sched.Request
 
 // SchedConfig is a per-request override of a technique's paper-default
 // configuration; the zero value is the paper default, and its
-// fingerprint joins batch cache keys, so sweeps over unwind factors or
-// gap-prevention settings cache correctly per configuration.
+// fingerprint joins the request's, so sweeps over unwind factors or
+// gap-prevention settings keep their cells apart.
 type SchedConfig = sched.Config
 
 // BatchJob is one scheduling request for the batch engine.
@@ -161,17 +159,9 @@ type BatchJob = batch.Job
 // BatchOutcome is the per-job result of a batch run, in job order.
 type BatchOutcome = batch.Outcome
 
-// BatchOptions tune a batch run: worker parallelism, per-job timeout,
-// and an optional shared result cache with single-flight dedup.
+// BatchOptions tune a batch run: worker parallelism and per-job
+// timeout.
 type BatchOptions = batch.Options
-
-// BatchCache is the thread-safe metrics cache keyed by (technique,
-// loop fingerprint, machine fingerprint, config fingerprint): an
-// in-memory LRU whose single-flight runs identical in-flight jobs once.
-// It answers only metrics-only jobs without CrossCheck; every other job
-// computes. Cache hits and flight waiters share one result, so treat
-// it as read-only.
-type BatchCache = batch.Cache
 
 // Schedulers lists the registered scheduling techniques ("grip",
 // "list", "modulo", "post", ...). Any name it returns is valid for
@@ -195,17 +185,15 @@ func ScheduleRequest(ctx context.Context, name string, req SchedRequest) (*Sched
 }
 
 // Batch executes scheduling jobs concurrently through the registry:
-// a worker pool with context cancellation, per-job timeouts that
-// actually stop the scheduling work, and an optional LRU result cache
-// with single-flight dedup. Outcomes are returned in job order and are
-// bit-identical to a sequential run — every technique is a pure
-// function of (loop, machine, configuration).
+// a worker pool with context cancellation and per-job timeouts that
+// actually stop the scheduling work. The POST jobs of one call share
+// their phase-1 schedule; nothing outlives the call. Outcomes are
+// returned in job order and are bit-identical to a sequential run —
+// every technique is a pure function of (loop, machine,
+// configuration).
 func Batch(ctx context.Context, jobs []BatchJob, opts BatchOptions) ([]BatchOutcome, error) {
 	return batch.Run(ctx, jobs, opts)
 }
-
-// NewBatchCache returns an LRU result cache to share across Batch runs.
-func NewBatchCache(capacity int) *BatchCache { return batch.NewCache(capacity) }
 
 // Validate proves a pipelined result semantically equivalent to the
 // original loop on the given inputs, including early-exit trip counts

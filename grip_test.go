@@ -84,7 +84,7 @@ func TestPublicSimplePipeline(t *testing.T) {
 
 // TestPublicRegistryAndBatch drives the registry-facing facade: every
 // listed technique schedules by name, the results match the dedicated
-// entry points, and a batch run with a shared cache dedupes reruns.
+// entry points, and a batch run schedules grip and post.
 func TestPublicRegistryAndBatch(t *testing.T) {
 	names := Schedulers()
 	if len(names) < 4 {
@@ -116,27 +116,17 @@ func TestPublicRegistryAndBatch(t *testing.T) {
 			byName.Speedup, byName.CyclesPerIter, direct.Speedup, direct.CyclesPerIter)
 	}
 
-	cache := NewBatchCache(16)
 	jobs := []BatchJob{
 		{Technique: "grip", Spec: dotLoop(), Machine: Machine(2)},
 		{Technique: "post", Spec: dotLoop(), Machine: Machine(2)},
 	}
-	outs, err := Batch(context.Background(), jobs, BatchOptions{Cache: cache})
+	outs, err := Batch(context.Background(), jobs, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range outs {
 		if o.Err != nil {
 			t.Fatal(o.Err)
-		}
-	}
-	outs, err = Batch(context.Background(), jobs, BatchOptions{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range outs {
-		if !o.CacheHit {
-			t.Errorf("%s rerun missed the shared cache", o.Job.Technique)
 		}
 	}
 }

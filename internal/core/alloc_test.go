@@ -21,9 +21,9 @@ func TestMigrationStepAllocs(t *testing.T) {
 	g := graph.New(al)
 	// Target node holds a resident op (so it never empties), source node
 	// holds the migrating op plus a resident (so it is never spliced).
-	resident1 := &ir.Op{ID: al.OpID(), Origin: 0, Iter: 0, Kind: ir.Const, Dst: al.Reg("a"), Imm: 1}
-	mover := &ir.Op{ID: al.OpID(), Origin: 1, Iter: 0, Kind: ir.Const, Dst: al.Reg("b"), Imm: 2}
-	resident2 := &ir.Op{ID: al.OpID(), Origin: 2, Iter: 0, Kind: ir.Const, Dst: al.Reg("c"), Imm: 3}
+	resident1 := &ir.Op{ID: al.OpID(), Origin: 0, Iter: 0, Kind: ir.Const, Dst: al.Reg(), Imm: 1}
+	mover := &ir.Op{ID: al.OpID(), Origin: 1, Iter: 0, Kind: ir.Const, Dst: al.Reg(), Imm: 2}
+	resident2 := &ir.Op{ID: al.OpID(), Origin: 2, Iter: 0, Kind: ir.Const, Dst: al.Reg(), Imm: 3}
 	n1 := graph.AppendOp(g, nil, resident1)
 	n2 := graph.AppendOp(g, n1, mover)
 	g.AddOp(resident2, n2.Root)

@@ -27,7 +27,7 @@ func buildRandomChain(rng *rand.Rand, nNodes int) (*scheduler, []*graph.Node, []
 	origin := 0
 	mk := func() *ir.Op {
 		op := &ir.Op{ID: al.OpID(), Origin: origin, Iter: 0, Kind: ir.Const,
-			Dst: al.Reg(fmt.Sprintf("r%d", origin)), Imm: int64(origin)}
+			Dst: al.Reg(), Imm: int64(origin)}
 		origin++
 		ops = append(ops, op)
 		return op
@@ -52,7 +52,7 @@ func buildRandomChain(rng *rand.Rand, nNodes int) (*scheduler, []*graph.Node, []
 			next = chain[j+1]
 		}
 		cj := &ir.Op{ID: al.OpID(), Origin: origin, Iter: 0, Kind: ir.CJ,
-			Src: [2]ir.Reg{al.Reg(fmt.Sprintf("c%d", origin))}, Imm: 10, BImm: true, Rel: ir.Lt}
+			Src: [2]ir.Reg{al.Reg()}, Imm: 10, BImm: true, Rel: ir.Lt}
 		origin++
 		ops = append(ops, cj)
 		leaf := graph.ContinueLeaf(n)

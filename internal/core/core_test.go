@@ -20,7 +20,7 @@ func buildStraightLine(n int, fus int) (*ps.Ctx, []*ir.Op, *deps.Priority) {
 	var ops []*ir.Op
 	var tail *graph.Node
 	for i := 0; i < n; i++ {
-		op := &ir.Op{ID: al.OpID(), Origin: i, Iter: 0, Kind: ir.Const, Dst: al.Reg("r"), Imm: int64(i)}
+		op := &ir.Op{ID: al.OpID(), Origin: i, Iter: 0, Kind: ir.Const, Dst: al.Reg(), Imm: int64(i)}
 		tail = graph.AppendOp(g, tail, op)
 		ops = append(ops, op)
 	}
@@ -56,7 +56,7 @@ func TestScheduleRespectsDependences(t *testing.T) {
 	// A chain a->b->c cannot compact at all.
 	al := ir.NewAlloc()
 	g := graph.New(al)
-	r1, r2, r3 := al.Reg("a"), al.Reg("b"), al.Reg("c")
+	r1, r2, r3 := al.Reg(), al.Reg(), al.Reg()
 	a := &ir.Op{ID: al.OpID(), Origin: 0, Iter: 0, Kind: ir.Const, Dst: r1, Imm: 1}
 	bop := &ir.Op{ID: al.OpID(), Origin: 1, Iter: 0, Kind: ir.Add, Dst: r2, Src: [2]ir.Reg{r1}, Imm: 1, BImm: true}
 	c := &ir.Op{ID: al.OpID(), Origin: 2, Iter: 0, Kind: ir.Add, Dst: r3, Src: [2]ir.Reg{r2}, Imm: 1, BImm: true}
@@ -106,12 +106,12 @@ func TestResourceBarrierCounting(t *testing.T) {
 	al := ir.NewAlloc()
 	g := graph.New(al)
 	mk := func(origin int) *ir.Op {
-		return &ir.Op{ID: al.OpID(), Origin: origin, Iter: 0, Kind: ir.Const, Dst: al.Reg("r"), Imm: 1}
+		return &ir.Op{ID: al.OpID(), Origin: origin, Iter: 0, Kind: ir.Const, Dst: al.Reg(), Imm: 1}
 	}
 	a := mk(0)
 	dep := func(origin int) *ir.Op {
 		return &ir.Op{ID: al.OpID(), Origin: origin, Iter: 0, Kind: ir.Add,
-			Dst: al.Reg("r"), Src: [2]ir.Reg{a.Dst}, Imm: 1, BImm: true}
+			Dst: al.Reg(), Src: [2]ir.Reg{a.Dst}, Imm: 1, BImm: true}
 	}
 	b1, b2 := dep(1), dep(2) // pinned below a by a true dependence
 	c := mk(3)               // independent, lowest priority

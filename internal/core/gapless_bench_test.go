@@ -22,7 +22,7 @@ func buildIterChain(nNodes, iters, fus int) (*ps.Ctx, *scheduler, []*ir.Op) {
 	var ops []*ir.Op
 	var tail *graph.Node
 	mk := func(origin, iter int) *ir.Op {
-		op := &ir.Op{ID: al.OpID(), Origin: origin, Iter: iter, Kind: ir.Const, Dst: al.Reg("r"), Imm: int64(origin)}
+		op := &ir.Op{ID: al.OpID(), Origin: origin, Iter: iter, Kind: ir.Const, Dst: al.Reg(), Imm: int64(origin)}
 		ops = append(ops, op)
 		return op
 	}
@@ -81,8 +81,8 @@ func BenchmarkCondFourSearch(b *testing.B) {
 	var tail *graph.Node
 	const depth = 24
 	for j := 0; j < depth; j++ {
-		x := &ir.Op{ID: al.OpID(), Origin: 2 * j, Iter: 0, Kind: ir.Const, Dst: al.Reg("x"), Imm: int64(j)}
-		y := &ir.Op{ID: al.OpID(), Origin: 2*j + 1, Iter: 1, Kind: ir.Const, Dst: al.Reg("y"), Imm: int64(j)}
+		x := &ir.Op{ID: al.OpID(), Origin: 2 * j, Iter: 0, Kind: ir.Const, Dst: al.Reg(), Imm: int64(j)}
+		y := &ir.Op{ID: al.OpID(), Origin: 2*j + 1, Iter: 1, Kind: ir.Const, Dst: al.Reg(), Imm: int64(j)}
 		tail = graph.AppendOp(g, tail, x)
 		g.AddOp(y, tail.Root)
 		ops = append(ops, x, y)

@@ -29,7 +29,7 @@ func newParkRig(t *testing.T) *parkRig {
 
 func (r *parkRig) reg(name string) ir.Reg {
 	if _, ok := r.regs[name]; !ok {
-		r.regs[name] = r.al.Reg(name)
+		r.regs[name] = r.al.Reg()
 	}
 	return r.regs[name]
 }

@@ -14,13 +14,13 @@ func liveFixture(t *testing.T) (*graph.Graph, *ir.Alloc, []*graph.Node, []ir.Reg
 	t.Helper()
 	al := ir.NewAlloc()
 	g := graph.New(al)
-	r1, r2, r9 := al.Reg("r1"), al.Reg("r2"), al.Reg("r9")
+	r1, r2, r9 := al.Reg(), al.Reg(), al.Reg()
 
 	n1 := graph.AppendOp(g, nil, &ir.Op{ID: al.OpID(), Kind: ir.Const, Dst: r1, Imm: 1})
 	cj := &ir.Op{ID: al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{r1}, Imm: 10, BImm: true, Rel: ir.Lt}
 	nbr := graph.AppendBranch(g, n1, cj, nil)
 	n2 := graph.AppendOp(g, nbr, &ir.Op{ID: al.OpID(), Kind: ir.Add, Dst: r9, Src: [2]ir.Reg{r2}, Imm: 1, BImm: true})
-	n3 := graph.AppendOp(g, n2, &ir.Op{ID: al.OpID(), Kind: ir.Mul, Dst: al.Reg("r4"), Src: [2]ir.Reg{r9, r9}})
+	n3 := graph.AppendOp(g, n2, &ir.Op{ID: al.OpID(), Kind: ir.Mul, Dst: al.Reg(), Src: [2]ir.Reg{r9, r9}})
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 			// {r1, r65, r129}, {r2, r66} and {r3}.
 			var regs []ir.Reg
 			for i := 0; i < 130; i++ {
-				switch r := al.Reg(""); r {
+				switch r := al.Reg(); r {
 				case 1, 2, 3, 65, 66, 129:
 					regs = append(regs, r)
 				}
@@ -367,7 +367,7 @@ func hubGraph(al *ir.Alloc) (*Graph, *Node, []*Vertex, []*Node) {
 }
 
 func testCJ(al *ir.Alloc) *ir.Op {
-	return &ir.Op{ID: al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{al.Reg("")}, Imm: 1, BImm: true, Rel: ir.Lt}
+	return &ir.Op{ID: al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{al.Reg()}, Imm: 1, BImm: true, Rel: ir.Lt}
 }
 
 // TestEdgeSetOverflow checks a wide tree: a hub whose four leaves enter
@@ -495,7 +495,7 @@ func TestCloneVisitsSuccessorsInLeafOrder(t *testing.T) {
 			ls := leaves(n)
 			leaf := ls[rng.Intn(len(ls))]
 			if rng.Intn(3) == 0 && n.BranchCount() < 3 {
-				cj := &ir.Op{ID: al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{al.Reg("")}, Imm: 1, BImm: true, Rel: ir.Lt}
+				cj := &ir.Op{ID: al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{al.Reg()}, Imm: 1, BImm: true, Rel: ir.Lt}
 				g.RetargetLeaf(leaf, nil)
 				tl, fl := g.InsertBranchAtLeaf(leaf, cj, nil, nil)
 				g.RetargetLeaf(tl, randSucc())

@@ -13,7 +13,7 @@ func buildChain(t *testing.T) (*Graph, []*Node, []*ir.Op) {
 	t.Helper()
 	al := ir.NewAlloc()
 	g := New(al)
-	ra, rb, rc := al.Reg("a"), al.Reg("b"), al.Reg("c")
+	ra, rb, rc := al.Reg(), al.Reg(), al.Reg()
 	a := &ir.Op{ID: al.OpID(), Origin: 0, Iter: 0, Kind: ir.Const, Dst: ra, Imm: 1}
 	b := &ir.Op{ID: al.OpID(), Origin: 1, Iter: 0, Kind: ir.Add, Dst: rb, Src: [2]ir.Reg{ra}, Imm: 1, BImm: true}
 	cj := &ir.Op{ID: al.OpID(), Origin: 2, Iter: 0, Kind: ir.CJ, Src: [2]ir.Reg{rb}, Imm: 10, BImm: true, Rel: ir.Lt}
@@ -181,7 +181,7 @@ func TestValidateCatchesDoubleDef(t *testing.T) {
 func TestValidateCensusCatchesOrphanedPlacement(t *testing.T) {
 	g, ns, _ := buildChain(t)
 	n3 := ns[2]
-	orphan := &ir.Op{ID: g.Alloc.OpID(), Kind: ir.Const, Dst: g.Alloc.Reg("x"), Imm: 5}
+	orphan := &ir.Op{ID: g.Alloc.OpID(), Kind: ir.Const, Dst: g.Alloc.Reg(), Imm: 5}
 	g.AddOp(orphan, n3.Root.True)
 	g.RetargetLeaf(ns[1].Root, nil) // DetachBranchRoot needs n3 predecessor-free
 	_, _, trueSub, _ := g.DetachBranchRoot(n3)
@@ -236,7 +236,7 @@ func TestIterCountAndSchedCount(t *testing.T) {
 	}
 	// Ops are frozen before placement: a frozen op of iteration 0 placed
 	// beside ops[0] leaves the count alone.
-	frozen := &ir.Op{ID: g.Alloc.OpID(), Origin: ops[0].Origin, Iter: 0, Kind: ir.Const, Dst: g.Alloc.Reg("f"), Imm: 1, Frozen: true}
+	frozen := &ir.Op{ID: g.Alloc.OpID(), Origin: ops[0].Origin, Iter: 0, Kind: ir.Const, Dst: g.Alloc.Reg(), Imm: 1, Frozen: true}
 	g.AddOp(frozen, ns[0].Root)
 	if ns[0].IterCount(0) != 1 {
 		t.Fatal("frozen ops must not count")
@@ -303,10 +303,10 @@ func TestDefSiteHereNoReg(t *testing.T) {
 	g := New(al)
 	n := g.NewNode()
 	g.Entry = n
-	st := &ir.Op{ID: al.OpID(), Kind: ir.Store, Src: [2]ir.Reg{al.Reg("v")},
+	st := &ir.Op{ID: al.OpID(), Kind: ir.Store, Src: [2]ir.Reg{al.Reg()},
 		Mem: ir.MemRef{Array: al.Array("A")}}
 	g.AddOp(st, n.Root)
-	cj := &ir.Op{ID: al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{al.Reg("c")}, Imm: 1, BImm: true, Rel: ir.Lt}
+	cj := &ir.Op{ID: al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{al.Reg()}, Imm: 1, BImm: true, Rel: ir.Lt}
 	g.InsertBranchAtLeaf(n.Root, cj, nil, nil)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)

@@ -207,10 +207,8 @@ func Figure8And11(w io.Writer, fus int) error {
 }
 
 // IntroExample contrasts GRiP against modulo scheduling on the section 1
-// example, returning both speedups. Both cells run through the batch
-// engine and the process-wide metrics cache — everything printed here
-// is in the normalized metrics, so a rerun in the same process
-// schedules nothing.
+// example, returning both speedups. Both cells run as one batch, and
+// everything printed here is in the normalized metrics.
 func IntroExample(w io.Writer) (grip, mod float64, err error) {
 	spec := IntroExampleLoop()
 	m := machine.New(4)
@@ -218,7 +216,7 @@ func IntroExample(w io.Writer) (grip, mod float64, err error) {
 		{Technique: "grip", Spec: spec, Machine: m},
 		{Technique: "modulo", Spec: spec, Machine: m},
 	}
-	outs, err := batch.Run(context.Background(), jobs, batch.Options{Cache: defaultCache})
+	outs, err := batch.Run(context.Background(), jobs, batch.Options{})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -252,7 +250,7 @@ func indent(s, pad string) string {
 func Figure123(w io.Writer) error {
 	al := ir.NewAlloc()
 	g := graph.New(al)
-	r1, r2, r3 := al.Reg("r1"), al.Reg("r2"), al.Reg("r3")
+	r1, r2, r3 := al.Reg(), al.Reg(), al.Reg()
 
 	n1 := g.NewNode()
 	n2 := g.NewNode()
@@ -271,7 +269,7 @@ func Figure123(w io.Writer) error {
 	// Figure 2: move-op.
 	al2 := ir.NewAlloc()
 	g2 := graph.New(al2)
-	x, y := al2.Reg("x"), al2.Reg("y")
+	x, y := al2.Reg(), al2.Reg()
 	opA := &ir.Op{ID: al2.OpID(), Kind: ir.Const, Dst: x, Imm: 1}
 	opB := &ir.Op{ID: al2.OpID(), Kind: ir.Const, Dst: y, Imm: 2}
 	m1 := graph.AppendOp(g2, nil, opA)
@@ -287,7 +285,7 @@ func Figure123(w io.Writer) error {
 	// Figure 3: move-cj with node splitting.
 	al3 := ir.NewAlloc()
 	g3 := graph.New(al3)
-	p, q := al3.Reg("p"), al3.Reg("q")
+	p, q := al3.Reg(), al3.Reg()
 	arr := al3.Array("M")
 	opC := &ir.Op{ID: al3.OpID(), Kind: ir.Const, Dst: p, Imm: 3}
 	k1 := graph.AppendOp(g3, nil, opC)

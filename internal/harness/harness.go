@@ -6,12 +6,11 @@
 // grip/post pair being the default.
 //
 // All cells run through the sched registry and the sched/batch engine:
-// the table is a job matrix executed by a worker pool, and a
-// process-wide metrics cache makes revisited cells (bench reruns,
-// config sweeps, figure passes) free. Cell values are
-// independent of worker count and execution order — every technique is
-// a pure function of (loop, machine, configuration) — so parallel runs
-// are bit-identical to sequential ones.
+// the table is a job matrix executed by a worker pool, in one batch run
+// whose POST cells share phase 1. Cell values are independent of worker
+// count and execution order — every technique is a pure function of
+// (loop, machine, configuration) — so parallel runs are bit-identical
+// to sequential ones.
 package harness
 
 import (
@@ -26,19 +25,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sched/batch"
 )
-
-// defaultCache is shared by every harness entry point in the process,
-// so a cell scheduled for the table is not re-scheduled for a figure
-// pass or a bench rerun. It holds metrics-only results, tiny and
-// shared read-only, and is sized to retain every fingerprint a process
-// plausibly touches (full tables, sweeps over many configurations).
-// Jobs that want a scheduled graph (validation) compute it afresh.
-var defaultCache = batch.NewCache(8192)
-
-// SharedCache returns the process-wide result cache the harness runs
-// against; commands can pass it to their own batch runs to share work
-// with table runs.
-func SharedCache() *batch.Cache { return defaultCache }
 
 // Table1Techniques is the paper's technique pair, in its column order.
 var Table1Techniques = []string{"grip", "post"}
@@ -148,12 +134,8 @@ func RunTable1Ctx(ctx context.Context, kernels []*livermore.Kernel, fus []int, o
 // one job per (kernel, FU count, technique) cell entry, all under cfg,
 // executed by a worker pool. The outcomes (in job order: kernels
 // outermost, FU counts inner, techniques innermost) are returned
-// alongside the table for bench reporting. A nil opts.Cache uses the
-// process-wide shared cache.
+// alongside the table for bench reporting.
 func RunTable(ctx context.Context, kernels []*livermore.Kernel, fus []int, techniques []string, cfg sched.Config, opts batch.Options) (*Table, []batch.Outcome, error) {
-	if opts.Cache == nil {
-		opts.Cache = defaultCache
-	}
 	var jobs []batch.Job
 	for _, k := range kernels {
 		for _, f := range fus {

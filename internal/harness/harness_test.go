@@ -7,7 +7,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -111,39 +111,19 @@ func TestTable1ShapeProperties(t *testing.T) {
 	}
 }
 
-// freshKernels numbers the kernel copies freshKernel returns.
-var freshKernels atomic.Int32
-
-// freshKernel returns a copy of the named kernel whose spec carries a
-// name no earlier call returned. The name joins POST's phase-1 memo key
-// and changes no schedule, so the process-wide memo, which no test can
-// reset, cannot already hold the copy's phase 1, whatever ran earlier
-// in the binary (-count=N included).
-func freshKernel(name string) *livermore.Kernel {
-	k := *livermore.ByName(name)
-	spec := *k.Spec
-	spec.Name = fmt.Sprintf("%s-fresh-%d", name, freshKernels.Add(1))
-	k.Spec = &spec
-	return &k
-}
-
 // TestParallelTableBitIdentical runs a Table 1 slice with four workers
-// and then sequentially, with a fresh result cache for each run, and
-// requires every cell to be bit-identical — the acceptance criterion
-// for moving the harness onto the batch engine. The parallel pass runs
-// first, on fresh kernel copies, so that POST phase-1 results are
-// computed by concurrent workers rather than replayed from the
-// process-global phase-1 memo, which result caches cannot isolate.
+// and then sequentially and requires every cell to be bit-identical —
+// the acceptance criterion for moving the harness onto the batch
+// engine. Each run has its own phase-1 memo, so both compute POST's
+// phase 1, the parallel one on concurrent workers.
 func TestParallelTableBitIdentical(t *testing.T) {
-	kernels := []*livermore.Kernel{freshKernel("LL1"), freshKernel("LL3"), freshKernel("LL5")}
+	kernels := []*livermore.Kernel{livermore.ByName("LL1"), livermore.ByName("LL3"), livermore.ByName("LL5")}
 	fus := []int{2, 4}
-	par, _, err := RunTable1Ctx(context.Background(), kernels, fus,
-		batch.Options{Parallelism: 4, Cache: batch.NewCache(64)})
+	par, _, err := RunTable1Ctx(context.Background(), kernels, fus, batch.Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := RunTable1Ctx(context.Background(), kernels, fus,
-		batch.Options{Parallelism: 1, Cache: batch.NewCache(64)})
+	seq, _, err := RunTable1Ctx(context.Background(), kernels, fus, batch.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,73 +137,44 @@ func TestParallelTableBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSharedCacheMakesRerunsFree reruns a cell through the shared cache
-// and requires the second pass to be all cache hits.
-func TestSharedCacheMakesRerunsFree(t *testing.T) {
-	kernels := []*livermore.Kernel{livermore.ByName("LL3")}
-	cache := batch.NewCache(64)
-	opts := batch.Options{Cache: cache}
-	first, _, err := RunTable1Ctx(context.Background(), kernels, []int{2}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, outs, err := RunTable1Ctx(context.Background(), kernels, []int{2}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range outs {
-		if !o.CacheHit {
-			t.Errorf("%s %s: rerun missed the cache", o.Job.Technique, o.Job.DisplayName())
-		}
-	}
-	second, _, err := RunTable1Ctx(context.Background(), kernels, []int{2}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first.Cells[0][0], second.Cells[0][0]) {
-		t.Errorf("cached cell differs: %+v != %+v", first.Cells[0][0], second.Cells[0][0])
-	}
-}
-
-// TestCancelledPostRecomputesExact: a POST job cancelled in the middle
-// of phase 1 must leave the phase-1 memo and the batch cache clean.
-// LL7 at 2 FUs under MaxUnwind 48, on a fresh kernel copy, so every
-// iteration starts phase 1 cold: two duplicate jobs under a 1ms budget
-// both time out inside it, and the rerun through the same cache
-// computes the golden LL7,2,post row exactly.
+// TestCancelledPostRecomputesExact: a POST request cancelled in the
+// middle of phase 1 must leave its run's phase-1 memo clean. Two
+// duplicate requests for LL7 at 2 FUs, a flight's leader and a waiter
+// on it, both run out of a 1ms budget inside phase 1; a third request
+// in the same run then computes phase 1 cold and reproduces the golden
+// LL7,2,post row exactly.
 func TestCancelledPostRecomputesExact(t *testing.T) {
 	testutil.LeakCheck(t)
-	k := freshKernel("LL7")
-	cfg := sched.Config{MaxUnwind: 48}
-	cache := batch.NewCache(16)
-	job := batch.Job{Technique: "post", Spec: k.Spec, Machine: machine.New(2), Config: cfg, Label: k.Name}
-	outs, err := batch.Run(context.Background(), []batch.Job{job, job},
-		batch.Options{Parallelism: 2, Timeout: time.Millisecond, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
+	req := sched.Request{Spec: livermore.ByName("LL7").Spec, Machine: machine.New(2)}
+	run := sched.WithRunMemo(context.Background(), 3)
+	short, cancel := context.WithTimeout(run, time.Millisecond)
+	defer cancel()
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = sched.Schedule(short, "post", req)
+		}()
 	}
-	for i, o := range outs {
-		if !errors.Is(o.Err, context.DeadlineExceeded) {
-			t.Fatalf("job %d: err = %v, want context.DeadlineExceeded", i, o.Err)
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("request %d: err = %v, want context.DeadlineExceeded", i, err)
 		}
 	}
 
-	tbl, outs, err := RunTable(context.Background(), []*livermore.Kernel{k}, []int{2},
-		[]string{"post"}, cfg, batch.Options{Cache: cache})
+	res, err := sched.Schedule(run, "post", req)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if outs[0].CacheHit {
-		t.Error("rerun served from the cache, want a fresh compute")
-	}
-	if s := tbl.Cells[0][0].Stats[0]; fmt.Sprintf("%.3f", s.Speedup) != "2.575" || s.Barriers != 254738 || s.Converged {
-		t.Errorf("rerun = %+v, want speedup 2.575, 254738 barriers, not converged", s)
 	}
 	golden, err := os.ReadFile("testdata/table1.csv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := strings.Split(tbl.CSV(), "\n")[1]
+	// 2.074 is the row's analytic bound, which no schedule changes.
+	row := fmt.Sprintf("LL7,2,post,%.3f,2.074,%v,%d", res.Speedup, res.Converged, res.Barriers)
 	if !strings.Contains(string(golden), "\n"+row+"\n") {
 		t.Errorf("rerun row %q is not in testdata/table1.csv", row)
 	}
@@ -235,7 +186,7 @@ func TestTableNTechniques(t *testing.T) {
 	kernels := []*livermore.Kernel{livermore.ByName("LL3")}
 	techniques := []string{"list", "modulo", "post", "grip"}
 	tbl, outs, err := RunTable(context.Background(), kernels, []int{2, 4}, techniques,
-		sched.Config{}, batch.Options{Cache: batch.NewCache(16)})
+		sched.Config{}, batch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,33 +224,22 @@ func TestTableNTechniques(t *testing.T) {
 }
 
 // TestTableConfigSweepDistinctCells proves a table under a non-default
-// configuration occupies its own cache entries: a second run of the
-// same config is all hits, while the default-config run still misses.
+// configuration schedules its own cells: with the unwind factor fixed
+// at 8, LL3's POST cell at 2 FUs stops short of the pattern the paper
+// default's ladder converges on.
 func TestTableConfigSweepDistinctCells(t *testing.T) {
 	kernels := []*livermore.Kernel{livermore.ByName("LL3")}
-	cache := batch.NewCache(64)
-	opts := batch.Options{Cache: cache}
-	cfg := sched.Config{Unwind: 12}
-	_, outs, err := RunTable(context.Background(), kernels, []int{2}, []string{"grip"}, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
+	cell := func(cfg sched.Config) Stat {
+		t.Helper()
+		tbl, _, err := RunTable(context.Background(), kernels, []int{2}, []string{"post"}, cfg, batch.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tbl.Cells[0][0].Stats[0]
 	}
-	if outs[0].CacheHit {
-		t.Error("fresh configured run hit the cache")
-	}
-	_, outs, err = RunTable(context.Background(), kernels, []int{2}, []string{"grip"}, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !outs[0].CacheHit {
-		t.Error("identical configured rerun missed the cache")
-	}
-	_, outs, err = RunTable(context.Background(), kernels, []int{2}, []string{"grip"}, sched.Config{}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outs[0].CacheHit {
-		t.Error("default-config run shared the configured run's cache entry")
+	def, fixed := cell(sched.Config{}), cell(sched.Config{Unwind: 8})
+	if !def.Converged || fixed.Converged || def == fixed {
+		t.Errorf("paper default %+v, unwind=8 %+v: want a converged default and a distinct, unconverged configured cell", def, fixed)
 	}
 }
 

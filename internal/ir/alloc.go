@@ -1,14 +1,10 @@
 package ir
 
-import "fmt"
-
-// Alloc hands out registers, arrays, and operation instance IDs, and
-// remembers human-readable names for debugging and printing.
+// Alloc hands out registers, arrays, and operation instance IDs.
 type Alloc struct {
 	nextReg   Reg
 	nextArray Array
 	nextOp    int
-	regNames  map[Reg]string
 	arrByName map[string]Array
 }
 
@@ -18,18 +14,14 @@ func NewAlloc() *Alloc {
 		nextReg:   1,
 		nextArray: 1,
 		nextOp:    1,
-		regNames:  make(map[Reg]string),
 		arrByName: make(map[string]Array),
 	}
 }
 
-// Reg allocates a fresh register with the given debug name.
-func (a *Alloc) Reg(name string) Reg {
+// Reg allocates a fresh register.
+func (a *Alloc) Reg() Reg {
 	r := a.nextReg
 	a.nextReg++
-	if name != "" {
-		a.regNames[r] = name
-	}
 	return r
 }
 
@@ -49,14 +41,6 @@ func (a *Alloc) OpID() int {
 	id := a.nextOp
 	a.nextOp++
 	return id
-}
-
-// RegName returns the debug name of r, or "r<n>".
-func (a *Alloc) RegName(r Reg) string {
-	if n, ok := a.regNames[r]; ok {
-		return n
-	}
-	return fmt.Sprintf("r%d", r)
 }
 
 // NumRegs reports how many registers have been allocated.

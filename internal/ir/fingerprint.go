@@ -76,11 +76,7 @@ func (a *Alloc) Clone() *Alloc {
 		nextReg:   a.nextReg,
 		nextArray: a.nextArray,
 		nextOp:    a.nextOp,
-		regNames:  make(map[Reg]string, len(a.regNames)),
 		arrByName: make(map[string]Array, len(a.arrByName)),
-	}
-	for k, v := range a.regNames {
-		c.regNames[k] = v
 	}
 	for k, v := range a.arrByName {
 		c.arrByName[k] = v

@@ -168,49 +168,6 @@ func (s *LoopSpec) Validate() error {
 	return nil
 }
 
-// CarriedVars returns the variables whose value flows from one iteration
-// to the next: every variable that is read in the body (or live-out)
-// before being redefined in the same iteration, excluding pure
-// loop-invariants. The counter is always carried.
-func (s *LoopSpec) CarriedVars() []string {
-	redef := map[string]bool{}
-	for _, op := range s.Body {
-		if op.Dst != "" {
-			redef[op.Dst] = true
-		}
-	}
-	seen := map[string]bool{}
-	var carried []string
-	add := func(v string) {
-		if v != "" && redef[v] && !seen[v] {
-			seen[v] = true
-			carried = append(carried, v)
-		}
-	}
-	// A variable is carried if some use can observe the previous
-	// iteration's definition: it is read before its (re)definition in
-	// the body, or it is live-out.
-	defd := map[string]bool{}
-	for _, op := range s.Body {
-		if op.A != "" && !defd[op.A] {
-			add(op.A)
-		}
-		if !op.UseImm && op.B != "" && !defd[op.B] {
-			add(op.B)
-		}
-		if op.Mem.IndexVar != "" && !defd[op.Mem.IndexVar] {
-			add(op.Mem.IndexVar)
-		}
-		if op.Dst != "" {
-			defd[op.Dst] = true
-		}
-	}
-	for _, v := range s.LiveOut {
-		add(v)
-	}
-	return carried
-}
-
 // Clone returns an independent deep copy of the spec: mutating the
 // copy's body or interface slices never affects the original. Specs are
 // treated as read-only throughout the scheduling stack, so Clone exists

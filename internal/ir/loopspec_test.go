@@ -60,54 +60,6 @@ func TestLoopSpecValidateEmptyBody(t *testing.T) {
 	}
 }
 
-func TestCarriedVars(t *testing.T) {
-	s := sampleLoop()
-	carried := s.CarriedVars()
-	if len(carried) != 1 || carried[0] != "q" {
-		t.Fatalf("CarriedVars = %v, want [q]", carried)
-	}
-
-	// A purely vectorizable body carries nothing.
-	v := &LoopSpec{
-		Name: "vec",
-		Body: []BodyOp{
-			BLoad("t1", Aff("Y", 1, 0)),
-			BMul("t2", "t1", "r"),
-			BStore(Aff("X", 1, 0), "t2"),
-		},
-		Step: 1, TripVar: "n", LiveIn: []string{"r"},
-	}
-	if err := v.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if c := v.CarriedVars(); len(c) != 0 {
-		t.Fatalf("CarriedVars = %v, want none", c)
-	}
-}
-
-func TestCarriedVarsLiveOutOnly(t *testing.T) {
-	// t is redefined every iteration and never read before definition,
-	// but being live-out makes its final value observable; it is not
-	// carried (each iteration's value is independent). Only variables
-	// read before redefinition are carried.
-	s := &LoopSpec{
-		Name: "lo",
-		Body: []BodyOp{
-			BLoad("t", Aff("Y", 1, 0)),
-			BStore(Aff("X", 1, 0), "t"),
-		},
-		Step: 1, TripVar: "n", LiveOut: []string{"t"},
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	c := s.CarriedVars()
-	if len(c) != 1 || c[0] != "t" {
-		// Live-out values must be carried so the epilogue can name them.
-		t.Fatalf("CarriedVars = %v, want [t]", c)
-	}
-}
-
 func TestSeqOpsPerIter(t *testing.T) {
 	if got := sampleLoop().SeqOpsPerIter(); got != 6 {
 		t.Fatalf("SeqOpsPerIter = %d, want 6 (4 body + increment + branch)", got)

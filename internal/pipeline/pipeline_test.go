@@ -67,9 +67,6 @@ func TestUnwindControlShape(t *testing.T) {
 	if cjs != 3 {
 		t.Fatalf("cjs = %d, want 3", cjs)
 	}
-	if uw.SeqCycles(5) != 30 {
-		t.Fatalf("SeqCycles(5) = %d", uw.SeqCycles(5))
-	}
 }
 
 func TestOptimizeForwardsRecurrenceLoad(t *testing.T) {

@@ -9,7 +9,6 @@ package pipeline
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/graph"
 	"repro/internal/ir"
@@ -79,7 +78,7 @@ func Unwind(spec *ir.LoopSpec, u int) (*Unwound, error) {
 		if r, ok := env[v]; ok {
 			return r
 		}
-		r := al.Reg(v)
+		r := al.Reg()
 		env[v] = r
 		uw.LiveIn[v] = r
 		return r
@@ -91,7 +90,7 @@ func Unwind(spec *ir.LoopSpec, u int) (*Unwound, error) {
 	}
 	for _, v := range spec.LiveOut {
 		uw.liveOutNames = append(uw.liveOutNames, v)
-		r := al.Reg(v + ".out")
+		r := al.Reg()
 		uw.LiveOut[v] = r
 		uw.ExitLive[r] = true
 		// A live-out variable that is not also live-in may be read by
@@ -134,13 +133,13 @@ func Unwind(spec *ir.LoopSpec, u int) (*Unwound, error) {
 				return nil, fmt.Errorf("pipeline: unsupported body op kind %v", b.Kind)
 			}
 			if b.Dst != "" {
-				op.Dst = al.Reg(b.Dst + "." + strconv.Itoa(iter))
+				op.Dst = al.Reg()
 				env[b.Dst] = op.Dst
 			}
 			uw.Ops = append(uw.Ops, op)
 		}
 		// Loop control: k' = k + Step ; continue while k' < trip.
-		kNext := al.Reg("k." + strconv.Itoa(iter+1))
+		kNext := al.Reg()
 		inc := &ir.Op{ID: al.OpID(), Origin: len(spec.Body), Iter: iter,
 			Kind: ir.Add, Dst: kNext, Src: [2]ir.Reg{env[ir.CounterVar]}, Imm: spec.Step, BImm: true}
 		env[ir.CounterVar] = kNext
@@ -208,10 +207,6 @@ func (u *Unwound) buildEpilogue(g *graph.Graph, iter int) *graph.Node {
 	}
 	return n
 }
-
-// SeqCycles is the sequential execution cost of n iterations: one cycle
-// per original (pre-optimization) operation including loop control.
-func (u *Unwound) SeqCycles(n int) int { return n * u.Spec.SeqOpsPerIter() }
 
 // Removed reports how many operations redundant-operation removal
 // eliminated.

@@ -18,19 +18,19 @@ import (
 // scan and report the blocking producer).
 func moveBenchFixture() (f *fixture, n2 *graph.Node, mover, hitter *ir.Op) {
 	f = newFixture(8)
-	r8, r9 := f.al.Reg("r8"), f.al.Reg("r9")
+	r8, r9 := f.al.Reg(), f.al.Reg()
 	n0 := graph.AppendOp(f.g, nil, f.constOp(r8, 8))
 	f.g.AddOp(f.constOp(r9, 9), n0.Root)
 
-	r1 := f.al.Reg("r1")
+	r1 := f.al.Reg()
 	n1 := graph.AppendOp(f.g, n0, f.constOp(r1, 0))
 	for i := 1; i < 4; i++ {
-		f.g.AddOp(f.constOp(f.al.Reg(""), int64(i)), n1.Root)
+		f.g.AddOp(f.constOp(f.al.Reg(), int64(i)), n1.Root)
 	}
 
-	mover = f.addI(f.al.Reg("m"), r9, 1)
-	hitter = f.addI(f.al.Reg("h"), r1, 1)
-	keep := f.constOp(f.al.Reg("k"), 7)
+	mover = f.addI(f.al.Reg(), r9, 1)
+	hitter = f.addI(f.al.Reg(), r1, 1)
+	keep := f.constOp(f.al.Reg(), 7)
 	n2 = graph.AppendOp(f.g, n1, mover)
 	f.g.AddOp(hitter, n2.Root)
 	f.g.AddOp(keep, n2.Root)
@@ -46,10 +46,10 @@ func moveBenchFixture() (f *fixture, n2 *graph.Node, mover, hitter *ir.Op) {
 // hitF, and every op list for miss.
 func scanBenchFixture() (f *fixture, n *graph.Node, miss, hitT, hitF *ir.Op) {
 	f = newFixture(8)
-	r1, r2, r3, rc := f.al.Reg("r1"), f.al.Reg("r2"), f.al.Reg("r3"), f.al.Reg("rc")
+	r1, r2, r3, rc := f.al.Reg(), f.al.Reg(), f.al.Reg(), f.al.Reg()
 	n0 := graph.AppendOp(f.g, nil, f.constOp(rc, 0))
 	exit := f.g.NewNode()
-	f.g.AddOp(f.constOp(f.al.Reg(""), 0), exit.Root)
+	f.g.AddOp(f.constOp(f.al.Reg(), 0), exit.Root)
 
 	cj := &ir.Op{ID: f.al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{rc}, Imm: 10, BImm: true, Rel: ir.Lt}
 	n = graph.AppendBranch(f.g, n0, cj, exit)
@@ -60,11 +60,11 @@ func scanBenchFixture() (f *fixture, n *graph.Node, miss, hitT, hitF *ir.Op) {
 	f.g.AddOp(hitT, n.Root)
 	f.g.AddOp(hitF, n.Root)
 	for i := 0; i < 3; i++ {
-		f.g.AddOp(f.constOp(f.al.Reg(""), int64(i)), n.Root.True)
-		f.g.AddOp(f.constOp(f.al.Reg(""), int64(i)), n.Root.False)
+		f.g.AddOp(f.constOp(f.al.Reg(), int64(i)), n.Root.True)
+		f.g.AddOp(f.constOp(f.al.Reg(), int64(i)), n.Root.False)
 	}
-	f.g.AddOp(f.addI(f.al.Reg("rd"), r2, 1), n.Root.True)
-	f.g.AddOp(f.addI(f.al.Reg("rf"), r3, 1), n.Root.False)
+	f.g.AddOp(f.addI(f.al.Reg(), r2, 1), n.Root.True)
+	f.g.AddOp(f.addI(f.al.Reg(), r3, 1), n.Root.False)
 	return f, n, miss, hitT, hitF
 }
 
@@ -78,22 +78,22 @@ func scanBenchFixture() (f *fixture, n *graph.Node, miss, hitT, hitF *ir.Op) {
 // copy-propagates through two hops (c1→c0→r9) without blocking.
 func pathBenchFixture() (f *fixture, leaf *graph.Vertex, miss, hit, chain *ir.Op) {
 	f = newFixture(16)
-	r8, r9 := f.al.Reg("r8"), f.al.Reg("r9")
+	r8, r9 := f.al.Reg(), f.al.Reg()
 	n0 := graph.AppendOp(f.g, nil, f.constOp(r8, 8))
 	f.g.AddOp(f.constOp(r9, 9), n0.Root)
 
-	n1 := graph.AppendOp(f.g, n0, f.constOp(f.al.Reg(""), 0))
+	n1 := graph.AppendOp(f.g, n0, f.constOp(f.al.Reg(), 0))
 	for i := 1; i < 4; i++ {
-		f.g.AddOp(f.constOp(f.al.Reg(""), int64(i)), n1.Root)
+		f.g.AddOp(f.constOp(f.al.Reg(), int64(i)), n1.Root)
 	}
-	c0, c1, rh := f.al.Reg("c0"), f.al.Reg("c1"), f.al.Reg("rh")
+	c0, c1, rh := f.al.Reg(), f.al.Reg(), f.al.Reg()
 	f.g.AddOp(&ir.Op{ID: f.al.OpID(), Kind: ir.Copy, Dst: c1, Src: [2]ir.Reg{c0}}, n1.Root)
 	f.g.AddOp(&ir.Op{ID: f.al.OpID(), Kind: ir.Copy, Dst: c0, Src: [2]ir.Reg{r9}}, n1.Root)
 	f.g.AddOp(f.addI(rh, r8, 1), n1.Root)
 
-	miss = f.addI(f.al.Reg("m"), r9, 1)
-	hit = f.addI(f.al.Reg("h"), rh, 1)
-	chain = f.addI(f.al.Reg("x"), c1, 1)
+	miss = f.addI(f.al.Reg(), r9, 1)
+	hit = f.addI(f.al.Reg(), rh, 1)
+	chain = f.addI(f.al.Reg(), c1, 1)
 	n2 := graph.AppendOp(f.g, n1, miss)
 	f.g.AddOp(hit, n2.Root)
 	f.g.AddOp(chain, n2.Root)
@@ -281,7 +281,7 @@ func TestResolveCommittedPathMatchesReference(t *testing.T) {
 	arr := f.al.Array("X")
 	st := &ir.Op{ID: f.al.OpID(), Kind: ir.Store, Src: [2]ir.Reg{miss.Src[0]}, Mem: ir.MemRef{Array: arr}}
 	f.g.AddOp(st, leaf)
-	ld := &ir.Op{ID: f.al.OpID(), Kind: ir.Load, Dst: f.al.Reg("l"), Mem: ir.MemRef{Array: arr}}
+	ld := &ir.Op{ID: f.al.OpID(), Kind: ir.Load, Dst: f.al.Reg(), Mem: ir.MemRef{Array: arr}}
 	f.g.AddOp(ld, n2.Root)
 	if err := f.g.Validate(); err != nil {
 		t.Fatal(err)

@@ -63,7 +63,7 @@ func snapshot(t *testing.T, g *graph.Graph, inits map[string]*sim.State) map[str
 
 func TestMoveOpUpAndSplice(t *testing.T) {
 	f := newFixture(2)
-	r1, r2, r3 := f.al.Reg("r1"), f.al.Reg("r2"), f.al.Reg("r3")
+	r1, r2, r3 := f.al.Reg(), f.al.Reg(), f.al.Reg()
 	a := f.constOp(r1, 1)
 	b := f.addI(r2, r1, 1)
 	c := f.constOp(r3, 7)
@@ -112,7 +112,7 @@ func TestMoveOpUpAndSplice(t *testing.T) {
 
 func TestMoveOpResourceBlock(t *testing.T) {
 	f := newFixture(1)
-	r1, r2, r3 := f.al.Reg("r1"), f.al.Reg("r2"), f.al.Reg("r3")
+	r1, r2, r3 := f.al.Reg(), f.al.Reg(), f.al.Reg()
 	n1 := graph.AppendOp(f.g, nil, f.constOp(r1, 1))
 	n2 := graph.AppendOp(f.g, n1, f.constOp(r2, 2))
 	c := f.constOp(r3, 3)
@@ -133,7 +133,7 @@ func TestMoveOpResourceBlock(t *testing.T) {
 
 func TestMoveOpCopyPropagation(t *testing.T) {
 	f := newFixture(4)
-	r1, r2, r4 := f.al.Reg("r1"), f.al.Reg("r2"), f.al.Reg("r4")
+	r1, r2, r4 := f.al.Reg(), f.al.Reg(), f.al.Reg()
 	a := f.constOp(r1, 5)
 	cp := &ir.Op{ID: f.al.OpID(), Kind: ir.Copy, Dst: r2, Src: [2]ir.Reg{r1}}
 	use := f.addI(r4, r2, 1)
@@ -161,7 +161,7 @@ func TestMoveOpCopyPropagation(t *testing.T) {
 
 func TestMoveOpMemoryDeps(t *testing.T) {
 	f := newFixture(4)
-	r1, r2 := f.al.Reg("r1"), f.al.Reg("r2")
+	r1, r2 := f.al.Reg(), f.al.Reg()
 	arr := f.al.Array("X")
 	st := &ir.Op{ID: f.al.OpID(), Kind: ir.Store, Src: [2]ir.Reg{r1}, Mem: ir.MemRef{Array: arr, Index: 0}}
 	ld := &ir.Op{ID: f.al.OpID(), Kind: ir.Load, Dst: r2, Mem: ir.MemRef{Array: arr, Index: 0}}
@@ -175,7 +175,7 @@ func TestMoveOpMemoryDeps(t *testing.T) {
 
 	// A load from a different cell moves freely.
 	f2 := newFixture(4)
-	r1b, r2b := f2.al.Reg("r1"), f2.al.Reg("r2")
+	r1b, r2b := f2.al.Reg(), f2.al.Reg()
 	arrb := f2.al.Array("X")
 	stb := &ir.Op{ID: f2.al.OpID(), Kind: ir.Store, Src: [2]ir.Reg{r1b}, Mem: ir.MemRef{Array: arrb, Index: 0}}
 	ldb := &ir.Op{ID: f2.al.OpID(), Kind: ir.Load, Dst: r2b, Mem: ir.MemRef{Array: arrb, Index: 1}}
@@ -187,7 +187,7 @@ func TestMoveOpMemoryDeps(t *testing.T) {
 
 	// Store may not join a path holding an aliasing store.
 	f3 := newFixture(4)
-	r := f3.al.Reg("r")
+	r := f3.al.Reg()
 	arrc := f3.al.Array("X")
 	stc1 := &ir.Op{ID: f3.al.OpID(), Kind: ir.Store, Src: [2]ir.Reg{r}, Mem: ir.MemRef{Array: arrc, Index: 2}}
 	stc2 := &ir.Op{ID: f3.al.OpID(), Kind: ir.Store, Src: [2]ir.Reg{r}, Mem: ir.MemRef{Array: arrc, Index: 2}}
@@ -200,7 +200,7 @@ func TestMoveOpMemoryDeps(t *testing.T) {
 
 func TestMoveOpRenamed(t *testing.T) {
 	f := newFixture(4)
-	r1, r2 := f.al.Reg("r1"), f.al.Reg("r2")
+	r1, r2 := f.al.Reg(), f.al.Reg()
 	a := f.constOp(r1, 1)
 	redef := f.constOp(r1, 2) // output dependence on a
 	use := f.addI(r2, r1, 10)
@@ -231,7 +231,7 @@ func TestMoveOpRenamed(t *testing.T) {
 func TestHoistLegality(t *testing.T) {
 	f := newFixture(8)
 	f.c.ExitLive = map[ir.Reg]bool{}
-	r1, r2, r3 := f.al.Reg("r1"), f.al.Reg("r2"), f.al.Reg("r3")
+	r1, r2, r3 := f.al.Reg(), f.al.Reg(), f.al.Reg()
 	arr := f.al.Array("X")
 
 	// n1 -> br(cj r1<10; true -> n2, false -> exitNode)
@@ -240,7 +240,7 @@ func TestHoistLegality(t *testing.T) {
 	f.g.Entry = nil                              // rebuild entry properly
 	// Rebuild: we cannot unset entry this way; start over cleanly.
 	f = newFixture(8)
-	r1, r2, r3 = f.al.Reg("r1"), f.al.Reg("r2"), f.al.Reg("r3")
+	r1, r2, r3 = f.al.Reg(), f.al.Reg(), f.al.Reg()
 	arr = f.al.Array("X")
 
 	exitNode = f.g.NewNode()
@@ -283,7 +283,7 @@ func TestHoistLegality(t *testing.T) {
 
 func TestHoistOKAndSemantics(t *testing.T) {
 	f := newFixture(8)
-	r1, r2 := f.al.Reg("r1"), f.al.Reg("r2")
+	r1, r2 := f.al.Reg(), f.al.Reg()
 	arr := f.al.Array("X")
 
 	exitNode := f.g.NewNode()
@@ -314,7 +314,7 @@ func TestHoistOKAndSemantics(t *testing.T) {
 
 	// Retarget the op to a fresh register (dead on exit): hoist now legal.
 	f2 := newFixture(8)
-	r1b, r2b, r9 := f2.al.Reg("r1"), f2.al.Reg("r2"), f2.al.Reg("r9")
+	r1b, r2b, r9 := f2.al.Reg(), f2.al.Reg(), f2.al.Reg()
 	arrb := f2.al.Array("X")
 	exitNodeB := f2.g.NewNode()
 	f2.g.AddOp(&ir.Op{ID: f2.al.OpID(), Kind: ir.Store, Src: [2]ir.Reg{r1b}, Mem: ir.MemRef{Array: arrb, Index: 1}}, exitNodeB.Root)
@@ -351,7 +351,7 @@ func TestHoistOKAndSemantics(t *testing.T) {
 
 func TestMoveCJSplitsNode(t *testing.T) {
 	f := newFixture(8)
-	r1, r2 := f.al.Reg("r1"), f.al.Reg("r2")
+	r1, r2 := f.al.Reg(), f.al.Reg()
 	arr := f.al.Array("X")
 
 	exitNode := f.g.NewNode()
@@ -398,7 +398,7 @@ func TestMoveCJClonesRootOpsToDrain(t *testing.T) {
 	// A store cannot be hoisted to the branch node's root (stores do not
 	// speculate), so an arithmetic op is the root op.
 	f := newFixture(8)
-	r1, r2, r3 := f.al.Reg("r1"), f.al.Reg("r2"), f.al.Reg("r3")
+	r1, r2, r3 := f.al.Reg(), f.al.Reg(), f.al.Reg()
 	arr := f.al.Array("X")
 	a := f.constOp(r1, 3)
 	m1 := graph.AppendOp(f.g, nil, a)
@@ -453,7 +453,7 @@ func TestMoveCJClonesRootOpsToDrain(t *testing.T) {
 
 func TestMoveCJBranchSlotLimit(t *testing.T) {
 	f := newFixture(8) // 1 branch slot
-	r1 := f.al.Reg("r1")
+	r1 := f.al.Reg()
 	cj1 := &ir.Op{ID: f.al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{r1}, Imm: 10, BImm: true, Rel: ir.Lt}
 	cj2 := &ir.Op{ID: f.al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{r1}, Imm: 20, BImm: true, Rel: ir.Lt}
 	n1 := graph.AppendBranch(f.g, nil, cj1, nil)
@@ -494,7 +494,7 @@ func TestMaskCollisionIsNotADefinition(t *testing.T) {
 	f.c.CrossCheck = true
 	regs := make([]ir.Reg, 66)
 	for i := range regs {
-		regs[i] = f.al.Reg("")
+		regs[i] = f.al.Reg()
 	}
 	r, alias, s := regs[1], regs[65], regs[2]
 	if alias != r+64 {
@@ -503,12 +503,12 @@ func TestMaskCollisionIsNotADefinition(t *testing.T) {
 	add := func(dst, a, b ir.Reg) *ir.Op {
 		return &ir.Op{ID: f.al.OpID(), Kind: ir.Add, Dst: dst, Src: [2]ir.Reg{a, b}}
 	}
-	def := add(alias, alias, s)         // n1: defines and reads r+64
-	readR := f.addI(f.al.Reg(""), r, 1) // n2: reads r
-	readA := f.addI(f.al.Reg(""), alias, 1)
-	defR := f.addI(r, s, 1)                  // n3: defines r
-	defA := f.addI(alias, s, 2)              // n3: defines r+64
-	reader := f.addI(f.al.Reg(""), alias, 2) // n3: reads r+64
+	def := add(alias, alias, s)       // n1: defines and reads r+64
+	readR := f.addI(f.al.Reg(), r, 1) // n2: reads r
+	readA := f.addI(f.al.Reg(), alias, 1)
+	defR := f.addI(r, s, 1)                // n3: defines r
+	defA := f.addI(alias, s, 2)            // n3: defines r+64
+	reader := f.addI(f.al.Reg(), alias, 2) // n3: reads r+64
 	n1 := graph.AppendOp(f.g, nil, def)
 	n2 := graph.AppendOp(f.g, n1, readR)
 	f.g.AddOp(readA, n2.Root)

@@ -38,7 +38,7 @@ func (c *Ctx) TryMoveOpUpRenamed(op *ir.Op) Block {
 		return Block{Kind: BlockResource}
 	}
 
-	r := c.G.Alloc.Reg("ren")
+	r := c.G.Alloc.Reg()
 	compensation := &ir.Op{
 		ID:     c.G.Alloc.OpID(),
 		Origin: op.Origin,

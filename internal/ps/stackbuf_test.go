@@ -21,7 +21,7 @@ import (
 // the IR.
 func TestOpUsesBufferBound(t *testing.T) {
 	al := ir.NewAlloc()
-	r1, r2, r3 := al.Reg("r1"), al.Reg("r2"), al.Reg("r3")
+	r1, r2, r3 := al.Reg(), al.Reg(), al.Reg()
 	arr := al.Array("A")
 	worst := []*ir.Op{
 		{ID: al.OpID(), Kind: ir.Add, Dst: r3, Src: [2]ir.Reg{r1, r2}},
@@ -52,16 +52,16 @@ func TestPathOpsDeepTreeOverflowsCorrectly(t *testing.T) {
 	var want []*ir.Op
 	leaf := n.Root
 	for i := 0; i < depth; i++ {
-		op := f.constOp(f.al.Reg(""), int64(i))
+		op := f.constOp(f.al.Reg(), int64(i))
 		f.g.AddOp(op, leaf)
 		want = append(want, op)
-		cj := &ir.Op{ID: f.al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{f.al.Reg("")}, Imm: 1, BImm: true, Rel: ir.Lt}
+		cj := &ir.Op{ID: f.al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{f.al.Reg()}, Imm: 1, BImm: true, Rel: ir.Lt}
 		// Each branch exits to a node of its own: a node has one
 		// incoming edge.
 		leaf, _ = f.g.InsertBranchAtLeaf(leaf, cj, nil, f.g.NewNode())
 		want = append(want, cj)
 	}
-	last := f.constOp(f.al.Reg(""), depth)
+	last := f.constOp(f.al.Reg(), depth)
 	f.g.AddOp(last, leaf)
 	want = append(want, last)
 	if err := f.g.Validate(); err != nil {
@@ -106,7 +106,7 @@ func TestRewriteBufferOverflowsCorrectly(t *testing.T) {
 	const chain = 9
 	regs := make([]ir.Reg, chain+1)
 	for i := range regs {
-		regs[i] = f.al.Reg("")
+		regs[i] = f.al.Reg()
 	}
 	// Root vertex holds, in scan order, copies r9<-r8, r8<-r7, ... r1<-r0.
 	var n *graph.Node
@@ -118,7 +118,7 @@ func TestRewriteBufferOverflowsCorrectly(t *testing.T) {
 			f.g.AddOp(cp, n.Root)
 		}
 	}
-	mover := f.addI(f.al.Reg("m"), regs[chain], 1)
+	mover := f.addI(f.al.Reg(), regs[chain], 1)
 	graph.AppendOp(f.g, n, mover)
 	if err := f.g.Validate(); err != nil {
 		t.Fatal(err)

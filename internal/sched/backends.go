@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 
+	"repro/internal/ir"
 	"repro/internal/listsched"
 	"repro/internal/lru"
 	"repro/internal/modulo"
@@ -10,18 +11,13 @@ import (
 	"repro/internal/post"
 )
 
-// phase1MemoCap bounds the POST phase-1 memo. Keep it comfortably
-// above the workload corpus (14 Livermore kernels today, times the
-// handful of configurations a sweep touches) so a full table run never
-// evicts mid-batch and silently recomputes the work the memo exists to
-// dedupe.
-const phase1MemoCap = 64
-
 // The four paper techniques register themselves under the names the CLI
-// has always used.
+// has always used. Every backend is stateless; the one thing a POST
+// request shares, its phase-1 schedule, lives in a run's context (see
+// WithRunMemo).
 func init() {
 	Register(gripScheduler{})
-	Register(postScheduler{memo: lru.New[string, *pipeline.Result](phase1MemoCap)})
+	Register(postScheduler{})
 	Register(moduloScheduler{})
 	Register(listScheduler{})
 }
@@ -69,47 +65,78 @@ func (gripScheduler) Schedule(ctx context.Context, req Request) (*Result, error)
 	return fromPipeline("grip", res, req.Want), nil
 }
 
+// memoKey is the context key under which a run carries its POST
+// phase-1 memo.
+type memoKey struct{}
+
+// WithRunMemo returns ctx carrying a fresh POST phase-1 memo for a run
+// of n requests; the batch engine gives each Run its own. POST requests
+// scheduled under the returned context share phase 1; a request made
+// outside any run computes phase 1 itself. The memo holds at most one
+// entry per request, so it never evicts, and nothing in it outlives the
+// context.
+func WithRunMemo(ctx context.Context, n int) context.Context {
+	return context.WithValue(ctx, memoKey{}, lru.New[string, *pipeline.Result](n))
+}
+
+// runMemo returns the phase-1 memo ctx carries, or nil outside a run.
+func runMemo(ctx context.Context) *lru.Cache[string, *pipeline.Result] {
+	memo, _ := ctx.Value(memoKey{}).(*lru.Cache[string, *pipeline.Result])
+	return memo
+}
+
 // postScheduler is the POST baseline. Its first phase — Perfect
 // Pipelining at infinite resources — does not depend on the target
-// machine's functional-unit count, so the adapter memoizes phase-1
-// results per (loop, phase-1 configuration) and hands each post-pass a
-// deep copy. Cloning preserves IDs and allocator state, so the
-// post-pass on a copy is bit-identical to a from-scratch run
-// (batch_test proves it). The memo key carries the full phase-1 config
-// fingerprint: requests differing in, say, unwind factor must not share
-// phase-1 schedules. It also carries CrossCheck, which the fingerprint
-// omits, so a checked request never reuses a phase 1 computed without
-// the reference checks.
+// machine's functional-unit count, so within one run the adapter
+// computes phase 1 once per (loop, phase-1 configuration) and hands
+// each post-pass a deep copy. Cloning preserves IDs and allocator
+// state, so the post-pass on a copy is bit-identical to a from-scratch
+// run (batch_test proves it). The memo key carries the full phase-1
+// config fingerprint: requests differing in, say, unwind factor must
+// not share phase-1 schedules. It also carries CrossCheck, which the
+// fingerprint omits, so a checked request never reuses a phase 1
+// computed without the reference checks.
 //
 // The memo's single-flight runs phase 1 once per key however many POST
 // jobs overlap; the others wait for it within their own ctx. Entries
 // are only read and cloned. A phase 1 cut short by its ctx returns the
 // ctx's error and stores nothing, so a timed-out request never poisons
 // the memo for later ones.
-type postScheduler struct {
-	memo *lru.Cache[string, *pipeline.Result]
-}
+type postScheduler struct{}
 
 func (postScheduler) Name() string { return "post" }
 
-func (s postScheduler) Schedule(ctx context.Context, req Request) (*Result, error) {
+func (postScheduler) Schedule(ctx context.Context, req Request) (*Result, error) {
 	cfg := req.Config.Pipeline(req.Machine)
-	p1cfg := post.Phase1Config(cfg)
-	key := req.Spec.Fingerprint() + "|" + p1cfg.Fingerprint()
-	if p1cfg.CrossCheck {
-		key += "|crosscheck"
-	}
-	phase1, _, err := s.memo.GetOrCompute(ctx, key, func() (*pipeline.Result, error) {
-		return pipeline.PerfectPipeline(ctx, req.Spec, p1cfg)
-	})
+	phase1, err := postPhase1(ctx, req.Spec, post.Phase1Config(cfg))
 	if err != nil {
 		return nil, err
 	}
-	res, err := post.From(ctx, phase1.Clone(), cfg)
+	res, err := post.From(ctx, phase1, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return fromPipeline("post", res, req.Want), nil
+}
+
+// postPhase1 returns a phase-1 result the post-pass may mutate: a deep
+// copy of the run's shared one, or, outside a run, one of its own.
+func postPhase1(ctx context.Context, spec *ir.LoopSpec, p1cfg pipeline.Config) (*pipeline.Result, error) {
+	memo := runMemo(ctx)
+	if memo == nil {
+		return pipeline.PerfectPipeline(ctx, spec, p1cfg)
+	}
+	key := spec.Fingerprint() + "|" + p1cfg.Fingerprint()
+	if p1cfg.CrossCheck {
+		key += "|crosscheck"
+	}
+	shared, _, err := memo.GetOrCompute(ctx, key, func() (*pipeline.Result, error) {
+		return pipeline.PerfectPipeline(ctx, spec, p1cfg)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return shared.Clone(), nil
 }
 
 // moduloScheduler is the iterative modulo-scheduling baseline. The

@@ -1,10 +1,8 @@
 // Package batch executes scheduling jobs against the sched registry
 // concurrently: a worker pool with configurable parallelism, context
-// cancellation, per-job timeouts, and an in-memory metrics cache (see
-// Cache) with single-flight dedup keyed by a canonical fingerprint of
-// (technique, loop spec, machine, configuration), so repeated table
-// cells — figure passes, config sweeps — cost nothing within a
-// process.
+// cancellation and per-job timeouts. The jobs of one Run share POST's
+// phase-1 schedules (sched.WithRunMemo); nothing a Run computes outlives
+// it unless the caller passes in a Cache.
 package batch
 
 import (
@@ -109,6 +107,8 @@ type Options struct {
 }
 
 // Run executes the jobs and returns one outcome per job, in job order.
+// Its POST jobs share phase 1 through a memo that lives as long as the
+// call.
 // Cancelling ctx stops dispatching new jobs and interrupts running
 // ones; jobs not yet started fail with ctx.Err(). The returned error is
 // ctx.Err() when the run was cut short — some job was skipped or
@@ -117,6 +117,7 @@ type Options struct {
 // outcomes, not the run error, so one diverging cell doesn't hide the
 // rest.
 func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
+	ctx = sched.WithRunMemo(ctx, len(jobs))
 	workers := EffectiveParallelism(opts.Parallelism, len(jobs))
 	outcomes := make([]Outcome, len(jobs))
 	var cut atomic.Bool

@@ -26,7 +26,6 @@ type BenchCell struct {
 	Speedup   float64 `json:"speedup"`
 	Converged bool    `json:"converged"`
 	WallMS    float64 `json:"wall_ms"`
-	CacheHit  bool    `json:"cache_hit"`
 	Error     string  `json:"error,omitempty"`
 }
 
@@ -51,7 +50,6 @@ func NewBenchReport(outcomes []Outcome, parallelism int, totalWall time.Duration
 			Loop:      o.Job.DisplayName(),
 			Technique: o.Job.Technique,
 			WallMS:    float64(o.Wall.Microseconds()) / 1000,
-			CacheHit:  o.CacheHit,
 		}
 		if fp := o.Job.Config.Fingerprint(); fp != paperDefault {
 			cell.Config = fp

@@ -129,16 +129,14 @@ func TestSingleFlightPanicPropagation(t *testing.T) {
 	}
 }
 
-// TestSummarizeClassifiesErrors pins the Stats taxonomy: quarantined
-// panics, cancellations, plain failures, and the computed/hit split.
+// TestSummarizeClassifiesErrors pins the Stats taxonomy: successes,
+// quarantined panics, cancellations and plain failures.
 func TestSummarizeClassifiesErrors(t *testing.T) {
-	mk := func(hit bool) batch.Outcome {
-		return batch.Outcome{Result: &sched.Result{}, CacheHit: hit}
-	}
+	ok := batch.Outcome{Result: &sched.Result{}}
 	outs := []batch.Outcome{
-		mk(false),
-		mk(true),
-		mk(true),
+		ok,
+		ok,
+		ok,
 		{Err: &sched.PanicError{Key: "k", Value: "v"}},
 		{Err: context.Canceled},
 		{Err: context.DeadlineExceeded},
@@ -148,7 +146,6 @@ func TestSummarizeClassifiesErrors(t *testing.T) {
 	want := batch.Stats{
 		Jobs: 7, Succeeded: 3, Failed: 4,
 		Quarantined: 1, Cancelled: 2,
-		Computed: 1, CacheHits: 2,
 	}
 	if got != want {
 		t.Errorf("Summarize = %+v, want %+v", got, want)

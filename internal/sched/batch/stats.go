@@ -7,8 +7,8 @@ import (
 	"repro/internal/sched"
 )
 
-// Stats summarizes a batch run's outcomes: how each cell was served and
-// how each failure failed. Exit reports consume it; it is derived
+// Stats summarizes a batch run's outcomes: how many succeeded and how
+// each failure failed. Exit reports consume it; it is derived
 // entirely from the outcome slice, so it composes across runs by
 // summing.
 type Stats struct {
@@ -22,10 +22,6 @@ type Stats struct {
 	// Cancelled counts failures from context cancellation or per-job
 	// deadlines — cells cut short, not cells that computed wrongly.
 	Cancelled int
-	// How the successes were served: computed by their own job, or
-	// served by the cache or another job's in-flight computation
-	// (Outcome.CacheHit).
-	Computed, CacheHits int
 }
 
 // Summarize folds the outcomes of one (or more, by appending) batch
@@ -46,11 +42,6 @@ func Summarize(outs []Outcome) Stats {
 			continue
 		}
 		st.Succeeded++
-		if o.CacheHit {
-			st.CacheHits++
-		} else {
-			st.Computed++
-		}
 	}
 	return st
 }

@@ -1,8 +1,9 @@
 // Package sched defines the uniform backend interface every scheduling
-// technique in this repository implements, a process-wide registry the
-// facade and commands drive, and the normalized result all techniques
-// report. Adding a technique is one Register call; everything above —
-// the batch engine, Table 1, the CLI flags — picks it up by name.
+// technique in this repository implements, a process-wide registry of
+// stateless backends the facade and commands drive, and the normalized
+// result all techniques report. Adding a technique is one Register
+// call; everything above — the batch engine, Table 1, the CLI flags —
+// picks it up by name.
 //
 // Layering (bottom-up): core/ps/graph implement the transformations,
 // the technique packages (pipeline, post, modulo, listsched) implement
@@ -25,12 +26,11 @@ import (
 // configuration. The zero value IS the paper default, so boolean knobs
 // are negated (NoOptimize, NoGapPrevention) and zero-valued integer
 // knobs mean "use the default". It is a plain value type: requests and
-// batch jobs embed it by value and its fingerprint joins cache keys.
+// batch jobs embed it by value and its fingerprint joins theirs.
 //
 // The knobs parameterize the pipelining techniques (grip, post); the
 // single-iteration baselines (modulo, list) have no configuration and
-// ignore them, at the acceptable cost of one cache entry per distinct
-// config.
+// ignore them.
 type Config struct {
 	// Unwind fixes the unwind factor; 0 means automatic (the ladder of
 	// factors until the pattern converges).

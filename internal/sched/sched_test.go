@@ -65,8 +65,8 @@ func TestScheduleUnknownTechnique(t *testing.T) {
 
 // TestBackendsMatchDirectCalls proves the adapters are transparent: the
 // normalized result of every backend equals the corresponding direct
-// technique call, including POST, whose adapter reuses a memoized
-// phase-1 schedule through a deep clone.
+// technique call, including POST, whose adapter within a run reuses a
+// memoized phase-1 schedule through a deep clone.
 func TestBackendsMatchDirectCalls(t *testing.T) {
 	ctx := context.Background()
 	spec := dotLoop()
@@ -92,10 +92,12 @@ func TestBackendsMatchDirectCalls(t *testing.T) {
 			t.Errorf("grip labels: %q %q", g.Technique, g.Loop)
 		}
 
-		// Run post twice so both the memo-miss and memo-hit paths are
+		// Run post outside any run, then twice in one run, so the
+		// unshared path and both the memo-miss and memo-hit paths are
 		// compared against the direct pipeline.
-		for pass := 0; pass < 2; pass++ {
-			p, err := sched.Schedule(ctx, "post", req(spec, m))
+		runCtx := sched.WithRunMemo(ctx, 2)
+		for pass, pctx := range []context.Context{ctx, runCtx, runCtx} {
+			p, err := sched.Schedule(pctx, "post", req(spec, m))
 			if err != nil {
 				t.Fatalf("post @%dFU: %v", fus, err)
 			}

@@ -15,7 +15,7 @@ func TestStraightLineExecution(t *testing.T) {
 	testutil.LeakCheck(t)
 	al := ir.NewAlloc()
 	g := graph.New(al)
-	r1, r2, r3 := al.Reg("r1"), al.Reg("r2"), al.Reg("r3")
+	r1, r2, r3 := al.Reg(), al.Reg(), al.Reg()
 	arr := al.Array("X")
 
 	n1 := graph.AppendOp(g, nil, &ir.Op{ID: al.OpID(), Kind: ir.Const, Dst: r1, Imm: 6})
@@ -44,7 +44,7 @@ func TestParallelFetchSemantics(t *testing.T) {
 	// the add must read the OLD r1 (operands fetch at entry).
 	al := ir.NewAlloc()
 	g := graph.New(al)
-	r1, r2 := al.Reg("r1"), al.Reg("r2")
+	r1, r2 := al.Reg(), al.Reg()
 	n := g.NewNode()
 	g.Entry = n
 	g.AddOp(&ir.Op{ID: al.OpID(), Kind: ir.Add, Dst: r2, Src: [2]ir.Reg{r1}, Imm: 1, BImm: true}, n.Root)
@@ -70,7 +70,7 @@ func TestParallelStoreLoadSameCell(t *testing.T) {
 	// reads the entry value of memory.
 	al := ir.NewAlloc()
 	g := graph.New(al)
-	r1, r2 := al.Reg("r1"), al.Reg("r2")
+	r1, r2 := al.Reg(), al.Reg()
 	arr := al.Array("X")
 	n := g.NewNode()
 	g.Entry = n
@@ -98,8 +98,8 @@ func branchGraph(t *testing.T) (*graph.Graph, *ir.Alloc, ir.Reg, ir.Array) {
 	t.Helper()
 	al := ir.NewAlloc()
 	g := graph.New(al)
-	r1 := al.Reg("r1")
-	one, two := al.Reg("one"), al.Reg("two")
+	r1 := al.Reg()
+	one, two := al.Reg(), al.Reg()
 	arr := al.Array("OUT")
 
 	tN := g.NewNode()
@@ -146,7 +146,7 @@ func TestPathConditionalCommit(t *testing.T) {
 	// the branch goes false (IBM VLIW: store only along selected path).
 	al := ir.NewAlloc()
 	g := graph.New(al)
-	r1, r2 := al.Reg("r1"), al.Reg("r2")
+	r1, r2 := al.Reg(), al.Reg()
 	n := g.NewNode()
 	cj := &ir.Op{ID: al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{r1}, Imm: 0, BImm: true, Rel: ir.Gt}
 	tLeaf, _ := g.InsertBranchAtLeaf(n.Root, cj, nil, nil)
