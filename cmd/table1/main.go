@@ -26,6 +26,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -217,8 +218,15 @@ func run() int {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s (%d cells, %.1fs wall)\n", *benchOut, len(outcomes), elapsed.Seconds())
 	}
-	if st := batch.Summarize(outcomes); st.Quarantined > 0 {
-		fmt.Fprintf(os.Stderr, "%d quarantined panics\n", st.Quarantined)
+	quarantined := 0
+	for _, o := range outcomes {
+		var pe *sched.PanicError
+		if errors.As(o.Err, &pe) {
+			quarantined++
+		}
+	}
+	if quarantined > 0 {
+		fmt.Fprintf(os.Stderr, "%d quarantined panics\n", quarantined)
 	}
 	if runErr != nil {
 		fmt.Fprintln(os.Stderr, runErr)

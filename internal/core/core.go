@@ -397,11 +397,12 @@ func (s *scheduler) startNode(n *graph.Node) {
 // It replays the scheduler without parking: a parked op it would pick
 // is re-picked in place — stamped tried in refTried and listed in
 // refRepicks for crossCheckPick to probe — and the scan moves on, as
-// the next pick after a no-op re-pick would have.
-func (s *scheduler) chooseOpReference(n *graph.Node, opRoom, brRoom bool) *ir.Op {
+// the next pick after a no-op re-pick would have. lowestSusp and
+// haveSusp are the rule-3 bound, as lowestSuspendedPosRescan computes
+// it.
+func (s *scheduler) chooseOpReference(n *graph.Node, opRoom, brRoom bool, lowestSusp float64, haveSusp bool) *ir.Op {
 	g := s.ctx.G
 	limit := n.Pos()
-	lowestSusp, haveSusp := s.lowestSuspendedPosRescan()
 	ranked := s.refRanked
 	s.refRepicks = s.refRepicks[:0]
 	w := 0
@@ -497,16 +498,14 @@ func (s *scheduler) crossCheckPick(n *graph.Node, opRoom, brRoom bool, got *ir.O
 // bookkeeping half, which the randomized structure test drives with
 // parks that no real dependence block backs.
 func (s *scheduler) crossCheckScan(n *graph.Node, opRoom, brRoom bool, got *ir.Op) error {
-	want := s.chooseOpReference(n, opRoom, brRoom)
+	low, have := s.lowestSuspendedPosRescan()
+	want := s.chooseOpReference(n, opRoom, brRoom, low, have)
 	if got != want {
 		return fmt.Errorf("core: candidate structure diverged at n%d (opRoom=%v brRoom=%v): picked %v, reference %v",
 			n.ID, opRoom, brRoom, got, want)
 	}
-	if len(s.suspList) > 0 {
-		low, have := s.lowestSuspendedPosRescan()
-		if !have || low != s.maxSuspPos {
-			return fmt.Errorf("core: incremental rule-3 bound %v, rescan %v (have=%v)", s.maxSuspPos, low, have)
-		}
+	if len(s.suspList) > 0 && (!have || low != s.maxSuspPos) {
+		return fmt.Errorf("core: incremental rule-3 bound %v, rescan %v (have=%v)", s.maxSuspPos, low, have)
 	}
 	return s.checkCandidates()
 }

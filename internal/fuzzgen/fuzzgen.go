@@ -349,10 +349,3 @@ func Workload(spec *ir.LoopSpec) (map[string]int64, map[string][]int64) {
 	}
 	return vars, arrays
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

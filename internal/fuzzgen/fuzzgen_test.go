@@ -13,7 +13,7 @@ func TestSweepSpecDeterministic(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		a, b := SweepSpec(seed), SweepSpec(seed)
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("seed %d: two generations differ:\n%s\nvs\n%s", seed, a, b)
+			t.Fatalf("seed %d: two generations differ:\n%s\nvs\n%s", seed, printed(a), printed(b))
 		}
 		if a.Fingerprint() != b.Fingerprint() {
 			t.Fatalf("seed %d: fingerprints differ", seed)

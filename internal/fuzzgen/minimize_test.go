@@ -2,11 +2,20 @@ package fuzzgen
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
 	"repro/internal/testutil"
+	"repro/internal/textir"
 )
+
+// printed renders a spec in the textual format for a failure message.
+func printed(spec *ir.LoopSpec) string {
+	var b strings.Builder
+	textir.Print(&b, spec)
+	return b.String()
+}
 
 // hasKind is the stand-in oracle: "the failure reproduces" means the
 // candidate still contains an op of the given kind.
@@ -25,7 +34,7 @@ func TestMinimizeShrinksToCore(t *testing.T) {
 	testutil.LeakCheck(t)
 	spec := SweepSpec(7)
 	if !hasKind(ir.Div)(spec) {
-		t.Fatalf("seed 7 has no div; pick another seed: %s", spec)
+		t.Fatalf("seed 7 has no div; pick another seed: %s", printed(spec))
 	}
 	min, probes := Minimize(spec, hasKind(ir.Div), 10_000)
 	if err := min.Validate(); err != nil {
@@ -40,7 +49,7 @@ func TestMinimizeShrinksToCore(t *testing.T) {
 	// A single div is a valid one-op loop; greedy should get all the way
 	// there (nothing else is load-bearing for this oracle).
 	if len(min.Body) > 1 {
-		t.Errorf("minimized to %d ops, want 1:\n%s", len(min.Body), min)
+		t.Errorf("minimized to %d ops, want 1:\n%s", len(min.Body), printed(min))
 	}
 }
 
@@ -56,7 +65,7 @@ func TestMinimizeSimplifiesReferences(t *testing.T) {
 	}
 	min, _ := Minimize(spec, hasKind(ir.Store), 10_000)
 	if n := len(min.Body); n != 2 {
-		t.Fatalf("body = %d ops, want 2 (store + its operand def):\n%s", n, min)
+		t.Fatalf("body = %d ops, want 2 (store + its operand def):\n%s", n, printed(min))
 	}
 	st := min.Body[1]
 	if st.Kind != ir.Store || st.Mem.KCoef != 1 || st.Mem.Off != 0 {
@@ -92,6 +101,6 @@ func TestMinimizeKeepsFailingOriginalWhenNothingShrinks(t *testing.T) {
 	}
 	min, _ := Minimize(spec, hasKind(ir.Store), 100)
 	if !reflect.DeepEqual(min, spec) {
-		t.Errorf("already-minimal spec changed:\n%s", min)
+		t.Errorf("already-minimal spec changed:\n%s", printed(min))
 	}
 }

@@ -33,13 +33,13 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/deps"
 	"repro/internal/fuzzgen"
 	"repro/internal/ir"
 	"repro/internal/machine"
+	"repro/internal/memo"
 	"repro/internal/pipeline"
 	"repro/internal/sched"
 	"repro/internal/sched/batch"
@@ -155,10 +155,13 @@ const boundEps = 1e-9
 //
 // The semantic oracle runs inside the batch pool: each grip/post cell
 // is simulated by the worker that scheduled it, as soon as its outcome
-// is final, against a reference shared by every cell at its unwind
-// factor (see references). The rate bands and the verdict assembly
-// follow the batch, in (machine, technique) order whatever the
-// dispatch order (see dispatchOrder).
+// is final, against the reference for its unwind factor at
+// oracleTrips. The cells at one factor differ only in their schedules,
+// so they share that reference, built by the first cell that needs it
+// while the others at its factor wait; the references live only as
+// long as the call. The rate bands and the verdict assembly follow the
+// batch, in (machine, technique) order whatever the dispatch order (see
+// dispatchOrder).
 func CheckLoop(ctx context.Context, spec *ir.LoopSpec, opts FuzzOptions) (*LoopVerdict, error) {
 	opts = opts.normalized()
 	if err := spec.Validate(); err != nil {
@@ -181,7 +184,10 @@ func CheckLoop(ctx context.Context, spec *ir.LoopSpec, opts FuzzOptions) (*LoopV
 		queued[q] = jobs[i]
 	}
 	vars, arrays := fuzzgen.Workload(spec)
-	refs := &references{spec: spec, vars: vars, arrays: arrays}
+	var refs memo.Table[int, *pipeline.Reference] // by unwind factor
+	// The reference build takes no ctx, and its waiters wait it out
+	// too, so a verdict never depends on when ctx ends.
+	refCtx := context.WithoutCancel(ctx)
 	semantic := make([]error, len(jobs))
 	queuedOuts, err := batch.Run(ctx, queued, batch.Options{
 		Parallelism: opts.Parallelism, Timeout: opts.Timeout,
@@ -189,9 +195,17 @@ func CheckLoop(ctx context.Context, spec *ir.LoopSpec, opts FuzzOptions) (*LoopV
 			if o.Err != nil {
 				return
 			}
-			if res, ok := o.Result.Raw().(*pipeline.Result); ok {
-				semantic[order[q]] = refs.check(res)
+			res, ok := o.Result.Raw().(*pipeline.Result)
+			if !ok {
+				return
 			}
+			ref, _, err := refs.GetOrCompute(refCtx, res.U, func() (*pipeline.Reference, error) {
+				return pipeline.NewReference(spec, res.U, vars, arrays, oracleTrips(spec, res.U))
+			})
+			if err == nil {
+				err = ref.Check(res)
+			}
+			semantic[order[q]] = err
 		},
 	})
 	if err != nil {
@@ -302,45 +316,6 @@ func classify(err error) FailureClass {
 		return FailTimeout
 	}
 	return FailError
-}
-
-// references are one CheckLoop call's semantic references, one per
-// unwind factor: the cells at one factor differ only in their
-// schedules, so they share the reference unwinding and its runs. Each
-// is built at most once, by the first cell that needs it, while the
-// call's other cells at that factor wait. They live only as long as
-// the call.
-type references struct {
-	spec   *ir.LoopSpec
-	vars   map[string]int64
-	arrays map[string][]int64
-
-	mu  sync.Mutex
-	byU map[int]func() (*pipeline.Reference, error)
-}
-
-// check judges one scheduled result against its unwind factor's
-// reference: pipeline.ValidateSemantics at oracleTrips, with the
-// reference half shared.
-func (r *references) check(res *pipeline.Result) error {
-	r.mu.Lock()
-	if r.byU == nil {
-		r.byU = map[int]func() (*pipeline.Reference, error){}
-	}
-	ref, ok := r.byU[res.U]
-	if !ok {
-		u := res.U
-		ref = sync.OnceValues(func() (*pipeline.Reference, error) {
-			return pipeline.NewReference(r.spec, u, r.vars, r.arrays, oracleTrips(r.spec, u))
-		})
-		r.byU[u] = ref
-	}
-	r.mu.Unlock()
-	built, err := ref()
-	if err != nil {
-		return err
-	}
-	return built.Check(res)
 }
 
 // oracleTrips are the trip counts the semantic oracle simulates a loop

@@ -11,6 +11,7 @@ import (
 	"repro/internal/fuzzgen"
 	"repro/internal/sched"
 	"repro/internal/testutil"
+	"repro/internal/textir"
 )
 
 // TestCorpusReplay is the tier-1 regression gate: every checked-in
@@ -152,7 +153,9 @@ func TestMinimizeFailureShrinks(t *testing.T) {
 		t.Fatal("minimizer never probed the oracle")
 	}
 	if len(min.Body) != 1 {
-		t.Errorf("minimized to %d ops, want 1:\n%s", len(min.Body), min)
+		var b strings.Builder
+		textir.Print(&b, min)
+		t.Errorf("minimized to %d ops, want 1:\n%s", len(min.Body), b.String())
 	}
 	if err := min.Validate(); err != nil {
 		t.Errorf("minimized spec invalid: %v", err)

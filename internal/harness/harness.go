@@ -64,17 +64,6 @@ type Table struct {
 	WHMRow     []Cell
 }
 
-// Col returns the Stats index of a technique, or -1 when the table does
-// not contain it.
-func (t *Table) Col(technique string) int {
-	for i, name := range t.Techniques {
-		if name == technique {
-			return i
-		}
-	}
-	return -1
-}
-
 // cellJobs returns one job per technique for one table cell.
 func cellJobs(k *livermore.Kernel, fus int, techniques []string, cfg sched.Config) []batch.Job {
 	m := machine.New(fus)

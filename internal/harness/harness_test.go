@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -34,7 +35,7 @@ func TestTable1ShapeProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + tbl.Format())
-	gi, pi := tbl.Col("grip"), tbl.Col("post")
+	gi, pi := slices.Index(tbl.Techniques, "grip"), slices.Index(tbl.Techniques, "post")
 	if gi < 0 || pi < 0 {
 		t.Fatalf("Table 1 misses grip/post columns: %v", tbl.Techniques)
 	}
@@ -146,7 +147,7 @@ func TestParallelTableBitIdentical(t *testing.T) {
 func TestCancelledPostRecomputesExact(t *testing.T) {
 	testutil.LeakCheck(t)
 	req := sched.Request{Spec: livermore.ByName("LL7").Spec, Machine: machine.New(2)}
-	run := sched.WithRunMemo(context.Background(), 3)
+	run := sched.WithRunMemo(context.Background())
 	short, cancel := context.WithTimeout(run, time.Millisecond)
 	defer cancel()
 	errs := make([]error, 2)
@@ -202,7 +203,7 @@ func TestTableNTechniques(t *testing.T) {
 	}
 	// The paper's ordering on a vectorizable loop: pipelining beats
 	// compaction, integrated constraints beat the rest.
-	li, gi := tbl.Col("list"), tbl.Col("grip")
+	li, gi := slices.Index(tbl.Techniques, "list"), slices.Index(tbl.Techniques, "grip")
 	for fi := range tbl.FUs {
 		c := tbl.Cells[0][fi]
 		if c.Stats[gi].Speedup < c.Stats[li].Speedup-0.01 {

@@ -42,9 +42,3 @@ func (a *Alloc) OpID() int {
 	a.nextOp++
 	return id
 }
-
-// NumRegs reports how many registers have been allocated.
-func (a *Alloc) NumRegs() int { return int(a.nextReg) - 1 }
-
-// NumOps reports how many op IDs have been allocated.
-func (a *Alloc) NumOps() int { return a.nextOp - 1 }

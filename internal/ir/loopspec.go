@@ -1,9 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // BodyRef is a memory address used by a loop-body operation before
 // unwinding: the affine element Array[KCoef*k + Off] of the loop counter
@@ -179,49 +176,4 @@ func (s *LoopSpec) Clone() *LoopSpec {
 	c.LiveIn = append([]string(nil), s.LiveIn...)
 	c.LiveOut = append([]string(nil), s.LiveOut...)
 	return &c
-}
-
-// String renders the spec for debugging.
-func (s *LoopSpec) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "loop %s (k=%d step %d while k<%s):\n", s.Name, s.Start, s.Step, s.TripVar)
-	for i, op := range s.Body {
-		fmt.Fprintf(&b, "  %2d: %s\n", i, bodyOpString(op))
-	}
-	return b.String()
-}
-
-func bodyOpString(op BodyOp) string {
-	memStr := func(m BodyRef) string {
-		switch {
-		case m.IndexVar != "":
-			if m.Off != 0 {
-				return fmt.Sprintf("%s[%s%+d]", m.Array, m.IndexVar, m.Off)
-			}
-			return fmt.Sprintf("%s[%s]", m.Array, m.IndexVar)
-		case m.KCoef == 0:
-			return fmt.Sprintf("%s[%d]", m.Array, m.Off)
-		case m.KCoef == 1 && m.Off == 0:
-			return fmt.Sprintf("%s[k]", m.Array)
-		case m.KCoef == 1:
-			return fmt.Sprintf("%s[k%+d]", m.Array, m.Off)
-		default:
-			return fmt.Sprintf("%s[%d*k%+d]", m.Array, m.KCoef, m.Off)
-		}
-	}
-	switch op.Kind {
-	case Load:
-		return fmt.Sprintf("%s = load %s", op.Dst, memStr(op.Mem))
-	case Store:
-		return fmt.Sprintf("store %s = %s", memStr(op.Mem), op.A)
-	case Copy:
-		return fmt.Sprintf("%s = %s", op.Dst, op.A)
-	case Const:
-		return fmt.Sprintf("%s = %d", op.Dst, op.Imm)
-	default:
-		if op.UseImm {
-			return fmt.Sprintf("%s = %s %s, %d", op.Dst, op.Kind, op.A, op.Imm)
-		}
-		return fmt.Sprintf("%s = %s %s, %s", op.Dst, op.Kind, op.A, op.B)
-	}
 }

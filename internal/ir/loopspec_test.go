@@ -65,12 +65,3 @@ func TestSeqOpsPerIter(t *testing.T) {
 		t.Fatalf("SeqOpsPerIter = %d, want 6 (4 body + increment + branch)", got)
 	}
 }
-
-func TestLoopSpecString(t *testing.T) {
-	s := sampleLoop().String()
-	for _, want := range []string{"dot", "load Z[k]", "mul", "q = add q, t3"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("String() missing %q in:\n%s", want, s)
-		}
-	}
-}

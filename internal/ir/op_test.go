@@ -186,7 +186,7 @@ func TestAlloc(t *testing.T) {
 	if a.OpID() == a.OpID() {
 		t.Error("OpID not unique")
 	}
-	if a.NumRegs() != 2 {
-		t.Errorf("NumRegs = %d, want 2", a.NumRegs())
+	if r3 := a.Reg(); r3 != 3 {
+		t.Errorf("third register = %d, want 3", r3)
 	}
 }

@@ -40,10 +40,10 @@ func TestNativeAgreement(t *testing.T) {
 				}
 				wantArrays, wantScalars := k.Native(int(trip), k.Vars, arrays)
 				for name, want := range wantArrays {
-					got := res.State.ReadArray(uw.Alloc.Array(name), len(want))
+					arr := uw.Alloc.Array(name)
 					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("iters=%d: %s[%d] = %d, want %d", iters, name, i, got[i], want[i])
+						if got := res.State.Mem[sim.Key{Arr: arr, Idx: int64(i)}]; got != want[i] {
+							t.Fatalf("iters=%d: %s[%d] = %d, want %d", iters, name, i, got, want[i])
 						}
 					}
 				}

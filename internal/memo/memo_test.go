@@ -1,4 +1,4 @@
-package lru
+package memo
 
 import (
 	"context"
@@ -12,60 +12,13 @@ import (
 )
 
 // errMiss is what lookup's compute returns: errors are never stored, so
-// a lookup that misses leaves the cache as it found it.
+// a lookup that misses leaves the table as it found it.
 var errMiss = errors.New("miss")
 
-// lookup reports the value cached under key. A hit marks the key most
-// recently used, as every GetOrCompute hit does.
-func lookup(c *Cache[string, int], key string) (int, bool) {
-	v, src, err := c.GetOrCompute(context.Background(), key, func() (int, error) { return 0, errMiss })
-	return v, err == nil && src == Hit
-}
-
-// store caches val under an absent key through a computing call.
-func store(t *testing.T, c *Cache[string, int], key string, val int) {
-	t.Helper()
-	if _, src, err := c.GetOrCompute(context.Background(), key, func() (int, error) { return val, nil }); err != nil || src != Computed {
-		t.Fatalf("store %s: source %d, err %v; want a computed value", key, src, err)
-	}
-}
-
-func TestEvictionAndRecency(t *testing.T) {
-	c := New[string, int](2)
-	store(t, c, "a", 1)
-	store(t, c, "b", 2)
-	if v, ok := lookup(c, "a"); !ok || v != 1 {
-		t.Fatalf("lookup(a) = %d, %v", v, ok)
-	}
-	store(t, c, "c", 3) // evicts b (a was refreshed)
-	if _, ok := lookup(c, "b"); ok {
-		t.Error("b survived eviction")
-	}
-	if _, ok := lookup(c, "a"); !ok {
-		t.Error("a evicted despite recent use")
-	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2", c.Len())
-	}
-	store(t, c, "b", 20) // evicts c, the least recently used
-	if _, ok := lookup(c, "c"); ok {
-		t.Error("c survived eviction")
-	}
-	if v, ok := lookup(c, "b"); !ok || v != 20 {
-		t.Errorf("recomputed b = %d, %v; want 20", v, ok)
-	}
-}
-
-func TestZeroCapacityClamped(t *testing.T) {
-	c := New[string, int](0)
-	store(t, c, "1", 1)
-	if _, ok := lookup(c, "1"); !ok {
-		t.Error("capacity-0 cache unusable")
-	}
-	store(t, c, "2", 2)
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
-	}
+// lookup reports the value stored under key.
+func lookup(c *Table[string, int], key string) (int, bool) {
+	v, hit, err := c.GetOrCompute(context.Background(), key, func() (int, error) { return 0, errMiss })
+	return v, err == nil && hit
 }
 
 // gated is a compute callback that counts its calls, reports each start
@@ -92,7 +45,7 @@ func (g *gated) compute(val int, err error) func() (int, error) {
 
 type call struct {
 	val int
-	src Source
+	hit bool
 	err error
 }
 
@@ -128,20 +81,20 @@ func (c parkCtx) awaitParked(t *testing.T, n int) {
 }
 
 // TestSingleFlightSharesOneComputation: concurrent misses on one key
-// run compute once. The leader reports Computed, every waiter Shared
-// with the leader's value, and the next call is a Hit.
+// run compute once. The leader computes, every waiter hits on the
+// leader's value, and the next call hits without computing.
 func TestSingleFlightSharesOneComputation(t *testing.T) {
 	testutil.LeakCheck(t)
 	const n = 8
-	c := New[string, int](4)
+	c := new(Table[string, int])
 	g := newGated()
 	ctx := newParkCtx()
 	calls := make([]call, n)
 	var wg sync.WaitGroup
 	run := func(i int) {
 		defer wg.Done()
-		v, src, err := c.GetOrCompute(ctx, "k", g.compute(42, nil))
-		calls[i] = call{v, src, err}
+		v, hit, err := c.GetOrCompute(ctx, "k", g.compute(42, nil))
+		calls[i] = call{v, hit, err}
 	}
 	wg.Add(n)
 	go run(0)
@@ -157,19 +110,15 @@ func TestSingleFlightSharesOneComputation(t *testing.T) {
 		t.Fatalf("compute ran %d times for %d concurrent misses, want 1", got, n)
 	}
 	for i, cl := range calls {
-		want := Shared
-		if i == 0 {
-			want = Computed
-		}
-		if cl.err != nil || cl.val != 42 || cl.src != want {
-			t.Errorf("call %d = %+v, want 42 from source %d", i, cl, want)
+		if want := i != 0; cl.err != nil || cl.val != 42 || cl.hit != want {
+			t.Errorf("call %d = %+v, want 42 with hit %v", i, cl, want)
 		}
 	}
-	if v, src, err := c.GetOrCompute(context.Background(), "k", g.compute(0, nil)); err != nil || v != 42 || src != Hit {
-		t.Errorf("rerun = %d/%d/%v, want a Hit on 42", v, src, err)
+	if v, hit, err := c.GetOrCompute(context.Background(), "k", g.compute(0, nil)); err != nil || v != 42 || !hit {
+		t.Errorf("rerun = %d/%v/%v, want a hit on 42", v, hit, err)
 	}
 	if g.calls.Load() != 1 {
-		t.Error("a Hit ran compute")
+		t.Error("a hit ran compute")
 	}
 }
 
@@ -179,27 +128,27 @@ func TestSingleFlightSharesOneComputation(t *testing.T) {
 func TestSingleFlightErrorNotStoredOrShared(t *testing.T) {
 	testutil.LeakCheck(t)
 	boom := errors.New("leader failed")
-	c := New[string, int](4)
+	c := new(Table[string, int])
 	g := newGated()
 	leader := make(chan call, 1)
 	go func() {
-		v, src, err := c.GetOrCompute(context.Background(), "k", g.compute(0, boom))
-		leader <- call{v, src, err}
+		v, hit, err := c.GetOrCompute(context.Background(), "k", g.compute(0, boom))
+		leader <- call{v, hit, err}
 	}()
 	<-g.started
 	ctx := newParkCtx()
 	waiter := make(chan call, 1)
 	go func() {
-		v, src, err := c.GetOrCompute(ctx, "k", func() (int, error) { return 7, nil })
-		waiter <- call{v, src, err}
+		v, hit, err := c.GetOrCompute(ctx, "k", func() (int, error) { return 7, nil })
+		waiter <- call{v, hit, err}
 	}()
 	ctx.awaitParked(t, 1)
 	close(g.gate)
 
-	if l := <-leader; !errors.Is(l.err, boom) || l.src != Computed {
+	if l := <-leader; !errors.Is(l.err, boom) || l.hit {
 		t.Errorf("leader = %+v, want its own error", l)
 	}
-	if w := <-waiter; w.err != nil || w.val != 7 || w.src != Computed {
+	if w := <-waiter; w.err != nil || w.val != 7 || w.hit {
 		t.Errorf("waiter = %+v, want its own computed 7", w)
 	}
 	if v, ok := lookup(c, "k"); !ok || v != 7 {
@@ -219,7 +168,7 @@ func TestSingleFlightErrorNotStoredOrShared(t *testing.T) {
 // waiter computes its own value, and nothing hangs.
 func TestSingleFlightPanicRetiresFlight(t *testing.T) {
 	testutil.LeakCheck(t)
-	c := New[string, int](4)
+	c := new(Table[string, int])
 	g := newGated()
 	recovered := make(chan any, 1)
 	go func() {
@@ -234,8 +183,8 @@ func TestSingleFlightPanicRetiresFlight(t *testing.T) {
 	ctx := newParkCtx()
 	waiter := make(chan call, 1)
 	go func() {
-		v, src, err := c.GetOrCompute(ctx, "k", func() (int, error) { return 9, nil })
-		waiter <- call{v, src, err}
+		v, hit, err := c.GetOrCompute(ctx, "k", func() (int, error) { return 9, nil })
+		waiter <- call{v, hit, err}
 	}()
 	ctx.awaitParked(t, 1)
 	close(g.gate)
@@ -245,7 +194,7 @@ func TestSingleFlightPanicRetiresFlight(t *testing.T) {
 	}
 	select {
 	case w := <-waiter:
-		if w.err != nil || w.val != 9 || w.src != Computed {
+		if w.err != nil || w.val != 9 || w.hit {
 			t.Errorf("waiter = %+v, want its own computed 9", w)
 		}
 	case <-time.After(5 * time.Second):
@@ -260,12 +209,12 @@ func TestSingleFlightPanicRetiresFlight(t *testing.T) {
 // ctx.Err() while the leader keeps computing and stores its value.
 func TestSingleFlightWaiterCtxEndsWait(t *testing.T) {
 	testutil.LeakCheck(t)
-	c := New[string, int](4)
+	c := new(Table[string, int])
 	g := newGated()
 	leader := make(chan call, 1)
 	go func() {
-		v, src, err := c.GetOrCompute(context.Background(), "k", g.compute(5, nil))
-		leader <- call{v, src, err}
+		v, hit, err := c.GetOrCompute(context.Background(), "k", g.compute(5, nil))
+		leader <- call{v, hit, err}
 	}()
 	<-g.started
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -278,7 +227,7 @@ func TestSingleFlightWaiterCtxEndsWait(t *testing.T) {
 		t.Errorf("waiter err = %v, want DeadlineExceeded", err)
 	}
 	close(g.gate)
-	if l := <-leader; l.err != nil || l.val != 5 || l.src != Computed {
+	if l := <-leader; l.err != nil || l.val != 5 || l.hit {
 		t.Errorf("leader = %+v, want its computed 5", l)
 	}
 	if v, ok := lookup(c, "k"); !ok || v != 5 {

@@ -55,9 +55,9 @@ func TestUnwoundCloneIdentical(t *testing.T) {
 	if c.Alloc == uw.Alloc {
 		t.Fatal("allocator shared between clone and original")
 	}
-	if c.Alloc.NumOps() != uw.Alloc.NumOps() || c.Alloc.NumRegs() != uw.Alloc.NumRegs() {
-		t.Errorf("allocator state diverged: ops %d/%d regs %d/%d",
-			c.Alloc.NumOps(), uw.Alloc.NumOps(), c.Alloc.NumRegs(), uw.Alloc.NumRegs())
+	// The next op ID and register each allocator hands out agree.
+	if co, uo, cr, ur := c.Alloc.OpID(), uw.Alloc.OpID(), c.Alloc.Reg(), uw.Alloc.Reg(); co != uo || cr != ur {
+		t.Errorf("allocator state diverged: next op %d/%d, next reg %d/%d", co, uo, cr, ur)
 	}
 }
 

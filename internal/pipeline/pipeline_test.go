@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/machine"
+	"repro/internal/sim"
 )
 
 func TestUnwindDeterministicNumbering(t *testing.T) {
@@ -254,7 +255,7 @@ func TestInitStateBindsInterface(t *testing.T) {
 	if st.Reg(uw.LiveIn[ir.CounterVar]) != dotLoop().Start {
 		t.Fatal("counter not initialized")
 	}
-	if st.MemAt(uw.Alloc.Array("Z"), 1) != 2 {
+	if st.Mem[sim.Key{Arr: uw.Alloc.Array("Z"), Idx: 1}] != 2 {
 		t.Fatal("array not bound")
 	}
 }

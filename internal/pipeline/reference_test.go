@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -171,9 +172,9 @@ func TestReferenceSharedAcrossResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inits := make([]string, len(ref.runs))
+	inits := make([]*sim.State, len(ref.runs))
 	for i, run := range ref.runs {
-		inits[i] = run.init.Dump()
+		inits[i] = run.init.Clone()
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
@@ -196,7 +197,7 @@ func TestReferenceSharedAcrossResults(t *testing.T) {
 		}
 	}
 	for i, run := range ref.runs {
-		if run.init.Dump() != inits[i] {
+		if !maps.Equal(run.init.Regs, inits[i].Regs) || !maps.Equal(run.init.Mem, inits[i].Mem) {
 			t.Errorf("trip %d: checking wrote into the shared initial state", run.trip)
 		}
 	}

@@ -81,9 +81,7 @@ func (c *Ctx) TryMoveOpUp(op *ir.Op, commit bool, excluding *ir.Op) Block {
 	c.G.MoveOp(op, leaf)
 	c.Moves++
 	if n.Empty() {
-		if c.G.SpliceOutEmpty(n) {
-			c.Splices++
-		}
+		c.G.SpliceOutEmpty(n)
 	}
 	return blockNone
 }

@@ -94,7 +94,6 @@ type Ctx struct {
 	Moves   int // successful move-op steps
 	Hoists  int // successful speculation hoists
 	CJMoves int // successful move-cj steps
-	Splices int // empty nodes removed
 	Renames int // renaming transformations applied
 }
 

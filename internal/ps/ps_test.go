@@ -105,8 +105,9 @@ func TestMoveOpUpAndSplice(t *testing.T) {
 		t.Fatalf("a move: %v, want structure", blk.Kind)
 	}
 	// Only n3 emptied (n2 still holds b after c left).
-	if f.c.Moves != 2 || f.c.Splices != 1 {
-		t.Fatalf("stats: moves=%d splices=%d", f.c.Moves, f.c.Splices)
+	if f.c.Moves != 2 || !f.g.Has(n2) || f.g.Has(n3) {
+		t.Fatalf("moves=%d, n2 kept %v, n3 kept %v; want 2 moves and only n3 spliced",
+			f.c.Moves, f.g.Has(n2), f.g.Has(n3))
 	}
 }
 

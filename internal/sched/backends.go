@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/listsched"
-	"repro/internal/lru"
+	"repro/internal/memo"
 	"repro/internal/modulo"
 	"repro/internal/pipeline"
 	"repro/internal/post"
@@ -69,20 +69,19 @@ func (gripScheduler) Schedule(ctx context.Context, req Request) (*Result, error)
 // phase-1 memo.
 type memoKey struct{}
 
-// WithRunMemo returns ctx carrying a fresh POST phase-1 memo for a run
-// of n requests; the batch engine gives each Run its own. POST requests
-// scheduled under the returned context share phase 1; a request made
-// outside any run computes phase 1 itself. The memo holds at most one
-// entry per request, so it never evicts, and nothing in it outlives the
+// WithRunMemo returns ctx carrying a fresh POST phase-1 memo for a
+// run; the batch engine gives each Run its own. POST requests scheduled
+// under the returned context share phase 1; a request made outside any
+// run computes phase 1 itself. Nothing in the memo outlives the
 // context.
-func WithRunMemo(ctx context.Context, n int) context.Context {
-	return context.WithValue(ctx, memoKey{}, lru.New[string, *pipeline.Result](n))
+func WithRunMemo(ctx context.Context) context.Context {
+	return context.WithValue(ctx, memoKey{}, new(memo.Table[string, *pipeline.Result]))
 }
 
 // runMemo returns the phase-1 memo ctx carries, or nil outside a run.
-func runMemo(ctx context.Context) *lru.Cache[string, *pipeline.Result] {
-	memo, _ := ctx.Value(memoKey{}).(*lru.Cache[string, *pipeline.Result])
-	return memo
+func runMemo(ctx context.Context) *memo.Table[string, *pipeline.Result] {
+	m, _ := ctx.Value(memoKey{}).(*memo.Table[string, *pipeline.Result])
+	return m
 }
 
 // postScheduler is the POST baseline. Its first phase — Perfect
@@ -122,15 +121,15 @@ func (postScheduler) Schedule(ctx context.Context, req Request) (*Result, error)
 // postPhase1 returns a phase-1 result the post-pass may mutate: a deep
 // copy of the run's shared one, or, outside a run, one of its own.
 func postPhase1(ctx context.Context, spec *ir.LoopSpec, p1cfg pipeline.Config) (*pipeline.Result, error) {
-	memo := runMemo(ctx)
-	if memo == nil {
+	phase1s := runMemo(ctx)
+	if phase1s == nil {
 		return pipeline.PerfectPipeline(ctx, spec, p1cfg)
 	}
 	key := spec.Fingerprint() + "|" + p1cfg.Fingerprint()
 	if p1cfg.CrossCheck {
 		key += "|crosscheck"
 	}
-	shared, _, err := memo.GetOrCompute(ctx, key, func() (*pipeline.Result, error) {
+	shared, _, err := phase1s.GetOrCompute(ctx, key, func() (*pipeline.Result, error) {
 		return pipeline.PerfectPipeline(ctx, spec, p1cfg)
 	})
 	if err != nil {

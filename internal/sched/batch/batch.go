@@ -117,7 +117,7 @@ type Options struct {
 // outcomes, not the run error, so one diverging cell doesn't hide the
 // rest.
 func Run(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error) {
-	ctx = sched.WithRunMemo(ctx, len(jobs))
+	ctx = sched.WithRunMemo(ctx)
 	workers := EffectiveParallelism(opts.Parallelism, len(jobs))
 	outcomes := make([]Outcome, len(jobs))
 	var cut atomic.Bool
@@ -213,7 +213,7 @@ func runOne(ctx context.Context, j Job, opts Options, cut *atomic.Bool) Outcome 
 	// checks, which a hit would skip, and CrossCheck is not part of the
 	// key. Neither reads nor writes the cache.
 	if opts.Cache != nil && j.Want == sched.WantMetrics && !j.Config.CrossCheck {
-		out.Result, out.CacheHit, out.Err = opts.Cache.getOrCompute(runCtx, j.Key(), compute)
+		out.Result, out.CacheHit, out.Err = opts.Cache.GetOrCompute(runCtx, j.Key(), compute)
 		if !out.CacheHit {
 			out.Wall = time.Since(start)
 		}

@@ -109,9 +109,6 @@ func TestSingleFlightPanicPropagation(t *testing.T) {
 	if got := panicker.calls.Load() - calls; got != n {
 		t.Errorf("backend ran %d times, want %d (every caller retried into its own panic)", got, n)
 	}
-	if got := batch.Summarize(outs); got.Quarantined != n || got.Failed != n {
-		t.Errorf("Summarize = %+v, want %d quarantined failures", got, n)
-	}
 
 	// Heal the backend: the same key recomputes — the panic was not
 	// cached as a result, and the flight table holds no tombstone.
@@ -126,28 +123,5 @@ func TestSingleFlightPanicPropagation(t *testing.T) {
 	}
 	if panicker.calls.Load() != before+1 {
 		t.Errorf("healed rerun made %d backend calls, want 1", panicker.calls.Load()-before)
-	}
-}
-
-// TestSummarizeClassifiesErrors pins the Stats taxonomy: successes,
-// quarantined panics, cancellations and plain failures.
-func TestSummarizeClassifiesErrors(t *testing.T) {
-	ok := batch.Outcome{Result: &sched.Result{}}
-	outs := []batch.Outcome{
-		ok,
-		ok,
-		ok,
-		{Err: &sched.PanicError{Key: "k", Value: "v"}},
-		{Err: context.Canceled},
-		{Err: context.DeadlineExceeded},
-		{Err: errors.New("plain failure")},
-	}
-	got := batch.Summarize(outs)
-	want := batch.Stats{
-		Jobs: 7, Succeeded: 3, Failed: 4,
-		Quarantined: 1, Cancelled: 2,
-	}
-	if got != want {
-		t.Errorf("Summarize = %+v, want %+v", got, want)
 	}
 }

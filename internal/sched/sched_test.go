@@ -95,7 +95,7 @@ func TestBackendsMatchDirectCalls(t *testing.T) {
 		// Run post outside any run, then twice in one run, so the
 		// unshared path and both the memo-miss and memo-hit paths are
 		// compared against the direct pipeline.
-		runCtx := sched.WithRunMemo(ctx, 2)
+		runCtx := sched.WithRunMemo(ctx)
 		for pass, pctx := range []context.Context{ctx, runCtx, runCtx} {
 			p, err := sched.Schedule(pctx, "post", req(spec, m))
 			if err != nil {

@@ -18,8 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"sort"
-	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/ir"
@@ -63,23 +61,11 @@ func (s *State) Reg(r ir.Reg) int64 { return s.Regs[r] }
 // SetMem writes one memory cell.
 func (s *State) SetMem(arr ir.Array, idx, v int64) { s.Mem[Key{arr, idx}] = v }
 
-// MemAt reads one memory cell (0 if never written).
-func (s *State) MemAt(arr ir.Array, idx int64) int64 { return s.Mem[Key{arr, idx}] }
-
 // SetArray initializes arr[0..len(vals)) from a slice.
 func (s *State) SetArray(arr ir.Array, vals []int64) {
 	for i, v := range vals {
 		s.SetMem(arr, int64(i), v)
 	}
-}
-
-// ReadArray copies arr[0..n) into a slice.
-func (s *State) ReadArray(arr ir.Array, n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = s.MemAt(arr, int64(i))
-	}
-	return out
 }
 
 func (s *State) addr(m ir.MemRef) Key {
@@ -189,31 +175,4 @@ func Equivalent(a, b *State, regs []ir.Reg) error {
 		}
 	}
 	return nil
-}
-
-// Dump renders the state deterministically for debugging.
-func (s *State) Dump() string {
-	var b strings.Builder
-	var regs []int
-	for r := range s.Regs {
-		regs = append(regs, int(r))
-	}
-	sort.Ints(regs)
-	for _, r := range regs {
-		fmt.Fprintf(&b, "r%d=%d ", r, s.Regs[ir.Reg(r)])
-	}
-	var keys []Key
-	for k := range s.Mem {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Arr != keys[j].Arr {
-			return keys[i].Arr < keys[j].Arr
-		}
-		return keys[i].Idx < keys[j].Idx
-	})
-	for _, k := range keys {
-		fmt.Fprintf(&b, "A%d[%d]=%d ", k.Arr, k.Idx, s.Mem[k])
-	}
-	return strings.TrimSpace(b.String())
 }

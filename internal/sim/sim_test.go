@@ -33,7 +33,7 @@ func TestStraightLineExecution(t *testing.T) {
 	if got := res.State.Reg(r3); got != 42 {
 		t.Errorf("r3 = %d, want 42", got)
 	}
-	if got := res.State.MemAt(arr, 3); got != 42 {
+	if got := res.State.Mem[Key{arr, 3}]; got != 42 {
 		t.Errorf("X[3] = %d, want 42", got)
 	}
 }
@@ -87,7 +87,7 @@ func TestParallelStoreLoadSameCell(t *testing.T) {
 	if got := res.State.Reg(r2); got != 4 {
 		t.Errorf("load got %d, want entry value 4", got)
 	}
-	if got := res.State.MemAt(arr, 0); got != 9 {
+	if got := res.State.Mem[Key{arr, 0}]; got != 9 {
 		t.Errorf("X[0] = %d, want 9", got)
 	}
 }
@@ -134,7 +134,7 @@ func TestBranchSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.State.MemAt(arr, 0); got != c.want {
+		if got := res.State.Mem[Key{arr, 0}]; got != c.want {
 			t.Errorf("r1=%d: OUT[0] = %d, want %d", c.r1, got, c.want)
 		}
 	}
@@ -253,18 +253,5 @@ func TestStateCloneIsolation(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDumpDeterminism(t *testing.T) {
-	testutil.LeakCheck(t)
-	s := NewState()
-	s.SetReg(2, 1)
-	s.SetReg(1, 2)
-	s.SetMem(1, 4, 9)
-	s.SetMem(1, 2, 8)
-	want := "r1=2 r2=1 A1[2]=8 A1[4]=9"
-	if got := s.Dump(); got != want {
-		t.Errorf("Dump = %q, want %q", got, want)
 	}
 }
