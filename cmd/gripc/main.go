@@ -6,8 +6,9 @@
 //
 // Usage:
 //
-//	go run ./cmd/gripc -fus 4 [-technique grip|post|modulo|list] [-print] < loop.txt
+//	go run ./cmd/gripc -fus 4 [-technique grip|post|modulo|list] < loop.txt
 //	go run ./cmd/gripc -fus 2,4,8 -technique grip -parallel 4 < loop.txt
+//	go run ./cmd/gripc -fus 4 -technique post -print [-no-opt] < loop.txt
 package main
 
 import (
@@ -22,7 +23,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/pipeline"
-	"repro/internal/post"
 	"repro/internal/sched"
 	"repro/internal/sched/batch"
 	"repro/internal/textir"
@@ -35,8 +35,7 @@ func main() {
 	printRows := flag.Bool("print", false, "print the scheduled rows (grip and post only)")
 	noOpt := flag.Bool("no-opt", false, "disable redundant-operation removal (grip and post only)")
 	unwind := flag.Int("unwind", 0, "fix the unwind factor (0 = automatic ladder)")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
-		"worker count when comparing several widths (batch path only; -print/-no-opt runs are sequential)")
+	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count when comparing several widths")
 	flag.Parse()
 
 	tech := *technique
@@ -50,7 +49,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	cfg := sched.Config{Unwind: *unwind}
+	cfg := sched.Config{Unwind: *unwind, NoOptimize: *noOpt}
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -63,23 +62,21 @@ func main() {
 	}
 	fmt.Printf("loop %s: %d ops/iteration sequential\n", spec.Name, spec.SeqOpsPerIter())
 
-	// The detailed path supports -print and -no-opt, which need
-	// technique-specific configuration and the raw schedule; it runs
-	// each requested width in turn so the flags are never silently
-	// ignored.
-	if *printRows || *noOpt {
-		for _, f := range fus {
-			if err := detailed(spec, tech, f, *unwind, *printRows, *noOpt); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+	// -print and -no-opt report the pipelined schedule itself, which
+	// only the pipelining techniques produce.
+	detailed := *printRows || *noOpt
+	want := sched.WantMetrics
+	if detailed {
+		if tech != "grip" && tech != "post" {
+			fmt.Fprintf(os.Stderr, "-print/-no-opt support only grip and post (got %q)\n", tech)
+			os.Exit(1)
 		}
-		return
+		want = sched.WantRaw
 	}
 
 	var jobs []batch.Job
 	for _, f := range fus {
-		jobs = append(jobs, batch.Job{Technique: tech, Spec: spec, Machine: machine.New(f), Config: cfg})
+		jobs = append(jobs, batch.Job{Technique: tech, Spec: spec, Machine: machine.New(f), Config: cfg, Want: want})
 	}
 	outcomes, err := batch.Run(context.Background(), jobs, batch.Options{Parallelism: *parallel})
 	if err != nil {
@@ -91,6 +88,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%dFU: %v\n", o.Job.Machine.OpSlots, o.Err)
 			os.Exit(1)
 		}
+		if detailed {
+			report(spec, tech, o.Job.Machine.OpSlots, o.Result.Raw().(*pipeline.Result), *printRows)
+			continue
+		}
 		r := o.Result
 		kernel := ""
 		if r.KernelIterSpan > 0 {
@@ -101,40 +102,24 @@ func main() {
 	}
 }
 
-// detailed reproduces the original single-run report with the full
-// schedule and optimization toggle.
-func detailed(spec *ir.LoopSpec, tech string, fus, unwind int, printRows, noOpt bool) error {
-	m := machine.New(fus)
-	cfg := pipeline.DefaultConfig(m)
-	cfg.Optimize = !noOpt
-	cfg.Unwind = unwind
-	var res *pipeline.Result
-	var err error
-	switch tech {
-	case "grip":
-		res, err = pipeline.PerfectPipeline(context.Background(), spec, cfg)
-	case "post":
-		res, err = post.Pipeline(context.Background(), spec, cfg)
-	default:
-		return fmt.Errorf("-print/-no-opt support only grip and post (got %q)", tech)
-	}
-	if err != nil {
-		return err
-	}
+// report prints one width's pipelined schedule: its kernel and rate,
+// the unwind factor and removed-op count, and with rows the scheduled
+// rows themselves.
+func report(spec *ir.LoopSpec, tech string, fus int, res *pipeline.Result, rows bool) {
 	fmt.Printf("%s @%dFU: converged=%v kernel=%v\n", tech, fus, res.Converged, res.Kernel)
 	fmt.Printf("rate: %.3f cycles/iteration, speedup %.2f (unwound %d iterations, %d removed ops)\n",
 		res.CyclesPerIter, res.Speedup, res.U, res.Unwound.Removed())
-	if printRows {
-		name := func(origin int) string {
-			if origin == len(spec.Body) {
-				return "+"
-			}
-			if origin == len(spec.Body)+1 {
-				return "cj"
-			}
-			return fmt.Sprintf("o%d.", origin)
-		}
-		fmt.Print(harness.FigureRows(res.Unwound.G, name, 0))
+	if !rows {
+		return
 	}
-	return nil
+	name := func(origin int) string {
+		if origin == len(spec.Body) {
+			return "+"
+		}
+		if origin == len(spec.Body)+1 {
+			return "cj"
+		}
+		return fmt.Sprintf("o%d.", origin)
+	}
+	fmt.Print(harness.FigureRows(res.Unwound.G, name, 0))
 }

@@ -32,7 +32,7 @@ func TestMigrationStepAllocs(t *testing.T) {
 	ddg := deps.Build(ops)
 	pctx := ps.NewCtx(g, machine.New(4), nil)
 	pctx.D = ddg
-	s := newScheduler(context.Background(), pctx, ops, deps.NewPriority(ddg), Options{MaxSteps: DefaultMaxSteps})
+	s := newScheduler(context.Background(), pctx, ops, deps.NewPriority(ddg), Options{})
 
 	home := n2.Root
 	step := func() {
@@ -128,7 +128,7 @@ func TestGraphAccessorAllocs(t *testing.T) {
 // restore, suspension bookkeeping).
 func TestChooseOpScanAllocs(t *testing.T) {
 	pctx, ops, pri := buildStraightLine(64, 2)
-	s := newScheduler(context.Background(), pctx, ops, pri, Options{MaxSteps: DefaultMaxSteps})
+	s := newScheduler(context.Background(), pctx, ops, pri, Options{})
 	entry := pctx.G.Entry
 	s.bumpGen()
 	s.suspendOp(ops[40])

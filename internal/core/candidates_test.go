@@ -63,7 +63,7 @@ func buildRandomChain(rng *rand.Rand, nNodes int) (*scheduler, []*graph.Node, []
 	pctx := ps.NewCtx(g, machine.New(4), nil)
 	pctx.D = ddg
 	s := newScheduler(context.Background(), pctx, ops, deps.NewPriority(ddg),
-		Options{MaxSteps: DefaultMaxSteps, CrossCheck: true})
+		Options{CrossCheck: true})
 	return s, g.MainChain(), ops
 }
 
@@ -437,7 +437,7 @@ func TestScheduleCrossCheck(t *testing.T) {
 func TestCrossCheckPickDivergencePanics(t *testing.T) {
 	pctx, ops, pri := buildStraightLine(8, 2)
 	s := newScheduler(context.Background(), pctx, ops, pri,
-		Options{MaxSteps: DefaultMaxSteps, CrossCheck: true})
+		Options{CrossCheck: true})
 	defer pctx.G.SetOpHomeHook(s.prevHook)
 	entry := pctx.G.Entry
 	s.bumpGen()
@@ -466,7 +466,7 @@ func TestCrossCheckPickDivergencePanics(t *testing.T) {
 func BenchmarkChooseOp(b *testing.B) {
 	bench := func(b *testing.B, suspend bool) {
 		pctx, ops, pri := buildStraightLine(2048, 8)
-		s := newScheduler(context.Background(), pctx, ops, pri, Options{MaxSteps: DefaultMaxSteps})
+		s := newScheduler(context.Background(), pctx, ops, pri, Options{})
 		entry := pctx.G.Entry
 		s.bumpGen()
 		if suspend {

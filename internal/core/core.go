@@ -44,9 +44,6 @@ type Options struct {
 	// unwound loops never need it; general programs may.
 	Renaming bool
 
-	// MaxSteps bounds total transformation steps as a safety valve.
-	MaxSteps int
-
 	// TraceNode, when set, receives each node as its scheduling starts
 	// together with the current Moveable-ops set in ranked order (used
 	// to print Figure 11-style traces).
@@ -61,8 +58,9 @@ type Options struct {
 	CrossCheck bool
 }
 
-// DefaultMaxSteps bounds transformation work for typical loop sizes.
-const DefaultMaxSteps = 20_000_000
+// maxSteps bounds a run's transformation steps: a non-termination
+// guard.
+const maxSteps = 20_000_000
 
 // Stats reports what happened during scheduling.
 type Stats struct {
@@ -173,7 +171,8 @@ type scheduler struct {
 
 	suspList   []*ir.Op // the suspended ops, in suspension order
 	stats      Stats
-	steps      int
+	steps      int        // migrate's steps so far; the run fails past stepLimit
+	stepLimit  int        // maxSteps; a field so a test can lower it
 	barrierSet bitset.Set // by op index
 	barrierOps int
 
@@ -196,7 +195,9 @@ type scheduler struct {
 }
 
 // Schedule runs GRiP over pctx.G. ops must contain every schedulable
-// operation (branches included); pri ranks them per section 3.4.
+// operation (branches included), each with its position in ops as its
+// dense index (ops[i].Index == i, which deps.Build(ops) assigns); pri
+// ranks them per section 3.4.
 //
 // ctx bounds the computation: the step loop checks it at cheap
 // checkpoints (per scheduled node and per chosen operation) and returns
@@ -205,10 +206,13 @@ type scheduler struct {
 // what lets per-job timeouts in the batch engine stop the work instead
 // of abandoning the goroutine.
 func Schedule(ctx context.Context, pctx *ps.Ctx, ops []*ir.Op, pri *deps.Priority, opts Options) (Stats, error) {
-	if opts.MaxSteps <= 0 {
-		opts.MaxSteps = DefaultMaxSteps
-	}
-	s := newScheduler(ctx, pctx, ops, pri, opts)
+	return newScheduler(ctx, pctx, ops, pri, opts).run()
+}
+
+// run schedules every main-chain node top-down and splices out the
+// empty rows left behind.
+func (s *scheduler) run() (Stats, error) {
+	pctx, opts := s.ctx, s.opts
 	// newScheduler registered the candidate structure's op-home hook on
 	// the graph; restore the previous one on return (graphs outlive a
 	// scheduling run).
@@ -231,7 +235,7 @@ func Schedule(ctx context.Context, pctx *ps.Ctx, ops []*ir.Op, pri *deps.Priorit
 		if n.Drain {
 			break // drains hang off the main chain and are never scheduled
 		}
-		if err := ctx.Err(); err != nil {
+		if err := s.goctx.Err(); err != nil {
 			return s.stats, fmt.Errorf("core: schedule interrupted: %w", err)
 		}
 		if err := s.scheduleNode(n); err != nil {
@@ -257,15 +261,16 @@ func Schedule(ctx context.Context, pctx *ps.Ctx, ops []*ir.Op, pri *deps.Priorit
 	return s.stats, nil
 }
 
-// newScheduler sizes every index-addressed structure and ranks the
-// schedulable operations.
+// newScheduler sizes every index-addressed structure by len(ops) and
+// ranks the schedulable operations.
 func newScheduler(ctx context.Context, pctx *ps.Ctx, ops []*ir.Op, pri *deps.Priority, opts Options) *scheduler {
-	n := ensureIndices(ops)
+	n := len(ops)
 	s := &scheduler{
 		goctx:      ctx,
 		ctx:        pctx,
 		pri:        pri,
 		opts:       opts,
+		stepLimit:  maxSteps,
 		barrierSet: bitset.New(n),
 		suspList:   make([]*ir.Op, 0, n),
 	}
@@ -298,41 +303,6 @@ func newScheduler(ctx context.Context, pctx *ps.Ctx, ops []*ir.Op, pri *deps.Pri
 	return s
 }
 
-// ensureIndices returns the size of the dense index space the ops live
-// in. The normal path is a no-op scan: deps.Build already assigned
-// every op a distinct index. Callers that hand-build op lists without a
-// DDG get positional indices assigned here so the bitsets stay sound.
-func ensureIndices(ops []*ir.Op) int {
-	max := -1
-	valid := true
-	for _, op := range ops {
-		if op.Index < 0 {
-			valid = false
-			break
-		}
-		if op.Index > max {
-			max = op.Index
-		}
-	}
-	if valid && max >= 0 {
-		seen := bitset.New(max + 1)
-		for _, op := range ops {
-			if seen.Has(op.Index) {
-				valid = false
-				break
-			}
-			seen.Add(op.Index)
-		}
-	}
-	if valid {
-		return max + 1
-	}
-	for i, op := range ops {
-		op.Index = i
-	}
-	return len(ops)
-}
-
 // scheduleNode is the procedure of Figure 10 (and Figure 12 when gap
 // prevention is on): repeatedly choose the best moveable op and migrate
 // it toward n until resources run out or nothing can move.
@@ -342,8 +312,8 @@ func (s *scheduler) scheduleNode(n *graph.Node) error {
 		s.opts.TraceNode(n, s.MoveableSet(n))
 	}
 	for {
-		if s.steps > s.opts.MaxSteps {
-			return fmt.Errorf("core: exceeded %d steps (non-termination guard)", s.opts.MaxSteps)
+		if s.steps > s.stepLimit {
+			return fmt.Errorf("core: exceeded %d steps (non-termination guard)", s.stepLimit)
 		}
 		// One checkpoint per chosen operation: each round below performs
 		// a full migration (many ps steps), so this stays off the inner
@@ -532,7 +502,7 @@ func (s *scheduler) migrate(n *graph.Node, op *ir.Op) {
 	progressed := false
 	for g.NodeOf(op) != n {
 		s.steps++
-		if s.steps > s.opts.MaxSteps {
+		if s.steps > s.stepLimit {
 			return
 		}
 		v := g.Where(op)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/deps"
@@ -161,9 +162,18 @@ func TestTraceNodeCallback(t *testing.T) {
 	}
 }
 
+// TestMaxStepsGuard lowers the step limit of a scheduler built as
+// Schedule builds it and requires the non-termination guard to stop the
+// run with its error.
 func TestMaxStepsGuard(t *testing.T) {
 	ctx, ops, pri := buildStraightLine(20, 4)
-	if _, err := Schedule(context.Background(), ctx, ops, pri, Options{MaxSteps: 1}); err == nil {
-		t.Fatal("expected step-guard error")
+	s := newScheduler(context.Background(), ctx, ops, pri, Options{})
+	if s.stepLimit != maxSteps {
+		t.Fatalf("newScheduler set step limit %d, want %d", s.stepLimit, maxSteps)
+	}
+	s.stepLimit = 1
+	_, err := s.run()
+	if err == nil || !strings.Contains(err.Error(), "exceeded 1 steps") {
+		t.Fatalf("got error %v, want the step-guard error", err)
 	}
 }

@@ -13,9 +13,6 @@ import (
 // structure (checkCandidates, park lists included) on the state it
 // stops in, for the external benchmarks.
 func AuditAfter(pctx *ps.Ctx, ops []*ir.Op, pri *deps.Priority, opts Options, nodes int) (func() error, error) {
-	if opts.MaxSteps <= 0 {
-		opts.MaxSteps = DefaultMaxSteps
-	}
 	s := newScheduler(context.Background(), pctx, ops, pri, opts)
 	for n := pctx.G.Entry; nodes > 0 && n != nil && !n.Drain; nodes-- {
 		if err := s.scheduleNode(n); err != nil {

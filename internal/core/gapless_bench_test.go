@@ -35,7 +35,7 @@ func buildIterChain(nNodes, iters, fus int) (*ps.Ctx, *scheduler, []*ir.Op) {
 	ddg := deps.Build(ops)
 	pctx := ps.NewCtx(g, machine.New(fus), nil)
 	pctx.D = ddg
-	s := newScheduler(context.Background(), pctx, ops, deps.NewPriority(ddg), Options{GapPrevention: true, MaxSteps: DefaultMaxSteps})
+	s := newScheduler(context.Background(), pctx, ops, deps.NewPriority(ddg), Options{GapPrevention: true})
 	return pctx, s, ops
 }
 
@@ -90,7 +90,7 @@ func BenchmarkCondFourSearch(b *testing.B) {
 	ddg := deps.Build(ops)
 	pctx := ps.NewCtx(g, machine.New(4), nil)
 	pctx.D = ddg
-	s := newScheduler(context.Background(), pctx, ops, deps.NewPriority(ddg), Options{GapPrevention: true, MaxSteps: DefaultMaxSteps})
+	s := newScheduler(context.Background(), pctx, ops, deps.NewPriority(ddg), Options{GapPrevention: true})
 
 	head := ops[0]
 	from := g.NodeOf(head)

@@ -115,7 +115,7 @@ func (r *parkRig) build(fus int, gap bool, rows ...[]*ir.Op) {
 	}
 	ddg := deps.Build(r.ops)
 	r.s = newScheduler(context.Background(), ps.NewCtx(g, m, nil), r.ops, deps.NewPriority(ddg),
-		Options{GapPrevention: gap, MaxSteps: DefaultMaxSteps, CrossCheck: true})
+		Options{GapPrevention: gap, CrossCheck: true})
 	r.t.Cleanup(func() { g.SetOpHomeHook(r.s.prevHook) })
 	r.s.startNode(r.nodes[0])
 }

@@ -20,13 +20,10 @@ import (
 // copies cheap.
 //
 // The returned slice maps original op IDs to their clones (nil for IDs
-// not placed in this graph); it is sized by the largest placed ID, so
-// callers holding external op lists (e.g. pipeline.Unwound.Ops)
-// bounds-check before re-pointing them at the copies.
+// not placed in this graph), sized by the largest placed ID, so a
+// caller holding an external list of placed ops (pipeline.Unwound.Ops)
+// re-points it at the copies.
 func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
-	if alloc == nil {
-		alloc = g.Alloc
-	}
 	ng := &Graph{
 		Alloc:      alloc,
 		Label:      g.Label,

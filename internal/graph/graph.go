@@ -45,9 +45,6 @@ type Graph struct {
 
 // New returns an empty graph sharing the given allocator.
 func New(alloc *ir.Alloc) *Graph {
-	if alloc == nil {
-		alloc = ir.NewAlloc()
-	}
 	return &Graph{
 		Alloc: alloc,
 		nodes: make(map[*Node]bool),
@@ -123,8 +120,8 @@ func (g *Graph) BeginVisit() uint64 {
 }
 
 // NewNode creates a node whose tree is a single leaf with no successor.
-// Its position key places it after every existing node; use SetPos or
-// PlaceBetween when inserting mid-chain.
+// Its position key places it after every existing node; SetPos and
+// InsertBefore key nodes mid-chain.
 func (g *Graph) NewNode() *Node {
 	g.nextNodeID++
 	g.maxPos++
@@ -142,23 +139,6 @@ func (g *Graph) SetPos(n *Node, pos float64) {
 	n.pos = pos
 	if pos > g.maxPos {
 		g.maxPos = pos
-	}
-	g.bump()
-}
-
-// PlaceBetween keys n halfway between a and b (either may be nil for
-// "before everything" / "after everything").
-func (g *Graph) PlaceBetween(n, a, b *Node) {
-	switch {
-	case a == nil && b == nil:
-		g.maxPos++
-		n.pos = g.maxPos
-	case a == nil:
-		n.pos = b.pos - 1
-	case b == nil:
-		g.SetPos(n, a.pos+1)
-	default:
-		n.pos = (a.pos + b.pos) / 2
 	}
 	g.bump()
 }
@@ -391,16 +371,16 @@ func (g *Graph) HoistOp(op *ir.Op) {
 
 // SpliceOutEmpty removes an empty single-leaf node from the graph,
 // redirecting its incoming edge to its fall-through successor. The
-// entry pointer is updated if needed. It reports whether the splice
-// happened.
-func (g *Graph) SpliceOutEmpty(n *Node) bool {
+// entry pointer is updated if needed. A node that holds operations or
+// loops to itself stays.
+func (g *Graph) SpliceOutEmpty(n *Node) {
 	if !n.Empty() {
-		return false
+		return
 	}
 	leaf := n.Root // empty ⇒ branch-free ⇒ the root is the only leaf
 	succ := leaf.Succ
 	if succ == n { // self-loop; cannot splice
-		return false
+		return
 	}
 	// Clear n's own edge first, so the leaf into n can become succ's
 	// one incoming edge.
@@ -413,18 +393,23 @@ func (g *Graph) SpliceOutEmpty(n *Node) bool {
 	}
 	delete(g.nodes, n)
 	g.bump()
-	return true
 }
 
 // InsertBefore creates a fresh empty node in front of n: n's incoming
 // edge is redirected to the new node, whose single leaf falls through
-// to n, and the new node's position key lies between n's predecessor
-// and n. Entry is updated if n was the entry. Used for the paper's
-// "empty instructions at the beginning of the program" mitigation and
-// by the POST node-breaking pass.
+// to n, and the new node's position key lies halfway between n's
+// predecessor and n, or one below n's when n has none. Entry is updated
+// if n was the entry. Used for the paper's "empty instructions at the
+// beginning of the program" mitigation and by the POST node-breaking
+// pass.
 func (g *Graph) InsertBefore(n *Node) *Node {
 	nn := g.NewNode()
-	g.PlaceBetween(nn, n.Pred(), n)
+	if p := n.Pred(); p != nil {
+		nn.pos = (p.pos + n.pos) / 2
+	} else {
+		nn.pos = n.pos - 1
+	}
+	g.bump()
 	if in := n.in; in != nil {
 		g.RetargetLeaf(in, nn)
 	}

@@ -118,8 +118,9 @@ func TestMoveOpBetweenVertices(t *testing.T) {
 		t.Fatal("op count wrong after move")
 	}
 	// n4 is now empty; splice it out.
-	if !g.SpliceOutEmpty(ns[3]) {
-		t.Fatal("SpliceOutEmpty failed")
+	g.SpliceOutEmpty(ns[3])
+	if g.Has(ns[3]) {
+		t.Fatal("SpliceOutEmpty left the empty node in the graph")
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate after splice: %v", err)
@@ -152,12 +153,18 @@ func TestInsertBefore(t *testing.T) {
 	if pre.Root.Succ != ns[0] {
 		t.Fatal("prelude does not fall through to old entry")
 	}
+	if pre.Pos() >= ns[0].Pos() {
+		t.Fatalf("prelude keyed at %v, not before the old entry's %v", pre.Pos(), ns[0].Pos())
+	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	mid := g.InsertBefore(ns[1])
 	if ns[1].Pred() != mid || mid.Pred() != ns[0] {
 		t.Fatal("mid insertion edges wrong")
+	}
+	if !(ns[0].Pos() < mid.Pos() && mid.Pos() < ns[1].Pos()) {
+		t.Fatalf("mid node keyed at %v, not strictly between %v and %v", mid.Pos(), ns[0].Pos(), ns[1].Pos())
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)

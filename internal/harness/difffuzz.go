@@ -525,40 +525,3 @@ func WriteArtifacts(dir string, f *SweepFailure) error {
 	}
 	return os.WriteFile(filepath.Join(dir, name+".err.txt"), []byte(errs.String()), 0o644)
 }
-
-// CorpusResult is one replayed regression-corpus entry.
-type CorpusResult struct {
-	File    string
-	Verdict *LoopVerdict
-}
-
-// ReplayCorpus parses every *.loop file under dir (sorted, so replay
-// order is stable) and judges each with CheckLoop. Corpus entries are
-// regressions that have been fixed, so a green replay means every
-// verdict passes; the caller checks the verdicts. The returned error is
-// infrastructural: unreadable file, parse failure, cancelled context.
-func ReplayCorpus(ctx context.Context, dir string, opts FuzzOptions) ([]CorpusResult, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.loop"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(paths)
-	var results []CorpusResult
-	for _, path := range paths {
-		file, err := os.Open(path)
-		if err != nil {
-			return results, err
-		}
-		spec, err := textir.Parse(file)
-		file.Close()
-		if err != nil {
-			return results, fmt.Errorf("%s: %w", path, err)
-		}
-		v, err := CheckLoop(ctx, spec, opts)
-		if err != nil {
-			return results, fmt.Errorf("%s: %w", path, err)
-		}
-		results = append(results, CorpusResult{File: path, Verdict: v})
-	}
-	return results, nil
-}

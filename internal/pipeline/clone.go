@@ -4,12 +4,14 @@ import (
 	"repro/internal/ir"
 )
 
-// Clone deep-copies the unwound program: the allocator, the operation
-// list, and (when built) the scheduled graph. The clone is fully
-// independent — transformations applied to it allocate the same IDs and
-// produce the same schedules as if they had been applied to the
-// original, so a scheduling phase computed once can be reused as the
-// starting point of several mutating post-passes (POST's phase 1).
+// Clone deep-copies the built unwound program: the allocator, the
+// scheduled graph, and the operation list, re-pointed at the graph's
+// copies (BuildGraph places every op of Ops, and scheduling moves ops
+// without removing them). The clone is fully independent —
+// transformations applied to it allocate the same IDs and produce the
+// same schedules as if they had been applied to the original, so a
+// scheduling phase computed once can be reused as the starting point of
+// several mutating post-passes (POST's phase 1).
 func (u *Unwound) Clone() *Unwound {
 	c := &Unwound{
 		Spec:         u.Spec,
@@ -33,24 +35,11 @@ func (u *Unwound) Clone() *Unwound {
 	for _, snap := range u.epilogues {
 		c.epilogues = append(c.epilogues, append([]ir.Reg(nil), snap...))
 	}
-	if u.G == nil {
-		for _, op := range u.Ops {
-			d := *op
-			c.Ops = append(c.Ops, &d)
-		}
-		return c
-	}
 	g, byID := u.G.Clone(c.Alloc)
 	c.G = g
-	c.Ops = make([]*ir.Op, 0, len(u.Ops))
-	for _, op := range u.Ops {
-		if op.ID < len(byID) && byID[op.ID] != nil {
-			c.Ops = append(c.Ops, byID[op.ID])
-			continue
-		}
-		// Ops removed from the graph by optimization keep plain copies.
-		d := *op
-		c.Ops = append(c.Ops, &d)
+	c.Ops = make([]*ir.Op, len(u.Ops))
+	for i, op := range u.Ops {
+		c.Ops[i] = byID[op.ID]
 	}
 	return c
 }

@@ -25,8 +25,9 @@ func cloneTestLoop() *ir.LoopSpec {
 
 // TestUnwoundCloneIdentical deep-clones a scheduled pipeline and
 // requires the copy to be structurally indistinguishable: same graph
-// rendering, valid invariants, same op list, and an allocator that
-// continues from the same point.
+// rendering, valid invariants, the same op list with every op placed in
+// the cloned graph, and an allocator that continues from the same
+// point.
 func TestUnwoundCloneIdentical(t *testing.T) {
 	res, err := PerfectPipeline(context.Background(), cloneTestLoop(), DefaultConfig(machine.New(2)))
 	if err != nil {
@@ -47,6 +48,9 @@ func TestUnwoundCloneIdentical(t *testing.T) {
 	for i := range c.Ops {
 		if c.Ops[i] == uw.Ops[i] {
 			t.Fatalf("op %d is shared, not cloned", i)
+		}
+		if c.Ops[i] == nil || c.G.NodeOf(c.Ops[i]) == nil {
+			t.Fatalf("op %d (%s) is not placed in the cloned graph", i, uw.Ops[i])
 		}
 		if c.Ops[i].String() != uw.Ops[i].String() {
 			t.Errorf("op %d differs: %s != %s", i, c.Ops[i], uw.Ops[i])

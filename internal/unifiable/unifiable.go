@@ -26,7 +26,6 @@ import (
 
 // Options control the scheduler.
 type Options struct {
-	MaxSteps int
 	// TraceNode receives each node with its Unifiable-ops set (the
 	// Figure 8 trace).
 	TraceNode func(n *graph.Node, unifiable []*ir.Op)
@@ -45,7 +44,8 @@ type Stats struct {
 	Anomalies int
 }
 
-const defaultMaxSteps = 2_000_000
+// maxSteps bounds a run's migration steps, a non-termination guard.
+const maxSteps = 2_000_000
 
 type sched struct {
 	ctx   *ps.Ctx
@@ -59,9 +59,6 @@ type sched struct {
 // Schedule fills each node top-down with its best unifiable operations
 // (Figure 7).
 func Schedule(ctx *ps.Ctx, ops []*ir.Op, pri *deps.Priority, opts Options) (Stats, error) {
-	if opts.MaxSteps <= 0 {
-		opts.MaxSteps = defaultMaxSteps
-	}
 	inner := *ctx
 	inner.M = machine.Infinite().WithBranchSlots(ctx.M.BranchSlots)
 	s := &sched{ctx: ctx, inner: &inner, pri: pri, opts: opts}
@@ -87,8 +84,8 @@ func Schedule(ctx *ps.Ctx, ops []*ir.Op, pri *deps.Priority, opts Options) (Stat
 
 func (s *sched) scheduleNode(n *graph.Node, ops []*ir.Op) error {
 	for {
-		if s.steps > s.opts.MaxSteps {
-			return fmt.Errorf("unifiable: exceeded %d steps", s.opts.MaxSteps)
+		if s.steps > maxSteps {
+			return fmt.Errorf("unifiable: exceeded %d steps", maxSteps)
 		}
 		opRoom := s.ctx.M.FitsOps(n.OpCount() + 1)
 		brRoom := s.ctx.M.FitsBranches(n.BranchCount() + 1)
@@ -198,7 +195,7 @@ func (s *sched) migrate(n *graph.Node, op *ir.Op) bool {
 	g := s.ctx.G
 	for g.NodeOf(op) != n {
 		s.steps++
-		if s.steps > s.opts.MaxSteps {
+		if s.steps > maxSteps {
 			return false
 		}
 		ctx := s.inner
