@@ -15,7 +15,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"repro/internal/harness"
 )
@@ -25,35 +27,37 @@ func main() {
 	fus := flag.Int("fus", 3, "functional units for the trace figures")
 	flag.Parse()
 
-	w := os.Stdout
+	if err := render(os.Stdout, *fig, *fus); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// render writes figure fig ("all" for every one) to w, with fus
+// functional units for the trace figures, and stops at the first error.
+func render(w io.Writer, fig string, fus int) error {
+	var err error
 	run := func(names []string, title string, f func() error) {
-		match := *fig == "all"
-		for _, n := range names {
-			if *fig == n {
-				match = true
-			}
-		}
-		if !match {
+		if err != nil || (fig != "all" && !slices.Contains(names, fig)) {
 			return
 		}
 		fmt.Fprintf(w, "==== %s ====\n", title)
-		if err := f(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err = f(); err == nil {
+			fmt.Fprintln(w)
 		}
-		fmt.Fprintln(w)
 	}
 
 	run([]string{"1", "2", "3"}, "Figures 1-3 (model & core transformations)",
 		func() error { return harness.Figure123(w) })
 	run([]string{"5", "6"}, "Figures 5-6 (simple vs perfect pipelining)",
-		func() error { return harness.Figure56(w, *fus) })
+		func() error { return harness.Figure56(w, fus) })
 	run([]string{"8", "11"}, "Figures 8 & 11 (Unifiable-ops vs Moveable-ops traces)",
-		func() error { return harness.Figure8And11(w, *fus) })
+		func() error { return harness.Figure8And11(w, fus) })
 	run([]string{"9"}, "Figure 9 (gaps without prevention)",
 		func() error { _, err := harness.Figure9(w); return err })
 	run([]string{"13"}, "Figure 13 (gapless convergence)",
 		func() error { _, err := harness.Figure13(w); return err })
 	run([]string{"intro"}, "Section 1 example (GRiP vs modulo)",
 		func() error { _, _, err := harness.IntroExample(w); return err })
+	return err
 }

@@ -199,12 +199,11 @@ type scheduler struct {
 // dense index (ops[i].Index == i, which deps.Build(ops) assigns); pri
 // ranks them per section 3.4.
 //
-// ctx bounds the computation: the step loop checks it at cheap
-// checkpoints (per scheduled node and per chosen operation) and returns
-// ctx.Err() — wrapped so errors.Is sees context.Canceled or
-// context.DeadlineExceeded — abandoning the partial schedule. This is
-// what lets per-job timeouts in the batch engine stop the work instead
-// of abandoning the goroutine.
+// ctx bounds the computation: the step loop checks it before each pick,
+// so at least once per scheduled node, and returns ctx.Err() — wrapped
+// so errors.Is sees context.Canceled or context.DeadlineExceeded —
+// abandoning the partial schedule. This is what lets per-job timeouts in
+// the batch engine stop the work instead of abandoning the goroutine.
 func Schedule(ctx context.Context, pctx *ps.Ctx, ops []*ir.Op, pri *deps.Priority, opts Options) (Stats, error) {
 	return newScheduler(ctx, pctx, ops, pri, opts).run()
 }
@@ -234,9 +233,6 @@ func (s *scheduler) run() (Stats, error) {
 	for n := g.Entry; n != nil; {
 		if n.Drain {
 			break // drains hang off the main chain and are never scheduled
-		}
-		if err := s.goctx.Err(); err != nil {
-			return s.stats, fmt.Errorf("core: schedule interrupted: %w", err)
 		}
 		if err := s.scheduleNode(n); err != nil {
 			return s.stats, err
@@ -492,11 +488,13 @@ func (s *scheduler) clearSuspensions() {
 }
 
 // migrate implements Figure 12's migrate: move op upward one edge at a
-// time until it reaches n or is blocked. Node-leaving moves are guarded
-// by the Gapless-move test when gap prevention is on; a rejected move
-// suspends the op (rule 1). After any successful move while suspensions
-// exist, migration stops early so the scheduler re-ranks with the
-// unsuspended operations (rule 2).
+// time until it reaches n or is blocked. Each step is ps.StepUp, or
+// under Options.Renaming the renaming move-op for a non-branch op at its
+// node's root. Node-leaving moves are guarded by the Gapless-move test
+// when gap prevention is on; a rejected move suspends the op (rule 1).
+// After any successful move while suspensions exist, migration stops
+// early so the scheduler re-ranks with the unsuspended operations (rule
+// 2).
 func (s *scheduler) migrate(n *graph.Node, op *ir.Op) {
 	g := s.ctx.G
 	progressed := false
@@ -510,7 +508,6 @@ func (s *scheduler) migrate(n *graph.Node, op *ir.Op) {
 
 		wasFull := !s.ctx.M.FitsOps(cur.OpCount() + 1)
 
-		var blk ps.Block
 		hoisting := !op.IsBranch() && v != cur.Root
 		if !hoisting && s.opts.GapPrevention && op.Iter != ir.NoIter {
 			if !s.gaplessMove(cur, op) {
@@ -519,17 +516,11 @@ func (s *scheduler) migrate(n *graph.Node, op *ir.Op) {
 				return
 			}
 		}
-		switch {
-		case hoisting:
-			blk = s.ctx.TryHoist(op, true)
-		case op.IsBranch():
-			blk = s.ctx.TryMoveCJUp(op, true)
-		default:
-			if s.opts.Renaming {
-				blk = s.ctx.TryMoveOpUpRenamed(op)
-			} else {
-				blk = s.ctx.TryMoveOpUp(op, true, nil)
-			}
+		var blk ps.Block
+		if s.opts.Renaming && !hoisting && !op.IsBranch() {
+			blk = s.ctx.TryMoveOpUpRenamed(op)
+		} else {
+			blk = s.ctx.StepUp(op)
 		}
 
 		if blk.Kind != ps.BlockNone {

@@ -177,3 +177,16 @@ func TestMaxStepsGuard(t *testing.T) {
 		t.Fatalf("got error %v, want the step-guard error", err)
 	}
 }
+
+// TestGaplessMoveDeepFillerChain pins that the Gapless-move test has no
+// depth bound: on filler chains deeper than any Livermore or fuzz
+// iteration, the head op's move is proved gapless through condition 4
+// at every node, as section 3.3 defines it.
+func TestGaplessMoveDeepFillerChain(t *testing.T) {
+	for _, n := range []int{66, 100} {
+		s, g, head := buildFillerChain(n)
+		if !s.gaplessMove(g.NodeOf(head), head) {
+			t.Errorf("%d-node chain: Gapless-move of the head op = false, want true", n)
+		}
+	}
+}

@@ -6,11 +6,6 @@ import (
 	"repro/internal/ps"
 )
 
-// maxGaplessDepth bounds the condition-4 recursion. The paper notes the
-// search "is likely to be very localized"; the bound is a safety valve,
-// and exceeding it conservatively reports "might gap" (suspension).
-const maxGaplessDepth = 64
-
 // memoEntry is one generation-stamped gapMemo slot for a Gapless-move
 // verdict. The stamp is the graph mutation counter (graph.Version):
 // probes never mutate the graph, so every verdict computed at one
@@ -44,107 +39,77 @@ func (e memoEntry) holds() bool { return uint64(e)&3 == 1 }
 //     iteration that would be moveable from S into from once op has
 //     left, and Gapless-move(S, from, X) holds recursively — the
 //     temporary gap op leaves is certain to be fillable.
+//
+// Every caller passes a pool op (op.Index addresses gapMemo) and its
+// home node as from, so the verdict is a function of op and the graph
+// and is memoized by op index under the graph version. The recursion
+// ends: each level moves to a strictly lower node (a successor; every
+// node has one incoming edge, so no path revisits one) and so to a
+// different op of the same iteration, and the memo evaluates each op at
+// most once per graph version.
 func (s *scheduler) gaplessMove(from *graph.Node, op *ir.Op) bool {
-	ok, _ := s.gapless(from, op, 0)
+	ver := s.ctx.G.Version()
+	if e := s.gapMemo[op.Index]; e != 0 && e.ver() == ver {
+		return e.holds()
+	}
+	ok := s.gaplessEval(from, op)
+	s.gapMemo[op.Index] = makeMemoEntry(ver, ok)
 	return ok
 }
 
-// gapless returns the Gapless-move verdict for op leaving its home node
-// from, plus whether the verdict is exact. A false obtained only
-// because the recursion budget ran out is inexact: a shallower entry
-// point could still prove the move gapless, so such verdicts are never
-// memoized. True verdicts and budget-untouched false verdicts are
-// depth-independent and cache under the current graph version, which
-// stops the recursive search from re-proving the same (node, op)
-// subproblem — from is always op's home, so the op index alone keys it.
-func (s *scheduler) gapless(from *graph.Node, op *ir.Op, depth int) (bool, bool) {
-	if depth > maxGaplessDepth {
-		return false, false
-	}
-	g := s.ctx.G
-	idx := op.Index
-	memoable := idx >= 0 && idx < len(s.gapMemo) && g.NodeOf(op) == from
-	if memoable {
-		if e := s.gapMemo[idx]; e != 0 && e.ver() == g.Version() {
-			return e.holds(), true
-		}
-	}
-	ok, exact := s.gaplessEval(from, op, depth)
-	if memoable && (exact || ok) {
-		s.gapMemo[idx] = makeMemoEntry(g.Version(), ok)
-	}
-	return ok, exact || ok
-}
-
-func (s *scheduler) gaplessEval(from *graph.Node, op *ir.Op, depth int) (bool, bool) {
+func (s *scheduler) gaplessEval(from *graph.Node, op *ir.Op) bool {
 	// Condition 1.
 	if from.OpCount()+from.BranchCount() == 1 {
-		return true, true
+		return true
 	}
 	// Condition 2.
 	if from.IterCount(op.Iter) >= 2 {
-		return true, true
+		return true
 	}
 	// Condition 3.
 	if s.isLastOfIter(from, op) {
-		return true, true
+		return true
 	}
 	// Condition 4.
-	found, exact := false, true
+	found := false
 	from.VisitSuccessors(func(succ *graph.Node) bool {
-		if succ.Drain {
+		if succ.Drain || !s.findFiller(succ, op) {
 			return true
 		}
-		ok, ex := s.findFiller(succ, op, depth)
-		if ok {
-			found = true
-			return false
-		}
-		if !ex {
-			exact = false
-		}
-		return true
+		found = true
+		return false
 	})
-	return found, exact || found
+	return found
 }
 
 // findFiller looks in succ for an op X of op's iteration that can fill
 // the gap op would leave behind. Instead of walking succ's instruction
 // tree it scans the per-iteration op list behind an O(1) IterCount gate
 // — the gapless search is localized, and an iteration holds only a
-// body's worth of operations. Returns (found, exact) like gapless.
-func (s *scheduler) findFiller(succ *graph.Node, op *ir.Op, depth int) (bool, bool) {
+// body's worth of operations.
+func (s *scheduler) findFiller(succ *graph.Node, op *ir.Op) bool {
 	if succ.IterCount(op.Iter) == 0 {
-		return false, true
+		return false
 	}
 	g := s.ctx.G
-	exact := true
 	for _, x := range s.byIter[op.Iter+1] {
 		if x == op || x.Frozen || g.NodeOf(x) != succ {
 			continue
 		}
-		if !s.canFill(x, op) {
-			continue
-		}
-		ok, ex := s.gapless(succ, x, depth+1)
-		if ok {
-			return true, true
-		}
-		if !ex {
-			exact = false
+		if s.canFill(x, op) && s.gaplessMove(succ, x) {
+			return true
 		}
 	}
-	return false, exact
+	return false
 }
 
 // canFill reports whether x could move one node up, assuming `leaving`
 // has already vacated the target. It is not memoized: findFiller only
-// probes (x, leaving) from inside gaplessEval(from, leaving), which
-// gapMemo caches per leaving op and graph version, so a pair recurs
-// within one version only after an uncacheable depth-limited verdict
-// (DESIGN.md §2.2). An x buried under a branch inside its node is
-// treated as fillable when it can hoist (it will surface and then
-// move); this slight optimism is documented in DESIGN.md §2.1.
+// probes (x, leaving) from inside gaplessEval(from, leaving), which runs
+// once per leaving op and graph version (DESIGN.md §2.2). An x buried
+// under a branch inside its node is treated as fillable when it can
+// hoist (it will surface and then move); this slight optimism is
+// documented in DESIGN.md §2.1.
 func (s *scheduler) canFill(x, leaving *ir.Op) bool {
 	return s.ctx.CanStepUp(x, leaving).Kind == ps.BlockNone
 }

@@ -67,20 +67,17 @@ func BenchmarkGaplessMove(b *testing.B) {
 	}
 }
 
-// BenchmarkCondFourSearch measures the deep condition-4 recursion: a
-// chain where every node holds exactly one op of iteration 0 plus one
-// of another iteration, so proving the head op's move gapless requires
-// descending the whole filler chain. The graph is left unmutated, so
-// after the first probe the generation-stamped memo answers in O(1) —
-// this benchmark pins the memoized steady state the recursive search
-// relies on within one migration step.
-func BenchmarkCondFourSearch(b *testing.B) {
+// buildFillerChain builds a chain of n two-wide nodes, node j holding
+// one op of iteration 0 and one of iteration 1, so proving the head op's
+// move gapless requires descending the whole filler chain: condition 4
+// at every node but the last, where the iteration-0 op is the last of
+// its iteration.
+func buildFillerChain(n int) (*scheduler, *graph.Graph, *ir.Op) {
 	al := ir.NewAlloc()
 	g := graph.New(al)
 	var ops []*ir.Op
 	var tail *graph.Node
-	const depth = 24
-	for j := 0; j < depth; j++ {
+	for j := 0; j < n; j++ {
 		x := &ir.Op{ID: al.OpID(), Origin: 2 * j, Iter: 0, Kind: ir.Const, Dst: al.Reg(), Imm: int64(j)}
 		y := &ir.Op{ID: al.OpID(), Origin: 2*j + 1, Iter: 1, Kind: ir.Const, Dst: al.Reg(), Imm: int64(j)}
 		tail = graph.AppendOp(g, tail, x)
@@ -91,8 +88,16 @@ func BenchmarkCondFourSearch(b *testing.B) {
 	pctx := ps.NewCtx(g, machine.New(4), nil)
 	pctx.D = ddg
 	s := newScheduler(context.Background(), pctx, ops, deps.NewPriority(ddg), Options{GapPrevention: true})
+	return s, g, ops[0]
+}
 
-	head := ops[0]
+// BenchmarkCondFourSearch measures the deep condition-4 recursion on a
+// 24-node filler chain. The graph is left unmutated, so after the first
+// probe the generation-stamped memo answers in O(1) — this benchmark
+// pins the memoized steady state the recursive search relies on within
+// one migration step.
+func BenchmarkCondFourSearch(b *testing.B) {
+	s, g, head := buildFillerChain(24)
 	from := g.NodeOf(head)
 	if !s.gaplessMove(from, head) {
 		b.Fatal("benchmark scenario: chain should prove gapless")

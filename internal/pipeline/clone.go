@@ -53,8 +53,6 @@ func (r *Result) Clone() *Result {
 		k := *r.Kernel
 		c.Kernel = &k
 	}
-	if r.Unwound != nil {
-		c.Unwound = r.Unwound.Clone()
-	}
+	c.Unwound = r.Unwound.Clone()
 	return &c
 }

@@ -130,15 +130,23 @@ func PerfectPipeline(ctx context.Context, spec *ir.LoopSpec, cfg Config) (*Resul
 			factors = append(factors, u)
 		}
 	}
+	opts := core.Options{
+		GapPrevention: cfg.GapPrevention,
+		EmptyPrelude:  cfg.EmptyPrelude,
+		Renaming:      cfg.Renaming,
+		TraceNode:     cfg.TraceNode,
+		CrossCheck:    cfg.CrossCheck,
+	}
 	var last *Result
 	for _, u := range factors {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res, err := pipelineOnce(ctx, spec, cfg, u)
+		res, err := scheduleUnwound(ctx, spec, cfg, u, opts)
 		if err != nil {
 			return nil, err
 		}
+		res.Measure(res.Unwound.G, cfg.Periods)
 		last = res
 		if res.Converged {
 			return res, nil
@@ -147,7 +155,11 @@ func PerfectPipeline(ctx context.Context, spec *ir.LoopSpec, cfg Config) (*Resul
 	return last, nil
 }
 
-func pipelineOnce(ctx context.Context, spec *ir.LoopSpec, cfg Config, u int) (*Result, error) {
+// scheduleUnwound is the scheduling step every pipelining run takes:
+// unwind spec u times, optimize when cfg asks, build the program graph
+// and schedule it with GRiP under opts. The result's Unwound.G is the
+// scheduled graph; the caller rates it.
+func scheduleUnwound(ctx context.Context, spec *ir.LoopSpec, cfg Config, u int, opts core.Options) (*Result, error) {
 	uw, err := Unwind(spec, u)
 	if err != nil {
 		return nil, err
@@ -157,19 +169,11 @@ func pipelineOnce(ctx context.Context, spec *ir.LoopSpec, cfg Config, u int) (*R
 	}
 	g := uw.BuildGraph()
 	pctx := ps.NewCtx(g, cfg.Machine, uw.ExitLive)
-	stats, err := core.Schedule(ctx, pctx, uw.Ops, deps.NewPriority(deps.Build(uw.Ops)), core.Options{
-		GapPrevention: cfg.GapPrevention,
-		EmptyPrelude:  cfg.EmptyPrelude,
-		Renaming:      cfg.Renaming,
-		TraceNode:     cfg.TraceNode,
-		CrossCheck:    cfg.CrossCheck,
-	})
+	stats, err := core.Schedule(ctx, pctx, uw.Ops, deps.NewPriority(deps.Build(uw.Ops)), opts)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Spec: spec, U: u, Stats: stats, Unwound: uw}
-	res.Measure(g, cfg.Periods)
-	return res, nil
+	return &Result{Spec: spec, U: u, Stats: stats, Unwound: uw}, nil
 }
 
 // Measure rates the scheduled graph g as r's schedule: Rows is its main
@@ -201,27 +205,15 @@ func (r *Result) Measure(g *graph.Graph, periods int) {
 // GRiP as straight-line code, and retain the back edge. The speedup is
 // over the whole n-iteration block, with no steady-state reformation.
 func SimplePipeline(ctx context.Context, spec *ir.LoopSpec, cfg Config, n int) (*Result, error) {
-	uw, err := Unwind(spec, n)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Optimize {
-		uw.Optimize()
-	}
-	g := uw.BuildGraph()
-	pctx := ps.NewCtx(g, cfg.Machine, uw.ExitLive)
-	stats, err := core.Schedule(ctx, pctx, uw.Ops, deps.NewPriority(deps.Build(uw.Ops)), core.Options{
+	res, err := scheduleUnwound(ctx, spec, cfg, n, core.Options{
 		Renaming:   cfg.Renaming,
 		CrossCheck: cfg.CrossCheck,
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows := len(g.MainChain())
-	res := &Result{
-		Spec: spec, U: n, Stats: stats, Unwound: uw, Rows: rows,
-		CyclesPerIter: float64(rows) / float64(n),
-	}
+	res.Rows = len(res.Unwound.G.MainChain())
+	res.CyclesPerIter = float64(res.Rows) / float64(n)
 	res.Speedup = float64(spec.SeqOpsPerIter()) / res.CyclesPerIter
 	return res, nil
 }

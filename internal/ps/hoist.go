@@ -42,24 +42,14 @@ func (c *Ctx) TryHoist(op *ir.Op, commit bool) Block {
 	d := op.Def()
 	sib := v.Sibling()
 
-	// Double definition on a newly shared path: the sibling subtree or
-	// the root path above the parent already commits d. Both are walked
-	// op by op: hoist siblings are almost always op-less leaves.
-	if blk := findDef(sib, d, op); blk.Kind != BlockNone {
+	// Double definition on a newly shared path: the sibling subtree
+	// already commits d. It is walked op by op: hoist siblings are
+	// almost always op-less leaves. The root path above the parent
+	// needs no walk: op already shares it, so on every graph that keeps
+	// the single-definition-per-path rule (Validate's
+	// checkSingleDefPerPath) nothing there defines d.
+	if blk := findDef(sib, d); blk.Kind != BlockNone {
 		return blk
-	}
-	// The root path above the parent: a plain walk of the ancestors'
-	// op lists, a handful of ops. op already shares the root→v path with
-	// them, so on a graph that keeps the single-definition-per-path
-	// rule this finds nothing; it is a guard, not a filter.
-	if d != ir.NoReg {
-		for a := parent; a != nil; a = a.Parent() {
-			for _, p := range a.Ops {
-				if p.Def() == d {
-					return Block{Kind: BlockDep, By: p}
-				}
-			}
-		}
 	}
 
 	// Write-live on the sibling side.
@@ -75,20 +65,20 @@ func (c *Ctx) TryHoist(op *ir.Op, commit bool) Block {
 	return blockNone
 }
 
-func findDef(v *graph.Vertex, d ir.Reg, except *ir.Op) Block {
+func findDef(v *graph.Vertex, d ir.Reg) Block {
 	if d == ir.NoReg {
 		return blockNone
 	}
 	for _, p := range v.Ops {
-		if p != except && p.Def() == d {
+		if p.Def() == d {
 			return Block{Kind: BlockDep, By: p}
 		}
 	}
 	if v.IsLeaf() {
 		return blockNone
 	}
-	if blk := findDef(v.True, d, except); blk.Kind != BlockNone {
+	if blk := findDef(v.True, d); blk.Kind != BlockNone {
 		return blk
 	}
-	return findDef(v.False, d, except)
+	return findDef(v.False, d)
 }

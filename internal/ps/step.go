@@ -8,11 +8,9 @@ package ps
 import "repro/internal/ir"
 
 // StepUp performs one upward step of op, committing the change. It
-// returns BlockNone on success.
+// returns BlockNone on success; each step refuses a frozen op with
+// BlockFrozen.
 func (c *Ctx) StepUp(op *ir.Op) Block {
-	if op.Frozen {
-		return Block{Kind: BlockFrozen}
-	}
 	if op.IsBranch() {
 		return c.TryMoveCJUp(op, true)
 	}
@@ -27,9 +25,6 @@ func (c *Ctx) StepUp(op *ir.Op) Block {
 // graph. A non-nil excluding is treated as absent from the graph by the
 // move-op probe (see TryMoveOpUp); hoist and move-cj probes ignore it.
 func (c *Ctx) CanStepUp(op, excluding *ir.Op) Block {
-	if op.Frozen {
-		return Block{Kind: BlockFrozen}
-	}
 	if op.IsBranch() {
 		return c.TryMoveCJUp(op, false)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/ir"
+	"repro/internal/livermore"
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/sched/batch"
@@ -412,29 +413,18 @@ func TestPerJobTimeout(t *testing.T) {
 }
 
 // TestTimeoutStopsRealScheduler is the acceptance test for cooperative
-// cancellation through the whole stack: a real GRiP job on a large
-// fixed unwinding with a tiny timeout must fail with DeadlineExceeded
-// AND leave no scheduler goroutine behind — the engine runs backends on
-// its worker goroutines and the step loops observe the context, so when
-// Run returns, nothing is still burning CPU on the abandoned schedule.
+// cancellation through the whole stack: a real GRiP job with a tiny
+// timeout must fail with DeadlineExceeded AND leave no scheduler
+// goroutine behind — the engine runs backends on its worker goroutines
+// and the step loops observe the context, so when Run returns, nothing
+// is still burning CPU on the abandoned schedule. The job (LL7 unwound
+// 96 times at infinite width) runs hundreds of milliseconds uncancelled,
+// hundreds of times the 1 ms budget, so a timer that fires late on a
+// loaded host still fires long before the schedule could finish.
 func TestTimeoutStopsRealScheduler(t *testing.T) {
-	spec := &ir.LoopSpec{
-		Name: "wide",
-		Body: []ir.BodyOp{
-			ir.BLoad("a", ir.Aff("A", 1, 0)),
-			ir.BLoad("b", ir.Aff("B", 1, 0)),
-			ir.BMul("c", "a", "b"),
-			ir.BMul("d", "a", "c"),
-			ir.BAdd("e", "c", "d"),
-			ir.BMul("f", "e", "b"),
-			ir.BAdd("g", "f", "a"),
-			ir.BStore(ir.Aff("X", 1, 0), "g"),
-		},
-		Step: 1, TripVar: "n",
-	}
 	testutil.LeakCheck(t)
 	jobs := []batch.Job{{
-		Technique: "grip", Spec: spec, Machine: machine.New(2),
+		Technique: "grip", Spec: livermore.ByName("LL7").Spec, Machine: machine.Infinite(),
 		Config: sched.Config{Unwind: 96},
 	}}
 	outs, err := batch.Run(context.Background(), jobs, batch.Options{Timeout: time.Millisecond})
