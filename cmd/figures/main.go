@@ -10,9 +10,13 @@
 //
 //	go run ./cmd/figures            # all figures
 //	go run ./cmd/figures -fig 9     # one figure (1, 2, 3, 5, 6, 8, 9, 11, 13, intro)
+//
+// A -fig outside that list or a -fus below 1 exits 2 before anything is
+// printed.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -22,20 +26,40 @@ import (
 	"repro/internal/harness"
 )
 
+// figs lists the -fig values, "all" first.
+var figs = []string{"all", "1", "2", "3", "5", "6", "8", "9", "11", "13", "intro"}
+
+// flagError is a bad flag value: render writes nothing, and main exits
+// 2 as the other commands do on bad flags.
+type flagError string
+
+func (e flagError) Error() string { return string(e) }
+
 func main() {
-	fig := flag.String("fig", "all", "which figure to print")
+	fig := flag.String("fig", "all", "which figure to print: "+fmt.Sprint(figs))
 	fus := flag.Int("fus", 3, "functional units for the trace figures")
 	flag.Parse()
 
 	if err := render(os.Stdout, *fig, *fus); err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		var bad flagError
+		if errors.As(err, &bad) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
 // render writes figure fig ("all" for every one) to w, with fus
 // functional units for the trace figures, and stops at the first error.
+// A bad fig or fus returns a flagError before anything is written.
 func render(w io.Writer, fig string, fus int) error {
+	if !slices.Contains(figs, fig) {
+		return flagError(fmt.Sprintf("unknown figure %q", fig))
+	}
+	if fus < 1 {
+		return flagError(fmt.Sprintf("bad FU count %d", fus))
+	}
 	var err error
 	run := func(names []string, title string, f func() error) {
 		if err != nil || (fig != "all" && !slices.Contains(names, fig)) {

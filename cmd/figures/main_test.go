@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -36,6 +37,25 @@ func TestRenderGolden(t *testing.T) {
 				t.Errorf("fus=%d: output differs from %s at line %d: got %q, want %q", fus, path, i+1, c, g)
 				break
 			}
+		}
+	}
+}
+
+// TestRenderRejectsBadFlags: a figure outside the list or an FU count
+// below 1 is refused before anything is written.
+func TestRenderRejectsBadFlags(t *testing.T) {
+	for _, c := range []struct {
+		fig string
+		fus int
+	}{{"42", 3}, {"", 3}, {"all", 0}, {"5", -1}} {
+		var buf bytes.Buffer
+		err := render(&buf, c.fig, c.fus)
+		var bad flagError
+		if !errors.As(err, &bad) {
+			t.Errorf("render(%q, %d) = %v, want a flagError", c.fig, c.fus, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("render(%q, %d) wrote %q before refusing", c.fig, c.fus, buf.String())
 		}
 	}
 }

@@ -146,17 +146,8 @@ func (s *scheduler) scan(n *graph.Node, opRoom, brRoom bool) *ir.Op {
 	return nil
 }
 
-// maybeAdd restores op's selector membership when every eligibility
-// flag holds. Safe to call unconditionally: ops outside the candidate
-// pool (frozen drain clones, renaming compensations, ops of a different
-// allocator) are identity-checked out, and bitset adds are idempotent.
-func (s *scheduler) maybeAdd(op *ir.Op) {
-	if r := s.rank(op); r >= 0 {
-		s.addRank(r)
-	}
-}
-
-// addRank is maybeAdd for the op at rank r.
+// addRank restores the selector membership of the op at rank r when
+// every eligibility flag holds. Bitset adds are idempotent.
 func (s *scheduler) addRank(r int32) {
 	if s.pruned.Has(int(r)) || s.suspended.Has(int(r)) || s.tried[r] == s.gen || s.parkLink[r] != 0 {
 		return
@@ -170,8 +161,11 @@ func (s *scheduler) addRank(r int32) {
 
 // opHome is the graph's op-home hook: op left from, or entered its
 // home when from is nil. The parked ops whose records the event can
-// concern hear it first (DESIGN.md §6.5), then op itself rejoins its
-// selector if eligible.
+// concern hear it first (DESIGN.md §6.5). Then, for a pool op, its
+// iteration's frontier is marked for recompute and op rejoins its
+// selector if eligible; ops outside the pool (frozen drain clones,
+// renaming compensations, ops of a different allocator) are
+// identity-checked out by rank.
 func (s *scheduler) opHome(op *ir.Op, from *graph.Node) {
 	switch {
 	case s.nParked == 0:
@@ -180,7 +174,10 @@ func (s *scheduler) opHome(op *ir.Op, from *graph.Node) {
 	default:
 		s.wakeArrival(op, s.ctx.G.NodeOf(op))
 	}
-	s.maybeAdd(op)
+	if r := s.rank(op); r >= 0 {
+		s.frontiers[op.Iter+1].ver = 0
+		s.addRank(r)
+	}
 }
 
 // selRemove drops rank r from its class selector (no-op when absent).

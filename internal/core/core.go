@@ -185,11 +185,11 @@ type scheduler struct {
 	// unrelated move.
 	gen int32
 
-	// Gapless-move machinery (section 3.3), all stamped by the graph
-	// mutation counter so one committed move invalidates everything at
-	// once: per-iteration max-Pos frontiers (condition 3 in O(1)
-	// amortized) and memoized gapless verdicts by op index (from is
-	// always the op's home node).
+	// Gapless-move machinery (section 3.3): per-iteration max-Pos
+	// frontiers (condition 3 in O(1) amortized), recomputed once an op
+	// of the iteration changes home, and memoized gapless verdicts by op
+	// index (from is always the op's home node), each kept while the
+	// nodes it read are untouched (gapless.go, DESIGN.md §2.2).
 	frontiers []iterFrontier
 	gapMemo   []memoEntry
 }
@@ -198,6 +198,18 @@ type scheduler struct {
 // operation (branches included), each with its position in ops as its
 // dense index (ops[i].Index == i, which deps.Build(ops) assigns); pri
 // ranks them per section 3.4.
+//
+// The Gapless-move memo keeps a verdict across moves by the nodes it
+// read, and rests on two facts of the graphs the unwinder and the
+// transformations build:
+//   - the non-drain nodes form one chain (each has at most one non-drain
+//     successor), and the schedulable ops sit on it and move one edge up
+//     it at a time;
+//   - a drain is frozen once the move-cj that built it ends: its tree,
+//     ops and successors never change again.
+//
+// Under opts.CrossCheck every verdict and iteration frontier kept from
+// an older graph version is recomputed, and a disagreement panics.
 //
 // ctx bounds the computation: the step loop checks it before each pick,
 // so at least once per scheduled node, and returns ctx.Err() — wrapped

@@ -190,3 +190,73 @@ func TestGaplessMoveDeepFillerChain(t *testing.T) {
 		}
 	}
 }
+
+// TestGaplessVerdictSurvivesUnrelatedMove pins the read-depth rule of
+// the Gapless-move memo on buildIterChain. The probed op at node 40 is
+// proved gapless by condition 4 through a filler at node 41 that is the
+// last of its iteration, so the verdict reads nodes 40 and 41 (read
+// depth 1). A committed move at node 43 leaves both untouched: the
+// verdict is served without an evaluation, which leaves the filler's
+// entry at its old version, and the moved op's iteration frontier alone
+// is marked for recompute. A move at node 41 touches the read set: the
+// verdict is evaluated again, restamping the filler. Both answers equal
+// a fresh gaplessEval. Under CrossCheck a kept verdict is recomputed, so
+// a corrupted one panics.
+func TestGaplessVerdictSurvivesUnrelatedMove(t *testing.T) {
+	pctx, s, ops := buildIterChain(48, 8, 4)
+	g := pctx.G
+	op, filler := ops[2*40+1], ops[2*41]
+	from := g.NodeOf(op)
+	if !s.gaplessMove(from, op) {
+		t.Fatal("scenario: the op at node 40 should prove gapless")
+	}
+	if e := s.gapMemo[op.Index]; e.depth() != 1 {
+		t.Fatalf("verdict read depth %d, want 1 (node 40 and the filler's node 41)", e.depth())
+	}
+	stamp := s.gapMemo[filler.Index].ver()
+	if stamp != g.Version() {
+		t.Fatal("scenario: the verdict should have consulted the filler at node 41")
+	}
+
+	fresh := func(what string, got bool) {
+		t.Helper()
+		if want, _ := s.gaplessEval(from, op); got != want {
+			t.Fatalf("after %s: served %v, a fresh gaplessEval says %v", what, got, want)
+		}
+	}
+
+	below := ops[2*43] // iteration 3, two nodes below the read set
+	g.MoveOp(below, g.Where(below))
+	got := s.gaplessMove(from, op)
+	if e := s.gapMemo[op.Index]; e.ver() != g.Version() || e.depth() != 1 {
+		t.Fatalf("after a move below the read depth: entry at version %d depth %d, want %d and 1", e.ver(), e.depth(), g.Version())
+	}
+	if v := s.gapMemo[filler.Index].ver(); v != stamp {
+		t.Fatalf("after a move below the read depth the verdict was evaluated again (filler restamped %d -> %d)", stamp, v)
+	}
+	if s.frontiers[op.Iter+1].ver == 0 || s.frontiers[below.Iter+1].ver != 0 {
+		t.Fatal("a move of an iteration-3 op should mark iteration 3's frontier for recompute, and only it")
+	}
+	fresh("a move below the read depth", got)
+
+	inside := ops[2*41+1] // shares node 41 with the filler
+	g.MoveOp(inside, g.Where(inside))
+	got = s.gaplessMove(from, op)
+	if v := s.gapMemo[filler.Index].ver(); v != g.Version() {
+		t.Fatalf("after a move inside the read depth the verdict was served from version %d without an evaluation", v)
+	}
+	fresh("a move inside the read depth", got)
+
+	s.opts.CrossCheck = true
+	e := s.gapMemo[op.Index]
+	s.gapMemo[op.Index] = makeMemoEntry(e.ver(), e.depth(), !e.holds())
+	g.MoveOp(below, g.Where(below))
+	recovered := func() (v any) {
+		defer func() { v = recover() }()
+		s.gaplessMove(from, op)
+		return nil
+	}()
+	if msg, _ := recovered.(string); !strings.Contains(msg, "a recompute says") {
+		t.Fatalf("CrossCheck served a corrupted kept verdict (recovered %v)", recovered)
+	}
+}

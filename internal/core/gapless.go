@@ -1,30 +1,43 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/graph"
 	"repro/internal/ir"
 	"repro/internal/ps"
 )
 
-// memoEntry is one generation-stamped gapMemo slot for a Gapless-move
-// verdict. The stamp is the graph mutation counter (graph.Version):
-// probes never mutate the graph, so every verdict computed at one
-// version stays exact until the next committed transformation bumps it.
-// See DESIGN.md §2.2 for the invalidation contract. Packed ver<<2 |
+// memoEntry is one gapMemo slot: a Gapless-move verdict, the graph
+// version it was computed or last confirmed at, and its read depth —
+// how many successor steps below the op's home the evaluation read. An
+// entry from an older version is still exact while the home and every
+// non-drain node within its read depth are untouched since its version
+// (graph.Node.Touched; DESIGN.md §2.2). Packed ver<<8 | depth<<2 |
 // verdict into one word; the zero value means "unknown", and stored
 // entries always carry a nonzero verdict.
 type memoEntry uint64
 
-func makeMemoEntry(ver uint64, holds bool) memoEntry {
-	e := memoEntry(ver<<2) | 2 // verdict 2 = fails
+// anyDepth is the read depth of a verdict that read state no change
+// stamp vouches for: a hoist probe whose sibling subtree reaches a node
+// that is not a drain. Such an entry holds for its own version only.
+// Deeper read depths saturate to it.
+const anyDepth = 63
+
+func makeMemoEntry(ver uint64, depth int, holds bool) memoEntry {
+	verdict := memoEntry(2) // fails
 	if holds {
-		e = memoEntry(ver<<2) | 1 // verdict 1 = holds
+		verdict = 1
 	}
-	return e
+	return memoEntry(ver<<8) | memoEntry(min(depth, anyDepth))<<2 | verdict
 }
 
-func (e memoEntry) ver() uint64 { return uint64(e) >> 2 }
-func (e memoEntry) holds() bool { return uint64(e)&3 == 1 }
+func (e memoEntry) ver() uint64 { return uint64(e) >> 8 }
+func (e memoEntry) depth() int  { return int(e>>2) & anyDepth }
+func (e memoEntry) holds() bool { return e&3 == 1 }
+
+// restamp moves e to version ver, keeping its depth and verdict.
+func (e memoEntry) restamp(ver uint64) memoEntry { return memoEntry(ver<<8) | e&0xff }
 
 // gaplessMove is the section 3.3 Gapless-move(From, To, Op) test: it
 // reports whether moving op up out of node from can be done without
@@ -42,65 +55,120 @@ func (e memoEntry) holds() bool { return uint64(e)&3 == 1 }
 //
 // Every caller passes a pool op (op.Index addresses gapMemo) and its
 // home node as from, so the verdict is a function of op and the graph
-// and is memoized by op index under the graph version. The recursion
-// ends: each level moves to a strictly lower node (a successor; every
-// node has one incoming edge, so no path revisits one) and so to a
-// different op of the same iteration, and the memo evaluates each op at
-// most once per graph version.
+// and is memoized by op index. A verdict from an older graph version is
+// served while unchangedSince vouches for everything it read; under
+// Options.CrossCheck every such verdict is recomputed, and a
+// disagreement panics. The recursion ends: each level moves to a
+// strictly lower node (a successor; every node has one incoming edge,
+// so no path revisits one) and so to a different op of the same
+// iteration, and the memo evaluates each op at most once per graph
+// version.
 func (s *scheduler) gaplessMove(from *graph.Node, op *ir.Op) bool {
 	ver := s.ctx.G.Version()
-	if e := s.gapMemo[op.Index]; e != 0 && e.ver() == ver {
+	e := s.gapMemo[op.Index]
+	switch {
+	case e == 0:
+	case e.ver() == ver:
+		return e.holds()
+	case unchangedSince(from, e.depth(), e.ver()):
+		s.gapMemo[op.Index] = e.restamp(ver)
+		if s.opts.CrossCheck {
+			if ok, _ := s.gaplessEval(from, op); ok != e.holds() {
+				panic(fmt.Sprintf("core: Gapless-move verdict for %v at n%d kept from version %d (read depth %d) is %v, a recompute says %v",
+					op, from.ID, e.ver(), e.depth(), e.holds(), ok))
+			}
+		}
 		return e.holds()
 	}
-	ok := s.gaplessEval(from, op)
-	s.gapMemo[op.Index] = makeMemoEntry(ver, ok)
+	ok, depth := s.gaplessEval(from, op)
+	s.gapMemo[op.Index] = makeMemoEntry(ver, depth, ok)
 	return ok
 }
 
-func (s *scheduler) gaplessEval(from *graph.Node, op *ir.Op) bool {
-	// Condition 1.
-	if from.OpCount()+from.BranchCount() == 1 {
+// unchangedSince reports whether n and every non-drain node within
+// depth successor steps below it are untouched since version ver: what
+// a verdict of that read depth, computed at n at ver, read is unchanged.
+// Drain successors need no stamp. The search reads only their Drain
+// flag, set at creation, and a hoist probe counts on drains only when a
+// drain is all it reaches; a drain is frozen once the move-cj that built
+// it ends, and a new edge to one touches the node holding the leaf.
+func unchangedSince(n *graph.Node, depth int, ver uint64) bool {
+	if n.Touched() > ver || depth == anyDepth {
+		return false
+	}
+	if depth == 0 {
 		return true
 	}
-	// Condition 2.
-	if from.IterCount(op.Iter) >= 2 {
-		return true
+	ok := true
+	n.VisitSuccessors(func(succ *graph.Node) bool {
+		ok = succ.Drain || unchangedSince(succ, depth-1, ver)
+		return ok
+	})
+	return ok
+}
+
+// gaplessEval evaluates the four conditions and returns the verdict
+// with its read depth. Conditions 1–3 read only from (depth 0):
+// condition 3 compares from with the ops of op's iteration below it,
+// which sit on the one chain of non-drain nodes and move one edge up it
+// at a time, so none passes from without entering it. Condition 4
+// reads one level more than the filler verdicts it consulted.
+func (s *scheduler) gaplessEval(from *graph.Node, op *ir.Op) (bool, int) {
+	if from.OpCount()+from.BranchCount() == 1 || from.IterCount(op.Iter) >= 2 || s.isLastOfIter(from, op) {
+		return true, 0
 	}
-	// Condition 3.
-	if s.isLastOfIter(from, op) {
-		return true
-	}
-	// Condition 4.
-	found := false
+	found, depth := false, 0
 	from.VisitSuccessors(func(succ *graph.Node) bool {
-		if succ.Drain || !s.findFiller(succ, op) {
+		if succ.Drain {
 			return true
 		}
-		found = true
-		return false
+		ok, d := s.findFiller(succ, op)
+		found, depth = ok, max(depth, 1+d)
+		return !ok
 	})
-	return found
+	return found, depth
 }
 
 // findFiller looks in succ for an op X of op's iteration that can fill
-// the gap op would leave behind. Instead of walking succ's instruction
-// tree it scans the per-iteration op list behind an O(1) IterCount gate
-// — the gapless search is localized, and an iteration holds only a
-// body's worth of operations.
-func (s *scheduler) findFiller(succ *graph.Node, op *ir.Op) bool {
+// the gap op would leave behind, and returns the answer with its read
+// depth below succ: the witness's when one is found, else the deepest
+// of the fillers it probed. Instead of walking succ's instruction tree
+// it scans the per-iteration op list behind an O(1) IterCount gate —
+// the gapless search is localized, and an iteration holds only a body's
+// worth of operations.
+func (s *scheduler) findFiller(succ *graph.Node, op *ir.Op) (bool, int) {
 	if succ.IterCount(op.Iter) == 0 {
-		return false
+		return false, 0
 	}
 	g := s.ctx.G
+	depth := 0
 	for _, x := range s.byIter[op.Iter+1] {
 		if x == op || x.Frozen || g.NodeOf(x) != succ {
 			continue
 		}
-		if s.canFill(x, op) && s.gaplessMove(succ, x) {
-			return true
+		d := 0
+		if v := g.Where(x); !x.IsBranch() && v != succ.Root && !reachesOnlyDrains(v.Sibling()) {
+			d = anyDepth // the hoist probe reads liveness below the chain
 		}
+		if s.canFill(x, op) {
+			ok := s.gaplessMove(succ, x) // leaves x's entry current
+			d = max(d, s.gapMemo[x.Index].depth())
+			if ok {
+				return true, d
+			}
+		}
+		depth = max(depth, d)
 	}
-	return false
+	return false, depth
+}
+
+// reachesOnlyDrains reports whether every node reachable from the
+// leaves of the subtree rooted at v is a drain. One incoming edge per
+// node makes what a leaf reaches a tree, so the walk ends.
+func reachesOnlyDrains(v *graph.Vertex) bool {
+	return v.VisitLeaves(func(l *graph.Vertex) bool {
+		return l.Succ == nil || l.Succ.Drain && reachesOnlyDrains(l.Succ.Root)
+	})
 }
 
 // canFill reports whether x could move one node up, assuming `leaving`
@@ -116,24 +184,47 @@ func (s *scheduler) canFill(x, leaving *ir.Op) bool {
 
 // iterFrontier caches, per iteration, the two highest node positions
 // holding schedulable ops of that iteration (with the op attaining the
-// maximum), stamped by graph version. Recomputed at most once per
-// iteration per graph mutation; every further isLastOfIter probe in the
-// condition-4 recursion is O(1).
+// maximum). It reads only the homes of the iteration's ops, and a node
+// keeps its position while it holds ops, so it stays exact until one of
+// them changes home: opHome then zeroes ver. Every further
+// isLastOfIter probe in the condition-4 recursion is O(1).
 type iterFrontier struct {
-	ver  uint64
+	ver  uint64  // graph version computed or last confirmed at; 0 = recompute
 	n    int     // schedulable ops of the iteration in non-drain nodes
 	op1  *ir.Op  // an op attaining max1
 	max1 float64 // highest home position
 	max2 float64 // highest home position over ops other than op1
 }
 
+// frontier returns iteration iter's frontier, recomputed when an op of
+// the iteration changed home since it was built. Under
+// Options.CrossCheck a frontier kept from an older version is
+// recomputed, and a disagreement panics.
 func (s *scheduler) frontier(iter int) *iterFrontier {
 	f := &s.frontiers[iter+1]
-	g := s.ctx.G
-	if f.ver == g.Version() {
+	ver := s.ctx.G.Version()
+	switch f.ver {
+	case ver:
 		return f
+	case 0:
+		*f = s.buildFrontier(iter)
+	default:
+		if s.opts.CrossCheck {
+			ref := s.buildFrontier(iter)
+			if ref.ver = f.ver; ref != *f {
+				panic(fmt.Sprintf("core: iteration %d frontier kept from version %d has %d ops, max %v (%v), next %v; a recompute says %d, %v (%v), %v",
+					iter, f.ver, f.n, f.max1, f.op1, f.max2, ref.n, ref.max1, ref.op1, ref.max2))
+			}
+		}
 	}
-	*f = iterFrontier{ver: g.Version()}
+	f.ver = ver
+	return f
+}
+
+// buildFrontier computes iteration iter's frontier from its ops' homes.
+func (s *scheduler) buildFrontier(iter int) iterFrontier {
+	var f iterFrontier
+	g := s.ctx.G
 	for _, op := range s.byIter[iter+1] {
 		if op.Frozen {
 			continue

@@ -40,10 +40,11 @@ func buildIterChain(nNodes, iters, fus int) (*ps.Ctx, *scheduler, []*ir.Op) {
 }
 
 // BenchmarkGaplessMove measures one full Gapless-move verdict on a
-// mid-chain operation with a cold cache: each round bumps the graph
-// mutation counter (a same-vertex MoveOp, the cheapest committed
-// mutation), so the frontier and the gapless memo recompute — the
-// steady-state cost the migration loop pays after every committed move.
+// mid-chain operation with a cold cache: each round commits a
+// same-vertex MoveOp of the op itself, the cheapest committed mutation.
+// It touches the op's home and re-homes an op of its iteration, so the
+// memo entry and the frontier recompute — the cost the migration loop
+// pays after every move that touches what a verdict read.
 func BenchmarkGaplessMove(b *testing.B) {
 	pctx, s, ops := buildIterChain(48, 8, 4)
 	g := pctx.G
@@ -61,6 +62,31 @@ func BenchmarkGaplessMove(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.MoveOp(op, home) // invalidate the generation stamps
+		if !s.gaplessMove(from, op) {
+			b.Fatal("probe failed")
+		}
+	}
+}
+
+// BenchmarkGaplessRevalidate measures a verdict served from an older
+// graph version: each round commits a same-vertex MoveOp two nodes
+// below the read set of a condition-4 verdict (its home and the
+// filler's node), so the memo entry is kept after checking two change
+// stamps — the cost a re-pick pays after a move that touched nothing
+// the verdict read.
+func BenchmarkGaplessRevalidate(b *testing.B) {
+	pctx, s, ops := buildIterChain(48, 8, 4)
+	g := pctx.G
+	op, below := ops[2*40+1], ops[2*43]
+	from := g.NodeOf(op)
+	home := g.Where(below)
+	if !s.gaplessMove(from, op) || s.gapMemo[op.Index].depth() != 1 {
+		b.Fatal("benchmark scenario: probe should succeed with read depth 1")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.MoveOp(below, home) // a new version that leaves the read set untouched
 		if !s.gaplessMove(from, op) {
 			b.Fatal("probe failed")
 		}

@@ -79,6 +79,7 @@ func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 		nodeArena = append(nodeArena, Node{
 			ID: n.ID, Drain: n.Drain, pos: n.pos,
 			opCount: n.opCount, branchCount: n.branchCount, g: ng,
+			touched: n.touched,
 		})
 		nc := &nodeArena[len(nodeArena)-1]
 		if len(n.iterCounts) > 0 {

@@ -19,7 +19,11 @@ import (
 // only enter nodes that have none (one incoming edge per node). This
 // is the consistency property the walk-free schedulers rely on: no
 // sequence of mutator calls may drift a cache from the structure it
-// summarizes.
+// summarizes. Every mutator call is also checked against a per-node
+// snapshot (nodeState): each node whose op lists, counts, position,
+// leaf successors or incoming leaf the call changed, and each node it
+// created, must carry Touched() == Version() afterwards, the change
+// stamp the Gapless-move memo revalidates verdicts by.
 //
 // Operations draw registers from a small shared pool, so removals hit
 // the case where several ops contribute the same summary bit, and the
@@ -155,7 +159,23 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 				return false
 			}
 
-			for step := 0; step < 250; step++ {
+			step := 0
+			// mutate runs one mutator call and checks its change stamps.
+			mutate := func(what string, f func()) {
+				before := make(map[*Node]string, len(g.nodes))
+				for n := range g.nodes {
+					before[n] = nodeState(n)
+				}
+				f()
+				for n := range g.nodes {
+					if b, ok := before[n]; (!ok || b != nodeState(n)) && n.Touched() != g.Version() {
+						t.Fatalf("seed %d step %d: %s changed n%d but left it touched at %d, version %d\nbefore: %s\nafter:  %s",
+							seed, step, what, n.ID, n.Touched(), g.Version(), b, nodeState(n))
+					}
+				}
+			}
+
+			for ; step < 250; step++ {
 				switch rng.Intn(10) {
 				case 0: // place a fresh op (NoIter included, sometimes frozen)
 					iter := rng.Intn(5) - 1
@@ -167,13 +187,13 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 					if defClash(v, op.Def()) {
 						continue
 					}
-					g.AddOp(op, v)
+					mutate("AddOp", func() { g.AddOp(op, v) })
 					placed = append(placed, op)
 				case 1: // remove a placed op
 					prunePlaced()
 					if len(placed) > 0 {
 						i := rng.Intn(len(placed))
-						g.RemoveOp(placed[i])
+						mutate("RemoveOp", func() { g.RemoveOp(placed[i]) })
 						placed = append(placed[:i], placed[i+1:]...)
 					}
 				case 2: // move a placed op to a random vertex
@@ -184,7 +204,7 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 						if defClash(v, op.Def()) {
 							continue
 						}
-						g.MoveOp(op, v)
+						mutate("MoveOp", func() { g.MoveOp(op, v) })
 					}
 				case 3: // grow a branch at a random leaf
 					n := randNode()
@@ -196,7 +216,7 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 					cj := &ir.Op{ID: al.OpID(), Origin: origin, Iter: rng.Intn(3), Kind: ir.CJ,
 						Src: [2]ir.Reg{randReg()}, Imm: 1, BImm: true, Rel: ir.Lt}
 					origin++
-					g.RetargetLeaf(leaf, nil)
+					mutate("RetargetLeaf", func() { g.RetargetLeaf(leaf, nil) })
 					var tSucc, fSucc *Node
 					if rng.Intn(2) == 0 {
 						tSucc = randFree()
@@ -206,7 +226,7 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 							fSucc = nil
 						}
 					}
-					g.InsertBranchAtLeaf(leaf, cj, tSucc, fSucc)
+					mutate("InsertBranchAtLeaf", func() { g.InsertBranchAtLeaf(leaf, cj, tSucc, fSucc) })
 				case 4: // retarget a random leaf (nil allowed)
 					n := randNode()
 					ls := leaves(n)
@@ -215,15 +235,16 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 					if rng.Intn(3) > 0 {
 						succ = randFree()
 					}
-					g.RetargetLeaf(leaf, succ)
+					mutate("RetargetLeaf", func() { g.RetargetLeaf(leaf, succ) })
 				case 5: // insert an empty node before a random one
-					g.InsertBefore(randNode())
+					n := randNode()
+					mutate("InsertBefore", func() { g.InsertBefore(n) })
 				case 6: // splice an empty node out (no-op unless empty)
 					n := randNode()
 					if n == g.Entry && n.Root.Succ == nil {
 						continue // would leave the graph entry-less
 					}
-					g.SpliceOutEmpty(n)
+					mutate("SpliceOutEmpty", func() { g.SpliceOutEmpty(n) })
 				case 7: // rewrite a use in place (copy propagation's mutation)
 					prunePlaced()
 					if len(placed) == 0 {
@@ -235,7 +256,8 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 					if len(uses) == 0 {
 						continue
 					}
-					g.ReplaceUse(op, uses[rng.Intn(len(uses))], randReg())
+					from, to := uses[rng.Intn(len(uses))], randReg()
+					mutate("ReplaceUse", func() { g.ReplaceUse(op, from, to) })
 				case 8: // retarget a destination in place (renaming's mutation)
 					prunePlaced()
 					if len(placed) == 0 {
@@ -249,7 +271,7 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 					if defClash(g.Where(op), r) {
 						continue
 					}
-					g.RetargetDef(op, r)
+					mutate("RetargetDef", func() { g.RetargetDef(op, r) })
 				case 9: // split a branch-rooted unreferenced node (move-cj shape)
 					var n *Node
 					for _, cand := range liveNodes() {
@@ -261,18 +283,22 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 					if n == nil {
 						continue
 					}
-					cj, rootOps, tSub, fSub := g.DetachBranchRoot(n)
-					tn := g.NewNode()
-					g.AdoptSubtree(tn, tSub)
+					var cj *ir.Op
+					var rootOps []*ir.Op
+					var tSub, fSub *Vertex
+					mutate("DetachBranchRoot", func() { cj, rootOps, tSub, fSub = g.DetachBranchRoot(n) })
+					var tn, fn *Node
+					mutate("NewNode", func() { tn = g.NewNode() })
+					mutate("AdoptSubtree", func() { g.AdoptSubtree(tn, tSub) })
 					for _, o := range rootOps {
-						g.AddOp(o, tSub)
+						mutate("AddOp", func() { g.AddOp(o, tSub) })
 					}
-					fn := g.NewNode()
+					mutate("NewNode", func() { fn = g.NewNode() })
 					fn.Drain = true
-					g.AdoptSubtree(fn, fSub)
+					mutate("AdoptSubtree", func() { g.AdoptSubtree(fn, fSub) })
 					for _, o := range rootOps {
 						c := o.Clone(al.OpID(), true)
-						g.AddOp(c, fSub)
+						mutate("AddOp", func() { g.AddOp(c, fSub) })
 						placed = append(placed, c)
 					}
 					// Re-home the detached branch at some leaf elsewhere.
@@ -282,8 +308,8 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 					}
 					ls := leaves(home)
 					leaf := ls[rng.Intn(len(ls))]
-					g.RetargetLeaf(leaf, nil)
-					g.InsertBranchAtLeaf(leaf, cj, tn, fn)
+					mutate("RetargetLeaf", func() { g.RetargetLeaf(leaf, nil) })
+					mutate("InsertBranchAtLeaf", func() { g.InsertBranchAtLeaf(leaf, cj, tn, fn) })
 				}
 				if err := g.Validate(); err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
@@ -345,6 +371,32 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 	if collisions == 0 {
 		t.Error("no mask collision reached the spot check; the register pool no longer spans 64 ids")
 	}
+}
+
+// nodeState renders what a node's change stamp covers: its position,
+// counts and per-iteration counts, its incoming leaf (with that leaf's
+// node), and its tree — every vertex with its ops and their operands,
+// its branch, and a leaf's successor.
+func nodeState(n *Node) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "pos=%v ops=%d br=%d iters=%v in=%p", n.pos, n.opCount, n.branchCount, n.iterCounts, n.in)
+	if n.in != nil {
+		fmt.Fprintf(&b, "@n%d", n.in.node.ID)
+	}
+	n.Walk(func(v *Vertex) {
+		fmt.Fprintf(&b, " [%p", v)
+		for _, op := range v.Ops {
+			fmt.Fprintf(&b, " %d:%v", op.ID, op)
+		}
+		if v.CJ != nil {
+			fmt.Fprintf(&b, " cj %d:%v", v.CJ.ID, v.CJ)
+		}
+		if v.IsLeaf() && v.Succ != nil {
+			fmt.Fprintf(&b, " ->n%d", v.Succ.ID)
+		}
+		b.WriteString("]")
+	})
+	return b.String()
 }
 
 // hubGraph builds a hub whose three branches end in four leaves, each

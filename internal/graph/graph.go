@@ -104,11 +104,32 @@ func (g *Graph) SetOpHomeHook(f func(op *ir.Op, from *Node)) func(op *ir.Op, fro
 
 // Version changes whenever the graph structure or op placement changes.
 // Schedulers use it as the invalidation generation for memoized probe
-// results (see DESIGN.md): any cached answer stamped with an older
-// version must be recomputed.
+// results (see DESIGN.md §2.2): a cached answer stamped with an older
+// version is still exact only while every node it read has an
+// unchanged Touched stamp.
 func (g *Graph) Version() uint64 { return g.version }
 
 func (g *Graph) bump() { g.version++ }
+
+// touch stamps n (nil allowed) with the current version. Mutators call
+// it right after their last bump, for every node whose tree, ops,
+// counts, position or incoming leaf the call changed, so a node's stamp
+// is the version its last mutating call left.
+func (g *Graph) touch(n *Node) {
+	if n != nil {
+		n.touched = g.version
+	}
+}
+
+// touchAround touches n and every successor of n's leaves: the nodes a
+// mutator that links or unlinks all of n's leaf edges changes.
+func (g *Graph) touchAround(n *Node) {
+	g.touch(n)
+	n.VisitLeaves(func(l *Vertex) bool {
+		g.touch(l.Succ)
+		return true
+	})
+}
 
 // BeginVisit starts a fresh traversal epoch for Node.Visited marks.
 // Traversals that used to allocate a map[*Node]bool per call mark nodes
@@ -129,6 +150,7 @@ func (g *Graph) NewNode() *Node {
 	n.Root = &Vertex{node: n}
 	g.nodes[n] = true
 	g.bump()
+	g.touch(n)
 	return n
 }
 
@@ -141,6 +163,7 @@ func (g *Graph) SetPos(n *Node, pos float64) {
 		g.maxPos = pos
 	}
 	g.bump()
+	g.touch(n)
 }
 
 // NodeIDBound returns one more than the largest node ID issued so far,
@@ -197,10 +220,14 @@ func (g *Graph) RetargetLeaf(leaf *Vertex, succ *Node) {
 	if !leaf.IsLeaf() {
 		panic("graph: RetargetLeaf on non-leaf vertex")
 	}
+	old := leaf.Succ
 	unlink(leaf)
 	leaf.Succ = succ
 	link(leaf)
 	g.bump()
+	g.touch(leaf.node)
+	g.touch(old)
+	g.touch(succ)
 }
 
 // AddOp places op at vertex v.
@@ -219,6 +246,7 @@ func (g *Graph) AddOp(op *ir.Op, v *Vertex) {
 		n.noteOpAdded(op)
 	}
 	g.bump()
+	g.touch(v.node)
 }
 
 // RemoveOp detaches op from its vertex.
@@ -240,12 +268,15 @@ func (g *Graph) RemoveOp(op *ir.Op) {
 		n.noteOpRemoved(op)
 	}
 	g.bump()
+	g.touch(v.node)
 }
 
 // MoveOp detaches op from its current vertex and re-attaches it at v.
 func (g *Graph) MoveOp(op *ir.Op, v *Vertex) {
+	from := g.NodeOf(op)
 	g.RemoveOp(op)
 	g.AddOp(op, v)
+	g.touch(from)
 }
 
 // InsertBranchAtLeaf replaces leaf with a branch vertex holding cj whose
@@ -265,6 +296,7 @@ func (g *Graph) InsertBranchAtLeaf(leaf *Vertex, cj *ir.Op, tSucc, fSucc *Node) 
 	if g.loc(cj) != nil {
 		panic("graph: branch already placed")
 	}
+	old := leaf.Succ
 	unlink(leaf)
 	leaf.Succ = nil
 
@@ -283,6 +315,10 @@ func (g *Graph) InsertBranchAtLeaf(leaf *Vertex, cj *ir.Op, tSucc, fSucc *Node) 
 		n.noteOpAdded(cj)
 	}
 	g.bump()
+	g.touch(leaf.node)
+	g.touch(old)
+	g.touch(tSucc)
+	g.touch(fSucc)
 	return t, f
 }
 
@@ -316,6 +352,7 @@ func (g *Graph) DetachBranchRoot(n *Node) (cj *ir.Op, rootOps []*ir.Op, trueSub,
 	})
 	delete(g.nodes, n)
 	g.bump()
+	g.touchAround(n)
 	return cj, rootOps, trueSub, falseSub
 }
 
@@ -354,9 +391,10 @@ func (g *Graph) AdoptSubtree(n *Node, sub *Vertex) {
 		adopt(v.False)
 	}
 	adopt(sub)
-	n.opCount = ops
-	n.branchCount = branches
+	n.opCount = int32(ops)
+	n.branchCount = int32(branches)
 	g.bump()
+	g.touchAround(n)
 }
 
 // HoistOp moves op from its vertex to the parent vertex (one step toward
@@ -385,7 +423,8 @@ func (g *Graph) SpliceOutEmpty(n *Node) {
 	// Clear n's own edge first, so the leaf into n can become succ's
 	// one incoming edge.
 	g.RetargetLeaf(leaf, nil)
-	if in := n.in; in != nil {
+	in := n.in
+	if in != nil {
 		g.RetargetLeaf(in, succ)
 	}
 	if g.Entry == n {
@@ -393,6 +432,10 @@ func (g *Graph) SpliceOutEmpty(n *Node) {
 	}
 	delete(g.nodes, n)
 	g.bump()
+	g.touch(succ)
+	if in != nil {
+		g.touch(in.node)
+	}
 }
 
 // InsertBefore creates a fresh empty node in front of n: n's incoming
@@ -404,18 +447,22 @@ func (g *Graph) SpliceOutEmpty(n *Node) {
 // pass.
 func (g *Graph) InsertBefore(n *Node) *Node {
 	nn := g.NewNode()
-	if p := n.Pred(); p != nil {
-		nn.pos = (p.pos + n.pos) / 2
+	in := n.in
+	if in != nil {
+		nn.pos = (in.node.pos + n.pos) / 2
 	} else {
 		nn.pos = n.pos - 1
 	}
 	g.bump()
-	if in := n.in; in != nil {
+	if in != nil {
 		g.RetargetLeaf(in, nn)
 	}
-	g.RetargetLeaf(nn.Root, n)
+	g.RetargetLeaf(nn.Root, n) // touches nn and n last
 	if g.Entry == n {
 		g.Entry = nn
+	}
+	if in != nil {
+		g.touch(in.node)
 	}
 	return nn
 }

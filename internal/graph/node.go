@@ -25,9 +25,10 @@ type Node struct {
 	// conditional-jump totals. Maintained by the Graph mutators (AddOp,
 	// RemoveOp, InsertBranchAtLeaf, AdoptSubtree) so the schedulers'
 	// per-step resource checks are O(1) instead of tree walks; Validate
-	// cross-checks them against a recount.
-	opCount     int
-	branchCount int
+	// cross-checks them against a recount. int32 keeps Node at 96 bytes
+	// with touched.
+	opCount     int32
+	branchCount int32
 
 	// iterCounts caches the schedulable (non-frozen) operation totals
 	// per iteration (iterCounts[iter+1]; slot 0 holds NoIter ops).
@@ -54,6 +55,11 @@ type Node struct {
 	// belong to a different graph — an op cloned into a new graph, or
 	// queried against a graph it was never part of.
 	g *Graph
+
+	// touched is the graph version produced by the last mutation of the
+	// node's tree, ops, counts, position or incoming leaf (Touched).
+	// Every mutator stamps the nodes it changes right after its bump.
+	touched uint64
 }
 
 // In returns the leaf whose edge enters n, or nil when nothing does
@@ -71,6 +77,12 @@ func (n *Node) Pred() *Node {
 // Pos returns the node's order-maintenance key. Larger means later on
 // the main chain. Keys of drain nodes are not meaningful.
 func (n *Node) Pos() float64 { return n.pos }
+
+// Touched returns the graph version produced by the last mutation of
+// n's tree, ops, counts, position or incoming leaf: the node's change
+// stamp. A result computed from n at version v is still n's while
+// Touched() <= v. O(1).
+func (n *Node) Touched() uint64 { return n.touched }
 
 // Visited marks n as seen in traversal epoch e and reports whether it
 // had already been marked. Epochs come from Graph.BeginVisit; a
@@ -93,10 +105,10 @@ func (n *Node) Walk(f func(*Vertex)) {
 // OpCount returns the number of non-branch operations in the tree; this
 // is the number of functional units the instruction occupies. O(1): the
 // count is maintained by the Graph mutators.
-func (n *Node) OpCount() int { return n.opCount }
+func (n *Node) OpCount() int { return int(n.opCount) }
 
 // BranchCount returns the number of conditional jumps in the tree. O(1).
-func (n *Node) BranchCount() int { return n.branchCount }
+func (n *Node) BranchCount() int { return int(n.branchCount) }
 
 // noteOpAdded updates the per-iteration counts for an op (branches
 // included) just placed somewhere in n's tree.
@@ -200,20 +212,22 @@ func (n *Node) Branches() []*ir.Op {
 // side first), stopping early when f returns false. It reports whether
 // the visit ran to completion. Allocation-free.
 func (n *Node) VisitLeaves(f func(*Vertex) bool) bool {
-	return visitLeaves(n.Root, f)
+	return n.Root.VisitLeaves(f)
 }
 
-func visitLeaves(v *Vertex, f func(*Vertex) bool) bool {
+// VisitLeaves visits the leaves of the subtree rooted at v (nil allowed)
+// as Node.VisitLeaves does for a whole tree. Allocation-free.
+func (v *Vertex) VisitLeaves(f func(*Vertex) bool) bool {
 	if v == nil {
 		return true
 	}
 	if v.IsLeaf() {
 		return f(v)
 	}
-	if !visitLeaves(v.True, f) {
+	if !v.True.VisitLeaves(f) {
 		return false
 	}
-	return visitLeaves(v.False, f)
+	return v.False.VisitLeaves(f)
 }
 
 // VisitSuccessors calls f for every successor node, in the left-first

@@ -113,5 +113,6 @@ func (g *Graph) noteOperandsChanged(op *ir.Op) {
 	if v := g.loc(op); v != nil {
 		v.recomputeOwn()
 		g.bump()
+		g.touch(v.node)
 	}
 }
