@@ -36,11 +36,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/machine"
 	"repro/internal/sched"
 )
 
@@ -65,7 +65,7 @@ func run() int {
 	)
 	flag.Parse()
 
-	fus, err := parseInts(*machines)
+	fus, err := machine.ParseFUs(*machines)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fuzzloop: -machines: %v\n", err)
 		return 2
@@ -145,16 +145,4 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad FU count %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

@@ -7,12 +7,12 @@ import (
 // Clone deep-copies the graph: every node, vertex, and operation is
 // duplicated (operations keep their IDs, origins, iteration tags, and
 // dense indices; nodes keep their IDs and order-maintenance keys), and
-// the clone's bookkeeping (incoming edges, op placements, ID counters)
-// is rebuilt to match. The clone uses alloc for future allocations; pass
-// an independent allocator (ir.Alloc.Clone) so transformations on the
-// clone allocate exactly the IDs the same transformations on the
-// original would — schedulers mutating a clone behave bit-identically
-// to schedulers mutating the original.
+// the clone's bookkeeping (node table, incoming edges, op placements)
+// is rebuilt to match, node by node in ID order. The clone uses alloc
+// for future allocations; pass an independent allocator (ir.Alloc.Clone)
+// so transformations on the clone allocate exactly the IDs the same
+// transformations on the original would — schedulers mutating a clone
+// behave bit-identically to schedulers mutating the original.
 //
 // Nodes, vertices, and operations are carved out of three single arena
 // slices — one allocation per kind for the whole graph instead of one
@@ -25,21 +25,23 @@ import (
 // re-points it at the copies.
 func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 	ng := &Graph{
-		Alloc:      alloc,
-		Label:      g.Label,
-		nodes:      make(map[*Node]bool, len(g.nodes)),
-		version:    g.version,
-		nextNodeID: g.nextNodeID,
-		maxPos:     g.maxPos,
+		Alloc:   alloc,
+		Label:   g.Label,
+		nodes:   make([]*Node, len(g.nodes)),
+		version: g.version,
 	}
 
-	// Count vertices (and per-iteration count slots) so every arena is
-	// sized exactly: growing an arena mid-build would move objects
+	// Count nodes, vertices and per-iteration count slots so every arena
+	// is sized exactly: growing an arena mid-build would move objects
 	// already pointed at. The same walk finds the largest placed op ID,
 	// which sizes the ID map.
-	nVertices, nIterSlots := 0, 0
+	nNodes, nVertices, nIterSlots := 0, 0, 0
 	maxID := -1
-	for n := range g.nodes {
+	for _, n := range g.nodes {
+		if n == nil {
+			continue
+		}
+		nNodes++
 		n.Walk(func(v *Vertex) {
 			nVertices++
 			for _, op := range v.Ops {
@@ -53,7 +55,7 @@ func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 	}
 	opArena := make([]ir.Op, 0, g.numPlaced)
 	vertexArena := make([]Vertex, 0, nVertices)
-	nodeArena := make([]Node, 0, len(g.nodes))
+	nodeArena := make([]Node, 0, nNodes)
 	opPtrArena := make([]*ir.Op, 0, g.numPlaced)
 	iterArena := make([]int32, 0, nIterSlots)
 
@@ -74,8 +76,10 @@ func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 		return c
 	}
 
-	nodeMap := make(map[*Node]*Node, len(g.nodes))
-	for n := range g.nodes {
+	for _, n := range g.nodes {
+		if n == nil {
+			continue
+		}
 		nodeArena = append(nodeArena, Node{
 			ID: n.ID, Drain: n.Drain, pos: n.pos,
 			opCount: n.opCount, branchCount: n.branchCount, g: ng,
@@ -90,12 +94,12 @@ func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 			iterArena = append(iterArena, n.iterCounts...)
 			nc.iterCounts = iterArena[start:len(iterArena):len(iterArena)]
 		}
-		nodeMap[n] = nc
-		ng.nodes[nc] = true
+		ng.nodes[n.ID] = nc
 	}
 
 	// Clone each instruction tree; leaf successors are resolved through
-	// nodeMap and incoming edges recorded as edges are recreated.
+	// the copy's node table and incoming edges recorded as edges are
+	// recreated.
 	var cloneVertex func(v *Vertex, n *Node, parent *Vertex) *Vertex
 	cloneVertex = func(v *Vertex, n *Node, parent *Vertex) *Vertex {
 		vertexArena = append(vertexArena, Vertex{node: n, parent: parent, sum: v.sum})
@@ -120,14 +124,15 @@ func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 			return nv
 		}
 		if v.Succ != nil {
-			nv.Succ = nodeMap[v.Succ]
+			nv.Succ = ng.nodes[v.Succ.ID]
 			link(nv)
 		}
 		return nv
 	}
-	for n := range g.nodes {
-		nodeMap[n].Root = cloneVertex(n.Root, nodeMap[n], nil)
+	for i := range nodeArena {
+		nc := &nodeArena[i]
+		nc.Root = cloneVertex(g.nodes[nc.ID].Root, nc, nil)
 	}
-	ng.Entry = nodeMap[g.Entry]
+	ng.Entry = ng.nodes[g.Entry.ID]
 	return ng, byID
 }

@@ -89,15 +89,13 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 				placed = append(placed, op)
 			}
 
+			// liveNodes lists the nodes in ID order, a deterministic pick
+			// order under a seeded rng.
 			liveNodes := func() []*Node {
 				var ns []*Node
-				for n := range g.nodes {
-					ns = append(ns, n)
-				}
-				// Deterministic pick order under a seeded rng.
-				for i := 1; i < len(ns); i++ {
-					for j := i; j > 0 && ns[j-1].ID > ns[j].ID; j-- {
-						ns[j-1], ns[j] = ns[j], ns[j-1]
+				for _, n := range g.nodes {
+					if n != nil {
+						ns = append(ns, n)
 					}
 				}
 				return ns
@@ -163,11 +161,11 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 			// mutate runs one mutator call and checks its change stamps.
 			mutate := func(what string, f func()) {
 				before := make(map[*Node]string, len(g.nodes))
-				for n := range g.nodes {
+				for _, n := range liveNodes() {
 					before[n] = nodeState(n)
 				}
 				f()
-				for n := range g.nodes {
+				for _, n := range liveNodes() {
 					if b, ok := before[n]; (!ok || b != nodeState(n)) && n.Touched() != g.Version() {
 						t.Fatalf("seed %d step %d: %s changed n%d but left it touched at %d, version %d\nbefore: %s\nafter:  %s",
 							seed, step, what, n.ID, n.Touched(), g.Version(), b, nodeState(n))
@@ -288,14 +286,12 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 					var tSub, fSub *Vertex
 					mutate("DetachBranchRoot", func() { cj, rootOps, tSub, fSub = g.DetachBranchRoot(n) })
 					var tn, fn *Node
-					mutate("NewNode", func() { tn = g.NewNode() })
-					mutate("AdoptSubtree", func() { g.AdoptSubtree(tn, tSub) })
+					mutate("AdoptSubtree", func() { tn = g.AdoptSubtree(tSub, n.Pos()) })
 					for _, o := range rootOps {
 						mutate("AddOp", func() { g.AddOp(o, tSub) })
 					}
-					mutate("NewNode", func() { fn = g.NewNode() })
+					mutate("AdoptSubtree", func() { fn = g.AdoptSubtree(fSub, n.Pos()) })
 					fn.Drain = true
-					mutate("AdoptSubtree", func() { g.AdoptSubtree(fn, fSub) })
 					for _, o := range rootOps {
 						c := o.Clone(al.OpID(), true)
 						mutate("AddOp", func() { g.AddOp(c, fSub) })
@@ -497,7 +493,7 @@ func TestOneIncomingEdgePerNode(t *testing.T) {
 		g.InsertBranchAtLeaf(d.Root, testCJ(al), x, nil)
 		_, _, tSub, _ := g.DetachBranchRoot(d) // unlinks tSub's edge into x
 		g.RetargetLeaf(g.NewNode().Root, x)
-		g.AdoptSubtree(g.NewNode(), tSub)
+		g.AdoptSubtree(tSub, d.Pos())
 	})
 }
 
@@ -560,10 +556,6 @@ func TestCloneVisitsSuccessorsInLeafOrder(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		ng, _ := g.Clone(al.Clone())
-		byID := map[int]*Node{}
-		for n := range ng.nodes {
-			byID[n.ID] = n
-		}
 		for _, n := range ns {
 			// The expected order, from the leaves directly.
 			var want []int
@@ -572,7 +564,7 @@ func TestCloneVisitsSuccessorsInLeafOrder(t *testing.T) {
 					want = append(want, l.Succ.ID)
 				}
 			}
-			for _, m := range []*Node{n, byID[n.ID]} {
+			for _, m := range []*Node{n, ng.nodes[n.ID]} {
 				var got []int
 				for _, s := range successors(m) {
 					got = append(got, s.ID)

@@ -23,17 +23,18 @@ type Graph struct {
 	// errors so fuzz-found livelocks are attributable from logs alone.
 	Label string
 
-	nodes map[*Node]bool
+	// nodes is the node table: every live node n sits at nodes[n.ID].
+	// newNode issues IDs in creation order from 1 (slot 0 is unused) and
+	// never reuses one; deleting a node nils its slot.
+	nodes []*Node
 
 	// numPlaced counts the ops (branches included) whose placement slot
 	// points into this graph; Validate compares it with the ops its walk
 	// reaches.
 	numPlaced int
 
-	version    uint64
-	epoch      uint64
-	nextNodeID int
-	maxPos     float64
+	version uint64
+	epoch   uint64
 
 	// onOpHome, when set, observes every event that changes which node
 	// (if any) holds an operation: placement, removal, and re-homing via
@@ -47,7 +48,7 @@ type Graph struct {
 func New(alloc *ir.Alloc) *Graph {
 	return &Graph{
 		Alloc: alloc,
-		nodes: make(map[*Node]bool),
+		nodes: make([]*Node, 1),
 	}
 }
 
@@ -140,39 +141,61 @@ func (g *Graph) BeginVisit() uint64 {
 	return g.epoch
 }
 
-// NewNode creates a node whose tree is a single leaf with no successor.
-// Its position key places it after every existing node; SetPos and
-// InsertBefore key nodes mid-chain.
-func (g *Graph) NewNode() *Node {
-	g.nextNodeID++
-	g.maxPos++
-	n := &Node{ID: g.nextNodeID, g: g, pos: g.maxPos}
-	n.Root = &Vertex{node: n}
-	g.nodes[n] = true
+// newNode files a node with tree root under the next ID, at position
+// key pos. It is the one constructor: the node adopts root's vertices
+// and their ops (contained ops keep their vertices), links root's leaf
+// edges, and counts what it adopted.
+func (g *Graph) newNode(root *Vertex, pos float64) *Node {
+	n := &Node{ID: len(g.nodes), Root: root, g: g, pos: pos}
+	g.nodes = append(g.nodes, n)
+	root.parent = nil
+	g.adopt(n, root)
 	g.bump()
-	g.touch(n)
+	g.touchAround(n)
 	return n
 }
 
-// SetPos overrides a node's order-maintenance key. It bumps the graph
-// version: position keys feed the schedulers' below-the-frontier tests,
-// so memoized probe results stamped before the change must not survive.
-func (g *Graph) SetPos(n *Node, pos float64) {
-	n.pos = pos
-	if pos > g.maxPos {
-		g.maxPos = pos
+// adopt makes v's subtree part of n's tree, reporting each op's new
+// home to the op-home hook.
+func (g *Graph) adopt(n *Node, v *Vertex) {
+	from := v.node
+	v.node = n
+	n.opCount += int32(len(v.Ops))
+	for _, op := range v.Ops {
+		n.noteOpAdded(op)
+		if g.onOpHome != nil {
+			g.onOpHome(op, from)
+		}
 	}
-	g.bump()
-	g.touch(n)
+	if v.IsLeaf() {
+		link(v)
+		return
+	}
+	n.branchCount++
+	n.noteOpAdded(v.CJ)
+	if g.onOpHome != nil {
+		g.onOpHome(v.CJ, from)
+	}
+	g.adopt(n, v.True)
+	g.adopt(n, v.False)
+}
+
+// NewNode creates a node whose tree is a single leaf with no successor.
+// Its position key is its ID, which places it after every existing
+// node: InsertBefore keys a node below an existing key and AdoptSubtree
+// reuses one.
+func (g *Graph) NewNode() *Node {
+	return g.newNode(&Vertex{}, float64(len(g.nodes)))
 }
 
 // NodeIDBound returns one more than the largest node ID issued so far,
 // so a table indexed by Node.ID of that length covers every node that
-// exists now. Later NewNode calls raise it.
-func (g *Graph) NodeIDBound() int { return g.nextNodeID + 1 }
+// exists now. Later node creations raise it.
+func (g *Graph) NodeIDBound() int { return len(g.nodes) }
 
-// Has reports whether n is a live node of this graph.
-func (g *Graph) Has(n *Node) bool { return g.nodes[n] }
+// Has reports whether n is a live node of this graph. A clone's node
+// has its source's ID but is not the node filed under it.
+func (g *Graph) Has(n *Node) bool { return n.ID < len(g.nodes) && g.nodes[n.ID] == n }
 
 // Where returns the vertex currently holding op (branches included), or
 // nil if the op is not placed.
@@ -350,51 +373,20 @@ func (g *Graph) DetachBranchRoot(n *Node) (cj *ir.Op, rootOps []*ir.Op, trueSub,
 		unlink(v)
 		return true
 	})
-	delete(g.nodes, n)
+	g.nodes[n.ID] = nil
 	g.bump()
 	g.touchAround(n)
 	return cj, rootOps, trueSub, falseSub
 }
 
-// AdoptSubtree makes sub the tree of fresh node n: vertex ownership moves
-// to n, leaf edges are linked, and contained ops keep their locations.
-// The node's previous root (a bare leaf from NewNode) is discarded.
-func (g *Graph) AdoptSubtree(n *Node, sub *Vertex) {
-	if n.Root != nil && (!n.Root.IsLeaf() || len(n.Root.Ops) != 0 || n.Root.Succ != nil) {
-		panic("graph: AdoptSubtree over non-empty node")
-	}
-	sub.parent = nil
-	n.Root = sub
-	n.resetIterCounts()
-	ops, branches := 0, 0
-	var adopt func(v *Vertex)
-	adopt = func(v *Vertex) {
-		from := v.node
-		v.node = n
-		ops += len(v.Ops)
-		for _, op := range v.Ops {
-			n.noteOpAdded(op)
-			if g.onOpHome != nil {
-				g.onOpHome(op, from)
-			}
-		}
-		if v.IsLeaf() {
-			link(v)
-			return
-		}
-		branches++
-		n.noteOpAdded(v.CJ)
-		if g.onOpHome != nil {
-			g.onOpHome(v.CJ, from)
-		}
-		adopt(v.True)
-		adopt(v.False)
-	}
-	adopt(sub)
-	n.opCount = int32(ops)
-	n.branchCount = int32(branches)
-	g.bump()
-	g.touchAround(n)
+// AdoptSubtree creates a node at position key pos whose tree is sub, a
+// subtree DetachBranchRoot returned: vertex ownership moves to the new
+// node, leaf edges are linked, contained ops keep their locations, and
+// the node's counts are rebuilt from the tree. pos must be a key already
+// in use (move-cj passes the split node's), so NewNode's keys stay
+// above every other.
+func (g *Graph) AdoptSubtree(sub *Vertex, pos float64) *Node {
+	return g.newNode(sub, pos)
 }
 
 // HoistOp moves op from its vertex to the parent vertex (one step toward
@@ -430,7 +422,7 @@ func (g *Graph) SpliceOutEmpty(n *Node) {
 	if g.Entry == n {
 		g.Entry = succ
 	}
-	delete(g.nodes, n)
+	g.nodes[n.ID] = nil
 	g.bump()
 	g.touch(succ)
 	if in != nil {
@@ -446,14 +438,12 @@ func (g *Graph) SpliceOutEmpty(n *Node) {
 // beginning of the program" mitigation and by the POST node-breaking
 // pass.
 func (g *Graph) InsertBefore(n *Node) *Node {
-	nn := g.NewNode()
 	in := n.in
+	pos := n.pos - 1
 	if in != nil {
-		nn.pos = (in.node.pos + n.pos) / 2
-	} else {
-		nn.pos = n.pos - 1
+		pos = (in.node.pos + n.pos) / 2
 	}
-	g.bump()
+	nn := g.newNode(&Vertex{}, pos)
 	if in != nil {
 		g.RetargetLeaf(in, nn)
 	}

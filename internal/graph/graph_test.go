@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -198,7 +199,7 @@ func TestValidateCensusCatchesOrphanedPlacement(t *testing.T) {
 	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "numPlaced") {
 		t.Fatalf("Validate must reject an op placed in an unadopted subtree, got %v", err)
 	}
-	g.AdoptSubtree(g.NewNode(), trueSub)
+	g.AdoptSubtree(trueSub, n3.Pos())
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate after adoption: %v", err)
 	}
@@ -326,5 +327,123 @@ func TestDefSiteHereNoReg(t *testing.T) {
 	}
 	if n.Root.MayDefine(ir.NoReg) {
 		t.Fatal("MayDefine(NoReg) = true")
+	}
+}
+
+// TestNodeTable: the graph files each live node under its ID. A node
+// SpliceOutEmpty or DetachBranchRoot deleted is no longer Has; a clone
+// keeps every live ID, yet neither graph Has the other's node under a
+// shared ID; NodeIDBound is one past the largest ID issued.
+func TestNodeTable(t *testing.T) {
+	g, ns, _ := buildChain(t)
+	empty := g.InsertBefore(ns[1])
+	g.SpliceOutEmpty(empty)
+	n3 := ns[2]
+	g.RetargetLeaf(ns[1].Root, nil)
+	cj, _, tSub, fSub := g.DetachBranchRoot(n3)
+	tn := g.AdoptSubtree(tSub, n3.Pos())
+	fn := g.AdoptSubtree(fSub, n3.Pos())
+	g.InsertBranchAtLeaf(ns[1].Root, cj, tn, fn)
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []*Node{empty, n3} {
+		if g.Has(n) {
+			t.Errorf("n%d: deleted but still Has", n.ID)
+		}
+	}
+	if got, want := g.NodeIDBound(), fn.ID+1; got != want {
+		t.Errorf("NodeIDBound = %d, want %d, one past the last ID", got, want)
+	}
+
+	ng, _ := g.Clone(g.Alloc.Clone())
+	if err := ng.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if ng.NodeIDBound() != g.NodeIDBound() {
+		t.Errorf("clone NodeIDBound = %d, source %d", ng.NodeIDBound(), g.NodeIDBound())
+	}
+	live := 0
+	for id, n := range g.nodes {
+		c := ng.nodes[id]
+		if n == nil {
+			if c != nil {
+				t.Errorf("clone has n%d, which the source deleted", id)
+			}
+			continue
+		}
+		live++
+		if c == nil || c.ID != id || !ng.Has(c) || !g.Has(n) {
+			t.Fatalf("n%d: the clone lost the ID or a graph lost its own node", id)
+		}
+		if ng.Has(n) || g.Has(c) {
+			t.Errorf("n%d: a graph Has the other's node", id)
+		}
+	}
+	if live != len(ns)+1 { // n3 became tn and fn; empty is gone
+		t.Errorf("%d live nodes, want %d", live, len(ns)+1)
+	}
+}
+
+// TestValidateReportsLowestID: Validate walks the nodes in ID order,
+// so with two corrupted nodes it always names the lower ID.
+func TestValidateReportsLowestID(t *testing.T) {
+	g, ns, _ := buildChain(t)
+	lo, hi := ns[0], ns[3]
+	lo.opCount++
+	hi.opCount++
+	want := fmt.Sprintf("n%d: cached op count %d, recount %d", lo.ID, lo.opCount, lo.opCount-1)
+	for i := 0; i < 20; i++ {
+		if err := g.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Validate = %v, want %q", i, err, want)
+		}
+	}
+}
+
+// TestAdoptSubtreeWrapsSubtree: AdoptSubtree files a new node around a
+// detached subtree at the given position. The node's tree is the
+// subtree itself, every vertex is its, its counts are rebuilt from the
+// tree, its leaf edges are linked, and it carries the change stamp.
+func TestAdoptSubtreeWrapsSubtree(t *testing.T) {
+	g, ns, _ := buildChain(t)
+	n3 := ns[2]
+	sub := n3.Root.True
+	x := &ir.Op{ID: g.Alloc.OpID(), Iter: 0, Kind: ir.Const, Dst: g.Alloc.Reg(), Imm: 7}
+	g.AddOp(x, sub)
+	g.RetargetLeaf(sub, nil)
+	_, f := g.InsertBranchAtLeaf(sub, testCJ(g.Alloc), nil, ns[3])
+	g.RetargetLeaf(ns[1].Root, nil)
+	_, _, tSub, _ := g.DetachBranchRoot(n3)
+	if tSub != sub {
+		t.Fatal("scenario: DetachBranchRoot returned another true subtree")
+	}
+
+	id := g.NodeIDBound()
+	n := g.AdoptSubtree(sub, n3.Pos())
+	if !g.Has(n) || n.ID != id {
+		t.Fatalf("adopted node n%d: Has = %v, want live under the next ID n%d", n.ID, g.Has(n), id)
+	}
+	if n.Pos() != n3.Pos() {
+		t.Errorf("Pos = %v, want %v", n.Pos(), n3.Pos())
+	}
+	if n.Root != sub || sub.Parent() != nil {
+		t.Error("the subtree is not the node's root")
+	}
+	n.Walk(func(v *Vertex) {
+		if v.Node() != n {
+			t.Error("a vertex of the subtree still claims the deleted node")
+		}
+	})
+	if n.OpCount() != 1 || n.BranchCount() != 1 || n.IterCount(0) != 2 {
+		t.Errorf("counts ops=%d branches=%d iter0=%d, want 1, 1 and 2", n.OpCount(), n.BranchCount(), n.IterCount(0))
+	}
+	if ns[3].In() != f || ns[3].Pred() != n {
+		t.Error("the subtree's leaf edge into n4 is not linked")
+	}
+	if n.Touched() != g.Version() || ns[3].Touched() != g.Version() {
+		t.Errorf("Touched = %d (successor %d), want the version %d", n.Touched(), ns[3].Touched(), g.Version())
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"repro/internal/ir"
 )
 
-// Node is one VLIW instruction. The zero value is not usable; create
-// nodes with Graph.NewNode.
+// Node is one VLIW instruction. The zero value is not usable; a Graph
+// creates nodes (NewNode, InsertBefore, AdoptSubtree).
 type Node struct {
 	ID   int
 	Root *Vertex
@@ -146,14 +146,6 @@ func (n *Node) bumpIter(iter int, d int32) {
 	n.iterCounts[i] += d
 	if n.iterCounts[i] < 0 {
 		panic("graph: per-iteration op count underflow")
-	}
-}
-
-// resetIterCounts clears the per-iteration counts (AdoptSubtree
-// recomputes them from the adopted tree).
-func (n *Node) resetIterCounts() {
-	for i := range n.iterCounts {
-		n.iterCounts[i] = 0
 	}
 }
 

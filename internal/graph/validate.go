@@ -8,21 +8,25 @@ import (
 
 // Validate checks every structural invariant of the graph: tree shape,
 // ownership pointers, operation placements, one incoming edge per node, and
-// the single-definition-per-path rule of VLIW instructions. It returns
-// the first violation found. Tests call Validate after every
-// transformation.
+// the single-definition-per-path rule of VLIW instructions. It walks
+// the nodes in ID order and returns the first violation found, so the
+// same graph always reports the same one. Tests call Validate after
+// every transformation.
 func (g *Graph) Validate() error {
 	if g.Entry == nil {
 		return fmt.Errorf("graph: nil entry")
 	}
-	if !g.nodes[g.Entry] {
+	if !g.Has(g.Entry) {
 		return fmt.Errorf("graph: entry n%d not registered", g.Entry.ID)
 	}
 
-	in := map[*Node]*Vertex{} // node -> the leaf whose edge enters it
+	in := make([]*Vertex, len(g.nodes)) // node ID -> the leaf whose edge enters it
 	seenOps := map[*ir.Op]*Vertex{}
 
-	for n := range g.nodes {
+	for _, n := range g.nodes {
+		if n == nil {
+			continue
+		}
 		if n.Root == nil {
 			return fmt.Errorf("n%d: nil root", n.ID)
 		}
@@ -64,15 +68,15 @@ func (g *Graph) Validate() error {
 					return
 				}
 				if v.Succ != nil {
-					if !g.nodes[v.Succ] {
+					if !g.Has(v.Succ) {
 						err = fmt.Errorf("n%d: edge to deleted node n%d", n.ID, v.Succ.ID)
 						return
 					}
-					if prev := in[v.Succ]; prev != nil {
+					if prev := in[v.Succ.ID]; prev != nil {
 						err = fmt.Errorf("n%d: second edge into n%d (also from n%d)", n.ID, v.Succ.ID, prev.node.ID)
 						return
 					}
-					in[v.Succ] = v
+					in[v.Succ.ID] = v
 				}
 				return
 			}
@@ -141,8 +145,8 @@ func (g *Graph) Validate() error {
 
 	// Each node's recorded incoming leaf must be the one the walk found
 	// (same pattern as the op-count cross-check).
-	for n := range g.nodes {
-		if n.in != in[n] {
+	for id, n := range g.nodes {
+		if n != nil && n.in != in[id] {
 			return fmt.Errorf("n%d: recorded incoming leaf differs from the leaf walk's", n.ID)
 		}
 	}

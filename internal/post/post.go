@@ -133,34 +133,29 @@ func breakNodes(ctx context.Context, pctx *ps.Ctx, pri *deps.Priority) ([]*graph
 // commit only on the continue path, or be a non-store whose target is
 // dead on every exit subtree it currently commits on.
 func pickDemotable(g *graph.Graph, n *graph.Node, pri *deps.Priority, exitLive map[ir.Reg]bool) *ir.Op {
-	var cands []*ir.Op
+	var low *ir.Op
 	cont := graph.ContinueLeaf(n)
 	n.Walk(func(v *graph.Vertex) {
 		for _, op := range v.Ops {
-			if op.Frozen {
+			// An op that outranks the pick so far cannot be the pick.
+			if op.Frozen || low != nil && pri.Before(op, low) {
 				continue
 			}
-			if v == cont {
-				cands = append(cands, op)
-				continue
+			if v != cont {
+				if !v.OnPathTo(cont) {
+					continue
+				}
+				if op.IsStore() {
+					continue // commits on exit sides it would abandon
+				}
+				if defLiveOffPath(g, v, cont, op.Def(), exitLive) {
+					continue
+				}
 			}
-			if !v.OnPathTo(cont) {
-				continue
-			}
-			if op.IsStore() {
-				continue // commits on exit sides it would abandon
-			}
-			if defLiveOffPath(g, v, cont, op.Def(), exitLive) {
-				continue
-			}
-			cands = append(cands, op)
+			low = op
 		}
 	})
-	if len(cands) == 0 {
-		return nil
-	}
-	pri.Rank(cands)
-	return cands[len(cands)-1]
+	return low
 }
 
 // defLiveOffPath reports whether reg is observable along any subtree

@@ -61,21 +61,16 @@ func (c *Ctx) TryMoveCJUp(cj *ir.Op, commit bool) Block {
 	// Detach the incoming edge, dissolve the node, and rebuild the two
 	// sides. The continue-side node inherits the old node's chain
 	// position.
-	oldPos := n.Pos()
 	c.G.RetargetLeaf(leaf, nil)
 	cjOp, rootOps, tSub, fSub := c.G.DetachBranchRoot(n)
 
-	tn := c.G.NewNode()
-	c.G.SetPos(tn, oldPos)
-	c.G.AdoptSubtree(tn, tSub)
+	tn := c.G.AdoptSubtree(tSub, n.Pos())
 	for _, o := range rootOps {
 		c.G.AddOp(o, tSub)
 	}
 
-	fn := c.G.NewNode()
+	fn := c.G.AdoptSubtree(fSub, n.Pos())
 	fn.Drain = true
-	c.G.SetPos(fn, oldPos)
-	c.G.AdoptSubtree(fn, fSub)
 	for _, o := range rootOps {
 		c.G.AddOp(o.Clone(c.G.Alloc.OpID(), true), fSub)
 	}
