@@ -65,6 +65,14 @@ func run() int {
 	)
 	flag.Parse()
 
+	if *seeds < 1 {
+		fmt.Fprintf(os.Stderr, "fuzzloop: -seeds %d: need at least 1\n", *seeds)
+		return 2
+	}
+	if *budget < 0 || *timeout < 0 {
+		fmt.Fprintf(os.Stderr, "fuzzloop: -budget %v, -timeout %v: durations must not be negative\n", *budget, *timeout)
+		return 2
+	}
 	fus, err := machine.ParseFUs(*machines)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fuzzloop: -machines: %v\n", err)

@@ -107,6 +107,10 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
+	if *timeout < 0 {
+		fmt.Fprintf(os.Stderr, "-timeout %v: must not be negative\n", *timeout)
+		return 2
+	}
 
 	kernels := livermore.All()
 	if *loopsFlag != "" {

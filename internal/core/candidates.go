@@ -55,14 +55,16 @@ import (
 // in DESIGN.md §6.
 
 // initCandidates sizes and fills the selectors from the freshly ranked
-// pool: every pool op starts eligible. rankOf, tried and parkLink share
-// one allocation, and so do the rank-space bitsets.
+// pool: every pool op starts eligible. rankOf, tried, parkLink and the
+// Gapless-move witnesses share one allocation, and so do the
+// rank-space bitsets.
 func (s *scheduler) initCandidates(idxSpace int) {
 	n := len(s.pool)
-	words := make([]int32, idxSpace+2*n)
+	words := make([]int32, 2*idxSpace+2*n)
 	s.rankOf = words[:idxSpace:idxSpace]
 	s.tried = words[idxSpace : idxSpace+n : idxSpace+n]
-	s.parkLink = words[idxSpace+n:]
+	s.parkLink = words[idxSpace+n : idxSpace+2*n : idxSpace+2*n]
+	s.witness = words[idxSpace+2*n:]
 	for i := range s.rankOf {
 		s.rankOf[i] = -1
 	}
@@ -170,7 +172,7 @@ func (s *scheduler) opHome(op *ir.Op, from *graph.Node) {
 	switch {
 	case s.nParked == 0:
 	case from != nil:
-		s.wakeDeparture(op, from)
+		s.wakeAround(from, &wakeEvent{kind: evDepart, x: op})
 	default:
 		s.wakeArrival(op, s.ctx.G.NodeOf(op))
 	}

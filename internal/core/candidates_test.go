@@ -242,7 +242,7 @@ func runRandomMutations(t *testing.T, seq int, before func(s *scheduler, step, a
 			n, x := chain[rng.Intn(len(chain))], ops[rng.Intn(len(ops))]
 			switch rng.Intn(4) {
 			case 0:
-				s.wakeDeparture(x, n)
+				s.wakeAround(n, &wakeEvent{kind: evDepart, x: x})
 			case 1:
 				s.wakeArrival(x, n)
 			case 2:

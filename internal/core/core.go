@@ -190,8 +190,12 @@ type scheduler struct {
 	// of the iteration changes home, and memoized gapless verdicts by op
 	// index (from is always the op's home node), each kept while the
 	// nodes it read are untouched (gapless.go, DESIGN.md §2.2).
+	// witness[op index] is the rank+1 of the filler that proved the
+	// verdict through condition 4, 0 otherwise; parking reads the chain
+	// of witnesses as its certificate (certify).
 	frontiers []iterFrontier
 	gapMemo   []memoEntry
+	witness   []int32
 }
 
 // Schedule runs GRiP over pctx.G. ops must contain every schedulable

@@ -200,8 +200,9 @@ func TestGaplessMoveDeepFillerChain(t *testing.T) {
 // entry at its old version, and the moved op's iteration frontier alone
 // is marked for recompute. A move at node 41 touches the read set: the
 // verdict is evaluated again, restamping the filler. Both answers equal
-// a fresh gaplessEval. Under CrossCheck a kept verdict is recomputed, so
-// a corrupted one panics.
+// a fresh gaplessEval. The verdict names the filler as its witness.
+// Under CrossCheck a kept verdict is recomputed, so a corrupted verdict
+// or witness panics.
 func TestGaplessVerdictSurvivesUnrelatedMove(t *testing.T) {
 	pctx, s, ops := buildIterChain(48, 8, 4)
 	g := pctx.G
@@ -217,10 +218,13 @@ func TestGaplessVerdictSurvivesUnrelatedMove(t *testing.T) {
 	if stamp != g.Version() {
 		t.Fatal("scenario: the verdict should have consulted the filler at node 41")
 	}
+	if w, want := s.witness[op.Index], s.rankOf[filler.Index]+1; w != want {
+		t.Fatalf("verdict witness %d, want the filler at node 41 (rank+1 %d)", w, want)
+	}
 
 	fresh := func(what string, got bool) {
 		t.Helper()
-		if want, _ := s.gaplessEval(from, op); got != want {
+		if want, _, _ := s.gaplessEval(from, op); got != want {
 			t.Fatalf("after %s: served %v, a fresh gaplessEval says %v", what, got, want)
 		}
 	}
@@ -248,15 +252,24 @@ func TestGaplessVerdictSurvivesUnrelatedMove(t *testing.T) {
 	fresh("a move inside the read depth", got)
 
 	s.opts.CrossCheck = true
-	e := s.gapMemo[op.Index]
-	s.gapMemo[op.Index] = makeMemoEntry(e.ver(), e.depth(), !e.holds())
-	g.MoveOp(below, g.Where(below))
-	recovered := func() (v any) {
-		defer func() { v = recover() }()
-		s.gaplessMove(from, op)
-		return nil
-	}()
-	if msg, _ := recovered.(string); !strings.Contains(msg, "a recompute says") {
-		t.Fatalf("CrossCheck served a corrupted kept verdict (recovered %v)", recovered)
+	e, w := s.gapMemo[op.Index], s.witness[op.Index]
+	for _, c := range []struct {
+		what    string
+		entry   memoEntry
+		witness int32
+	}{
+		{"verdict", makeMemoEntry(e.ver(), e.depth(), !e.holds()), w},
+		{"witness", e, w + 1},
+	} {
+		s.gapMemo[op.Index], s.witness[op.Index] = c.entry, c.witness
+		g.MoveOp(below, g.Where(below))
+		recovered := func() (v any) {
+			defer func() { v = recover() }()
+			s.gaplessMove(from, op)
+			return nil
+		}()
+		if msg, _ := recovered.(string); !strings.Contains(msg, "a recompute says") {
+			t.Fatalf("CrossCheck served a kept verdict with a corrupted %s (recovered %v)", c.what, recovered)
+		}
 	}
 }

@@ -55,14 +55,15 @@ func (e memoEntry) restamp(ver uint64) memoEntry { return memoEntry(ver<<8) | e&
 //
 // Every caller passes a pool op (op.Index addresses gapMemo) and its
 // home node as from, so the verdict is a function of op and the graph
-// and is memoized by op index. A verdict from an older graph version is
-// served while unchangedSince vouches for everything it read; under
-// Options.CrossCheck every such verdict is recomputed, and a
-// disagreement panics. The recursion ends: each level moves to a
-// strictly lower node (a successor; every node has one incoming edge,
-// so no path revisits one) and so to a different op of the same
-// iteration, and the memo evaluates each op at most once per graph
-// version.
+// and is memoized by op index, beside its witness (s.witness): the
+// rank+1 of the filler that proved condition 4, 0 otherwise. A verdict
+// from an older graph version is served while unchangedSince vouches
+// for everything it read; under Options.CrossCheck every such verdict
+// is recomputed, and a disagreement in verdict or witness panics. The
+// recursion ends: each level moves to a strictly lower node (a
+// successor; every node has one incoming edge, so no path revisits
+// one) and so to a different op of the same iteration, and the memo
+// evaluates each op at most once per graph version.
 func (s *scheduler) gaplessMove(from *graph.Node, op *ir.Op) bool {
 	ver := s.ctx.G.Version()
 	e := s.gapMemo[op.Index]
@@ -73,15 +74,16 @@ func (s *scheduler) gaplessMove(from *graph.Node, op *ir.Op) bool {
 	case unchangedSince(from, e.depth(), e.ver()):
 		s.gapMemo[op.Index] = e.restamp(ver)
 		if s.opts.CrossCheck {
-			if ok, _ := s.gaplessEval(from, op); ok != e.holds() {
-				panic(fmt.Sprintf("core: Gapless-move verdict for %v at n%d kept from version %d (read depth %d) is %v, a recompute says %v",
-					op, from.ID, e.ver(), e.depth(), e.holds(), ok))
+			if ok, _, w := s.gaplessEval(from, op); ok != e.holds() || w != s.witness[op.Index] {
+				panic(fmt.Sprintf("core: Gapless-move verdict for %v at n%d kept from version %d (read depth %d) is %v with witness %d, a recompute says %v with witness %d",
+					op, from.ID, e.ver(), e.depth(), e.holds(), s.witness[op.Index], ok, w))
 			}
 		}
 		return e.holds()
 	}
-	ok, depth := s.gaplessEval(from, op)
+	ok, depth, w := s.gaplessEval(from, op)
 	s.gapMemo[op.Index] = makeMemoEntry(ver, depth, ok)
+	s.witness[op.Index] = w
 	return ok
 }
 
@@ -108,37 +110,43 @@ func unchangedSince(n *graph.Node, depth int, ver uint64) bool {
 }
 
 // gaplessEval evaluates the four conditions and returns the verdict
-// with its read depth. Conditions 1–3 read only from (depth 0):
-// condition 3 compares from with the ops of op's iteration below it,
-// which sit on the one chain of non-drain nodes and move one edge up it
-// at a time, so none passes from without entering it. Condition 4
-// reads one level more than the filler verdicts it consulted.
-func (s *scheduler) gaplessEval(from *graph.Node, op *ir.Op) (bool, int) {
+// with its read depth and its witness. Conditions 1–3 read only from
+// (depth 0): condition 3 compares from with the ops of op's iteration
+// below it, which sit on the one chain of non-drain nodes and move one
+// edge up it at a time, so none passes from without entering it.
+// Condition 4 reads one level more than the filler verdicts it
+// consulted, and its witness is the rank+1 of the filler it accepted.
+func (s *scheduler) gaplessEval(from *graph.Node, op *ir.Op) (bool, int, int32) {
 	if from.OpCount()+from.BranchCount() == 1 || from.IterCount(op.Iter) >= 2 || s.isLastOfIter(from, op) {
-		return true, 0
+		return true, 0, 0
 	}
-	found, depth := false, 0
+	var filler *ir.Op
+	depth := 0
 	from.VisitSuccessors(func(succ *graph.Node) bool {
 		if succ.Drain {
 			return true
 		}
-		ok, d := s.findFiller(succ, op)
-		found, depth = ok, max(depth, 1+d)
-		return !ok
+		x, d := s.findFiller(succ, op)
+		filler, depth = x, max(depth, 1+d)
+		return x == nil
 	})
-	return found, depth
+	if filler == nil {
+		return false, depth, 0
+	}
+	return true, depth, s.rankOf[filler.Index] + 1
 }
 
 // findFiller looks in succ for an op X of op's iteration that can fill
-// the gap op would leave behind, and returns the answer with its read
-// depth below succ: the witness's when one is found, else the deepest
-// of the fillers it probed. Instead of walking succ's instruction tree
-// it scans the per-iteration op list behind an O(1) IterCount gate —
-// the gapless search is localized, and an iteration holds only a body's
-// worth of operations.
-func (s *scheduler) findFiller(succ *graph.Node, op *ir.Op) (bool, int) {
+// the gap op would leave behind, and returns the first one found, or
+// nil, with its read depth below succ: the deepest of the fillers it
+// probed, the one returned included, so a verdict kept by its read
+// depth keeps its witness too. Instead of walking succ's instruction
+// tree it scans the per-iteration op list behind an O(1) IterCount
+// gate — the gapless search is localized, and an iteration holds only
+// a body's worth of operations.
+func (s *scheduler) findFiller(succ *graph.Node, op *ir.Op) (*ir.Op, int) {
 	if succ.IterCount(op.Iter) == 0 {
-		return false, 0
+		return nil, 0
 	}
 	g := s.ctx.G
 	depth := 0
@@ -146,20 +154,18 @@ func (s *scheduler) findFiller(succ *graph.Node, op *ir.Op) (bool, int) {
 		if x == op || x.Frozen || g.NodeOf(x) != succ {
 			continue
 		}
-		d := 0
 		if v := g.Where(x); !x.IsBranch() && v != succ.Root && !reachesOnlyDrains(v.Sibling()) {
-			d = anyDepth // the hoist probe reads liveness below the chain
+			depth = anyDepth // the hoist probe reads liveness below the chain
 		}
 		if s.canFill(x, op) {
 			ok := s.gaplessMove(succ, x) // leaves x's entry current
-			d = max(d, s.gapMemo[x.Index].depth())
+			depth = max(depth, s.gapMemo[x.Index].depth())
 			if ok {
-				return true, d
+				return x, depth
 			}
 		}
-		depth = max(depth, d)
 	}
-	return false, depth
+	return nil, depth
 }
 
 // reachesOnlyDrains reports whether every node reachable from the

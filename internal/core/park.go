@@ -157,7 +157,7 @@ func (s *scheduler) maybePark(cur *graph.Node, op, by *ir.Op) {
 			rec.regs |= c
 		}
 	}
-	if s.opts.GapPrevention && op.Iter != ir.NoIter && !s.certify(cur, op, 0, &rec) {
+	if s.opts.GapPrevention && op.Iter != ir.NoIter && !s.certify(cur, op, &rec) {
 		return
 	}
 	s.park(r, cur, rec)
@@ -195,20 +195,6 @@ func (s *scheduler) parked(op *ir.Op) bool {
 	return r >= 0 && s.parkLink[r] != 0
 }
 
-// wakeDeparture passes x's departure from node f to the lists at f (x
-// left the op's home) and at f's successors (x left the op's
-// predecessor, whose committed path it may have held). Witness chains
-// below f need no wake: an op leaving a chain node lands in the chain
-// node above it (DESIGN.md §6.5).
-func (s *scheduler) wakeDeparture(x *ir.Op, f *graph.Node) {
-	ev := wakeEvent{kind: evDepart, x: x}
-	s.wakeList(f, &ev, 0)
-	f.VisitSuccessors(func(succ *graph.Node) bool {
-		s.wakeList(succ, &ev, -1)
-		return true
-	})
-}
-
 // wakeArrival passes x's arrival at node m to the lists at m and at its
 // ancestors whose deepest witness chain reaches m. An arrival never
 // lands on a committed path that a parked op's block reads: the op
@@ -227,9 +213,12 @@ func (s *scheduler) wakeArrival(x *ir.Op, m *graph.Node) {
 	}
 }
 
-// wakeAround passes an unmoveable mark or the node advance at n to the
-// lists at n and at its successors: the parked ops whose blocker may
-// rest at n.
+// wakeAround passes a departure from n, an unmoveable mark or the node
+// advance at n to the lists at n and at its successors: the parked ops
+// whose home is n, or whose blocker or committed path may rest there.
+// Witness chains below n need no wake: an op leaving a chain node lands
+// in the chain node above it, where the arrival is heard (DESIGN.md
+// §6.5).
 func (s *scheduler) wakeAround(n *graph.Node, ev *wakeEvent) {
 	if n == nil || s.nParked == 0 {
 		return
@@ -446,61 +435,49 @@ func (s *scheduler) repicked(r int32, pos float64) bool {
 	return false
 }
 
-// certify certifies the Gapless-move verdict for op leaving from by
-// state the wakes watch, and fills in rec's certificate, depth nodes
-// below the parked op's home. Condition 3 stays true while op stays
-// put, because the other ops of its iteration only move up; condition 2
-// survives every arrival; condition 1 survives no arrival. The first
-// that holds is taken in that order. Condition 4 certifies through a
-// chain of move-op or move-cj fillers, each certified the same way, at
-// most maxWitnessDepth nodes deep, and rec gathers the fillers'
+// certify fills in rec's Gapless-move certificate for op, parked at
+// its home from, and reports whether the verdict that let op's step run
+// is certified by state the wakes watch. The certificate is the
+// verdict's witness chain, read off the memo: no probe, no search. It
+// is current because the migration step that parks op consulted
+// gaplessMove(from, op) and has mutated nothing since, and a kept
+// verdict's read set contains its witness's, so no witness on the chain
+// is stale. At each chain node the conditions are taken in the order
+// 3, 2, 1, and the first that holds ends the chain: condition 3 stays
+// true while the op stays put, because the other ops of its iteration
+// only move up; condition 2 survives every arrival; condition 1
+// survives no arrival. Otherwise the chain follows the node's witness,
+// at most maxWitnessDepth nodes deep, and rec gathers the fillers'
 // registers and memory use. A filler that must hoist first does not
 // certify: a hoist reads liveness below the chain.
-func (s *scheduler) certify(from *graph.Node, op *ir.Op, depth int, rec *parkRec) bool {
-	term := uint8(0)
-	switch {
-	case s.isLastOfIter(from, op):
-		term = 3
-	case from.IterCount(op.Iter) >= 2:
-		term = 2
-	case from.OpCount()+from.BranchCount() == 1:
-		term = 1
-	}
-	if term != 0 {
-		rec.depth, rec.term = uint8(depth), term
-		return true
-	}
-	if depth == maxWitnessDepth {
-		return false
-	}
+func (s *scheduler) certify(from *graph.Node, op *ir.Op, rec *parkRec) bool {
 	g := s.ctx.G
-	found := false
-	from.VisitSuccessors(func(succ *graph.Node) bool {
-		if succ.Drain || succ.IterCount(op.Iter) == 0 {
+	for depth := 0; ; depth++ {
+		switch {
+		case s.isLastOfIter(from, op):
+			rec.term = 3
+		case from.IterCount(op.Iter) >= 2:
+			rec.term = 2
+		case from.OpCount()+from.BranchCount() == 1:
+			rec.term = 1
+		}
+		if rec.term != 0 {
+			rec.depth = uint8(depth)
 			return true
 		}
-		for _, x := range s.byIter[op.Iter+1] {
-			if x == op || x.Frozen || g.NodeOf(x) != succ {
-				continue
-			}
-			if !x.IsBranch() && g.Where(x) != succ.Root {
-				continue
-			}
-			if !s.canFill(x, op) {
-				continue
-			}
-			if s.certify(succ, x, depth+1, rec) {
-				rec.regs |= opRegs(x) | pathCopyRegs(succ.In())
-				if touchesMem(x) {
-					rec.flags |= recMem
-				}
-				found = true
-				return false
-			}
+		if depth == maxWitnessDepth {
+			return false
 		}
-		return true
-	})
-	return found
+		op = s.pool[s.witness[op.Index]-1]
+		from = g.NodeOf(op)
+		if !op.IsBranch() && g.Where(op) != from.Root {
+			return false
+		}
+		rec.regs |= opRegs(op) | pathCopyRegs(from.In())
+		if touchesMem(op) {
+			rec.flags |= recMem
+		}
+	}
 }
 
 // repickIsNoop runs, under CrossCheck, the re-pick of parked op that

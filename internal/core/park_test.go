@@ -278,6 +278,58 @@ func TestParkWakeWitnessChainChanges(t *testing.T) {
 	r.replay(r.nodes[0])
 }
 
+// A witness chain two fillers deep: P's Gapless-move verdict holds
+// only through x1 one node down, whose own verdict holds only through
+// x2 below it, the last op of their iteration. Both fillers sit at
+// their nodes' roots, so P parks on the chain read off the memo: two
+// nodes deep, ended by condition 3, with both fillers' registers.
+func TestParkWitnessChainTwoFillersDeep(t *testing.T) {
+	r := newParkRig(t)
+	a := r.op(1, "ra")
+	b := r.op(1, "rb")       // P's producer
+	p := r.op(0, "rp", "rb") // iteration 0, certified through x1 and x2
+	c := r.op(1, "rc")       // keeps P from being alone
+	x1 := r.op(0, "rx1")
+	y := r.op(1, "ry") // keeps x1 from being alone
+	x2 := r.op(0, "rx2")
+	r.build(0, true, []*ir.Op{a}, []*ir.Op{b}, []*ir.Op{p, c}, []*ir.Op{x1, y}, []*ir.Op{x2})
+	r.mustPark(p)
+	rec := r.rec(p)
+	if rec.depth != 2 || rec.term != 3 {
+		t.Fatalf("P certified by condition %d at depth %d, want condition 3 at depth 2", rec.term, rec.depth)
+	}
+	if want := regBit(x1.Dst) | regBit(x2.Dst); rec.regs&want != want {
+		t.Fatalf("P's record holds registers %b, want both fillers' %b", rec.regs, want)
+	}
+	r.replay(r.nodes[0])
+}
+
+// A witness that must hoist does not certify: P's verdict holds only
+// through x, the one op of its iteration in the node below, which sits
+// under that node's exit test and must hoist before it can fill P's
+// gap. A hoist reads liveness below the chain, so P does not park.
+func TestParkHoistingWitnessDoesNotCertify(t *testing.T) {
+	r := newParkRig(t)
+	a := r.op(1, "ra")
+	b := r.op(1, "rb")       // P's producer
+	p := r.op(0, "rp", "rb") // iteration 0, proved gapless through x
+	c := r.op(1, "rc")       // keeps P from being alone
+	q := r.branch(1, "rq")
+	x := r.op(0, "rx") // under q on the continue side
+	r.taken[x] = false
+	r.build(0, true, []*ir.Op{a}, []*ir.Op{b}, []*ir.Op{p, c}, []*ir.Op{q, x})
+	r.migrate(p)
+	r.stopsAt(p, 2)
+	if w := r.s.witness[p.Index]; w != r.s.rankOf[x.Index]+1 {
+		t.Fatalf("scenario: P's verdict names witness %d, want x (rank+1 %d)", w, r.s.rankOf[x.Index]+1)
+	}
+	if r.s.parked(p) || r.s.suspended.Has(int(r.s.rankOf[p.Index])) {
+		t.Fatalf("P parked=%v suspended=%v, want neither: its only witness must hoist",
+			r.s.parked(p), r.s.suspended.Has(int(r.s.rankOf[p.Index])))
+	}
+	r.replay(r.nodes[0])
+}
+
 // A mid-migration bumpGen re-adds the migrating op: P's first step
 // leaves a full node, which opens a new generation and puts P — tried
 // in the closing one — back in its selector; its next step parks it,

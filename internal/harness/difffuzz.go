@@ -346,8 +346,9 @@ type SweepOptions struct {
 	SeedBase int64
 	Seeds    int
 	// Budget, when positive, stops the sweep (cleanly, after a whole
-	// loop) once the wall clock is spent. Per-seed verdicts stay
-	// deterministic; the budget only decides how far the sweep gets.
+	// loop) once the wall clock is spent; the first loop is always
+	// judged. Per-seed verdicts stay deterministic; the budget only
+	// decides how far the sweep gets.
 	Budget time.Duration
 	// Minimize shrinks every failing loop with up to MinProbes oracle
 	// probes (default 200) before reporting it.
@@ -396,7 +397,7 @@ func FuzzSweep(ctx context.Context, opts SweepOptions) (*FuzzReport, error) {
 	rep := &FuzzReport{}
 	start := time.Now()
 	for i := 0; i < opts.Seeds; i++ {
-		if opts.Budget > 0 && time.Since(start) >= opts.Budget {
+		if i > 0 && opts.Budget > 0 && time.Since(start) >= opts.Budget {
 			logf("fuzz: budget %v spent after %d/%d seeds", opts.Budget, i, opts.Seeds)
 			break
 		}

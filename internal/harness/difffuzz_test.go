@@ -74,6 +74,20 @@ func TestFuzzSweepGreen(t *testing.T) {
 	}
 }
 
+// TestFuzzSweepBudgetJudgesOneSeed pins that a spent budget never
+// leaves a sweep that judged nothing: under a one-nanosecond budget the
+// sweep judges its first seed and stops.
+func TestFuzzSweepBudgetJudgesOneSeed(t *testing.T) {
+	testutil.LeakCheck(t)
+	rep, err := FuzzSweep(context.Background(), SweepOptions{Seeds: 3, Budget: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Seeds != 1 {
+		t.Errorf("a 1ns budget judged %d seeds, want 1", rep.Seeds)
+	}
+}
+
 // TestVerdictDeterminism pins the acceptance property that a seed's
 // verdict is a pure function of the seed: same loops, same judgments,
 // regardless of worker count.

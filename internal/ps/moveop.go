@@ -158,8 +158,8 @@ func crossCheckPath(leaf *graph.Vertex, op, excluding *ir.Op, block Block, rewri
 // define nothing and touch no memory, exactly as the reference ignores
 // them.
 func firstPathEvent(leaf *graph.Vertex, op, excluding *ir.Op) *ir.Op {
-	// Same stack-buffered chain collection as pathOps (and the same
-	// overflow behavior past depth 8: a correct heap append).
+	// Same stack-buffered chain collection as scanCommittedPath (and the
+	// same overflow behavior past depth 8: a correct heap append).
 	var buf [8]*graph.Vertex
 	chain := buf[:0]
 	for v := leaf; v != nil; v = v.Parent() {
@@ -203,45 +203,54 @@ func firstPathEvent(leaf *graph.Vertex, op, excluding *ir.Op) *ir.Op {
 // target node, collecting copy-propagation rewrites. It returns the
 // blocking verdict plus the (possibly rewritten) use list and rewrite
 // list. Retained as the cross-checked reference implementation behind
-// Ctx.CrossCheck.
+// Ctx.CrossCheck; it collects the chain itself, so it shares no code
+// with firstPathEvent.
 func scanCommittedPath(leaf *graph.Vertex, op, excluding *ir.Op, uses []ir.Reg, rewrites []rewrite) (Block, []ir.Reg, []rewrite) {
-	block := blockNone
-	pathOps(leaf, func(p *ir.Op) bool {
-		if p == excluding || p == op {
-			return true
-		}
-		if d := p.Def(); d != ir.NoReg {
-			for i, u := range uses {
-				if u != d {
-					continue
+	// Collect the root -> leaf chain. Instruction trees are shallow
+	// (depth bounded by the branch-slot budget), so the stack buffer
+	// makes the scan allocation-free under every paper machine. An
+	// unlimited-branch machine can exceed 8 vertices; the append then
+	// grows onto the heap with nothing dropped
+	// (TestScanCommittedPathDeepTreeOverflowsCorrectly).
+	var buf [8]*graph.Vertex
+	chain := buf[:0]
+	for v := leaf; v != nil; v = v.Parent() {
+		chain = append(chain, v)
+	}
+	for k := len(chain) - 1; k >= 0; k-- {
+		for _, p := range chain[k].Ops {
+			if p == excluding || p == op {
+				continue
+			}
+			if d := p.Def(); d != ir.NoReg {
+				for i, u := range uses {
+					if u != d {
+						continue
+					}
+					if p.IsCopy() {
+						// Propagate through the copy.
+						uses[i] = p.Src[0]
+						rewrites = append(rewrites, rewrite{from: d, to: p.Src[0]})
+						continue
+					}
+					return Block{Kind: BlockDep, By: p}, uses, rewrites
 				}
-				if p.IsCopy() {
-					// Propagate through the copy.
-					uses[i] = p.Src[0]
-					rewrites = append(rewrites, rewrite{from: d, to: p.Src[0]})
-					continue
+				if d == op.Def() {
+					// Output dependence: two commits of the same register
+					// on one path. Renaming can remove this.
+					return Block{Kind: BlockDep, By: p}, uses, rewrites
 				}
-				block = Block{Kind: BlockDep, By: p}
-				return false
 			}
-			if d == op.Def() {
-				// Output dependence: two commits of the same register
-				// on one path. Renaming can remove this.
-				block = Block{Kind: BlockDep, By: p}
-				return false
-			}
-		}
-		// Memory ordering: a load may not pass an aliasing store; two
-		// aliasing stores may not share a path (ambiguous commit).
-		if !op.Mem.IsZero() && !p.Mem.IsZero() {
-			if (op.IsLoad() && p.IsStore() || op.IsStore() && p.IsStore()) && op.Mem.MayAlias(p.Mem) {
-				block = Block{Kind: BlockDep, By: p}
-				return false
+			// Memory ordering: a load may not pass an aliasing store; two
+			// aliasing stores may not share a path (ambiguous commit).
+			if !op.Mem.IsZero() && !p.Mem.IsZero() {
+				if (op.IsLoad() && p.IsStore() || op.IsStore() && p.IsStore()) && op.Mem.MayAlias(p.Mem) {
+					return Block{Kind: BlockDep, By: p}, uses, rewrites
+				}
 			}
 		}
-		return true
-	}, nil)
-	return block, uses, rewrites
+	}
+	return blockNone, uses, rewrites
 }
 
 // scanMovePastRead checks for readers of op's target register (or, for

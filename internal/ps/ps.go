@@ -117,34 +117,3 @@ func (c *Ctx) predLeaf(n *graph.Node) (*graph.Node, *graph.Vertex, Block) {
 	}
 	return l.Node(), l, blockNone
 }
-
-// pathOps calls f for every operation committed on the path from the
-// root of leaf's node down to leaf (the operations a mover would be
-// inserted after, value-wise). Branches on the path are passed to fb.
-func pathOps(leaf *graph.Vertex, f func(*ir.Op) bool, fb func(*ir.Op) bool) bool {
-	// Collect root -> leaf chain. Instruction trees are shallow (depth
-	// bounded by the branch-slot budget), so the stack buffer makes the
-	// per-step scan allocation-free under every paper machine. An
-	// unlimited-branch machine can exceed 8 vertices; the append then
-	// grows onto the heap with nothing dropped
-	// (TestPathOpsDeepTreeOverflowsCorrectly).
-	var buf [8]*graph.Vertex
-	chain := buf[:0]
-	for v := leaf; v != nil; v = v.Parent() {
-		chain = append(chain, v)
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		v := chain[i]
-		for _, op := range v.Ops {
-			if !f(op) {
-				return false
-			}
-		}
-		if v.CJ != nil && fb != nil {
-			if !fb(v.CJ) {
-				return false
-			}
-		}
-	}
-	return true
-}

@@ -38,60 +38,64 @@ func TestOpUsesBufferBound(t *testing.T) {
 	}
 }
 
-// pathOps collects the root→leaf chain into an [8]*graph.Vertex stack
-// buffer. Instruction trees are depth-bounded by the machine's branch
-// slots under every paper configuration, but machine.WithBranchSlots
-// accepts Unlimited — so a deeper tree must overflow into a correct
-// (heap-growing) append, never drop vertices. This drives a 12-deep
-// committed path and checks every op is visited in root→leaf order.
-func TestPathOpsDeepTreeOverflowsCorrectly(t *testing.T) {
+// scanCommittedPath collects the root→leaf chain into an
+// [8]*graph.Vertex stack buffer. Instruction trees are depth-bounded
+// by the machine's branch slots under every paper configuration, but
+// machine.WithBranchSlots accepts Unlimited — so a deeper tree must
+// overflow into a correct (heap-growing) append, never drop vertices.
+// This drives a 12-deep committed path: a mover reading the root op's
+// and the leaf op's results must be blocked by the root op, the first
+// in root→leaf order, and one reading only the leaf op's result by the
+// leaf op.
+func TestScanCommittedPathDeepTreeOverflowsCorrectly(t *testing.T) {
 	f := newFixture(64)
 	const depth = 12
 	n := f.g.NewNode()
 	f.g.Entry = n
-	var want []*ir.Op
 	leaf := n.Root
+	rootOp := f.constOp(f.al.Reg(), 0)
 	for i := 0; i < depth; i++ {
-		op := f.constOp(f.al.Reg(), int64(i))
+		op := rootOp
+		if i > 0 {
+			op = f.constOp(f.al.Reg(), int64(i))
+		}
 		f.g.AddOp(op, leaf)
-		want = append(want, op)
 		cj := &ir.Op{ID: f.al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{f.al.Reg()}, Imm: 1, BImm: true, Rel: ir.Lt}
 		// Each branch exits to a node of its own: a node has one
 		// incoming edge.
 		leaf, _ = f.g.InsertBranchAtLeaf(leaf, cj, nil, f.g.NewNode())
-		want = append(want, cj)
 	}
-	last := f.constOp(f.al.Reg(), depth)
-	f.g.AddOp(last, leaf)
-	want = append(want, last)
+	leafOp := f.constOp(f.al.Reg(), depth)
+	f.g.AddOp(leafOp, leaf)
 	if err := f.g.Validate(); err != nil {
 		t.Fatal(err)
 	}
 
-	var got []*ir.Op
-	pathOps(leaf,
-		func(op *ir.Op) bool { got = append(got, op); return true },
-		func(cj *ir.Op) bool { got = append(got, cj); return true })
-	if len(got) != len(want) {
-		t.Fatalf("pathOps visited %d ops on a depth-%d path, want %d", len(got), depth, len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pathOps order diverges at %d: got %v, want %v", i, got[i], want[i])
+	both := &ir.Op{ID: f.al.OpID(), Kind: ir.Add, Dst: f.al.Reg(), Src: [2]ir.Reg{rootOp.Dst, leafOp.Dst}}
+	leafOnly := f.addI(f.al.Reg(), leafOp.Dst, 1)
+	for _, tc := range []struct {
+		name   string
+		mover  *ir.Op
+		wantBy *ir.Op
+	}{{"root and leaf reader", both, rootOp}, {"leaf reader", leafOnly, leafOp}} {
+		var useBuf [3]ir.Reg
+		blk, _, _ := scanCommittedPath(leaf, tc.mover, nil, tc.mover.Uses(useBuf[:0]), nil)
+		if blk.Kind != BlockDep || blk.By != tc.wantBy {
+			t.Errorf("%s on a depth-%d path: %v block by %v, want a dep block by %v", tc.name, depth, blk.Kind, blk.By, tc.wantBy)
 		}
 	}
 
-	// At or below the 8-vertex bound the walk must stay allocation-free
-	// (the probe paths sit on this).
-	shallow := f.g.NodeOf(want[0])
-	shallowLeaf := shallow.Root
+	// At or below the 8-vertex bound the scan must stay allocation-free
+	// (the CrossCheck reference runs next to every probe).
+	shallowLeaf := n.Root
 	for i := 0; i < 7 && !shallowLeaf.IsLeaf(); i++ {
 		shallowLeaf = shallowLeaf.True
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		pathOps(shallowLeaf, func(*ir.Op) bool { return true }, nil)
+		var useBuf [3]ir.Reg
+		scanCommittedPath(shallowLeaf, leafOnly, nil, leafOnly.Uses(useBuf[:0]), nil)
 	}); a != 0 {
-		t.Errorf("pathOps allocates %v/op within the 8-vertex bound, want 0", a)
+		t.Errorf("scanCommittedPath allocates %v/op within the 8-vertex bound, want 0", a)
 	}
 }
 
