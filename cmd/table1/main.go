@@ -312,9 +312,9 @@ func parseConfig(s string) (sched.Config, error) {
 		case "renaming":
 			cfg.Renaming, err = strconv.ParseBool(val)
 		case "crosscheck":
-			// Verification only: runs the retained reference scans next
-			// to every summary-filtered fast path and panics on
-			// divergence. Cannot change any cell.
+			// Verification only: runs the retained reference
+			// implementations next to every incremental fast path and
+			// panics on divergence. Cannot change any cell.
 			cfg.CrossCheck, err = strconv.ParseBool(val)
 		default:
 			return cfg, fmt.Errorf("unknown -config key %q", key)

@@ -53,8 +53,11 @@ type Options struct {
 	// Moveable-ops scan (a full rescan of the ranked list) next to the
 	// incremental candidate structure and panics on the first
 	// divergence — picks, the rule-3 suspension bound, and the
-	// structure's internal invariants are all compared per pick. A
-	// testing hook: it turns every pick into an O(n) recheck.
+	// structure's internal invariants are all compared per pick. It
+	// also recomputes every kept Gapless-move verdict and iteration
+	// frontier, and turns on ps.Ctx.CrossCheck (the move-past-read
+	// reference) for the run. A testing hook: it turns every pick into
+	// an O(n) recheck.
 	CrossCheck bool
 }
 
@@ -233,8 +236,8 @@ func (s *scheduler) run() (Stats, error) {
 	// scheduling run).
 	defer pctx.G.SetOpHomeHook(s.prevHook)
 	if opts.CrossCheck {
-		// Extend the cross-check into ps: run the retained reference
-		// dependence scans next to every summary-filtered legality test
+		// Extend the cross-check into ps: run the retained
+		// move-past-read reference next to every use-mask-gated scan
 		// for the duration of this schedule.
 		prev := pctx.CrossCheck
 		pctx.CrossCheck = true

@@ -84,7 +84,7 @@ type wakeEvent struct {
 }
 
 // regBit returns register r's bit in a may-mask, as the graph's vertex
-// summaries assign them.
+// use masks assign them.
 func regBit(r ir.Reg) uint64 { return 1 << (uint(r) & 63) }
 
 // opRegs is the may-mask of op's reads and result.

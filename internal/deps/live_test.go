@@ -80,13 +80,4 @@ func TestLiveOnSubtreeAndDefines(t *testing.T) {
 	if LiveOnSubtree(g, root.True, r9, nil) {
 		t.Error("r9 is killed at n2's root before any read")
 	}
-
-	// The kill that makes r9 dead sits at n2's root vertex; the branch
-	// vertex's continue side defines nothing itself.
-	if p, _ := ns[2].Root.DefSiteHere(r9); p == nil {
-		t.Error("DefSiteHere misses n2's own definition of r9")
-	}
-	if p, _ := root.True.DefSiteHere(r9); p != nil {
-		t.Errorf("DefSiteHere(r9) = %v on a vertex that defines nothing", p)
-	}
 }

@@ -102,7 +102,7 @@ func (g *Graph) Clone(alloc *ir.Alloc) (*Graph, []*ir.Op) {
 	// recreated.
 	var cloneVertex func(v *Vertex, n *Node, parent *Vertex) *Vertex
 	cloneVertex = func(v *Vertex, n *Node, parent *Vertex) *Vertex {
-		vertexArena = append(vertexArena, Vertex{node: n, parent: parent, sum: v.sum})
+		vertexArena = append(vertexArena, Vertex{node: n, parent: parent, uses: v.uses})
 		nv := &vertexArena[len(vertexArena)-1]
 		if len(v.Ops) > 0 {
 			// Each vertex's op-pointer list is a capped sub-slice of one

@@ -15,7 +15,7 @@ import (
 // splicing, move-cj style node splits, and in-place operand rewrites —
 // and after every step lets Validate cross-check the incremental caches
 // (incoming leaves, per-iteration schedulable counts, op/branch counts,
-// op placements, def/use summaries) against full recounts. New edges
+// op placements, use masks) against full recounts. New edges
 // only enter nodes that have none (one incoming edge per node). This
 // is the consistency property the walk-free schedulers rely on: no
 // sequence of mutator calls may drift a cache from the structure it
@@ -30,8 +30,8 @@ import (
 // mix includes loads, stores (direct and indirect) and copies, so every
 // operand-rewrite path is exercised. The pool spans register ids past
 // 64, so distinct registers share a mask bit: the final spot check
-// requires the masks to have no false negatives and DefSiteHere to stay
-// exact under those collisions.
+// requires the use masks to have no false negatives under those
+// collisions.
 func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 	collisions := 0
 	for seed := int64(1); seed <= 10; seed++ {
@@ -137,20 +137,25 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 			// would break the single-definition-per-path invariant the
 			// schedulers maintain (conservative: the op being moved is
 			// not excluded, so an in-subtree move may skip needlessly).
+			defines := func(v *Vertex, d ir.Reg) bool {
+				for _, p := range v.Ops {
+					if p.Def() == d {
+						return true
+					}
+				}
+				return false
+			}
 			defClash := func(v *Vertex, d ir.Reg) bool {
 				if d == ir.NoReg {
 					return false
 				}
 				below := false
-				v.walk(func(w *Vertex) {
-					p, _ := w.DefSiteHere(d)
-					below = below || p != nil
-				})
+				v.walk(func(w *Vertex) { below = below || defines(w, d) })
 				if below {
 					return true
 				}
 				for a := v.Parent(); a != nil; a = a.Parent() {
-					if p, _ := a.DefSiteHere(d); p != nil {
+					if defines(a, d) {
 						return true
 					}
 				}
@@ -322,20 +327,15 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 				}
 			}
 
-			// Spot-check the summary query API against op-by-op walks,
-			// for every pool register (Validate checks the internal
-			// summary; this checks the exported answers against the
-			// vertex's op list): the masks may over-approximate but
-			// never miss, and DefSiteHere names exactly the defining op.
+			// Spot-check MayRead against op-by-op walks, for every pool
+			// register (Validate checks the internal mask; this checks
+			// the exported answer against the vertex's op list): the
+			// mask may over-approximate but never miss.
 			for _, n := range liveNodes() {
 				n.Walk(func(v *Vertex) {
-					defsHere := map[ir.Reg]*ir.Op{}
 					usesHere := map[ir.Reg]bool{}
 					var buf [3]ir.Reg
 					for _, op := range v.Ops {
-						if d := op.Def(); d != ir.NoReg {
-							defsHere[d] = op
-						}
 						for _, u := range op.Uses(buf[:0]) {
 							usesHere[u] = true
 						}
@@ -346,17 +346,10 @@ func TestRandomMutationsKeepCachesConsistent(t *testing.T) {
 						}
 					}
 					for _, r := range regs {
-						if defsHere[r] != nil && !v.MayDefine(r) {
-							t.Fatalf("n%d: MayDefine(r%d) misses a definition", n.ID, r)
-						}
 						if usesHere[r] && !v.MayRead(r) {
 							t.Fatalf("n%d: MayRead(r%d) misses a read", n.ID, r)
 						}
-						p, pos := v.DefSiteHere(r)
-						if p != defsHere[r] || p != nil && v.Ops[pos] != p {
-							t.Fatalf("n%d: DefSiteHere(r%d) = %v at %d, walk says %v", n.ID, r, p, pos, defsHere[r])
-						}
-						if v.MayDefine(r) && p == nil || v.MayRead(r) && !usesHere[r] {
+						if v.MayRead(r) && !usesHere[r] {
 							collisions++
 						}
 					}

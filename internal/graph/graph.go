@@ -263,7 +263,7 @@ func (g *Graph) AddOp(op *ir.Op, v *Vertex) {
 	}
 	v.Ops = append(v.Ops, op)
 	g.setLoc(op, v)
-	v.sum.addOp(op)
+	v.uses |= useMask(op)
 	if n := v.node; n != nil {
 		n.opCount++
 		n.noteOpAdded(op)
@@ -285,7 +285,7 @@ func (g *Graph) RemoveOp(op *ir.Op) {
 		panic("graph: op location out of sync")
 	}
 	g.clearLoc(op)
-	v.recomputeOwn()
+	v.recomputeUses()
 	if n := v.node; n != nil {
 		n.opCount--
 		n.noteOpRemoved(op)
@@ -332,7 +332,7 @@ func (g *Graph) InsertBranchAtLeaf(leaf *Vertex, cj *ir.Op, tSucc, fSucc *Node) 
 	leaf.True = t
 	leaf.False = f
 	g.setLoc(cj, leaf)
-	leaf.sum.addOp(cj)
+	leaf.uses |= useMask(cj)
 	if n := leaf.node; n != nil {
 		n.branchCount++
 		n.noteOpAdded(cj)

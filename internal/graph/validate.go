@@ -131,7 +131,7 @@ func (g *Graph) Validate() error {
 		if err := checkSingleDefPerPath(n); err != nil {
 			return err
 		}
-		if err := checkSummaries(n); err != nil {
+		if err := checkUseMasks(n); err != nil {
 			return err
 		}
 	}
@@ -153,18 +153,18 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// checkSummaries cross-checks every vertex's incremental def/use
-// summary against a from-scratch recomputation from the vertex's op
-// list. Any mutation path that forgets to refresh a summary — including
-// operand rewrites bypassing Graph.ReplaceUse/RetargetDef — surfaces
-// here, so every randomized test calling Validate inherits the
-// invariant the ps fast-path filters depend on.
-func checkSummaries(n *Node) (err error) {
+// checkUseMasks cross-checks every vertex's incremental use mask
+// against a from-scratch recomputation from the vertex's op list. Any
+// mutation path that forgets to refresh a mask — including operand
+// rewrites bypassing Graph.ReplaceUse — surfaces here, so every
+// randomized test calling Validate inherits the invariant the ps
+// move-past-read filter depends on.
+func checkUseMasks(n *Node) (err error) {
 	n.Walk(func(v *Vertex) {
 		fresh := Vertex{Ops: v.Ops, CJ: v.CJ}
-		fresh.recomputeOwn()
-		if err == nil && fresh.sum != v.sum {
-			err = fmt.Errorf("n%d: vertex def/use summary out of sync", n.ID)
+		fresh.recomputeUses()
+		if err == nil && fresh.uses != v.uses {
+			err = fmt.Errorf("n%d: vertex use mask out of sync", n.ID)
 		}
 	})
 	return err

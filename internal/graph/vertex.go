@@ -27,11 +27,10 @@ type Vertex struct {
 	node   *Node
 	parent *Vertex
 
-	// sum is the vertex's incrementally maintained def/use summary (see
-	// summary.go): register def/use may-masks for the vertex's own op
-	// list, kept current by every Graph mutator and operand-rewrite
-	// method — what the ps legality fast paths filter on.
-	sum summary
+	// uses is the vertex's use may-mask (see summary.go), kept current
+	// by every Graph mutator and operand-rewrite method — what the ps
+	// move-past-read scan filters on.
+	uses uint64
 }
 
 // IsLeaf reports whether the vertex terminates the tree.

@@ -36,11 +36,11 @@ type Config struct {
 	TraceNode func(n *graph.Node, moveable []*ir.Op)
 	// CrossCheck runs every fast path next to its retained reference
 	// and panics on the first divergence: core's candidate structure
-	// against the ranked pick scan, and the ps summary fast paths (the
-	// committed-path check and the move-past-read scan) in core's moves
-	// and in POST's break and refill moves. Testing only; like
-	// TraceNode it cannot change the schedule and is excluded from
-	// Knobs.
+	// against the ranked pick scan, its kept Gapless-move verdicts and
+	// iteration frontiers against a recompute, and the ps use-mask-gated
+	// move-past-read scan against its full walk, in core's moves and in
+	// POST's break and refill moves. Testing only; like TraceNode it
+	// cannot change the schedule and is excluded from Knobs.
 	CrossCheck bool
 }
 
@@ -112,7 +112,9 @@ type Result struct {
 // steady-state kernel, increasing the unwind factor until the pattern
 // converges (or MaxUnwind is reached, in which case the best-effort
 // result has Converged false — which is itself meaningful: without gap
-// prevention many loops never converge, the paper's Figure 9).
+// prevention many loops never converge, the paper's Figure 9). The
+// ladder is 12, 24, 48, ... up to MaxUnwind; a MaxUnwind below 12
+// schedules once, at MaxUnwind.
 //
 // ctx cancels the run: the convergence ladder checks it between unwind
 // factors and the GRiP step loop checks it between migrations, so a
@@ -126,7 +128,7 @@ func PerfectPipeline(ctx context.Context, spec *ir.LoopSpec, cfg Config) (*Resul
 			max = DefaultMaxUnwind
 		}
 		factors = nil
-		for u := 12; u <= max; u *= 2 {
+		for u := min(12, max); u <= max; u *= 2 {
 			factors = append(factors, u)
 		}
 	}

@@ -68,7 +68,7 @@ func From(ctx context.Context, res *pipeline.Result, cfg pipeline.Config) (*pipe
 	// registers phase 1's copy propagation and renaming left behind.
 	pri := deps.NewPriority(deps.Build(uw.Ops))
 	// One transformation context serves both passes, so CrossCheck
-	// verifies their summary fast paths as it does core's.
+	// verifies their move-past-read scans as it does core's.
 	pctx := ps.NewCtx(g, cfg.Machine, uw.ExitLive)
 	pctx.CrossCheck = cfg.CrossCheck
 

@@ -69,10 +69,10 @@ func TestPostNeverBeatsBoundlessGrip(t *testing.T) {
 }
 
 // TestFromCrossChecksRefillProbes: under CrossCheck, POST's own moves
-// verify their summary fast paths as core's moves do. The phase-1
+// verify their move-past-read scans as core's moves do. The phase-1
 // clone is desynchronized with bare operand rewrites — in every row the
 // post-pass will not break, one root op now reads another's
-// destination behind the summaries' back — so the refill probes'
+// destination behind the use masks' back — so the refill probes'
 // move-past-read fast path misses a reader the reference scan sees,
 // and From must panic.
 func TestFromCrossChecksRefillProbes(t *testing.T) {
@@ -96,7 +96,7 @@ func TestFromCrossChecksRefillProbes(t *testing.T) {
 					continue
 				}
 				if uses := b.Uses(useBuf[:0]); len(uses) > 0 {
-					b.ReplaceUse(uses[0], a.Def()) // bare: the summary misses it
+					b.ReplaceUse(uses[0], a.Def()) // bare: the use mask misses it
 					break
 				}
 			}

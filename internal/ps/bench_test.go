@@ -12,10 +12,9 @@ import (
 //
 //	n0 [r8,r9 consts] -> n1 [r1..r4 consts] -> n2 [mover, hitter, keep]
 //
-// where mover reads r9 (defined two nodes up, so its probe into n1 is a
-// summary miss — the common case) and hitter reads r1 (defined in n1,
-// so its probe is a summary hit that must fall through to the full path
-// scan and report the blocking producer).
+// where mover reads r9 (defined two nodes up, so its probe into n1
+// finds no conflict on the path — the common case) and hitter reads r1
+// (defined in n1, so its probe reports the blocking producer).
 func moveBenchFixture() (f *fixture, n2 *graph.Node, mover, hitter *ir.Op) {
 	f = newFixture(8)
 	r8, r9 := f.al.Reg(), f.al.Reg()
@@ -72,10 +71,10 @@ func scanBenchFixture() (f *fixture, n *graph.Node, miss, hitT, hitF *ir.Op) {
 //
 //	n0 [r8,r9 consts] -> n1 [consts, c1 = c0, c0 = r9, rh = r8+1] -> n2
 //
-// where miss (in n2) reads r9 — defined two nodes up, so n1's summary
-// proves no path op conflicts — hit reads rh, whose non-copy producer
-// on the path blocks the move, and chain reads c1, which
-// copy-propagates through two hops (c1→c0→r9) without blocking.
+// where miss (in n2) reads r9 — defined two nodes up, so no op on n1's
+// path conflicts — hit reads rh, whose non-copy producer on the path
+// blocks the move, and chain reads c1, which copy-propagates through
+// two hops (c1→c0→r9) without blocking.
 func pathBenchFixture() (f *fixture, leaf *graph.Vertex, miss, hit, chain *ir.Op) {
 	f = newFixture(16)
 	r8, r9 := f.al.Reg(), f.al.Reg()
@@ -102,9 +101,9 @@ func pathBenchFixture() (f *fixture, leaf *graph.Vertex, miss, hit, chain *ir.Op
 
 // BenchmarkTryMoveOpUp measures one move-op legality check + move.
 // probeMiss is the dominant steady-state shape (the target instruction
-// defines none of the op's registers, so the summary filter skips the
-// path walk); probeHit forces the retained full scan; commit performs
-// the move and puts the op back through the graph mutators.
+// defines none of the op's registers, so the committed-path scan finds
+// nothing); probeHit stops the scan at the blocking producer; commit
+// performs the move and puts the op back through the graph mutators.
 func BenchmarkTryMoveOpUp(b *testing.B) {
 	b.Run("probeMiss", func(b *testing.B) {
 		f, _, mover, _ := moveBenchFixture()
@@ -168,21 +167,19 @@ func BenchmarkScanMovePastRead(b *testing.B) {
 }
 
 // BenchmarkScanCommittedPath measures the movers' shared
-// committed-path check, checkCommittedPath, in its three shapes: miss
-// finds no event on the path, hit resolves the blocking producer
-// through DefSiteHere, and copyChain meets a copy first and
-// hands over to the reference scan, which propagates the moving op's
-// use through a two-hop copy chain.
+// committed-path scan in its three shapes: miss finds no conflict on
+// the path, hit stops at the blocking producer, and copyChain
+// propagates the moving op's use through a two-hop copy chain.
 func BenchmarkScanCommittedPath(b *testing.B) {
 	bench := func(op func(miss, hit, chain *ir.Op) *ir.Op, want BlockKind, wantRewrites int) func(b *testing.B) {
 		return func(b *testing.B) {
-			f, leaf, miss, hit, chain := pathBenchFixture()
+			_, leaf, miss, hit, chain := pathBenchFixture()
 			target := op(miss, hit, chain)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var rwBuf [8]rewrite
-				blk, rw := f.c.checkCommittedPath(leaf, target, nil, rwBuf[:0])
+				blk, rw := scanCommittedPath(leaf, target, nil, rwBuf[:0])
 				if blk.Kind != want || len(rw) != wantRewrites {
 					b.Fatalf("verdict %v with %d rewrites, want %v/%d", blk.Kind, len(rw), want, wantRewrites)
 				}
@@ -197,8 +194,8 @@ func BenchmarkScanCommittedPath(b *testing.B) {
 // The move-op probe and the move-past-read scan run inside the Gapless-
 // move test's inner search loop; an allocation there multiplies into
 // the schedule's hottest path. These guards pin both at zero for the
-// summary-filtered miss AND the full-scan hit (the retained walks use
-// the documented stack buffers — see stackbuf_test.go for the bounds).
+// miss AND the blocked hit (the scans use the documented stack buffers
+// — see stackbuf_test.go for the bounds).
 func TestMoveProbesZeroAlloc(t *testing.T) {
 	f, _, mover, hitter := moveBenchFixture()
 	if err := f.g.Validate(); err != nil {
@@ -207,12 +204,12 @@ func TestMoveProbesZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		f.c.TryMoveOpUp(mover, false, nil)
 	}); n != 0 {
-		t.Errorf("probe (summary miss) allocates %v/op, want 0", n)
+		t.Errorf("probe (miss) allocates %v/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		f.c.TryMoveOpUp(hitter, false, nil)
 	}); n != 0 {
-		t.Errorf("probe (full scan) allocates %v/op, want 0", n)
+		t.Errorf("probe (blocked hit) allocates %v/op, want 0", n)
 	}
 }
 
@@ -234,7 +231,7 @@ func TestScanMovePastReadZeroAlloc(t *testing.T) {
 }
 
 // TestScanCommittedPathZeroAlloc pins the movers' shared
-// committed-path check at zero allocations for every scan shape —
+// committed-path scan at zero allocations for every scan shape —
 // including the copy-chain rewrite case, whose rewrite list must stay
 // inside the caller's stack buffer.
 func TestScanCommittedPathZeroAlloc(t *testing.T) {
@@ -245,34 +242,35 @@ func TestScanCommittedPathZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		op   *ir.Op
-	}{{"no event", miss}, {"blocking hit", hit}, {"copy chain", chain}} {
+	}{{"no conflict", miss}, {"blocking hit", hit}, {"copy chain", chain}} {
 		if a := testing.AllocsPerRun(100, func() {
 			var rwBuf [8]rewrite
-			f.c.checkCommittedPath(leaf, tc.op, nil, rwBuf[:0])
+			scanCommittedPath(leaf, tc.op, nil, rwBuf[:0])
 		}); a != 0 {
-			t.Errorf("committed-path check (%s) allocates %v/op, want 0", tc.name, a)
+			t.Errorf("committed-path scan (%s) allocates %v/op, want 0", tc.name, a)
 		}
 	}
 }
 
-// TestResolveCommittedPathMatchesReference drives the movers' shared
-// committed-path check and the retained reference scan over every scan
-// shape of the bench fixture — including the order-sensitive copy-chain
-// rewrites — and requires identical verdicts, blockers, and rewrite
-// lists. Three shapes are added on top:
+// TestScanCommittedPathShapes drives the movers' shared committed-path
+// scan over every scan shape of the bench fixture — including the
+// order-sensitive copy-chain rewrites — and pins each verdict's blocker
+// and rewrite count. Shapes added on top:
 //   - outDep, a mover c1 = c1 + 1 whose one use and destination the
-//     path copy c1 = c0 both define: the reference rewrites the use,
-//     then blocks on the output dependence, so the rewrite must be
-//     reported alongside the block;
-//   - ld, a load past an aliasing path store, which the memory probe
-//     must name;
+//     path copy c1 = c0 both define: the scan rewrites the use, then
+//     blocks on the output dependence, so the rewrite is reported
+//     alongside the block;
+//   - ld, a load past an aliasing path store, which memory order
+//     blocks;
 //   - each blocker again passed as excluding (the Gapless-move probe's
-//     leaving op), which both scans treat as absent.
+//     leaving op), which the scan treats as absent;
+//   - br, a branch mover past that store: both "define" NoReg, which
+//     is no output dependence, so the branch moves.
 //
-// The randomized equivalence sweep lives in
-// TestCrossCheckedRandomMutationSequences; this is the deterministic
-// unit-level check.
-func TestResolveCommittedPathMatchesReference(t *testing.T) {
+// The randomized sweeps over the movers are
+// TestRandomStepUpPreservesSemantics and
+// TestCrossCheckedRandomMutationSequences.
+func TestScanCommittedPathShapes(t *testing.T) {
 	f, leaf, miss, hit, chain := pathBenchFixture()
 	n2 := f.g.NodeOf(chain)
 	c1 := chain.Src[0]
@@ -283,13 +281,12 @@ func TestResolveCommittedPathMatchesReference(t *testing.T) {
 	f.g.AddOp(st, leaf)
 	ld := &ir.Op{ID: f.al.OpID(), Kind: ir.Load, Dst: f.al.Reg(), Mem: ir.MemRef{Array: arr}}
 	f.g.AddOp(ld, n2.Root)
+	br := &ir.Op{ID: f.al.OpID(), Kind: ir.CJ, Src: [2]ir.Reg{miss.Src[0]}, Imm: 10, BImm: true, Rel: ir.Lt}
+	f.g.InsertBranchAtLeaf(n2.Root, br, nil, f.g.NewNode())
 	if err := f.g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	producer, _ := leaf.DefSiteHere(hit.Src[0])
-	copyC1, _ := leaf.DefSiteHere(c1)
-	// by and rewrites pin the reference's own answer, so a fixture
-	// change cannot quietly turn a shape into a trivial case.
+	producer, copyC1 := definer(leaf, hit.Src[0]), definer(leaf, c1)
 	for _, tc := range []struct {
 		op, excluding, by *ir.Op
 		rewrites          int
@@ -297,23 +294,26 @@ func TestResolveCommittedPathMatchesReference(t *testing.T) {
 		{miss, nil, nil, 0}, {hit, nil, producer, 0}, {chain, nil, nil, 2},
 		{outDep, nil, copyC1, 1}, {ld, nil, st, 0},
 		{hit, producer, nil, 0}, {ld, st, nil, 0},
+		{br, nil, nil, 0},
 	} {
-		var ub [3]ir.Reg
-		var rb1, rb2 [8]rewrite
-		gotB, gotR := f.c.checkCommittedPath(leaf, tc.op, tc.excluding, rb1[:0])
-		refB, _, refR := scanCommittedPath(leaf, tc.op, tc.excluding, tc.op.Uses(ub[:0]), rb2[:0])
-		if refB.By != tc.by || len(refR) != tc.rewrites {
-			t.Fatalf("reference on %v excluding %v: blocked by %v with %d rewrites, want %v/%d",
-				tc.op, tc.excluding, refB.By, len(refR), tc.by, tc.rewrites)
-		}
-		if gotB != refB || len(gotR) != len(refR) {
-			t.Fatalf("%v excluding %v: check (%v by %v, %d rewrites) != reference (%v by %v, %d rewrites)",
-				tc.op, tc.excluding, gotB.Kind, gotB.By, len(gotR), refB.Kind, refB.By, len(refR))
-		}
-		for i := range gotR {
-			if gotR[i] != refR[i] {
-				t.Fatalf("%v excluding %v: rewrite %d diverged", tc.op, tc.excluding, i)
-			}
+		var rb [8]rewrite
+		blk, rw := scanCommittedPath(leaf, tc.op, tc.excluding, rb[:0])
+		if blk.By != tc.by || (blk.Kind == BlockNone) != (tc.by == nil) || len(rw) != tc.rewrites {
+			t.Errorf("%v excluding %v: %v by %v with %d rewrites, want %v/%d",
+				tc.op, tc.excluding, blk.Kind, blk.By, len(rw), tc.by, tc.rewrites)
 		}
 	}
+	if blk := f.c.TryMoveCJUp(br, false); blk.Kind != BlockNone {
+		t.Errorf("branch past a store: %v by %v, want no block", blk.Kind, blk.By)
+	}
+}
+
+// definer returns the op in v's own list that writes r, or nil.
+func definer(v *graph.Vertex, r ir.Reg) *ir.Op {
+	for _, p := range v.Ops {
+		if p.Def() == r {
+			return p
+		}
+	}
+	return nil
 }

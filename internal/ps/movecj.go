@@ -46,7 +46,7 @@ func (c *Ctx) TryMoveCJUp(cj *ir.Op, commit bool) Block {
 	// has no destination and no memory reference, so the shared
 	// committed-path check reduces to exactly this test.
 	var rwBuf [8]rewrite
-	block, rewrites := c.checkCommittedPath(leaf, cj, nil, rwBuf[:0])
+	block, rewrites := scanCommittedPath(leaf, cj, nil, rwBuf[:0])
 	if block.Kind != BlockNone {
 		return block
 	}

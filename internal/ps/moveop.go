@@ -50,7 +50,7 @@ func (c *Ctx) TryMoveOpUp(op *ir.Op, commit bool, excluding *ir.Op) Block {
 	// rewrite list lives in a stack buffer: probe calls (commit=false,
 	// the Gapless-move test's canFill) must not allocate.
 	var rwBuf [8]rewrite
-	block, rewrites := c.checkCommittedPath(leaf, op, excluding, rwBuf[:0])
+	block, rewrites := scanCommittedPath(leaf, op, excluding, rwBuf[:0])
 	if block.Kind != BlockNone {
 		return block
 	}
@@ -86,171 +86,73 @@ func (c *Ctx) TryMoveOpUp(op *ir.Op, commit bool, excluding *ir.Op) Block {
 	return blockNone
 }
 
-// checkCommittedPath is the committed-path dependence test both movers
+// scanCommittedPath is the committed-path dependence test both movers
 // share: may op enter leaf's node without conflicting with an operation
-// committed on the root→leaf path? It returns the verdict and appends
-// the copy-propagation rewrites the move needs to rewrites.
+// committed on the root→leaf path? It visits every path op in root→leaf
+// order, treating op and excluding (the Gapless-move probe's leaving
+// op) as absent, and blocks on the first one that defines a register op
+// reads (a copy instead rewrites the read to its source: copy
+// propagation), defines op's destination too (an output dependence,
+// which renaming can remove), or, for a load or store mover, is an
+// aliasing store (a load may not pass it, and two aliasing stores may
+// not share a path: an ambiguous commit). It returns the verdict with
+// the copy-propagation rewrites appended to rewrites; a block after a
+// rewrite reports both.
 //
-// firstPathEvent names the earliest path op the reference scan would
-// act on, probing each vertex's op list only behind its def mask. A
-// non-copy event is the blocker, and no event means the move is free
-// with no rewrites: before its first event the reference scan neither
-// blocks nor rewrites. A copy event hands the whole question to the
-// reference scan, which performs the propagation — copies are that
-// rare on the table's profile (DESIGN.md §10). Under Ctx.CrossCheck the
-// reference scan runs next to every answer, and any divergence in
-// verdict, blocker or rewrite list panics.
+// The mover's facts are read once, before the loop. Stores define no
+// register, so a path op defines a register or is tested for memory
+// order, never both; conditional jumps on the path define nothing and
+// touch no memory. The paths are short enough that no summary filters
+// them (DESIGN.md §10).
 //
-// Scratch lists live in stack buffers. Bounds: no op kind reads more
-// than 2 registers (TestOpUsesBufferBound), and each rewrite is one
-// copy-propagation hop, so the callers' 8-entry rewrite buffers cover
-// any chain the schedulers build; a longer chain overflows into a
-// correct heap append, it is just no longer free
-// (TestRewriteBufferOverflowsCorrectly).
-func (c *Ctx) checkCommittedPath(leaf *graph.Vertex, op, excluding *ir.Op, rewrites []rewrite) (Block, []rewrite) {
-	block := blockNone
-	if p := firstPathEvent(leaf, op, excluding); p != nil {
-		if p.IsCopy() {
-			var useBuf [3]ir.Reg
-			block, _, rewrites = scanCommittedPath(leaf, op, excluding, op.Uses(useBuf[:0]), rewrites)
-		} else {
-			block = Block{Kind: BlockDep, By: p}
-		}
-	}
-	if c.CrossCheck {
-		crossCheckPath(leaf, op, excluding, block, rewrites)
-	}
-	return block, rewrites
-}
-
-// crossCheckPath compares a committed-path answer against the reference
-// scan and panics on any divergence — a summary-maintenance or resolver
-// bug, reported exactly like a failed graph invariant.
-func crossCheckPath(leaf *graph.Vertex, op, excluding *ir.Op, block Block, rewrites []rewrite) {
-	var refUseBuf [3]ir.Reg
-	var refRwBuf [8]rewrite
-	refBlock, _, refRewrites := scanCommittedPath(leaf, op, excluding, op.Uses(refUseBuf[:0]), refRwBuf[:0])
-	diverged := block != refBlock || len(rewrites) != len(refRewrites)
-	for i := 0; !diverged && i < len(rewrites); i++ {
-		diverged = rewrites[i] != refRewrites[i]
-	}
-	if diverged {
-		panic(fmt.Sprintf("ps: committed-path check diverged from reference moving %v into n%d (got %v/%d rewrites, reference %v/%d rewrites)",
-			op, leaf.Node().ID, block.Kind, len(rewrites), refBlock.Kind, len(refRewrites)))
-	}
-}
-
-// firstPathEvent returns the first operation, in the reference scan's
-// root→leaf visit order, that defines one of op's reads or its
-// destination or (for a load or store mover) is an aliasing store — or
-// nil when the path holds none. op and excluding count as absent, as
-// in the reference scan.
-//
-// It is one pass over the chain, root first, stopping at the first
-// vertex with an event. A register resolves through DefSiteHere only
-// when the vertex's def mask may hold it; by the
-// single-definition-per-path invariant (Validate's
-// checkSingleDefPerPath) that site is the register's only one on the
-// path, so a site occupied by op or excluding leaves no other to fall
-// back to. The memory probe scans the op list only ahead of the
-// vertex's earliest register event. Stores define no register, so the
-// two kinds of event never share an op. Conditional jumps on the path
-// define nothing and touch no memory, exactly as the reference ignores
-// them.
-func firstPathEvent(leaf *graph.Vertex, op, excluding *ir.Op) *ir.Op {
-	// Same stack-buffered chain collection as scanCommittedPath (and the
-	// same overflow behavior past depth 8: a correct heap append).
+// Scratch lists live in stack buffers. Instruction trees are shallow
+// (depth bounded by the branch-slot budget), so the [8] chain buffer
+// keeps the scan allocation-free under every paper machine; an
+// unlimited-branch machine can exceed 8 vertices, and the append then
+// grows onto the heap with nothing dropped
+// (TestScanCommittedPathDeepTreeOverflowsCorrectly). No op kind reads
+// more than 2 registers (TestOpUsesBufferBound), and each rewrite is
+// one copy-propagation hop, so the callers' 8-entry rewrite buffers
+// cover any chain the schedulers build; a longer chain overflows into a
+// correct heap append (TestRewriteBufferOverflowsCorrectly).
+func scanCommittedPath(leaf *graph.Vertex, op, excluding *ir.Op, rewrites []rewrite) (Block, []rewrite) {
 	var buf [8]*graph.Vertex
 	chain := buf[:0]
 	for v := leaf; v != nil; v = v.Parent() {
 		chain = append(chain, v)
 	}
-	// The probed registers: op's reads, then its destination (NoReg,
-	// which no vertex defines, for stores and branches).
-	var regBuf [3]ir.Reg
-	regs := append(op.Uses(regBuf[:0]), op.Def())
+	var useBuf [3]ir.Reg
+	uses := op.Uses(useBuf[:0])
+	def := op.Def()
 	mem := !op.Mem.IsZero() && (op.IsLoad() || op.IsStore())
-	for i := len(chain) - 1; i >= 0; i-- {
-		v := chain[i]
-		first, at := (*ir.Op)(nil), int32(len(v.Ops))
-		for _, r := range regs {
-			if !v.MayDefine(r) {
-				continue
-			}
-			if p, k := v.DefSiteHere(r); p != nil && p != op && p != excluding && k < at {
-				first, at = p, k
-			}
-		}
-		if mem {
-			for _, p := range v.Ops[:at] {
-				// Memory ordering: a load may not pass an aliasing
-				// store; two aliasing stores may not share a path
-				// (ambiguous commit).
-				if p.IsStore() && p != op && p != excluding && !p.Mem.IsZero() && op.Mem.MayAlias(p.Mem) {
-					return p
-				}
-			}
-		}
-		if first != nil {
-			return first
-		}
-	}
-	return nil
-}
-
-// scanCommittedPath is the reference dependence scan: register-by-
-// register over every operation committed on the root→leaf path of the
-// target node, collecting copy-propagation rewrites. It returns the
-// blocking verdict plus the (possibly rewritten) use list and rewrite
-// list. Retained as the cross-checked reference implementation behind
-// Ctx.CrossCheck; it collects the chain itself, so it shares no code
-// with firstPathEvent.
-func scanCommittedPath(leaf *graph.Vertex, op, excluding *ir.Op, uses []ir.Reg, rewrites []rewrite) (Block, []ir.Reg, []rewrite) {
-	// Collect the root -> leaf chain. Instruction trees are shallow
-	// (depth bounded by the branch-slot budget), so the stack buffer
-	// makes the scan allocation-free under every paper machine. An
-	// unlimited-branch machine can exceed 8 vertices; the append then
-	// grows onto the heap with nothing dropped
-	// (TestScanCommittedPathDeepTreeOverflowsCorrectly).
-	var buf [8]*graph.Vertex
-	chain := buf[:0]
-	for v := leaf; v != nil; v = v.Parent() {
-		chain = append(chain, v)
-	}
 	for k := len(chain) - 1; k >= 0; k-- {
 		for _, p := range chain[k].Ops {
-			if p == excluding || p == op {
+			if p == op || p == excluding {
 				continue
 			}
-			if d := p.Def(); d != ir.NoReg {
-				for i, u := range uses {
-					if u != d {
-						continue
-					}
-					if p.IsCopy() {
-						// Propagate through the copy.
-						uses[i] = p.Src[0]
-						rewrites = append(rewrites, rewrite{from: d, to: p.Src[0]})
-						continue
-					}
-					return Block{Kind: BlockDep, By: p}, uses, rewrites
+			d := p.Def()
+			if d == ir.NoReg {
+				if mem && p.IsStore() && !p.Mem.IsZero() && op.Mem.MayAlias(p.Mem) {
+					return Block{Kind: BlockDep, By: p}, rewrites
 				}
-				if d == op.Def() {
-					// Output dependence: two commits of the same register
-					// on one path. Renaming can remove this.
-					return Block{Kind: BlockDep, By: p}, uses, rewrites
-				}
+				continue
 			}
-			// Memory ordering: a load may not pass an aliasing store; two
-			// aliasing stores may not share a path (ambiguous commit).
-			if !op.Mem.IsZero() && !p.Mem.IsZero() {
-				if (op.IsLoad() && p.IsStore() || op.IsStore() && p.IsStore()) && op.Mem.MayAlias(p.Mem) {
-					return Block{Kind: BlockDep, By: p}, uses, rewrites
+			for i, u := range uses {
+				if u != d {
+					continue
 				}
+				if !p.IsCopy() {
+					return Block{Kind: BlockDep, By: p}, rewrites
+				}
+				uses[i] = p.Src[0]
+				rewrites = append(rewrites, rewrite{from: d, to: p.Src[0]})
+			}
+			if d == def {
+				return Block{Kind: BlockDep, By: p}, rewrites
 			}
 		}
 	}
-	return blockNone, uses, rewrites
+	return blockNone, rewrites
 }
 
 // scanMovePastRead checks for readers of op's target register (or, for

@@ -164,12 +164,12 @@ func TestRandomStepUpPreservesSemantics(t *testing.T) {
 }
 
 // TestCrossCheckedRandomMutationSequences drives random mutation
-// sequences with Ctx.CrossCheck enabled, so every committed-path answer
-// and own-tier-gated move-past-read scan runs next to its retained
-// reference scan and panics on any divergence in verdict, blocker, or
-// rewrite list. Renamed moves are mixed in: renaming's RetargetDef and
-// copy compensations mutate the summaries mid-sequence, which is
-// exactly the state the filters must stay exact under.
+// sequences with Ctx.CrossCheck enabled, so every use-mask-gated
+// move-past-read scan runs next to its retained reference scan and
+// panics on any divergence in verdict or blocker. Renamed moves are
+// mixed in: renaming's RetargetDef and copy compensations mutate the
+// use masks mid-sequence, which is exactly the state the filter must
+// stay exact under.
 func TestCrossCheckedRandomMutationSequences(t *testing.T) {
 	seeds := int64(400)
 	if testing.Short() {

@@ -81,13 +81,12 @@ type Ctx struct {
 	// delete it once that assignment goes.
 	D *deps.DDG
 
-	// CrossCheck runs the retained reference dependence scans next to
-	// the two summary-filtered fast paths — the committed-path check
-	// and the move-past-read scan — and panics on the first divergence
-	// (a summary-maintenance bug, on par with a corrupted graph
-	// invariant). A testing hook: it cannot change any verdict, only
-	// verify it. core.Options.CrossCheck switches it on for the
-	// duration of a scheduling run.
+	// CrossCheck runs the retained full move-past-read walk next to the
+	// use-mask-gated scan and panics on the first divergence (a
+	// mask-maintenance bug, on par with a corrupted graph invariant).
+	// A testing hook: it cannot change any verdict, only verify it.
+	// core.Options.CrossCheck switches it on for the duration of a
+	// scheduling run.
 	CrossCheck bool
 
 	// Stats.

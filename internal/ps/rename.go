@@ -48,9 +48,8 @@ func (c *Ctx) TryMoveOpUpRenamed(op *ir.Op) Block {
 		Dst:    d,
 		Src:    [2]ir.Reg{r},
 	}
-	// Retarget through the graph so the def/use summaries see the new
-	// destination (a bare op.Dst assignment on a placed op is now a
-	// summary-desync bug that Validate catches).
+	// Retarget through the graph so the node's change stamp moves (the
+	// Gapless-move memo revalidates verdicts by it).
 	c.G.RetargetDef(op, r)
 	c.G.AddOp(compensation, v)
 	c.Renames++

@@ -16,7 +16,7 @@ import (
 
 // Every operation kind reads at most 2 registers (binary arithmetic
 // and CJ: two sources; store: value + index register; load: index
-// register; copy: one source). TryMoveOpUp's [3]ir.Reg use buffer
+// register; copy: one source). scanCommittedPath's [3]ir.Reg use buffer
 // therefore never grows; this test is the tripwire for anyone widening
 // the IR.
 func TestOpUsesBufferBound(t *testing.T) {
@@ -78,22 +78,20 @@ func TestScanCommittedPathDeepTreeOverflowsCorrectly(t *testing.T) {
 		mover  *ir.Op
 		wantBy *ir.Op
 	}{{"root and leaf reader", both, rootOp}, {"leaf reader", leafOnly, leafOp}} {
-		var useBuf [3]ir.Reg
-		blk, _, _ := scanCommittedPath(leaf, tc.mover, nil, tc.mover.Uses(useBuf[:0]), nil)
+		blk, _ := scanCommittedPath(leaf, tc.mover, nil, nil)
 		if blk.Kind != BlockDep || blk.By != tc.wantBy {
 			t.Errorf("%s on a depth-%d path: %v block by %v, want a dep block by %v", tc.name, depth, blk.Kind, blk.By, tc.wantBy)
 		}
 	}
 
 	// At or below the 8-vertex bound the scan must stay allocation-free
-	// (the CrossCheck reference runs next to every probe).
+	// (it runs in every move probe).
 	shallowLeaf := n.Root
 	for i := 0; i < 7 && !shallowLeaf.IsLeaf(); i++ {
 		shallowLeaf = shallowLeaf.True
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		var useBuf [3]ir.Reg
-		scanCommittedPath(shallowLeaf, leafOnly, nil, leafOnly.Uses(useBuf[:0]), nil)
+		scanCommittedPath(shallowLeaf, leafOnly, nil, nil)
 	}); a != 0 {
 		t.Errorf("scanCommittedPath allocates %v/op within the 8-vertex bound, want 0", a)
 	}
@@ -128,10 +126,8 @@ func TestRewriteBufferOverflowsCorrectly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var useBuf [3]ir.Reg
-	uses := mover.Uses(useBuf[:0])
 	var rwBuf [8]rewrite
-	block, uses, rewrites := scanCommittedPath(n.Root, mover, nil, uses, rwBuf[:0])
+	block, rewrites := scanCommittedPath(n.Root, mover, nil, rwBuf[:0])
 	if block.Kind != BlockNone {
 		t.Fatalf("copy chain blocked the scan: %v", block.Kind)
 	}
@@ -142,8 +138,5 @@ func TestRewriteBufferOverflowsCorrectly(t *testing.T) {
 		if want := regs[chain-i]; rw.from != want || rw.to != regs[chain-i-1] {
 			t.Fatalf("rewrite %d = {%d -> %d}, want {%d -> %d}", i, rw.from, rw.to, want, regs[chain-i-1])
 		}
-	}
-	if uses[0] != regs[0] {
-		t.Fatalf("use resolved to r%d, want the chain head r%d", uses[0], regs[0])
 	}
 }
